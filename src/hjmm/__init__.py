@@ -11,7 +11,7 @@ from .curves import (InitialCurve, affine_curve, constant_curve,
                      exp_decay_curve, table_curve)
 from .errors import (ConfigError, DomainError, HjmmError, NonIntegrable,
                      NonPositiveFactor, NonPositiveInitialCurve,
-                     NotTimeOnly, PathDiverged, SecondMomentInfinite,
+                     NotTimeOnly, SecondMomentInfinite,
                      UnsupportedSpec)
 from .grids import GridSpec, RateField, flat_extend
 from .levy import (AssumptionReport, GrowthClassification, LevyModelSpec,
@@ -43,7 +43,7 @@ __all__ = [
     "HjmmError", "InitialCurve", "JumpPath", "LevyModelSpec",
     "MartingaleReport", "MeasureFamily", "NonIntegrable",
     "NonPositiveFactor", "NonPositiveInitialCurve", "NotTimeOnly",
-    "PathDiverged", "PointMasses", "RateField", "Rule", "RunConfig",
+    "PointMasses", "RateField", "Rule", "RunConfig",
     "SecondMomentInfinite", "SolverReport", "StableLike",
     "StrongResidualReport", "UnsupportedSpec", "UserDensity",
     "VerificationReport", "Verdict", "VolatilitySpec", "affine_curve",

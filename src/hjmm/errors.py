@@ -33,9 +33,5 @@ class NotTimeOnly(HjmmError, ValueError):
     """An operation requiring time-only volatility got a maturity-dependent one."""
 
 
-class PathDiverged(HjmmError, ArithmeticError):
-    """A per-path solve exploded or failed to converge inside a Monte Carlo run."""
-
-
 class ConfigError(HjmmError, ValueError):
     """A run configuration document is invalid."""

@@ -88,6 +88,31 @@ class GridSpec:
         return GridSpec(self.delta / factor, self.t_star, self.t_max, self.gamma)
 
 
+def cumtrapz(values: np.ndarray, dx: float, axis: int) -> np.ndarray:
+    """Cumulative trapezoid sums with step dx along axis 0 or 1, from 0."""
+    out = np.zeros_like(values)
+    if axis == 0:
+        np.cumsum(0.5 * dx * (values[1:] + values[:-1]), axis=0, out=out[1:])
+    else:
+        np.cumsum(0.5 * dx * (values[:, 1:] + values[:, :-1]), axis=1,
+                  out=out[:, 1:])
+    return out
+
+
+def gap_integral(values: np.ndarray, dx: float) -> np.ndarray:
+    """int_{T_i}^{T_j} values(t_i, u) du per cell (i, j), clipped at 0.
+
+    The lower limit is the diagonal node T_i = t_i of each row, so the
+    result is the integral over the gap x = T_j - t_i, and zero below the
+    diagonal.
+    """
+    ct = cumtrapz(values, dx, axis=1)
+    rows = np.arange(values.shape[0])
+    inner = ct - ct[rows, rows][:, None]
+    np.maximum(inner, 0.0, out=inner)
+    return inner
+
+
 def flat_extend(values: np.ndarray) -> np.ndarray:
     """Copy values and overwrite the below-diagonal cells with f(T, T)."""
     out = np.array(values, dtype=float, copy=True)

@@ -157,10 +157,13 @@ def exponent_derivative(spec: LevyModelSpec, z: float, order: int = 1) -> float:
 
 
 def fast_derivative(spec: LevyModelSpec, order: int = 1):
-    """Vectorized exact evaluator of J' or J'' for solver-scale workloads.
+    """Vectorized evaluator of J' or J'' for solver-scale workloads.
 
     Returns a callable mapping a nonnegative float array to the derivative
-    values.  Built from closed forms per measure family; agrees with
+    values.  Built from the measure family's closed form (exact sums for
+    atoms, incomplete gamma and exponential-integral forms for the built-in
+    densities); a :class:`UserDensity` has none and runs the quadrature of
+    :func:`exponent_derivative` once per point.  The closed forms agree with
     :func:`exponent_derivative` (tested to 1e-8 relative).
     """
     if order not in (1, 2):

@@ -24,8 +24,8 @@ import numpy as np
 from scipy import integrate
 
 from .curves import InitialCurve
-from .errors import DomainError, NonPositiveFactor, PathDiverged
-from .grids import GridSpec, RateField
+from .errors import DomainError, NonPositiveFactor
+from .grids import GridSpec, RateField, cumtrapz
 from .levy import LevyModelSpec, exponent, exponent_derivative
 from .paths import field_a, field_b, simulate_path
 from .solver import solve_fixed_point
@@ -74,9 +74,7 @@ def bond_surface(rate_field: RateField, grid: GridSpec) -> BondSurface:
     values = rate_field.values
     if np.min(values) < 0.0:
         raise DomainError("bond prices need a nonnegative rate field")
-    dx = grid.delta
-    ct = np.zeros_like(values)
-    np.cumsum(0.5 * dx * (values[:, 1:] + values[:, :-1]), axis=1, out=ct[:, 1:])
+    ct = cumtrapz(values, grid.delta, axis=1)
     discounted = np.exp(-ct)
     prices = np.exp(-(ct - np.take_along_axis(
         ct, np.arange(values.shape[0])[:, None], axis=1)))
@@ -153,7 +151,7 @@ def _run_one_path(path_index: int):
         surface = bond_surface(report.final_field, ctx["grid"])
         out = surface.discounted[np.ix_(ctx["t_idx"], ctx["T_idx"])]
         return path_index, out.ravel()
-    except (PathDiverged, NonPositiveFactor):
+    except NonPositiveFactor:
         return path_index, None
 
 
@@ -293,8 +291,7 @@ def drift_identity_check(spec: LevyModelSpec, vol: VolatilitySpec,
     T_nodes = grid.T_nodes()
     lam_row = np.asarray(vol.standard(grid.t_nodes()[i_s], T_nodes), dtype=float)
     sigma = lam_row * rate_field.values[i_s]
-    ct = np.concatenate([[0.0], np.cumsum(
-        0.5 * grid.delta * (sigma[1:] + sigma[:-1]))])
+    ct = cumtrapz(sigma, grid.delta, axis=0)
     inner = ct - ct[i_s]
 
     cols = np.arange(j_t, j_T + 1)

@@ -8,18 +8,20 @@ Four families of Levy measures are supported:
 * ``GammaLike`` -- density c * y**(-1) * exp(-beta*y) on (0, inf).
 * ``UserDensity`` -- an arbitrary callable density on (0, inf).
 
-Each family provides two evaluation routes for the pieces of the Laplace
-exponent and its derivatives:
+Each family gives the pieces of the Laplace exponent and its derivatives
+by two routes:
 
-* an adaptive-quadrature route (``piece_values`` / ``piece_derivatives``)
-  with relative tolerance 1e-10 and a series fallback for the compensated
-  integrand near z*y = 0, used by the public exponent operations; and
-* an exact vectorized route (``derivative_measure_part``) built from
-  closed forms (incomplete gamma, exponential integral, plain sums), used
-  by the fixed-point solver where thousands of evaluations per iteration
-  are needed.
-
-Tests cross-check the two routes against each other.
+* one adaptive-quadrature route (``piece_values`` / ``piece_derivatives``),
+  written once on ``MeasureFamily`` as integrals of the family's scalar
+  ``density(y)`` over its support, with relative tolerance 1e-10 and a
+  series fallback for the compensated integrand near z*y = 0.  It serves
+  the public exponent operations and is the oracle the closed forms are
+  tested against; ``PointMasses`` replaces it with exact sums; and
+* a vectorized route (``derivative_measure_part``) used by the
+  fixed-point solver, where thousands of evaluations per iteration are
+  needed: one closed form per family (incomplete gamma, exponential
+  integral, plain sums), or, for ``UserDensity``, which has none, the
+  quadrature route point by point.
 """
 
 from __future__ import annotations
@@ -59,14 +61,9 @@ def compensated_exp(w: float) -> float:
     return math.expm1(-w) + w
 
 
-def compensated_exp_array(w: np.ndarray) -> np.ndarray:
-    """Vectorized exp(-w) - 1 + w with the same series fallback."""
-    w = np.asarray(w, dtype=float)
-    small = np.abs(w) < SERIES_THRESHOLD
-    series = w * w * (0.5 + w * (-1.0 / 6.0 + w * (1.0 / 24.0 - w / 120.0)))
-    with np.errstate(over="ignore"):
-        direct = np.expm1(-w) + w
-    return np.where(small, series, direct)
+def _compensated(y: float) -> bool:
+    """Whether the exponent compensates jumps of size y: all below 1."""
+    return y < 1.0
 
 
 def _quad(f: Callable[[float], float], a: float, b: float, what: str) -> float:
@@ -101,27 +98,67 @@ def _fixed_gauss(fvals_builder: Callable[[np.ndarray], np.ndarray],
 
 
 class MeasureFamily(ABC):
-    """Common interface of the jump-measure families."""
+    """Common interface of the jump-measure families.
+
+    The quadrature route below integrates ``self.density(y)``, which every
+    family with a density defines on floats y > 0, over a support inside
+    [0, inf): (0, min(1, y_max)) compensated, [1, y_max) uncompensated.
+    ``PointMasses`` overrides it with exact sums.
+    """
 
     @abstractmethod
     def support(self) -> tuple[float, float]:
         """Infimum and supremum of the support."""
 
-    @abstractmethod
     def piece_values(self, z: float) -> tuple[float, float, float]:
         """The three exponent pieces (J1, J2, J3) at z >= 0, quadrature route.
 
         J1 compensates over the negative part of the support, J2 over (0, 1),
         J3 is the uncompensated piece over [1, inf).
         """
+        name = type(self).__name__
+        y_max = self.support()[1]
+        f = self.density
+        j2 = _quad(lambda y: compensated_exp(z * y) * f(y),
+                   0.0, min(1.0, y_max), f"{name} J2")
+        j3 = 0.0
+        if y_max > 1.0:
+            j3 = _quad(lambda y: math.expm1(-z * y) * f(y),
+                       1.0, y_max, f"{name} J3")
+        return 0.0, j2, j3
 
-    @abstractmethod
     def piece_derivatives(self, z: float, order: int) -> float:
         """Sum of the three pieces' derivatives at z >= 0, quadrature route."""
+        name = type(self).__name__
+        y_max = self.support()[1]
+        b1 = min(1.0, y_max)
+        f = self.density
+        if order == 1:
+            total = _quad(lambda y: -math.expm1(-z * y) * y * f(y),
+                          0.0, b1, f"{name} J2'")
+            if y_max > 1.0:
+                total -= _quad(lambda y: math.exp(-z * y) * y * f(y),
+                               1.0, y_max, f"{name} J3'")
+            return total
 
-    @abstractmethod
+        def second(y: float) -> float:
+            return math.exp(-z * y) * y * y * f(y)
+
+        total = _quad(second, 0.0, b1, f"{name} J2''")
+        if y_max > 1.0:
+            total += _quad(second, 1.0, y_max, f"{name} J3''")
+        return total
+
     def derivative_measure_part(self, z: np.ndarray, order: int) -> np.ndarray:
-        """Vectorized exact J1'+J2'+J3' (order 1) or J1''+J2''+J3'' (order 2)."""
+        """Vectorized J1'+J2'+J3' (order 1) or J1''+J2''+J3'' (order 2).
+
+        The default runs the quadrature route once per point; families with
+        a closed form override it.
+        """
+        z = np.asarray(z, dtype=float)
+        flat = np.array([self.piece_derivatives(float(v), order)
+                         for v in np.ravel(z)])
+        return flat.reshape(z.shape)
 
     @abstractmethod
     def squared_integral(self, x: float) -> float:
@@ -199,19 +236,19 @@ class PointMasses(MeasureFamily):
     def piece_values(self, z: float) -> tuple[float, float, float]:
         j1 = j2 = j3 = 0.0
         for y, c in self.atoms:
-            if y < 0.0:
-                j1 += c * compensated_exp(z * y)
-            elif y < 1.0:
-                j2 += c * compensated_exp(z * y)
-            else:
+            if not _compensated(y):
                 j3 += c * math.expm1(-z * y)
+            elif y < 0.0:
+                j1 += c * compensated_exp(z * y)
+            else:
+                j2 += c * compensated_exp(z * y)
         return j1, j2, j3
 
     def piece_derivatives(self, z: float, order: int) -> float:
         total = 0.0
         for y, c in self.atoms:
             if order == 1:
-                if abs(y) < 1.0:
+                if _compensated(y):
                     total += c * y * (-math.expm1(-z * y))
                 else:
                     total += -c * y * math.exp(-z * y)
@@ -227,7 +264,7 @@ class PointMasses(MeasureFamily):
             for y, c in zip(ys, cs):
                 e = np.exp(-z * y)
                 if order == 1:
-                    out += c * y * (1.0 - e) if abs(y) < 1.0 else -c * y * e
+                    out += c * y * (1.0 - e) if _compensated(y) else -c * y * e
                 else:
                     out += c * y * y * e
         return out
@@ -277,46 +314,17 @@ class StableLike(MeasureFamily):
         if self.y_max <= 0.0:
             raise DomainError(f"y_max must be positive, got {self.y_max}")
 
-    def density(self, y):
-        y = np.asarray(y, dtype=float)
-        return np.where((y > 0) & (y <= self.y_max),
-                        self.c * y ** (-1.0 - self.alpha), 0.0)
+    def density(self, y: float) -> float:
+        if 0.0 < y <= self.y_max:
+            return self.c * y ** (-1.0 - self.alpha)
+        return 0.0
 
     def support(self) -> tuple[float, float]:
         return (0.0, self.y_max)
 
-    def _b1(self) -> float:
-        return min(1.0, self.y_max)
-
-    def piece_values(self, z: float) -> tuple[float, float, float]:
-        b1 = self._b1()
-        j2 = _quad(lambda y: compensated_exp(z * y) * self.c * y ** (-1.0 - self.alpha),
-                   0.0, b1, "StableLike J2")
-        j3 = 0.0
-        if self.y_max > 1.0:
-            j3 = _quad(lambda y: math.expm1(-z * y) * self.c * y ** (-1.0 - self.alpha),
-                       1.0, self.y_max, "StableLike J3")
-        return 0.0, j2, j3
-
-    def piece_derivatives(self, z: float, order: int) -> float:
-        b1 = self._b1()
-        if order == 1:
-            total = _quad(lambda y: -math.expm1(-z * y) * self.c * y ** (-self.alpha),
-                          0.0, b1, "StableLike J2'")
-            if self.y_max > 1.0:
-                total += -_quad(lambda y: math.exp(-z * y) * self.c * y ** (-self.alpha),
-                                1.0, self.y_max, "StableLike J3'")
-            return total
-        total = _quad(lambda y: math.exp(-z * y) * self.c * y ** (1.0 - self.alpha),
-                      0.0, b1, "StableLike J2''")
-        if self.y_max > 1.0:
-            total += _quad(lambda y: math.exp(-z * y) * self.c * y ** (1.0 - self.alpha),
-                           1.0, self.y_max, "StableLike J3''")
-        return total
-
     def derivative_measure_part(self, z: np.ndarray, order: int) -> np.ndarray:
         z = np.asarray(z, dtype=float)
-        b1 = self._b1()
+        b1 = min(1.0, self.y_max)
         alpha, c = self.alpha, self.c
         w = z * b1
         safe_z = np.where(z > 0, z, 1.0)
@@ -416,34 +424,11 @@ class GammaLike(MeasureFamily):
         if self.beta <= 0.0:
             raise DomainError(f"beta must be positive, got {self.beta}")
 
-    def density(self, y):
-        y = np.asarray(y, dtype=float)
-        with np.errstate(divide="ignore", over="ignore"):
-            return np.where(y > 0, self.c * np.exp(-self.beta * y) / y, 0.0)
+    def density(self, y: float) -> float:
+        return self.c * math.exp(-self.beta * y) / y if y > 0.0 else 0.0
 
     def support(self) -> tuple[float, float]:
         return (0.0, math.inf)
-
-    def piece_values(self, z: float) -> tuple[float, float, float]:
-        j2 = _quad(lambda y: compensated_exp(z * y) * self.c
-                   * math.exp(-self.beta * y) / y,
-                   0.0, 1.0, "GammaLike J2")
-        j3 = _quad(lambda y: math.expm1(-z * y) * self.c
-                   * math.exp(-self.beta * y) / y,
-                   1.0, math.inf, "GammaLike J3")
-        return 0.0, j2, j3
-
-    def piece_derivatives(self, z: float, order: int) -> float:
-        if order == 1:
-            j2 = _quad(lambda y: -math.expm1(-z * y) * self.c * math.exp(-self.beta * y),
-                       0.0, 1.0, "GammaLike J2'")
-            j3 = -_quad(lambda y: math.exp(-(z + self.beta) * y) * self.c,
-                        1.0, math.inf, "GammaLike J3'")
-            return j2 + j3
-        return (_quad(lambda y: y * math.exp(-(z + self.beta) * y) * self.c,
-                      0.0, 1.0, "GammaLike J2''")
-                + _quad(lambda y: y * math.exp(-(z + self.beta) * y) * self.c,
-                        1.0, math.inf, "GammaLike J3''"))
 
     def derivative_measure_part(self, z: np.ndarray, order: int) -> np.ndarray:
         z = np.asarray(z, dtype=float)
@@ -510,10 +495,13 @@ class GammaLike(MeasureFamily):
 class UserDensity(MeasureFamily):
     """Arbitrary density on (0, inf) supplied as a callable.
 
-    The callable must accept numpy arrays.  ``a4_certified`` declares that
-    y^2 is integrable near zero and y near infinity; ``second_moment_certified``
-    declares a finite second moment.  Only certified measures participate in
-    the tail-exponent regression of the growth classifier.
+    The callable is evaluated on floats by the quadrature route and on numpy
+    arrays by the sampler, so it must accept both.  With no closed form, the
+    solver's J' runs the quadrature route once per point.  ``a4_certified``
+    declares that y^2 is integrable near zero and y near infinity;
+    ``second_moment_certified`` declares a finite second moment.  Only
+    certified measures participate in the tail-exponent regression of the
+    growth classifier.
     """
 
     density_fn: Callable
@@ -521,38 +509,13 @@ class UserDensity(MeasureFamily):
     second_moment_certified: bool = False
     _inv_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
-    def density(self, y):
-        return self.density_fn(np.asarray(y, dtype=float))
+    @property
+    def density(self) -> Callable:
+        """The callable itself, so the quadrature adds no wrapper per call."""
+        return self.density_fn
 
     def support(self) -> tuple[float, float]:
         return (0.0, math.inf)
-
-    def piece_values(self, z: float) -> tuple[float, float, float]:
-        j2 = _quad(lambda y: compensated_exp(z * y) * float(self.density_fn(y)),
-                   0.0, 1.0, "UserDensity J2")
-        j3 = _quad(lambda y: math.expm1(-z * y) * float(self.density_fn(y)),
-                   1.0, math.inf, "UserDensity J3")
-        return 0.0, j2, j3
-
-    def piece_derivatives(self, z: float, order: int) -> float:
-        if order == 1:
-            j2 = _quad(lambda y: -math.expm1(-z * y) * y * float(self.density_fn(y)),
-                       0.0, 1.0, "UserDensity J2'")
-            j3 = -_quad(lambda y: math.exp(-z * y) * y * float(self.density_fn(y)),
-                        1.0, math.inf, "UserDensity J3'")
-            return j2 + j3
-        return (_quad(lambda y: math.exp(-z * y) * y * y * float(self.density_fn(y)),
-                      0.0, 1.0, "UserDensity J2''")
-                + _quad(lambda y: math.exp(-z * y) * y * y * float(self.density_fn(y)),
-                        1.0, math.inf, "UserDensity J3''"))
-
-    def derivative_measure_part(self, z: np.ndarray, order: int) -> np.ndarray:
-        # No closed form is available; this path is quadrature per point and
-        # is documented as slow for large solves.
-        z = np.asarray(z, dtype=float)
-        flat = np.array([self.piece_derivatives(float(v), order)
-                         for v in np.ravel(z)])
-        return flat.reshape(z.shape)
 
     def squared_integral(self, x: float) -> float:
         if x <= 0.0:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .curves import InitialCurve, require_positive_on
 from .errors import (DomainError, NonPositiveFactor, UnsupportedSpec)
-from .grids import GridSpec
+from .grids import GridSpec, cumtrapz
 from .levy import LevyModelSpec
 from .volatility import VolatilitySpec
 
@@ -233,7 +233,7 @@ def field_b(vol: VolatilitySpec, path: JumpPath, grid: GridSpec) -> np.ndarray:
     assumed).  Values are strictly positive.
     """
     lam = vol.on_grid(grid)
-    drift_cum = _cumtrapz_axis0(lam, grid.delta) * path.drift_rate
+    drift_cum = cumtrapz(lam, grid.delta, axis=0) * path.drift_rate
     counts, stoch, corr = _jump_prefixes(vol, path, grid)
     exponent = drift_cum + stoch[counts] + corr[counts]
     with np.errstate(over="ignore"):
@@ -249,9 +249,3 @@ def field_a(r0: InitialCurve, b_values: np.ndarray, grid: GridSpec) -> np.ndarra
         raise DomainError(
             f"factor field shape {b_values.shape} does not match the grid")
     return curve[None, :] * b_values
-
-
-def _cumtrapz_axis0(values: np.ndarray, dx: float) -> np.ndarray:
-    out = np.zeros_like(values)
-    np.cumsum(0.5 * dx * (values[1:] + values[:-1]), axis=0, out=out[1:])
-    return out

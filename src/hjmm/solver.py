@@ -12,7 +12,7 @@ produces a pointwise nondecreasing sequence that either converges to the
 minimal solution or blows up; both outcomes are reported.
 
 All quadratures are composite trapezoid on the uniform grid; J' is
-evaluated through the exact vectorized route of the measure family.
+evaluated through the vectorized route of the measure family.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, SecondMomentInfinite, NotTimeOnly
-from .grids import GridSpec, RateField, flat_extend
+from .grids import GridSpec, RateField, cumtrapz, flat_extend, gap_integral
 from .levy import LevyModelSpec, fast_derivative
 from .paths import JumpPath
 from .volatility import VolatilitySpec
@@ -48,16 +48,6 @@ STATUS_EXPLODED = "Exploded"
 STATUS_MAX_ITER = "MaxIterations"
 
 
-def _cumtrapz(values: np.ndarray, dx: float, axis: int) -> np.ndarray:
-    out = np.zeros_like(values)
-    if axis == 0:
-        np.cumsum(0.5 * dx * (values[1:] + values[:-1]), axis=0, out=out[1:])
-    else:
-        np.cumsum(0.5 * dx * (values[:, 1:] + values[:, :-1]), axis=1,
-                  out=out[:, 1:])
-    return out
-
-
 class _OperatorContext:
     """Grid-sized precomputations shared by all iterations of one solve."""
 
@@ -71,20 +61,14 @@ class _OperatorContext:
         self.a_field = np.asarray(a_field, dtype=float)
         self.lam = vol.on_grid(grid)
         self.dj = fast_derivative(spec, 1)
-        n_rows = grid.n_t + 1
-        self._rows = np.arange(n_rows)
 
     def apply(self, values: np.ndarray) -> np.ndarray:
         """One application of the operator to a field on the rectangle."""
-        grid = self.grid
-        dx = grid.delta
+        dx = self.grid.delta
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            w = self.lam * values
-            ct = _cumtrapz(w, dx, axis=1)
-            inner = ct - ct[self._rows, self._rows][:, None]
-            np.maximum(inner, 0.0, out=inner)
+            inner = gap_integral(self.lam * values, dx)
             integrand = self.dj(inner) * self.lam
-            outer = _cumtrapz(integrand, dx, axis=0)
+            outer = cumtrapz(integrand, dx, axis=0)
             new = self.a_field * np.exp(outer)
         return flat_extend(new)
 
@@ -318,15 +302,12 @@ def uniqueness_contraction_check(field1: RateField, field2: RateField,
     d = np.abs(field1.values - field2.values)
     initial_sup = float(np.max(d))
     uw = grid.t_star * grid.t_max
-    rows = np.arange(grid.n_t + 1)
     observed = []
     bounds = []
     current = d
     for m in range(1, n_iter + 1):
-        ct = _cumtrapz(current, grid.delta, axis=1)
-        inner = ct - ct[rows, rows][:, None]
-        np.maximum(inner, 0.0, out=inner)
-        current = k_const * _cumtrapz(inner, grid.delta, axis=0)
+        inner = gap_integral(current, grid.delta)
+        current = k_const * cumtrapz(inner, grid.delta, axis=0)
         observed.append(float(np.max(current)))
         bounds.append(initial_sup * k_const ** m * uw ** m
                       / math.factorial(m) ** 2)
@@ -368,10 +349,7 @@ def strong_residual(field: RateField, vol: VolatilitySpec, spec: LevyModelSpec,
     dj = fast_derivative(spec, 1)
     ddj = fast_derivative(spec, 2)
 
-    ct = _cumtrapz(values * lam_t[:, None], dx, axis=1)
-    rows = np.arange(grid.n_t + 1)
-    inner = ct - ct[rows, rows][:, None]
-    np.maximum(inner, 0.0, out=inner)
+    inner = gap_integral(values * lam_t[:, None], dx)
 
     t_nodes = grid.t_nodes()
     residuals = []
@@ -452,7 +430,7 @@ def _dx_identity_residual(values: np.ndarray, lam_t: np.ndarray, ddj,
     row0 = values[0]
     g0 = np.gradient(row0, dx, edge_order=2) / row0
     kern = ddj(inner) * (lam_t ** 2)[:, None] * values
-    integral = _cumtrapz(kern, dx, axis=0)
+    integral = cumtrapz(kern, dx, axis=0)
     worst = 0.0
     total = 0.0
     count = 0

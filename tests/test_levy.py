@@ -60,19 +60,25 @@ def test_exponent_at_zero_vanishes() -> None:
 
 
 def test_finite_difference_consistency() -> None:
-    # centered difference of J validates J'; centered difference of J'
-    # validates J'' (differencing J twice would amplify quadrature noise)
-    spec = gamma_subordinator(1.0, 1.0)
+    # centered difference of J validates J' on both routes; centered
+    # difference of J' validates J'' (differencing J twice would amplify
+    # quadrature noise).  A negative atom at or below -1 is compensated in J,
+    # so its derivative must carry the compensator too.
+    specs = [gamma_subordinator(1.0, 1.0),
+             LevyModelSpec(0.0, 0.0, PointMasses([(-2.0, 1.0)]))]
     h = 1e-6
-    for z in np.linspace(0.1, 50.0, 9):
-        z = float(z)
-        fd1 = (exponent(spec, z + h) - exponent(spec, z - h)) / (2.0 * h)
-        d1 = exponent_derivative(spec, z, 1)
-        assert abs(fd1 - d1) <= FD_RTOL * max(abs(d1), 1e-12)
-        fd2 = (exponent_derivative(spec, z + h, 1)
-               - exponent_derivative(spec, z - h, 1)) / (2.0 * h)
-        d2 = exponent_derivative(spec, z, 2)
-        assert abs(fd2 - d2) <= FD_RTOL * max(abs(d2), 1e-12)
+    for spec in specs:
+        fast = fast_derivative(spec, 1)
+        for z in np.linspace(0.1, 50.0, 9):
+            z = float(z)
+            fd1 = (exponent(spec, z + h) - exponent(spec, z - h)) / (2.0 * h)
+            for d1 in (exponent_derivative(spec, z, 1), float(fast(z))):
+                assert abs(fd1 - d1) <= FD_RTOL * max(abs(d1), 1e-12), (
+                    f"{type(spec.measure).__name__} z={z}: {d1} vs {fd1}")
+            fd2 = (exponent_derivative(spec, z + h, 1)
+                   - exponent_derivative(spec, z - h, 1)) / (2.0 * h)
+            d2 = exponent_derivative(spec, z, 2)
+            assert abs(fd2 - d2) <= FD_RTOL * max(abs(d2), 1e-12)
 
 
 def test_fast_route_agrees_with_quadrature_route() -> None:

@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from hjmm.errors import DomainError
+from hjmm.levy import LevyModelSpec, fast_derivative
 from hjmm.measures import (
     GammaLike,
     PointMasses,
     StableLike,
     UserDensity,
     compensated_exp,
-    compensated_exp_array,
     measure_from_json,
 )
 
@@ -29,13 +29,6 @@ def test_compensated_exp_matches_reference() -> None:
     w = 1e-6
     expected = w * w / 2.0 - w ** 3 / 6.0 + w ** 4 / 24.0
     assert abs(compensated_exp(w) - expected) < 1e-22
-
-
-def test_compensated_exp_array_matches_scalar() -> None:
-    w = np.array([0.0, 1e-8, 1e-5, 1e-3, 0.5, 3.0, 40.0])
-    vec = compensated_exp_array(w)
-    scalar = np.array([compensated_exp(float(v)) for v in w])
-    np.testing.assert_allclose(vec, scalar, rtol=1e-14, atol=1e-300)
 
 
 class TestPointMasses:
@@ -184,6 +177,18 @@ class TestUserDensity:
         # second moment of exp(-y) on (0, inf) is Gamma(3) = 2
         assert abs(nu.second_moment() - 2.0) < 1e-8
         assert abs(nu.squared_integral(math.inf) - 2.0) < 1e-8
+
+    def test_quadrature_route_matches_gamma_closed_form(self) -> None:
+        # the gamma density written as a user density: the solver's J' and
+        # J'' from per-point quadrature must match the closed form
+        user = LevyModelSpec(0.0, 0.0, UserDensity(
+            density_fn=lambda y: 0.5 * np.exp(-2.0 * y) / y))
+        gamma = LevyModelSpec(0.0, 0.0, GammaLike(c=0.5, beta=2.0))
+        z = np.geomspace(1e-6, 1e2, 40)
+        for order in (1, 2):
+            np.testing.assert_allclose(fast_derivative(user, order)(z),
+                                       fast_derivative(gamma, order)(z),
+                                       rtol=1e-10, atol=0.0)
 
     def test_derivative_part_falls_back_to_quadrature(self) -> None:
         nu = UserDensity(density_fn=lambda y: np.exp(-2.0 * y))
