@@ -9,7 +9,7 @@ of the dynamics.
 
 import numpy as np
 
-from hjmm import (GridSpec, exp_decay_curve, field_a, field_b,
+from hjmm import (GridSpec, apriori_bound, exp_decay_curve, field_a, field_b,
                   gamma_subordinator, simulate_path, solve_fixed_point,
                   strong_residual, time_affine_volatility, weighted_norms)
 
@@ -27,15 +27,13 @@ def main():
 
     b = field_b(vol, path, grid)
     a = field_a(curve, b, grid)
-    report = solve_fixed_point(a, vol, spec, grid, tol=1e-11,
-                               r0_norm=weighted_norms(
-                                   np.tile(curve(grid.T_nodes()),
-                                           (grid.n_t + 1, 1)),
-                                   grid, 0.0).l2_gamma,
-                               b_sup=float(b.max()))
+    report = solve_fixed_point(a, vol, spec, grid, tol=1e-11)
     print(f"solver: {report.status} after {report.iterations} iterations")
-    if report.c1_bound is not None:
-        print(f"a-priori norm bound: {report.c1_bound:.4f}")
+    r0_norm = weighted_norms(np.asarray(curve(grid.T_nodes()))[None, :],
+                             grid, 0.0).l2_gamma
+    c1_bound = apriori_bound(spec, vol, grid, r0_norm, float(b.max()))
+    if c1_bound is not None:
+        print(f"a-priori norm bound: {c1_bound:.4f}")
     print()
 
     print("iteration trace (sup difference, min increment, weighted norm):")

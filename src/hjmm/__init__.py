@@ -23,7 +23,7 @@ from .market import (BondSurface, MartingaleReport, bond_surface,
                      default_checkpoints, drift_identity_check,
                      martingale_test)
 from .measures import (GammaLike, MeasureFamily, PointMasses, StableLike,
-                       UserDensity, measure_from_json)
+                       UserDensity)
 from .paths import (JumpPath, field_a, field_b, integrate_against_path,
                     simulate_path)
 from .solver import (ContractionReport, SolverReport, StrongResidualReport,
@@ -53,9 +53,8 @@ __all__ = [
     "exp_decay_curve", "exponent", "exponent_derivative", "fast_derivative",
     "field_a", "field_b", "flat_extend", "gamma_subordinator",
     "grid_violations", "integrate_against_path", "load_config",
-    "log_growth_profile", "martingale_test", "measure_from_json",
-    "parse_config", "run_all", "simulate_path", "small_jump_moment",
-    "solve_fixed_point", "strong_residual", "table_curve", "tail_bound",
-    "time_affine_volatility", "timeline_norm", "uniqueness_contraction_check",
-    "weighted_norms",
+    "log_growth_profile", "martingale_test", "parse_config", "run_all",
+    "simulate_path", "small_jump_moment", "solve_fixed_point",
+    "strong_residual", "table_curve", "tail_bound", "time_affine_volatility",
+    "timeline_norm", "uniqueness_contraction_check", "weighted_norms",
 ]

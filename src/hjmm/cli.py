@@ -4,15 +4,21 @@ Subcommands
 -----------
 classify   growth classification of the configured noise model
 solve      one path: simulate, solve the fixed point, emit field files
+           and ``solve_report.json``, whose ``c1_bound`` is the a-priori
+           norm bound (null when no bound exists below 1e12)
 verify     run the invariant suites
 mc         Monte Carlo martingale test of discounted bond prices
 
+Every subcommand takes --config and --out.  Only the subcommands that
+read a flag accept it: --seed (override mc.master_seed) on solve, verify
+and mc; --allow-explosive on solve; --threads (worker processes) on mc.
+
 Exit codes: 0 success (existence / converged / suites pass / test pass),
-1 invalid configuration, 2 explosion verdict, 3 indeterminate verdict,
-4 solver exploded or hit the iteration cap, 5 a verification suite
-failed, 6 the martingale test failed.  The HJMM_LOG environment variable
-sets the log level.  Reruns with the same config and seed write
-byte-identical files for any --threads value.
+1 invalid configuration or command-line usage, 2 explosion verdict,
+3 indeterminate verdict, 4 solver exploded or hit the iteration cap,
+5 a verification suite failed, 6 the martingale test failed.  The
+HJMM_LOG environment variable sets the log level.  Reruns with the same
+config and seed write byte-identical files for any --threads value.
 """
 
 from __future__ import annotations
@@ -33,7 +39,8 @@ from .grids import RateField
 from .levy import Verdict, classify_growth
 from .market import martingale_test
 from .paths import field_a, field_b, simulate_path
-from .solver import STATUS_CONVERGED, solve_fixed_point
+from .solver import (STATUS_CONVERGED, apriori_bound, solve_fixed_point,
+                     weighted_norms)
 from .verification import run_all
 
 __all__ = ["main"]
@@ -138,6 +145,11 @@ def cmd_solve(args, config: RunConfig) -> int:
         a_vals, config.volatility, config.levy, grid,
         tol=config.solver["tol"], max_iter=config.solver["max_iter"],
         explosion_threshold=config.solver["explosion_threshold"])
+    r0_norm = weighted_norms(np.asarray(config.curve(grid.T_nodes()),
+                                        dtype=float)[None, :],
+                             grid, 0.0).l2_gamma
+    c1_bound = apriori_bound(config.levy, config.volatility, grid,
+                             r0_norm, float(b_vals.max()))
     out = _out_dir(args, config)
     payload = {
         "status": report.status,
@@ -145,7 +157,7 @@ def cmd_solve(args, config: RunConfig) -> int:
         "sup_diffs": report.sup_diffs,
         "norm_trace": report.norm_trace,
         "increment_mins": report.increment_mins,
-        "c1_bound": report.c1_bound,
+        "c1_bound": c1_bound,
         "seed": seed,
         "n_jumps": path.n_jumps,
     }
@@ -233,6 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Forward-rate solver and simulator for jump-driven "
                     "term-structure models")
     sub = parser.add_subparsers(dest="command", required=True)
+    parsers = {}
     for name, help_text in (
             ("classify", "classify the noise model growth regime"),
             ("solve", "solve the fixed point on one simulated path"),
@@ -240,15 +253,17 @@ def _build_parser() -> argparse.ArgumentParser:
             ("mc", "Monte Carlo martingale test")):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override mc.master_seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker processes for mc")
         p.add_argument("--out", default=None,
                        help="output directory (default from config)")
-        p.add_argument("--allow-explosive", action="store_true",
-                       help="run solve even when the classifier does not "
-                            "report existence")
+        parsers[name] = p
+    for name in ("solve", "verify", "mc"):
+        parsers[name].add_argument("--seed", type=int, default=None,
+                                   help="override mc.master_seed")
+    parsers["solve"].add_argument(
+        "--allow-explosive", action="store_true",
+        help="run solve even when the classifier does not report existence")
+    parsers["mc"].add_argument("--threads", type=int, default=1,
+                               help="worker processes")
     return parser
 
 
@@ -257,7 +272,12 @@ def main(argv=None) -> int:
     logging.basicConfig(level=getattr(logging, level, logging.WARNING),
                         format="%(levelname)s %(name)s: %(message)s")
     parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # --help exits 0; argparse's own usage-error code 2 would read as
+        # an explosion verdict
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
     try:
         config = load_config(args.config)
     except ConfigError as exc:

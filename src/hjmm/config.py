@@ -51,7 +51,7 @@ def default_mc_settings() -> dict:
 
 
 def default_output_settings() -> dict:
-    return {"directory": ".", "write_csv": True, "write_json": True}
+    return {"directory": ".", "write_csv": True}
 
 
 @dataclass
@@ -227,9 +227,7 @@ def _parse_user_density(sec: dict) -> UserDensity:
         raise ConfigError("user_density: expression must be a finite "
                           "nonnegative density")
     return UserDensity(density_fn=density,
-                       a4_certified=bool(sec.get("a4_certified", False)),
-                       second_moment_certified=bool(
-                           sec.get("second_moment_certified", False)))
+                       a4_certified=bool(sec.get("a4_certified", False)))
 
 
 def _parse_levy(sec: dict) -> LevyModelSpec:

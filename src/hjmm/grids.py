@@ -156,9 +156,6 @@ class RateField:
         n = self.grid.n_t + 1
         return self.values[np.arange(n), np.arange(n)]
 
-    def sup(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
     def sup_distance(self, other: "RateField") -> float:
         return float(np.max(np.abs(self.values - other.values)))
 

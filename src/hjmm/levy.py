@@ -26,7 +26,7 @@ from scipy import stats
 
 from .errors import DomainError, NonIntegrable, UnsupportedSpec
 from .measures import (GammaLike, MeasureFamily, PointMasses, StableLike,
-                       UserDensity, measure_from_json)
+                       UserDensity)
 
 __all__ = [
     "LevyModelSpec",
@@ -80,23 +80,6 @@ class LevyModelSpec:
             if not math.isfinite(self.measure.first_moment(0.0, 1.0)):
                 raise UnsupportedSpec(
                     "subordinator flag requires finite variation of small jumps")
-
-    def to_json(self) -> dict:
-        return {
-            "drift_a": self.drift_a,
-            "gaussian_q": self.gaussian_q,
-            "subordinator": self.subordinator,
-            "measure": self.measure.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "LevyModelSpec":
-        return cls(
-            drift_a=float(doc["drift_a"]),
-            gaussian_q=float(doc.get("gaussian_q", 0.0)),
-            measure=measure_from_json(doc["measure"]),
-            subordinator=bool(doc.get("subordinator", False)),
-        )
 
 
 class Verdict(str, Enum):

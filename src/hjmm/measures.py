@@ -35,7 +35,7 @@ import numpy as np
 from scipy import integrate
 from scipy import special as sc
 
-from .errors import DomainError, NonIntegrable, UnsupportedSpec
+from .errors import DomainError, NonIntegrable
 
 __all__ = [
     "MeasureFamily",
@@ -43,7 +43,6 @@ __all__ = [
     "StableLike",
     "GammaLike",
     "UserDensity",
-    "measure_from_json",
 ]
 
 # Relative tolerance demanded from adaptive quadrature.
@@ -188,17 +187,9 @@ class MeasureFamily(ABC):
                      eps: float) -> np.ndarray:
         """Draw n jump sizes; infinite-activity families condition on y >= eps."""
 
-    @abstractmethod
-    def to_json(self) -> dict:
-        """JSON-serializable description with a ``family`` discriminator."""
-
     @property
     def is_finite_activity(self) -> bool:
         return math.isfinite(self.total_mass())
-
-    @property
-    def positive_support(self) -> bool:
-        return self.support()[0] >= 0.0
 
 
 @dataclass(frozen=True)
@@ -262,11 +253,12 @@ class PointMasses(MeasureFamily):
         out = np.zeros_like(z)
         with np.errstate(over="ignore", under="ignore"):
             for y, c in zip(ys, cs):
-                e = np.exp(-z * y)
-                if order == 1:
-                    out += c * y * (1.0 - e) if _compensated(y) else -c * y * e
+                if order == 2:
+                    out += c * y * y * np.exp(-z * y)
+                elif _compensated(y):
+                    out += c * y * (-np.expm1(-z * y))
                 else:
-                    out += c * y * y * e
+                    out -= c * y * np.exp(-z * y)
         return out
 
     def squared_integral(self, x: float) -> float:
@@ -293,9 +285,6 @@ class PointMasses(MeasureFamily):
         probs = cs / cs.sum()
         idx = rng.choice(ys.size, size=n, p=probs)
         return ys[idx]
-
-    def to_json(self) -> dict:
-        return {"family": "point_masses", "atoms": [list(a) for a in self.atoms]}
 
 
 @dataclass(frozen=True)
@@ -406,10 +395,6 @@ class StableLike(MeasureFamily):
         hi_pow = self.y_max ** (-self.alpha)
         return (lo_pow - u * (lo_pow - hi_pow)) ** (-1.0 / self.alpha)
 
-    def to_json(self) -> dict:
-        return {"family": "stable_like", "c": self.c, "alpha": self.alpha,
-                "y_max": self.y_max}
-
 
 @dataclass(frozen=True)
 class GammaLike(MeasureFamily):
@@ -487,9 +472,6 @@ class GammaLike(MeasureFamily):
             hi = np.where(go_right, hi, mid)
         return 0.5 * (lo + hi)
 
-    def to_json(self) -> dict:
-        return {"family": "gamma_like", "c": self.c, "beta": self.beta}
-
 
 @dataclass(frozen=True)
 class UserDensity(MeasureFamily):
@@ -498,15 +480,13 @@ class UserDensity(MeasureFamily):
     The callable is evaluated on floats by the quadrature route and on numpy
     arrays by the sampler, so it must accept both.  With no closed form, the
     solver's J' runs the quadrature route once per point.  ``a4_certified``
-    declares that y^2 is integrable near zero and y near infinity;
-    ``second_moment_certified`` declares a finite second moment.  Only
+    declares that y^2 is integrable near zero and y near infinity; only
     certified measures participate in the tail-exponent regression of the
     growth classifier.
     """
 
     density_fn: Callable
     a4_certified: bool = False
-    second_moment_certified: bool = False
     _inv_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
@@ -572,19 +552,3 @@ class UserDensity(MeasureFamily):
         cdf, ys = self._inverse_table(eps)
         u = rng.uniform(size=n)
         return np.interp(u, cdf, ys)
-
-    def to_json(self) -> dict:
-        raise UnsupportedSpec("UserDensity measures cannot be serialized to JSON")
-
-
-def measure_from_json(doc: dict) -> MeasureFamily:
-    """Rebuild a measure family from its JSON description."""
-    family = doc.get("family")
-    if family == "point_masses":
-        return PointMasses(doc["atoms"])
-    if family == "stable_like":
-        return StableLike(c=doc["c"], alpha=doc["alpha"],
-                          y_max=doc.get("y_max", 1.0))
-    if family == "gamma_like":
-        return GammaLike(c=doc["c"], beta=doc["beta"])
-    raise UnsupportedSpec(f"unknown measure family {family!r}")

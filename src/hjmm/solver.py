@@ -95,7 +95,6 @@ class SolverReport:
     norm_trace: list
     increment_mins: list
     final_field: RateField
-    c1_bound: float | None = None
 
     @property
     def converged(self) -> bool:
@@ -106,26 +105,20 @@ def solve_fixed_point(a_field: np.ndarray, vol: VolatilitySpec,
                       spec: LevyModelSpec, grid: GridSpec, *,
                       tol: float = 1e-9, max_iter: int = 200,
                       explosion_threshold: float = 1e8,
-                      initial: RateField | None = None,
-                      r0_norm: float | None = None,
-                      b_sup: float | None = None) -> SolverReport:
+                      initial: RateField | None = None) -> SolverReport:
     """Iterate the operator to a fixed point, starting from zero.
 
     Stops Converged when the sup difference of consecutive iterates falls
     below ``tol``; stops Exploded as soon as the timeline weighted norm
     exceeds ``explosion_threshold`` (or turns non-finite); reports
-    MaxIterations otherwise.  When ``r0_norm`` and ``b_sup`` are supplied,
-    the a-priori norm bound is solved for and recorded in the report.
+    MaxIterations otherwise.  The a-priori norm bound is a separate
+    computation, :func:`apriori_bound`.
     """
     if tol <= 0.0 or max_iter < 1 or explosion_threshold <= 0.0:
         raise DomainError("tol, max_iter and explosion_threshold must be positive")
     ctx = _OperatorContext(a_field, vol, spec, grid)
     current = (np.zeros_like(ctx.a_field) if initial is None
                else np.asarray(initial.values, dtype=float))
-
-    c1 = None
-    if r0_norm is not None and b_sup is not None:
-        c1 = apriori_bound(spec, vol, grid, r0_norm, b_sup)
 
     sup_diffs: list[float] = []
     norm_trace: list[float] = []
@@ -150,7 +143,7 @@ def solve_fixed_point(a_field: np.ndarray, vol: VolatilitySpec,
     return SolverReport(status=status, iterations=iterations,
                         sup_diffs=sup_diffs, norm_trace=norm_trace,
                         increment_mins=increment_mins,
-                        final_field=RateField(current, grid), c1_bound=c1)
+                        final_field=RateField(current, grid))
 
 
 @dataclass(frozen=True)
@@ -336,9 +329,10 @@ def strong_residual(field: RateField, vol: VolatilitySpec, spec: LevyModelSpec,
     Between consecutive jumps the forward-difference in time is compared
     with delta times the drift
     d_x r + J'(int_0^x lambda r dv) lambda r + lambda c r (c the path
-    drift rate); across each jump the multiplicative relation
-    r(s, x) = r(s-, x) (1 + lambda(s) dL) is verified through the field's
-    own left/right evaluation; and the analytic identity for d_x r in
+    drift rate); across each jump the factor 1 + lambda(s) dL that the
+    path's prefix sums carry into the factor field is compared with its
+    direct value (a check of the path data at rounding level, which does
+    not read the solved field); and the analytic identity for d_x r in
     terms of J'' is checked on the grid.  Volatility must be time-only.
     """
     if not vol.time_only:
@@ -380,7 +374,7 @@ def strong_residual(field: RateField, vol: VolatilitySpec, spec: LevyModelSpec,
     else:
         t_max_res = t_mean_res = math.nan
 
-    jump_err = _jump_relation_error(values, vol, spec, path, grid, inner)
+    jump_err = _jump_relation_error(vol, path, grid)
     dx_max, dx_mean = _dx_identity_residual(values, lam_t, ddj, inner, grid)
 
     return StrongResidualReport(
@@ -394,15 +388,15 @@ def strong_residual(field: RateField, vol: VolatilitySpec, spec: LevyModelSpec,
     )
 
 
-def _jump_relation_error(values: np.ndarray, vol: VolatilitySpec,
-                         spec: LevyModelSpec, path: JumpPath, grid: GridSpec,
-                         inner: np.ndarray) -> float:
-    """Verify r(s, x) / r(s-, x) = 1 + lambda(s) dL at each jump time.
+def _jump_relation_error(vol: VolatilitySpec, path: JumpPath,
+                         grid: GridSpec) -> float:
+    """Largest relative error of the jump factor carried by the prefix sums.
 
-    Left and right limits at an off-grid jump time share the exponent of
-    the operator representation, so the ratio isolates the jump factor of
-    the stochastic exponential; both limits are assembled from the path
-    prefix data independently of the solved field.
+    Across the k-th jump the exponent sum(a) + sum(log1p(a) - a) of the
+    factor field, a = lambda(s, T) dL, grows by log1p(a_k); the exponential
+    of that growth is compared with 1 + a_k on every maturity node.  Only
+    the path and the volatility are read, so the error is the rounding of
+    the log1p/exp round trip.
     """
     if path.n_jumps == 0:
         return 0.0

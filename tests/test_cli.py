@@ -1,8 +1,10 @@
 """Command-line interface: exit codes, output files, determinism."""
 
 import json
+import math
 import os
 
+import numpy as np
 import pytest
 
 from hjmm.cli import (
@@ -14,6 +16,9 @@ from hjmm.cli import (
     EXIT_OK,
     main,
 )
+from hjmm.config import load_config
+from hjmm.paths import field_b, simulate_path
+from hjmm.solver import apriori_bound, weighted_norms
 
 
 def _write(tmp_path, doc, name="run.json") -> str:
@@ -105,6 +110,24 @@ class TestSolve:
         report = json.loads((tmp_path / "solve_report.json").read_text())
         assert report["status"] == "Exploded"
 
+    def test_report_records_apriori_bound(self, tmp_path) -> None:
+        # the README model: c1_bound is the bound for r0_norm = weighted L2
+        # norm of f0 on the maturity nodes and b_sup = max of the factor field
+        cfg = _write(tmp_path, _existence_doc())
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        report = json.loads((tmp_path / "solve_report.json").read_text())
+        config = load_config(cfg)
+        grid = config.grid
+        path = simulate_path(config.levy, grid.t_star, [3, 0],
+                             eps=config.mc["eps"])
+        b = field_b(config.volatility, path, grid)
+        r0_norm = weighted_norms(config.curve(grid.T_nodes())[None, :],
+                                 grid, 0.0).l2_gamma
+        expected = apriori_bound(config.levy, config.volatility, grid,
+                                 r0_norm, float(np.max(b)))
+        assert math.isfinite(report["c1_bound"])
+        assert report["c1_bound"] == expected
+
     def test_rerun_is_byte_identical(self, tmp_path) -> None:
         cfg = _write(tmp_path, _existence_doc())
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -194,6 +217,29 @@ class TestConfigErrors:
         p = tmp_path / "broken.json"
         p.write_text("{not json")
         assert main(["classify", "--config", str(p)]) == EXIT_CONFIG
+
+
+class TestUsage:
+    def test_usage_errors_exit_one(self, tmp_path, capsys) -> None:
+        # argparse's own code 2 would read as an explosion verdict
+        cfg = _write(tmp_path, _existence_doc())
+        assert main(["solve"]) == EXIT_CONFIG
+        assert main(["classify", "--config", cfg, "--threads", "2"]) == EXIT_CONFIG
+        assert "--threads" in capsys.readouterr().err
+
+    def test_flags_only_where_read(self, tmp_path) -> None:
+        cfg = _write(tmp_path, _existence_doc())
+        for argv in (["classify", "--seed", "1"],
+                     ["classify", "--allow-explosive"],
+                     ["verify", "--threads", "2"],
+                     ["verify", "--allow-explosive"],
+                     ["mc", "--allow-explosive"],
+                     ["solve", "--threads", "2"]):
+            assert main(argv[:1] + ["--config", cfg] + argv[1:]) == EXIT_CONFIG
+
+    def test_help_exits_zero(self, capsys) -> None:
+        assert main(["mc", "--help"]) == EXIT_OK
+        assert "--threads" in capsys.readouterr().out
 
 
 def test_float_format_in_csv(tmp_path) -> None:

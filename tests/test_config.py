@@ -141,8 +141,7 @@ class TestUserDensityExpression:
         doc["levy"] = {"drift_a": 0.0,
                        "measure": {"family": "user_density",
                                    "expression": expression,
-                                   "a4_certified": True,
-                                   "second_moment_certified": True}}
+                                   "a4_certified": True}}
         return doc
 
     def test_whitelisted_names_evaluate(self) -> None:

@@ -203,8 +203,7 @@ class TestClassifier:
     def test_certified_user_density_regression(self) -> None:
         # density e^{-y}/y has U(x) ~ x near 0... use y*e^{-y} instead:
         # U(x) = int_0^x y^3 e^{-y} dy ~ x^4/4, rho_hat near 4
-        nu = UserDensity(density_fn=lambda y: y * np.exp(-y), a4_certified=True,
-                         second_moment_certified=True)
+        nu = UserDensity(density_fn=lambda y: y * np.exp(-y), a4_certified=True)
         out = self._classify(LevyModelSpec(0.0, 0.0, nu))
         assert out.verdict is Verdict.EXISTENCE
         assert out.rho is not None and out.rho > 1.5
@@ -259,10 +258,3 @@ def test_log_growth_profile_shapes_and_sign() -> None:
     assert profile[-1] > profile[0]
     with pytest.raises(DomainError):
         log_growth_profile(spec, 1.0, 1.0, np.array([0.0, 1.0]))
-
-
-def test_spec_json_roundtrip() -> None:
-    spec = LevyModelSpec(0.25, 0.0, GammaLike(c=0.5, beta=4.0),
-                         subordinator=False)
-    back = LevyModelSpec.from_json(spec.to_json())
-    assert back == spec

@@ -13,7 +13,6 @@ from hjmm.measures import (
     StableLike,
     UserDensity,
     compensated_exp,
-    measure_from_json,
 )
 
 ORACLE_TOL = 1e-10
@@ -53,6 +52,14 @@ class TestPointMasses:
         assert j3 == 0.0
         expected = 2.0 * (math.exp(-z * 0.25) - 1.0 + z * 0.25)
         assert abs(j2 - expected) < ORACLE_TOL
+
+    def test_vectorized_derivative_keeps_precision_at_small_z(self) -> None:
+        # 1 - e^{-zy} cancels for small z*y; both routes must use expm1
+        nu = PointMasses([(0.4, 1.0)])
+        zs = [1e-12, 1e-9, 1e-6, 0.5]
+        got = nu.derivative_measure_part(np.array(zs), 1)
+        expected = [nu.piece_derivatives(z, 1) for z in zs]
+        np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
 
     def test_squared_integral_and_moments(self) -> None:
         nu = PointMasses([(0.5, 1.0), (2.0, 3.0)])
@@ -172,8 +179,7 @@ class TestGammaLike:
 
 class TestUserDensity:
     def test_wraps_callable_density(self) -> None:
-        nu = UserDensity(density_fn=lambda y: np.exp(-y), a4_certified=True,
-                         second_moment_certified=True)
+        nu = UserDensity(density_fn=lambda y: np.exp(-y), a4_certified=True)
         # second moment of exp(-y) on (0, inf) is Gamma(3) = 2
         assert abs(nu.second_moment() - 2.0) < 1e-8
         assert abs(nu.squared_integral(math.inf) - 2.0) < 1e-8
@@ -197,16 +203,3 @@ class TestUserDensity:
         expected = np.array([nu.piece_derivatives(0.5, 1),
                              nu.piece_derivatives(1.0, 1)])
         np.testing.assert_allclose(got, expected, rtol=1e-12)
-
-
-def test_json_roundtrip_all_families() -> None:
-    originals = [
-        PointMasses([(0.5, 1.0), (2.0, 3.0)]),
-        StableLike(c=1.0, alpha=1.5, y_max=2.0),
-        GammaLike(c=0.5, beta=4.0),
-    ]
-    for nu in originals:
-        doc = nu.to_json()
-        back = measure_from_json(doc)
-        assert type(back) is type(nu)
-        assert back.to_json() == doc

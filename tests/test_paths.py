@@ -24,7 +24,8 @@ from hjmm.paths import (
     integrate_against_path,
     simulate_path,
 )
-from hjmm.volatility import constant_volatility, time_affine_volatility
+from hjmm.volatility import (VolatilitySpec, constant_volatility,
+                             time_affine_volatility)
 
 PRODUCT_IDENTITY_RTOL = 1e-12
 
@@ -213,6 +214,32 @@ class TestFieldB:
                     expected *= 1.0 + vol.standard(s, T) * dl
             np.testing.assert_allclose(b[i], expected,
                                        rtol=PRODUCT_IDENTITY_RTOL)
+
+    def test_log_factor_matches_pathwise_integral(self) -> None:
+        # log b = int_0^t lambda(s, T) dL(s) + sum_{s_k <= t} [log1p(lambda dL)
+        # - lambda dL]; integrate_against_path is an independent route to the
+        # integral, on drift and jumps together with maturity-dependent lambda
+        g = GridSpec(1.0 / 16.0, 1.0, 2.0, 1.0)
+        vol = VolatilitySpec(
+            terms=((lambda t: 0.2 + 0.1 * np.asarray(t, dtype=float),
+                    lambda T: np.exp(-0.3 * np.asarray(T, dtype=float))),),
+            lambda_lower=0.2 * math.exp(-0.6), lambda_upper=0.3,
+            x_derivative_bound=0.09)
+        path = JumpPath(horizon=g.t_star, drift_rate=-0.37,
+                        times=np.array([0.23, 0.61, 0.9]),
+                        sizes=np.array([0.5, 1.2, 0.3]))
+        log_b = np.log(field_b(vol, path, g))
+        worst = 0.0
+        for i, t in enumerate(g.t_nodes()):
+            for j, T in enumerate(g.T_nodes()):
+                if T < t:
+                    continue
+                a = np.array([vol.standard(s, T) * dl for s, dl
+                              in zip(path.times, path.sizes) if s <= t])
+                expected = (integrate_against_path(vol, path, t, T - t)
+                            + float(np.sum(np.log1p(a) - a)))
+                worst = max(worst, abs(log_b[i, j] - expected))
+        assert worst <= 1e-12
 
     def test_factor_at_minus_one_rejected(self) -> None:
         g = _grid()

@@ -217,15 +217,6 @@ class TestAprioriBound:
         vol = constant_volatility(1.0)
         assert apriori_bound(spec, vol, grid, r0_norm=1.0, b_sup=1.0) is None
 
-    def test_recorded_in_solver_report(self) -> None:
-        grid = _grid()
-        spec = gamma_subordinator(0.5, 2.0)
-        vol = constant_volatility(0.2)
-        path = simulate_path(spec, grid.t_star, [14, 0], eps=1e-3)
-        a = _solve_setup(spec, vol, exp_decay_curve(0.08, 0.4), grid, path)
-        report = solve_fixed_point(a, vol, spec, grid, r0_norm=1.0, b_sup=1.2)
-        assert report.c1_bound == pytest.approx(1.2)
-
 
 class TestUniqueness:
     def _solve_pair(self):
