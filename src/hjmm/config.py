@@ -41,6 +41,20 @@ _EXPR_NAMES = {
 }
 
 
+# the document's sections and the keys each measure family, volatility
+# kind and curve family reads; parse_config rejects any other key
+_SECTIONS = ("version", "levy", "volatility", "initial_curve", "grid",
+             "solver", "mc", "outputs")
+_MEASURE_KEYS = {"point_masses": ("atoms",),
+                 "stable_like": ("c", "alpha", "y_max"),
+                 "gamma_like": ("c", "beta"),
+                 "user_density": ("expression", "a4_certified")}
+_TERM_KEYS = {"constant": ("level",), "time_affine": ("intercept", "slope"),
+              "exp_decay": ("level", "rate")}
+_CURVE_KEYS = {"constant": ("level",), "affine": ("intercept", "slope"),
+               "exponential_decay": ("level", "rate"), "table": ("points",)}
+
+
 def default_solver_settings() -> dict:
     return {"tol": 1e-9, "max_iter": 200, "explosion_threshold": 1e8}
 
@@ -86,6 +100,7 @@ def parse_config(doc: dict) -> RunConfig:
     if version != SCHEMA_VERSION:
         raise ConfigError(
             f"unsupported config version {version!r}; expected {SCHEMA_VERSION}")
+    _require_known_keys(doc, _SECTIONS, "config")
     for key in ("levy", "volatility", "initial_curve", "grid"):
         if key not in doc:
             raise ConfigError(f"missing required section '{key}'")
@@ -112,33 +127,52 @@ def parse_config(doc: dict) -> RunConfig:
             f"small-jump part {report.a4_square_integral:g}, "
             f"tail part {report.a4_tail_integral:g}")
 
-    solver = dict(default_solver_settings())
-    solver.update(_section(doc, "solver"))
+    solver = _section(doc, "solver", default_solver_settings())
     _require_positive_number(solver, "tol")
     _require_positive_number(solver, "explosion_threshold")
     if not isinstance(solver.get("max_iter"), int) or solver["max_iter"] < 1:
         raise ConfigError("solver.max_iter must be a positive integer")
 
-    mc = dict(default_mc_settings())
-    mc.update(_section(doc, "mc"))
+    mc = _section(doc, "mc", default_mc_settings())
     if not isinstance(mc.get("n_paths"), int) or mc["n_paths"] < 1:
         raise ConfigError("mc.n_paths must be a positive integer")
     if not isinstance(mc.get("master_seed"), int) or mc["master_seed"] < 0:
         raise ConfigError("mc.master_seed must be a nonnegative integer")
     _require_positive_number(mc, "eps")
 
-    outputs = dict(default_output_settings())
-    outputs.update(_section(doc, "outputs"))
+    outputs = _section(doc, "outputs", default_output_settings())
 
     return RunConfig(levy=levy, volatility=vol, curve=curve, grid=grid,
                      solver=solver, mc=mc, outputs=outputs, raw=doc)
 
 
-def _section(doc: dict, name: str) -> dict:
+def _section(doc: dict, name: str, defaults: dict) -> dict:
+    """The defaults, updated with the keys of the optional section ``name``."""
     sec = doc.get(name, {})
     if not isinstance(sec, dict):
         raise ConfigError(f"section '{name}' must be an object")
-    return sec
+    _require_known_keys(sec, tuple(defaults), name)
+    return {**defaults, **sec}
+
+
+def _require_known_keys(sec: dict, allowed: tuple, context: str) -> None:
+    unknown = [key for key in sec if key not in allowed]
+    if unknown:
+        raise ConfigError(
+            f"{context}: unknown key(s) {', '.join(map(repr, unknown))}; "
+            f"allowed: {', '.join(allowed)}")
+
+
+def _tagged_keys(sec: dict, tag: str, table: dict, context: str) -> str:
+    """The value of ``sec[tag]``, checked against ``table`` with its keys."""
+    if not isinstance(sec, dict):
+        raise ConfigError(f"{context} must be an object")
+    name = sec.get(tag)
+    if not isinstance(name, str) or name not in table:
+        raise ConfigError(f"{context}: unknown {tag} {name!r}; expected one "
+                          f"of {', '.join(table)}")
+    _require_known_keys(sec, (tag,) + table[name], f"{context} {name}")
+    return name
 
 
 def _require_positive_number(sec: dict, key: str) -> None:
@@ -161,6 +195,7 @@ def _get_number(sec: dict, key: str, context: str) -> float:
 def _parse_grid(sec: dict) -> GridSpec:
     if not isinstance(sec, dict):
         raise ConfigError("grid section must be an object")
+    _require_known_keys(sec, ("delta", "t_star", "t_max", "gamma"), "grid")
     try:
         return GridSpec(delta=_get_number(sec, "delta", "grid"),
                         t_star=_get_number(sec, "t_star", "grid"),
@@ -171,9 +206,7 @@ def _parse_grid(sec: dict) -> GridSpec:
 
 
 def _parse_measure(sec: dict) -> MeasureFamily:
-    if not isinstance(sec, dict):
-        raise ConfigError("levy.measure must be an object")
-    family = sec.get("family")
+    family = _tagged_keys(sec, "family", _MEASURE_KEYS, "levy.measure")
     try:
         if family == "point_masses":
             atoms = sec.get("atoms")
@@ -188,15 +221,11 @@ def _parse_measure(sec: dict) -> MeasureFamily:
         if family == "gamma_like":
             return GammaLike(c=_get_number(sec, "c", "gamma_like"),
                              beta=_get_number(sec, "beta", "gamma_like"))
-        if family == "user_density":
-            return _parse_user_density(sec)
+        return _parse_user_density(sec)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid measure parameters: {exc}") from exc
-    raise ConfigError(
-        f"unknown measure family {family!r}; expected one of point_masses, "
-        "stable_like, gamma_like, user_density")
 
 
 def _parse_user_density(sec: dict) -> UserDensity:
@@ -233,6 +262,8 @@ def _parse_user_density(sec: dict) -> UserDensity:
 def _parse_levy(sec: dict) -> LevyModelSpec:
     if not isinstance(sec, dict):
         raise ConfigError("levy section must be an object")
+    _require_known_keys(
+        sec, ("drift_a", "gaussian_q", "measure", "subordinator"), "levy")
     # a missing measure section means a measure with no jumps
     measure = (_parse_measure(sec["measure"]) if "measure" in sec
                else PointMasses(()))
@@ -264,8 +295,8 @@ def _ones(T):
 
 
 def _build_term(term: dict, n: int):
-    kind = term.get("kind")
     context = f"volatility.terms[{n}]"
+    kind = _tagged_keys(term, "kind", _TERM_KEYS, context)
     if kind == "constant":
         level = _get_number(term, "level", context)
 
@@ -281,24 +312,23 @@ def _build_term(term: dict, n: int):
             return intercept + slope * np.asarray(t, dtype=float)
 
         return a_affine, _ones
-    if kind == "exp_decay":
-        level = _get_number(term, "level", context)
-        rate = _get_number(term, "rate", context)
+    level = _get_number(term, "level", context)
+    rate = _get_number(term, "rate", context)
 
-        def a_level(t):
-            return np.full_like(np.asarray(t, dtype=float), level)
+    def a_level(t):
+        return np.full_like(np.asarray(t, dtype=float), level)
 
-        def b_decay(T):
-            return np.exp(-rate * np.asarray(T, dtype=float))
+    def b_decay(T):
+        return np.exp(-rate * np.asarray(T, dtype=float))
 
-        return a_level, b_decay
-    raise ConfigError(f"{context}: unknown kind {kind!r}; expected one of "
-                      "constant, time_affine, exp_decay")
+    return a_level, b_decay
 
 
 def _parse_volatility(sec: dict, grid: GridSpec) -> VolatilitySpec:
     if not isinstance(sec, dict):
         raise ConfigError("volatility section must be an object")
+    _require_known_keys(sec, ("terms", "lambda_lower", "lambda_upper"),
+                        "volatility")
     terms_doc = sec.get("terms")
     if not isinstance(terms_doc, list) or not terms_doc:
         raise ConfigError("volatility.terms must be a nonempty list")
@@ -322,11 +352,18 @@ def _parse_volatility(sec: dict, grid: GridSpec) -> VolatilitySpec:
             f"(A3) volatility factor must stay positive; sampled minimum {lo:g}")
     dT = T_mesh[1] - T_mesh[0]
     deriv_bound = float(np.max(np.abs(np.diff(total, axis=1)))) / dT
-    lo_cfg = sec.get("lambda_lower", lo)
-    hi_cfg = sec.get("lambda_upper", hi)
+    lo_cfg = (_get_number(sec, "lambda_lower", "volatility")
+              if "lambda_lower" in sec else lo)
+    hi_cfg = (_get_number(sec, "lambda_upper", "volatility")
+              if "lambda_upper" in sec else hi)
+    slack = 1e-9 * max(1.0, hi_cfg)
+    if lo_cfg > lo + slack or hi_cfg < hi - slack:
+        raise ConfigError(
+            f"(A3) declared bounds [{lo_cfg:g}, {hi_cfg:g}] must enclose the "
+            f"sampled volatility range [{lo:g}, {hi:g}]")
     try:
-        return VolatilitySpec(terms=terms, lambda_lower=float(lo_cfg),
-                              lambda_upper=float(hi_cfg),
+        return VolatilitySpec(terms=terms, lambda_lower=lo_cfg,
+                              lambda_upper=hi_cfg,
                               x_derivative_bound=max(deriv_bound, 1e-12),
                               time_only=time_only)
     except ValueError as exc:
@@ -334,9 +371,7 @@ def _parse_volatility(sec: dict, grid: GridSpec) -> VolatilitySpec:
 
 
 def _parse_curve(sec: dict) -> InitialCurve:
-    if not isinstance(sec, dict):
-        raise ConfigError("initial_curve section must be an object")
-    family = sec.get("family")
+    family = _tagged_keys(sec, "family", _CURVE_KEYS, "initial_curve")
     try:
         if family == "constant":
             return constant_curve(_get_number(sec, "level", "initial_curve"))
@@ -346,16 +381,12 @@ def _parse_curve(sec: dict) -> InitialCurve:
         if family == "exponential_decay":
             return exp_decay_curve(_get_number(sec, "level", "initial_curve"),
                                    _get_number(sec, "rate", "initial_curve"))
-        if family == "table":
-            points = sec.get("points")
-            if not isinstance(points, list) or len(points) < 2:
-                raise ConfigError(
-                    "initial_curve table needs at least 2 [x, value] points")
-            return table_curve([(float(x), float(v)) for x, v in points])
+        points = sec.get("points")
+        if not isinstance(points, list) or len(points) < 2:
+            raise ConfigError(
+                "initial_curve table needs at least 2 [x, value] points")
+        return table_curve([(float(x), float(v)) for x, v in points])
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"initial_curve: {exc}") from exc
-    raise ConfigError(
-        f"unknown initial_curve family {family!r}; expected one of constant, "
-        "affine, exponential_decay, table")

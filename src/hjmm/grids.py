@@ -107,8 +107,7 @@ def gap_integral(values: np.ndarray, dx: float) -> np.ndarray:
     diagonal.
     """
     ct = cumtrapz(values, dx, axis=1)
-    rows = np.arange(values.shape[0])
-    inner = ct - ct[rows, rows][:, None]
+    inner = ct - np.diagonal(ct)[:, None]
     np.maximum(inner, 0.0, out=inner)
     return inner
 
@@ -116,9 +115,8 @@ def gap_integral(values: np.ndarray, dx: float) -> np.ndarray:
 def flat_extend(values: np.ndarray) -> np.ndarray:
     """Copy values and overwrite the below-diagonal cells with f(T, T)."""
     out = np.array(values, dtype=float, copy=True)
-    n_rows, n_cols = out.shape
-    for j in range(min(n_rows, n_cols) - 1):
-        out[j + 1:, j] = out[j, j]
+    rows, cols = np.tril_indices(out.shape[0], -1, out.shape[1])
+    out[rows, cols] = out[cols, cols]
     return out
 
 
@@ -153,18 +151,13 @@ class RateField:
 
     def short_rates(self) -> np.ndarray:
         """r(t_i) = f(t_i, t_i) along the diagonal."""
-        n = self.grid.n_t + 1
-        return self.values[np.arange(n), np.arange(n)]
+        return np.diagonal(self.values).copy()
 
     def sup_distance(self, other: "RateField") -> float:
         return float(np.max(np.abs(self.values - other.values)))
 
     def extension_defect(self) -> float:
-        """Max deviation of below-diagonal cells from their diagonal value."""
-        worst = 0.0
-        n_rows, n_cols = self.values.shape
-        for j in range(min(n_rows, n_cols) - 1):
-            col = self.values[j + 1:, j]
-            if col.size:
-                worst = max(worst, float(np.max(np.abs(col - self.values[j, j]))))
-        return worst
+        """Max deviation of below-diagonal cells from their diagonal value, or NaN."""
+        rows, cols = np.tril_indices(self.grid.n_t + 1, -1, self.grid.n_cols + 1)
+        return float(np.max(np.abs(self.values[rows, cols]
+                                   - self.values[cols, cols]), initial=0.0))

@@ -76,10 +76,8 @@ def bond_surface(rate_field: RateField, grid: GridSpec) -> BondSurface:
         raise DomainError("bond prices need a nonnegative rate field")
     ct = cumtrapz(values, grid.delta, axis=1)
     discounted = np.exp(-ct)
-    prices = np.exp(-(ct - np.take_along_axis(
-        ct, np.arange(values.shape[0])[:, None], axis=1)))
-    rows, cols = np.indices(values.shape)
-    prices[cols < rows] = np.nan
+    prices = np.exp(-(ct - np.diagonal(ct)[:, None]))
+    prices[np.tril_indices(values.shape[0], -1, values.shape[1])] = np.nan
     return BondSurface(prices=prices, discounted=discounted,
                        short_rates=rate_field.short_rates(), grid=grid)
 

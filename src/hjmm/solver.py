@@ -182,19 +182,22 @@ def _slice_norms(slice_vals: np.ndarray, delta: float, gamma: float) -> NormTrip
 
 
 def timeline_norm(values: np.ndarray, grid: GridSpec) -> float:
-    """sup over grid times of the slice L2 norms (the timeline norm)."""
-    worst = 0.0
-    for i in range(grid.n_t + 1):
-        sl = values[i, i:]
-        if sl.size < 2:
-            continue
-        if not np.all(np.isfinite(sl)):
-            return math.inf
-        x = grid.delta * np.arange(sl.size)
-        l2_sq = float(np.trapezoid(sl * sl * np.exp(grid.gamma * x),
-                                   dx=grid.delta))
-        worst = max(worst, math.sqrt(max(l2_sq, 0.0)))
-    return worst
+    """sup over grid times of the slice L2 norms (the timeline norm).
+
+    Infinite when a cell on or above the diagonal is not finite.
+    """
+    upper = np.triu(values)
+    if not np.all(np.isfinite(upper)):
+        return math.inf
+    # cell (i, j): trapezoid weight of the gap x = (j - i) delta times
+    # e^{gamma x}; a one-node slice (i = n_cols) weighs nothing
+    gap = np.arange(grid.n_cols + 1) - np.arange(grid.n_t + 1)[:, None]
+    weight = np.where(gap >= 0, grid.delta
+                      * np.exp(grid.gamma * (grid.delta * gap)), 0.0)
+    weight[gap == 0] *= 0.5
+    weight[:, -1] *= 0.5
+    weight[grid.n_cols:] = 0.0
+    return math.sqrt(float(np.max(np.sum(weight * upper * upper, axis=1))))
 
 
 def tail_bound(norm: float, grid: GridSpec, t: float) -> float:

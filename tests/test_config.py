@@ -187,6 +187,60 @@ def test_volatility_bounds_overridable() -> None:
     assert cfg.volatility.lambda_upper == 0.25
 
 
+def test_volatility_bounds_must_enclose_sampled_factor() -> None:
+    # lambda_upper 0.2 under a factor of 0.5 would check (A2) against -5
+    # and admit the atom at -4, where 1 + 0.5 * (-4) = -1
+    doc = _base_doc()
+    doc["volatility"] = {"terms": [{"kind": "constant", "level": 0.5}],
+                         "lambda_lower": 0.1, "lambda_upper": 0.2}
+    doc["levy"] = {"drift_a": 0.0,
+                   "measure": {"family": "point_masses",
+                               "atoms": [[-4.0, 1.0]]}}
+    with pytest.raises(ConfigError, match=r"\(A3\).*enclose"):
+        parse_config(doc)
+    # the factor 0.2 + 0.3 t spans [0.2, 0.5]; a lower bound of 0.3 is false
+    doc = _base_doc()
+    doc["volatility"] = {"terms": [{"kind": "time_affine", "intercept": 0.2,
+                                    "slope": 0.3}],
+                         "lambda_lower": 0.3, "lambda_upper": 0.6}
+    with pytest.raises(ConfigError, match=r"\(A3\).*enclose"):
+        parse_config(doc)
+    doc["volatility"]["lambda_lower"] = 0.2
+    assert parse_config(doc).volatility.lambda_upper == 0.6
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("solver", "max_iters", 5),
+    ("grid", "gama", 3.0),
+    ("outputs", "write_json", False),
+    ("mc", "seed", 4),
+    ("levy", "drift", 0.0),
+    ("volatility", "lambda_max", 0.3),
+    ("initial_curve", "slope", 0.1),
+    (None, "solvers", {}),
+])
+def test_unknown_keys_rejected_by_name(section, key, value) -> None:
+    doc = _base_doc()
+    target = doc if section is None else doc.setdefault(section, {})
+    target[key] = value
+    with pytest.raises(ConfigError, match=f"'{key}'.*allowed"):
+        parse_config(doc)
+
+
+def test_unknown_keys_in_tagged_objects_rejected() -> None:
+    doc = _base_doc()
+    doc["levy"]["measure"]["betta"] = 3.0
+    with pytest.raises(ConfigError, match="'betta'.*allowed: family, c, beta"):
+        parse_config(doc)
+    doc = _base_doc()
+    doc["volatility"]["terms"][0]["rate"] = 0.5
+    with pytest.raises(ConfigError, match=r"terms\[0\].*'rate'"):
+        parse_config(doc)
+    doc["volatility"]["terms"] = [0.2]
+    with pytest.raises(ConfigError, match=r"terms\[0\] must be an object"):
+        parse_config(doc)
+
+
 def test_solver_and_mc_validation() -> None:
     doc = _base_doc()
     doc["solver"] = {"tol": -1.0}

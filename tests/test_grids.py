@@ -1,5 +1,7 @@
 """Grid geometry, flat extension, and rate-field slicing."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -90,3 +92,10 @@ class TestRateField:
         rng = np.random.default_rng(5)
         field = RateField.from_triangle(rng.uniform(size=(5, 9)), g)
         assert field.extension_defect() == 0.0
+
+    def test_extension_defect_reports_nan(self) -> None:
+        g = _grid()
+        rng = np.random.default_rng(5)
+        field = RateField.from_triangle(rng.uniform(size=(5, 9)), g)
+        field.values[3, 1] = math.nan
+        assert math.isnan(field.extension_defect())

@@ -185,6 +185,24 @@ class TestNorms:
         vals[2, 5] = math.nan
         assert timeline_norm(vals, grid) == math.inf
 
+    def test_timeline_norm_infinite_on_last_diagonal_cell(self) -> None:
+        # t_star = t_max: the last row is a one-node slice, still checked
+        grid = GridSpec(0.25, 1.0, 1.0, 1.0)
+        vals = np.ones((grid.n_t + 1, grid.n_cols + 1))
+        vals[4, 4] = math.inf
+        assert timeline_norm(vals, grid) == math.inf
+
+    @pytest.mark.parametrize("t_max", [2.0, 1.0])
+    def test_timeline_norm_is_max_of_weighted_norms(self, t_max) -> None:
+        grid = GridSpec(0.125, 1.0, t_max, 1.3)
+        rng = np.random.default_rng(17)
+        field = RateField.from_triangle(
+            rng.uniform(0.1, 2.0, size=(grid.n_t + 1, grid.n_cols + 1)), grid)
+        expected = max(weighted_norms(field, grid, t).l2_gamma
+                       for t in grid.t_nodes())
+        assert timeline_norm(field.values, grid) == pytest.approx(
+            expected, rel=1e-13)
+
     def test_tail_bound_formula(self) -> None:
         grid = _grid()
         got = tail_bound(3.0, grid, 0.5)
