@@ -130,13 +130,13 @@ def parse_config(doc: dict) -> RunConfig:
     solver = _section(doc, "solver", default_solver_settings())
     _require_positive_number(solver, "tol")
     _require_positive_number(solver, "explosion_threshold")
-    if not isinstance(solver.get("max_iter"), int) or solver["max_iter"] < 1:
+    if not _is_int(solver.get("max_iter")) or solver["max_iter"] < 1:
         raise ConfigError("solver.max_iter must be a positive integer")
 
     mc = _section(doc, "mc", default_mc_settings())
-    if not isinstance(mc.get("n_paths"), int) or mc["n_paths"] < 1:
+    if not _is_int(mc.get("n_paths")) or mc["n_paths"] < 1:
         raise ConfigError("mc.n_paths must be a positive integer")
-    if not isinstance(mc.get("master_seed"), int) or mc["master_seed"] < 0:
+    if not _is_int(mc.get("master_seed")) or mc["master_seed"] < 0:
         raise ConfigError("mc.master_seed must be a nonnegative integer")
     _require_positive_number(mc, "eps")
 
@@ -175,10 +175,24 @@ def _tagged_keys(sec: dict, tag: str, table: dict, context: str) -> str:
     return name
 
 
+def _is_int(val) -> bool:
+    """Whether val is a JSON integer (a JSON boolean is not)."""
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
 def _require_positive_number(sec: dict, key: str) -> None:
     val = sec.get(key)
-    if not isinstance(val, (int, float)) or not math.isfinite(val) or val <= 0:
+    if (isinstance(val, bool) or not isinstance(val, (int, float))
+            or not math.isfinite(val) or val <= 0):
         raise ConfigError(f"'{key}' must be a positive finite number")
+
+
+def _get_flag(sec: dict, key: str, context: str) -> bool:
+    """The JSON boolean ``sec[key]``, False when absent."""
+    val = sec.get(key, False)
+    if not isinstance(val, bool):
+        raise ConfigError(f"{context}: '{key}' must be true or false")
+    return val
 
 
 def _get_number(sec: dict, key: str, context: str) -> float:
@@ -256,7 +270,8 @@ def _parse_user_density(sec: dict) -> UserDensity:
         raise ConfigError("user_density: expression must be a finite "
                           "nonnegative density")
     return UserDensity(density_fn=density,
-                       a4_certified=bool(sec.get("a4_certified", False)))
+                       a4_certified=_get_flag(sec, "a4_certified",
+                                              "user_density"))
 
 
 def _parse_levy(sec: dict) -> LevyModelSpec:
@@ -267,7 +282,7 @@ def _parse_levy(sec: dict) -> LevyModelSpec:
     # a missing measure section means a measure with no jumps
     measure = (_parse_measure(sec["measure"]) if "measure" in sec
                else PointMasses(()))
-    subordinator = bool(sec.get("subordinator", False))
+    subordinator = _get_flag(sec, "subordinator", "levy")
     drift = sec.get("drift_a", 0.0)
     if drift == "subordinator":
         first = measure.first_moment(0.0, 1.0)

@@ -15,17 +15,19 @@ by two routes:
   written once on ``MeasureFamily`` as integrals of the family's scalar
   ``density(y)`` over its support, with relative tolerance 1e-10 and a
   series fallback for the compensated integrand near z*y = 0.  It serves
-  the public exponent operations and is the oracle the closed forms are
-  tested against; ``PointMasses`` replaces it with exact sums; and
+  the public exponent operations and is the oracle the vectorized route
+  is tested against; ``PointMasses`` replaces it with exact sums; and
 * a vectorized route (``derivative_measure_part``) used by the
   fixed-point solver, where thousands of evaluations per iteration are
-  needed: one closed form per family (incomplete gamma, exponential
-  integral, plain sums), or, for ``UserDensity``, which has none, the
-  quadrature route point by point.
+  needed: a closed form (incomplete gamma, exponential integral, plain
+  sums), or a fixed rule for ``UserDensity``, which has none: composite
+  Gauss-Legendre in s = ln y, built once per measure from one array call
+  of the density.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -52,6 +54,14 @@ SERIES_THRESHOLD = 1e-4
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
+# The fixed rule of UserDensity's J' and J'': panels of this width in
+# s = ln y, from this lower end, with 16 Gauss-Legendre nodes each; the
+# (points x nodes) temporaries hold this many points at a time.
+_RULE_PANEL = 2.0
+_RULE_S_MIN = -40.0
+_RULE_NODES, _RULE_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_RULE_BLOCK = 128
+
 
 def compensated_exp(w: float) -> float:
     """exp(-w) - 1 + w, evaluated without cancellation for small |w|."""
@@ -63,6 +73,17 @@ def compensated_exp(w: float) -> float:
 def _compensated(y: float) -> bool:
     """Whether the exponent compensates jumps of size y: all below 1."""
     return y < 1.0
+
+
+def _memoized(method: Callable) -> Callable:
+    """Keep a method's value in the instance's ``_cache``, per argument."""
+    @functools.wraps(method)
+    def cached(self, *args, **kwargs):
+        key = (method.__name__, args, tuple(sorted(kwargs.items())))
+        if key not in self._cache:
+            self._cache[key] = method(self, *args, **kwargs)
+        return self._cache[key]
+    return cached
 
 
 def _quad(f: Callable[[float], float], a: float, b: float, what: str) -> float:
@@ -148,16 +169,9 @@ class MeasureFamily(ABC):
             total += _quad(second, 1.0, y_max, f"{name} J3''")
         return total
 
+    @abstractmethod
     def derivative_measure_part(self, z: np.ndarray, order: int) -> np.ndarray:
-        """Vectorized J1'+J2'+J3' (order 1) or J1''+J2''+J3'' (order 2).
-
-        The default runs the quadrature route once per point; families with
-        a closed form override it.
-        """
-        z = np.asarray(z, dtype=float)
-        flat = np.array([self.piece_derivatives(float(v), order)
-                         for v in np.ravel(z)])
-        return flat.reshape(z.shape)
+        """Vectorized J1'+J2'+J3' (order 1) or J1''+J2''+J3'' (order 2)."""
 
     @abstractmethod
     def squared_integral(self, x: float) -> float:
@@ -478,8 +492,16 @@ class UserDensity(MeasureFamily):
     """Arbitrary density on (0, inf) supplied as a callable.
 
     The callable is evaluated on floats by the quadrature route and on numpy
-    arrays by the sampler, so it must accept both.  With no closed form, the
-    solver's J' runs the quadrature route once per point.  ``a4_certified``
+    arrays by the solver's rule and the sampler, so it must accept both.
+    With no closed form, the solver's J' and J'' come from one fixed rule:
+    composite Gauss-Legendre in s = ln y, 16 nodes on each panel of width 2,
+    split at y = 1.  It starts at y = e^-40, below which both are linear in
+    U(e^-40), and ends where the first moment of the tail falls to 1e-12 of
+    its value over [1, inf) (at ~1e9 at the latest).  The density is
+    evaluated once, on all nodes; a negative or non-finite value there
+    raises DomainError.  The rule, the sampler's inverse table and the
+    measure-only integrals a path simulation asks for are computed once per
+    measure and argument and kept in ``_cache``.  ``a4_certified``
     declares that y^2 is integrable near zero and y near infinity; only
     certified measures participate in the tail-exponent regression of the
     growth classifier.
@@ -487,7 +509,7 @@ class UserDensity(MeasureFamily):
 
     density_fn: Callable
     a4_certified: bool = False
-    _inv_cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def density(self) -> Callable:
@@ -497,12 +519,72 @@ class UserDensity(MeasureFamily):
     def support(self) -> tuple[float, float]:
         return (0.0, math.inf)
 
+    def _tail_end(self, lo: float, tail: Callable[[float], float]) -> float:
+        """The first y = max(1, 2 lo) * 2^k with tail(y) <= 1e-12 tail(lo),
+        or the first one from 1e9 on."""
+        hi = max(1.0, 2.0 * lo)
+        total = tail(lo)
+        while tail(hi) > 1e-12 * total and hi < 1e9:
+            hi *= 2.0
+        return hi
+
+    @_memoized
+    def _rule(self) -> tuple[np.ndarray, np.ndarray, int, float]:
+        """Nodes y_k and weights g_k = w_k y_k^2 f(y_k) of the fixed rule,
+        the number of nodes below 1, and U(e^-40)."""
+        hi = self._tail_end(1.0, lambda y: self.first_moment(y, math.inf))
+        n_low = round(-_RULE_S_MIN / _RULE_PANEL)
+        starts = _RULE_PANEL * np.arange(
+            -n_low, math.ceil(math.log(hi) / _RULE_PANEL))
+        half = 0.5 * _RULE_PANEL
+        y = np.exp((starts[:, None] + half * (_RULE_NODES + 1.0)).ravel())
+        f = np.broadcast_to(np.asarray(self.density_fn(y), dtype=float),
+                            y.shape)
+        bad = ~(np.isfinite(f) & (f >= 0.0))
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise DomainError(f"density must be finite and nonnegative, got "
+                              f"{f[k]} at y = {y[k]:.6g}")
+        g = np.tile(half * _RULE_WEIGHTS, starts.size) * y * y * f
+        return (y, g, n_low * _RULE_NODES.size,
+                self.squared_integral(math.exp(_RULE_S_MIN)))
+
+    def derivative_measure_part(self, z: np.ndarray, order: int) -> np.ndarray:
+        """J' or J'' by the fixed rule, summed over blocks of points.
+
+        J'(z) = sum_{y_k<1} g_k (1 - e^{-z y_k}) - sum_{y_k>=1} g_k e^{-z y_k}
+        + z U(e^-40) and J''(z) = sum_k g_k y_k e^{-z y_k} + U(e^-40).  Each
+        point's value depends on that point alone, whatever the block.
+        """
+        z = np.asarray(z, dtype=float)
+        y, g, n_low, u_min = self._rule()
+        neg_y, weight = -y, (-g if order == 1 else g * y)
+        flat = z.ravel()
+        out = np.empty(flat.size)
+        # one (block x nodes) buffer, worked in place
+        buf = np.empty((min(_RULE_BLOCK, flat.size), y.size))
+        with np.errstate(over="ignore", under="ignore"):
+            for i in range(0, flat.size, _RULE_BLOCK):
+                zb = flat[i:i + _RULE_BLOCK]
+                w = buf[:zb.size]
+                np.multiply(zb[:, None], neg_y, out=w)
+                if order == 1:
+                    np.expm1(w[:, :n_low], out=w[:, :n_low])
+                    np.exp(w[:, n_low:], out=w[:, n_low:])
+                else:
+                    np.exp(w, out=w)
+                w *= weight
+                out[i:i + _RULE_BLOCK] = w.sum(axis=1) + (
+                    zb * u_min if order == 1 else u_min)
+        return out.reshape(z.shape)
+
     def squared_integral(self, x: float) -> float:
         if x <= 0.0:
             return 0.0
         return _quad(lambda y: y * y * float(self.density_fn(y)), 0.0, x,
                      "UserDensity U")
 
+    @_memoized
     def first_moment(self, lo: float, hi: float) -> float:
         lo = max(lo, 0.0)
         if hi <= lo:
@@ -520,6 +602,7 @@ class UserDensity(MeasureFamily):
         except NonIntegrable:
             return math.inf
 
+    @_memoized
     def total_mass(self) -> float:
         try:
             return _quad(lambda y: float(self.density_fn(y)), 0.0, math.inf,
@@ -527,23 +610,18 @@ class UserDensity(MeasureFamily):
         except NonIntegrable:
             return math.inf
 
+    @_memoized
     def tail_mass(self, y: float) -> float:
         return _quad(lambda v: float(self.density_fn(v)), y, math.inf,
                      "UserDensity tail mass")
 
+    @_memoized
     def _inverse_table(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
-        key = float(eps)
-        if key not in self._inv_cache:
-            hi = max(1.0, 2.0 * eps)
-            total = self.tail_mass(eps)
-            while self.tail_mass(hi) > 1e-12 * total and hi < 1e9:
-                hi *= 2.0
-            ys = np.geomspace(eps, hi, 4096)
-            pdf = np.asarray(self.density(ys), dtype=float)
-            cdf = integrate.cumulative_trapezoid(pdf, ys, initial=0.0)
-            cdf /= cdf[-1]
-            self._inv_cache[key] = (cdf, ys)
-        return self._inv_cache[key]
+        ys = np.geomspace(eps, self._tail_end(eps, self.tail_mass), 4096)
+        pdf = np.asarray(self.density(ys), dtype=float)
+        cdf = integrate.cumulative_trapezoid(pdf, ys, initial=0.0)
+        cdf /= cdf[-1]
+        return cdf, ys
 
     def sample_sizes(self, rng: np.random.Generator, n: int,
                      eps: float) -> np.ndarray:

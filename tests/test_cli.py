@@ -17,8 +17,8 @@ from hjmm.cli import (
     main,
 )
 from hjmm.config import load_config
-from hjmm.paths import field_b, simulate_path
-from hjmm.solver import apriori_bound, weighted_norms
+from hjmm.paths import field_a, field_b, simulate_path
+from hjmm.solver import apriori_bound, solve_fixed_point, weighted_norms
 
 
 def _write(tmp_path, doc, name="run.json") -> str:
@@ -40,6 +40,14 @@ def _existence_doc() -> dict:
         "grid": {"delta": 0.125, "t_star": 1.0, "t_max": 2.0, "gamma": 1.0},
         "mc": {"n_paths": 16, "master_seed": 3},
     }
+
+
+def _user_density_doc() -> dict:
+    # the README model with its gamma measure written as a user density
+    doc = _existence_doc()
+    doc["levy"]["measure"] = {"family": "user_density",
+                              "expression": "0.5*exp(-2*y)/y"}
+    return doc
 
 
 def _explosive_doc() -> dict:
@@ -128,6 +136,30 @@ class TestSolve:
         assert math.isfinite(report["c1_bound"])
         assert report["c1_bound"] == expected
 
+    def test_user_density_matches_gamma_twin(self, tmp_path) -> None:
+        # the two samplers draw different paths; on the path the CLI drew,
+        # the gamma twin's closed-form J' must give the same solve
+        cfg = _write(tmp_path, _user_density_doc())
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        report = json.loads((tmp_path / "solve_report.json").read_text())
+        user = load_config(cfg)
+        twin = load_config(_write(tmp_path, _existence_doc(), "twin.json"))
+        grid = user.grid
+        path = simulate_path(user.levy, grid.t_star, [3, 0], eps=user.mc["eps"])
+        a = field_a(user.curve, field_b(user.volatility, path, grid), grid)
+        expected = solve_fixed_point(a, twin.volatility, twin.levy, grid,
+                                     **twin.solver)
+        assert report["status"] == expected.status == "Converged"
+        assert report["iterations"] == expected.iterations
+        np.testing.assert_allclose(report["norm_trace"], expected.norm_trace,
+                                   rtol=1e-10, atol=0.0)
+        # the CSV keeps 11 significant digits, at most 5e-11 relative off
+        rows = np.loadtxt(tmp_path / "field_standard.csv", delimiter=",",
+                          skiprows=1)
+        np.testing.assert_allclose(rows[:, 2],
+                                   expected.final_field.values.ravel(),
+                                   rtol=1e-10, atol=0.0)
+
     def test_rerun_is_byte_identical(self, tmp_path) -> None:
         cfg = _write(tmp_path, _existence_doc())
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -149,6 +181,20 @@ class TestVerify:
         suite_lines = [ln for ln in lines if ln.startswith("verify ")]
         assert len(suite_lines) == 6
         assert all(": pass" in ln for ln in suite_lines)
+
+
+def _assert_worker_count_keeps_bytes(tmp_path, doc) -> None:
+    doc["mc"] = {"n_paths": 12, "master_seed": 11}
+    cfg = _write(tmp_path, doc)
+    out1, out2 = tmp_path / "serial", tmp_path / "forked"
+    assert main(["mc", "--config", cfg, "--out", str(out1),
+                 "--threads", "1"]) == EXIT_OK
+    assert main(["mc", "--config", cfg, "--out", str(out2),
+                 "--threads", "2"]) == EXIT_OK
+    assert ((out1 / "martingale.csv").read_bytes()
+            == (out2 / "martingale.csv").read_bytes())
+    assert ((out1 / "martingale.json").read_bytes()
+            == (out2 / "martingale.json").read_bytes())
 
 
 class TestMc:
@@ -176,18 +222,13 @@ class TestMc:
         assert code == EXIT_MC_FAILED
 
     def test_worker_count_keeps_bytes_identical(self, tmp_path) -> None:
-        doc = _existence_doc()
-        doc["mc"] = {"n_paths": 12, "master_seed": 11}
-        cfg = _write(tmp_path, doc)
-        out1, out2 = tmp_path / "serial", tmp_path / "forked"
-        assert main(["mc", "--config", cfg, "--out", str(out1),
-                     "--threads", "1"]) == EXIT_OK
-        assert main(["mc", "--config", cfg, "--out", str(out2),
-                     "--threads", "2"]) == EXIT_OK
-        assert ((out1 / "martingale.csv").read_bytes()
-                == (out2 / "martingale.csv").read_bytes())
-        assert ((out1 / "martingale.json").read_bytes()
-                == (out2 / "martingale.json").read_bytes())
+        _assert_worker_count_keeps_bytes(tmp_path, _existence_doc())
+
+    def test_user_density_worker_count_keeps_bytes_identical(self,
+                                                             tmp_path) -> None:
+        # a user density's cached rule and integrals must not depend on
+        # which process of the fork pool computed them
+        _assert_worker_count_keeps_bytes(tmp_path, _user_density_doc())
 
     def test_seed_flag_overrides_config(self, tmp_path) -> None:
         doc = _existence_doc()

@@ -227,6 +227,29 @@ def test_unknown_keys_rejected_by_name(section, key, value) -> None:
         parse_config(doc)
 
 
+@pytest.mark.parametrize("section, key, value", [
+    ("levy.measure", "a4_certified", "false"),
+    ("levy", "subordinator", "no"),
+    ("solver", "max_iter", True),
+    ("solver", "tol", True),
+    ("solver", "explosion_threshold", True),
+    ("mc", "n_paths", True),
+    ("mc", "master_seed", False),
+])
+def test_flags_and_counts_take_only_their_json_type(section, key, value) -> None:
+    # bool("false") is True and True counts as the integer 1 in Python
+    doc = _base_doc()
+    doc["levy"] = {"drift_a": 0.0,
+                   "measure": {"family": "user_density",
+                               "expression": "0.5*exp(-2*y)/y"}}
+    target = doc
+    for name in section.split("."):
+        target = target.setdefault(name, {})
+    target[key] = value
+    with pytest.raises(ConfigError, match=f"'?{key}'? must be"):
+        parse_config(doc)
+
+
 def test_unknown_keys_in_tagged_objects_rejected() -> None:
     doc = _base_doc()
     doc["levy"]["measure"]["betta"] = 3.0

@@ -14,9 +14,42 @@ from hjmm.measures import (
     UserDensity,
     compensated_exp,
 )
+from hjmm.paths import simulate_path
 
 ORACLE_TOL = 1e-10
 QUAD_AGREEMENT_RTOL = 1e-8
+
+# z points of the fixed-rule checks; the adaptive quadrature misses the
+# boundary layer of width 1/z at y = 0 once z >= 1e4, so it is the
+# oracle up to 1e3 and closed forms are checked over the whole range
+_RULE_Z = np.concatenate(([0.0], np.geomspace(1e-8, 1e6, 29)))
+_QUAD_Z = _RULE_Z[_RULE_Z <= 1e3]
+
+
+def _exp_density_derivative(z, order):
+    """J' and J'' of the density e^{-2y}: P(2) - 1/(2+z)^2 and 2/(2+z)^3."""
+    if order == 1:
+        return (1.0 - 3.0 * math.exp(-2.0)) / 4.0 - 1.0 / (2.0 + z) ** 2
+    return 2.0 / (2.0 + z) ** 3
+
+
+def _stable_shaped(alpha):
+    return (lambda y: np.where(y <= 1.0, y ** (-1.0 - alpha), 0.0),
+            (1e-12, 1e-12),
+            lambda z, order: StableLike(1.0, alpha, 1.0).derivative_measure_part(
+                z, order))
+
+
+# density, rtol against the quadrature route for orders 1 and 2, closed form;
+# the heavy tail's J' is cut where the first moment of the tail falls to
+# 1e-12, which for y f ~ y^-2 is the cap of ~1e9: ~1e-9 relative at z = 0
+_RULE_CASES = {
+    "exp": (lambda y: np.exp(-2.0 * y), (1e-12, 1e-12),
+            _exp_density_derivative),
+    "heavy_tail": (lambda y: 1.0 / (1.0 + y) ** 3, (1e-9, 1e-12), None),
+    "stable_0.5": _stable_shaped(0.5),
+    "stable_1.5": _stable_shaped(1.5),
+}
 
 
 def test_compensated_exp_matches_reference() -> None:
@@ -186,7 +219,7 @@ class TestUserDensity:
 
     def test_quadrature_route_matches_gamma_closed_form(self) -> None:
         # the gamma density written as a user density: the solver's J' and
-        # J'' from per-point quadrature must match the closed form
+        # J'' from the fixed rule must match the closed form
         user = LevyModelSpec(0.0, 0.0, UserDensity(
             density_fn=lambda y: 0.5 * np.exp(-2.0 * y) / y))
         gamma = LevyModelSpec(0.0, 0.0, GammaLike(c=0.5, beta=2.0))
@@ -196,10 +229,71 @@ class TestUserDensity:
                                        fast_derivative(gamma, order)(z),
                                        rtol=1e-10, atol=0.0)
 
-    def test_derivative_part_falls_back_to_quadrature(self) -> None:
-        nu = UserDensity(density_fn=lambda y: np.exp(-2.0 * y))
-        z = np.array([0.5, 1.0])
-        got = nu.derivative_measure_part(z, 1)
-        expected = np.array([nu.piece_derivatives(0.5, 1),
-                             nu.piece_derivatives(1.0, 1)])
-        np.testing.assert_allclose(got, expected, rtol=1e-12)
+    @pytest.mark.parametrize("name", sorted(_RULE_CASES))
+    def test_fixed_rule_matches_quadrature_route(self, name) -> None:
+        fn, rtols, closed = _RULE_CASES[name]
+        nu = UserDensity(density_fn=fn)
+        for order, rtol in zip((1, 2), rtols):
+            zs = _QUAD_Z
+            if name == "heavy_tail" and order == 2:
+                zs = zs[1:]  # J''(0) is infinite: y^2 f ~ 1/y at infinity
+            expected = [nu.piece_derivatives(float(z), order) for z in zs]
+            np.testing.assert_allclose(nu.derivative_measure_part(zs, order),
+                                       expected, rtol=rtol, atol=0.0)
+            if closed is not None:
+                np.testing.assert_allclose(
+                    nu.derivative_measure_part(_RULE_Z, order),
+                    closed(_RULE_Z, order), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("name", sorted(_RULE_CASES))
+    def test_fixed_rule_is_monotone(self, name) -> None:
+        # J' nondecreasing and J'' >= 0, as the monotone iteration needs
+        nu = UserDensity(density_fn=_RULE_CASES[name][0])
+        z = np.concatenate(([0.0], np.geomspace(1e-10, 1e8, 20001)))
+        assert np.all(np.diff(nu.derivative_measure_part(z, 1)) >= 0.0)
+        assert np.all(nu.derivative_measure_part(z, 2) >= 0.0)
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan])
+    def test_bad_density_at_a_node_raises(self, bad) -> None:
+        # wrong only on y in (e^-20.5, e^-19.5), where the rule has nodes
+        def fn(y):
+            return np.where(np.abs(np.log(y) + 20.0) < 0.5, bad, np.exp(-y))
+
+        nu = UserDensity(density_fn=fn)
+        for order in (1, 2):
+            with pytest.raises(DomainError, match="finite and nonnegative"):
+                nu.derivative_measure_part(np.array([0.5]), order)
+
+    def test_blocks_do_not_change_values(self) -> None:
+        nu = UserDensity(density_fn=lambda y: 0.5 * np.exp(-2.0 * y) / y)
+        rng = np.random.default_rng(5)
+        z = np.exp(rng.uniform(-20.0, 5.0, size=(65, 129)))
+        z[0, :7] = 0.0
+        flat = z.ravel()
+        for order in (1, 2):
+            whole = nu.derivative_measure_part(z, order)
+            assert whole.shape == z.shape
+            for size in (1, 100, 1000):
+                parts = [nu.derivative_measure_part(flat[i:i + size], order)
+                         for i in range(0, flat.size, size)]
+                assert np.array_equal(np.concatenate(parts), whole.ravel())
+
+    def test_simulate_path_same_with_warm_and_cold_cache(self) -> None:
+        calls = []
+
+        def density(y):
+            calls.append(1)
+            return 0.5 * np.exp(-2.0 * y) / y
+
+        cold = [LevyModelSpec(0.0, 0.0, UserDensity(density_fn=density))
+                for _ in range(3)]
+        warm = LevyModelSpec(0.0, 0.0, UserDensity(density_fn=density))
+        simulate_path(warm, 1.0, [9, 99], eps=1e-3)
+        for k, spec in enumerate(cold):
+            first = simulate_path(spec, 1.0, [9, k], eps=1e-3)
+            del calls[:]
+            second = simulate_path(warm, 1.0, [9, k], eps=1e-3)
+            assert not calls  # the warm measure integrates nothing again
+            assert np.array_equal(first.times, second.times)
+            assert np.array_equal(first.sizes, second.sizes)
+            assert first.drift_rate == second.drift_rate
