@@ -145,10 +145,11 @@ def fast_derivative(spec: LevyModelSpec, order: int = 1):
     Returns a callable mapping a nonnegative float array to the derivative
     values.  Built from the measure family's closed form (exact sums for
     atoms, incomplete gamma and exponential-integral forms for the built-in
-    densities); a :class:`UserDensity` has none and uses a fixed
-    Gauss-Legendre rule in ln y, built once per measure from one array call
-    of its density.  The closed forms agree with :func:`exponent_derivative`
-    to 1e-8 relative and the rule to 1e-9 (tested).
+    densities, with a stable-like density's jumps above 1 on a fixed
+    Gauss-Legendre rule in ln y); a :class:`UserDensity` has none and uses
+    the same rule, built once per measure from one array call of its
+    density.  The closed forms agree with :func:`exponent_derivative` to
+    1e-8 relative and the rule to 1e-9, for z up to 1e6 (tested).
     """
     if order not in (1, 2):
         raise DomainError(f"order must be 1 or 2, got {order}")

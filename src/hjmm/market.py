@@ -130,11 +130,7 @@ class MartingaleReport:
         return all(abs(r.z_score) <= 4.0 for r in self.results)
 
 
-_WORKER_CTX: dict = {}
-
-
-def _run_one_path(path_index: int):
-    ctx = _WORKER_CTX
+def _run_one_path(ctx: dict, path_index: int):
     seed = [ctx["master_seed"], path_index]
     try:
         path = simulate_path(ctx["spec"], ctx["grid"].t_star, seed,
@@ -151,6 +147,18 @@ def _run_one_path(path_index: int):
         return path_index, out.ravel()
     except NonPositiveFactor:
         return path_index, None
+
+
+# The run's context in a pool worker, set once by the pool's initializer.
+_pool_ctx: dict = {}
+
+
+def _init_pool_worker(ctx: dict) -> None:
+    _pool_ctx.update(ctx)
+
+
+def _run_pooled_path(path_index: int):
+    return _run_one_path(_pool_ctx, path_index)
 
 
 def martingale_test(spec: LevyModelSpec, vol: VolatilitySpec,
@@ -186,18 +194,18 @@ def martingale_test(spec: LevyModelSpec, vol: VolatilitySpec,
         "explosion_threshold": explosion_threshold,
         "t_idx": t_idx, "T_idx": T_idx,
     }
-    global _WORKER_CTX
-    _WORKER_CTX = ctx
 
     n_ckpt = len(t_pts) * len(T_pts)
     samples = np.full((n_paths, n_ckpt), np.nan)
     excluded = 0
     if threads > 1 and n_paths > 1:
-        # fork start method shares the context without pickling closures
+        # the fork start method hands the context to the workers without
+        # pickling closures such as a user density
         mp_ctx = multiprocessing.get_context("fork")
         chunk = max(1, n_paths // (threads * 8))
-        with mp_ctx.Pool(processes=threads) as pool:
-            for idx, row in pool.imap_unordered(_run_one_path,
+        with mp_ctx.Pool(processes=threads, initializer=_init_pool_worker,
+                         initargs=(ctx,)) as pool:
+            for idx, row in pool.imap_unordered(_run_pooled_path,
                                                 range(n_paths), chunk):
                 if row is None:
                     excluded += 1
@@ -205,7 +213,7 @@ def martingale_test(spec: LevyModelSpec, vol: VolatilitySpec,
                     samples[idx] = row
     else:
         for idx in range(n_paths):
-            _, row = _run_one_path(idx)
+            _, row = _run_one_path(ctx, idx)
             if row is None:
                 excluded += 1
             else:

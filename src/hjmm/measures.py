@@ -13,16 +13,23 @@ by two routes:
 
 * one adaptive-quadrature route (``piece_values`` / ``piece_derivatives``),
   written once on ``MeasureFamily`` as integrals of the family's scalar
-  ``density(y)`` over its support, with relative tolerance 1e-10 and a
-  series fallback for the compensated integrand near z*y = 0.  It serves
-  the public exponent operations and is the oracle the vectorized route
-  is tested against; ``PointMasses`` replaces it with exact sums; and
+  ``density(y)`` over its support, with relative tolerance 1e-10, a series
+  fallback for the compensated integrand near z*y = 0 and the boundary
+  layer of width 1/z at each piece's lower end cut out.  It serves the
+  public exponent operations and is the oracle the vectorized route is
+  tested against; ``PointMasses`` replaces it with exact sums; and
 * a vectorized route (``derivative_measure_part``) used by the
   fixed-point solver, where thousands of evaluations per iteration are
   needed: a closed form (incomplete gamma, exponential integral, plain
-  sums), or a fixed rule for ``UserDensity``, which has none: composite
-  Gauss-Legendre in s = ln y, built once per measure from one array call
-  of the density.
+  sums) or the fixed rule below.
+
+One fixed rule, composite Gauss-Legendre in s = ln y with 16 nodes on
+each panel of width 2, gives ``UserDensity`` its J', J'' and tail mass
+nu([y, inf)) (the rule's mass beyond y's panel plus 16 nodes from y to its
+end), and ``StableLike`` its y > 1 piece.  Jump sizes above eps solve
+nu([y, inf)) = (1 - u) nu([eps, inf)) by one safeguarded Newton iteration
+in ln y, on the rule for ``UserDensity`` and on E1 for ``GammaLike``;
+``StableLike`` and ``PointMasses`` draw exactly.
 """
 
 from __future__ import annotations
@@ -52,15 +59,16 @@ QUAD_RTOL = 1e-10
 # Below this value of |z*y| the compensated integrand switches to its series.
 SERIES_THRESHOLD = 1e-4
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
-
-# The fixed rule of UserDensity's J' and J'': panels of this width in
-# s = ln y, from this lower end, with 16 Gauss-Legendre nodes each; the
-# (points x nodes) temporaries hold this many points at a time.
+# The fixed rule: panels of this width in s = ln y, a user density's from
+# this lower end, 16 nodes each; the (points x nodes) temporaries of its
+# J' and J'' hold this many points at a time.
 _RULE_PANEL = 2.0
 _RULE_S_MIN = -40.0
 _RULE_NODES, _RULE_WEIGHTS = np.polynomial.legendre.leggauss(16)
+_RULE_N_LOW = round(-_RULE_S_MIN / _RULE_PANEL) * _RULE_NODES.size
 _RULE_BLOCK = 128
+# A sub-panel's 16 nodes, then its start, in half-widths from the start.
+_TAIL_NODES = np.append(_RULE_NODES + 1.0, 0.0)
 
 
 def compensated_exp(w: float) -> float:
@@ -78,10 +86,10 @@ def _compensated(y: float) -> bool:
 def _memoized(method: Callable) -> Callable:
     """Keep a method's value in the instance's ``_cache``, per argument."""
     @functools.wraps(method)
-    def cached(self, *args, **kwargs):
-        key = (method.__name__, args, tuple(sorted(kwargs.items())))
+    def cached(self, *args):
+        key = (method.__name__, args)
         if key not in self._cache:
-            self._cache[key] = method(self, *args, **kwargs)
+            self._cache[key] = method(self, *args)
         return self._cache[key]
     return cached
 
@@ -103,18 +111,45 @@ def _quad(f: Callable[[float], float], a: float, b: float, what: str) -> float:
     return value
 
 
-def _fixed_gauss(fvals_builder: Callable[[np.ndarray], np.ndarray],
-                 a: float, b: float) -> np.ndarray:
-    """64-node Gauss-Legendre on [a, b] of a z-vectorized integrand.
+def _layered_quad(f: Callable[[float], float], z: float, a: float, b: float,
+                  what: str) -> float:
+    """``_quad`` of f over (a, b), cut at a + 4^k/z, k = 0..3, if b is finite:
+    J and its derivatives change on the scale 1/z next to a, which the first
+    nodes on a long (a, b) miss (an infinite one crowds its nodes at a)."""
+    ends = [a, *(a + c / z for c in (1.0, 4.0, 16.0, 64.0)
+                 if z > 0.0 and a + c / z < b < math.inf), b]
+    return sum(_quad(f, lo, hi, what) for lo, hi in zip(ends, ends[1:]))
 
-    ``fvals_builder`` maps the node array (shape (64,)) to integrand values
-    of shape (..., 64); the result is the weighted sum over the last axis.
-    """
-    half = 0.5 * (b - a)
-    mid = 0.5 * (b + a)
-    ys = mid + half * _GL_NODES
-    vals = fvals_builder(ys)
-    return half * (vals @ _GL_WEIGHTS)
+
+def _log_rule(s_lo: float, s_hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes y_k and weights w_k of the fixed rule on [e^s_lo, e^s_hi]:
+    sum_k w_k h(y_k) approximates the integral of h(y) dy, with panels of
+    width 2 in s = ln y from s_lo on and the last one cut at s_hi."""
+    ends = np.append(np.arange(s_lo, s_hi, _RULE_PANEL), s_hi)
+    half = 0.5 * np.diff(ends)[:, None]
+    y = np.exp((ends[:-1, None] + half * (_RULE_NODES + 1.0)).ravel())
+    return y, (half * _RULE_WEIGHTS).ravel() * y
+
+
+def _invert_log_tail(tail: Callable, target: np.ndarray, lo: np.ndarray,
+                     hi: np.ndarray) -> np.ndarray:
+    """Per draw, s = ln y in [lo, hi] with T(e^s) = target, where ``tail(s)``
+    gives a tail mass T(e^s) <= target at hi, >= at lo, and -dT/ds = y f(y):
+    Newton from lo, bisecting when a step leaves the narrowing bracket, until
+    every step is at most 1e-9 (Newton's error after it is of its square)."""
+    s = lo
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(100):
+            mass, slope = tail(s)
+            gap = mass - target
+            lo = np.where(gap >= 0.0, s, lo)
+            hi = np.where(gap <= 0.0, s, hi)
+            new = s + gap / slope
+            new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
+            if (np.abs(new - s) <= 1e-9).all():
+                return new
+            s = new
+    return s
 
 
 class MeasureFamily(ABC):
@@ -139,12 +174,12 @@ class MeasureFamily(ABC):
         name = type(self).__name__
         y_max = self.support()[1]
         f = self.density
-        j2 = _quad(lambda y: compensated_exp(z * y) * f(y),
-                   0.0, min(1.0, y_max), f"{name} J2")
+        j2 = _layered_quad(lambda y: compensated_exp(z * y) * f(y), z,
+                           0.0, min(1.0, y_max), f"{name} J2")
         j3 = 0.0
         if y_max > 1.0:
-            j3 = _quad(lambda y: math.expm1(-z * y) * f(y),
-                       1.0, y_max, f"{name} J3")
+            j3 = _layered_quad(lambda y: math.expm1(-z * y) * f(y), z,
+                               1.0, y_max, f"{name} J3")
         return 0.0, j2, j3
 
     def piece_derivatives(self, z: float, order: int) -> float:
@@ -154,19 +189,19 @@ class MeasureFamily(ABC):
         b1 = min(1.0, y_max)
         f = self.density
         if order == 1:
-            total = _quad(lambda y: -math.expm1(-z * y) * y * f(y),
-                          0.0, b1, f"{name} J2'")
+            total = _layered_quad(lambda y: -math.expm1(-z * y) * y * f(y),
+                                  z, 0.0, b1, f"{name} J2'")
             if y_max > 1.0:
-                total -= _quad(lambda y: math.exp(-z * y) * y * f(y),
-                               1.0, y_max, f"{name} J3'")
+                total -= _layered_quad(lambda y: math.exp(-z * y) * y * f(y),
+                                       z, 1.0, y_max, f"{name} J3'")
             return total
 
         def second(y: float) -> float:
             return math.exp(-z * y) * y * y * f(y)
 
-        total = _quad(second, 0.0, b1, f"{name} J2''")
+        total = _layered_quad(second, z, 0.0, b1, f"{name} J2''")
         if y_max > 1.0:
-            total += _quad(second, 1.0, y_max, f"{name} J3''")
+            total += _layered_quad(second, z, 1.0, y_max, f"{name} J3''")
         return total
 
     @abstractmethod
@@ -329,21 +364,16 @@ class StableLike(MeasureFamily):
         z = np.asarray(z, dtype=float)
         b1 = min(1.0, self.y_max)
         alpha, c = self.alpha, self.c
-        w = z * b1
+        w, s = z * b1, 2.0 - alpha
         safe_z = np.where(z > 0, z, 1.0)
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             if order == 1:
                 if abs(alpha - 1.0) < 1e-8:
                     # int_0^b (1-e^{-zy})/y dy = gamma_E + ln(zb) + E1(zb)
-                    body = np.where(
-                        w > 0,
-                        np.euler_gamma + np.log(np.where(w > 0, w, 1.0))
-                        + sc.exp1(np.where(w > 0, w, 1.0)),
-                        0.0,
-                    )
-                    out = c * body
+                    safe_w = np.where(w > 0, w, 1.0)
+                    out = c * np.where(w > 0, np.euler_gamma + np.log(safe_w)
+                                       + sc.exp1(safe_w), 0.0)
                 else:
-                    s = 2.0 - alpha
                     t1 = -np.expm1(-w) * b1 ** (1.0 - alpha) / (1.0 - alpha)
                     t2 = np.where(
                         w > 0,
@@ -352,22 +382,18 @@ class StableLike(MeasureFamily):
                         0.0,
                     )
                     out = c * (t1 - t2)
-                if self.y_max > 1.0:
-                    out = out + (-c) * _fixed_gauss(
-                        lambda ys: np.exp(-np.multiply.outer(z, ys)) * ys ** (-alpha),
-                        1.0, self.y_max)
             else:
-                s = 2.0 - alpha
                 small = np.where(
                     w > 0,
                     safe_z ** (alpha - 2.0) * sc.gamma(s) * sc.gammainc(s, w),
                     b1 ** s / s,
                 )
                 out = c * small
-                if self.y_max > 1.0:
-                    out = out + c * _fixed_gauss(
-                        lambda ys: np.exp(-np.multiply.outer(z, ys)) * ys ** (1.0 - alpha),
-                        1.0, self.y_max)
+            if self.y_max > 1.0:
+                # -int_1^y_max e^{-zy} y^-alpha dy, +int y^(1-alpha) e^{-zy} dy
+                y, w = _log_rule(0.0, math.log(self.y_max))
+                out = out + (-1) ** order * c * (
+                    np.exp(-np.multiply.outer(z, y)) @ (w * y ** (order - 1.0 - alpha)))
         return out
 
     def squared_integral(self, x: float) -> float:
@@ -468,23 +494,15 @@ class GammaLike(MeasureFamily):
                      eps: float) -> np.ndarray:
         if eps <= 0.0:
             raise DomainError(f"truncation level must be positive, got {eps}")
-        if n == 0:
-            return np.empty(0)
-        u = rng.uniform(size=n)
-        base = float(sc.exp1(self.beta * eps))
-        target = (1.0 - u) * base
-        lo = np.full(n, eps)
-        hi_val = eps
-        while float(sc.exp1(self.beta * hi_val)) > target.min() and hi_val < 1e12:
-            hi_val *= 2.0
-        hi = np.full(n, hi_val)
-        # exp1 is strictly decreasing; 80 bisection steps pin y to full precision
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            go_right = sc.exp1(self.beta * mid) > target
-            lo = np.where(go_right, mid, lo)
-            hi = np.where(go_right, hi, mid)
-        return 0.5 * (lo + hi)
+        target = (1.0 - rng.uniform(size=n)) * float(sc.exp1(self.beta * eps))
+
+        def tail(s):
+            x = self.beta * np.exp(s)
+            return sc.exp1(x), np.exp(-x)
+
+        # E1(x) < e^-x from x = 1 on, so the root lies below this y
+        hi = np.log(np.maximum(1.0, -np.log(target)) / self.beta)
+        return np.exp(_invert_log_tail(tail, target, math.log(eps), hi))
 
 
 @dataclass(frozen=True)
@@ -492,19 +510,15 @@ class UserDensity(MeasureFamily):
     """Arbitrary density on (0, inf) supplied as a callable.
 
     The callable is evaluated on floats by the quadrature route and on numpy
-    arrays by the solver's rule and the sampler, so it must accept both.
-    With no closed form, the solver's J' and J'' come from one fixed rule:
-    composite Gauss-Legendre in s = ln y, 16 nodes on each panel of width 2,
-    split at y = 1.  It starts at y = e^-40, below which both are linear in
-    U(e^-40), and ends where the first moment of the tail falls to 1e-12 of
-    its value over [1, inf) (at ~1e9 at the latest).  The density is
-    evaluated once, on all nodes; a negative or non-finite value there
-    raises DomainError.  The rule, the sampler's inverse table and the
-    measure-only integrals a path simulation asks for are computed once per
-    measure and argument and kept in ``_cache``.  ``a4_certified``
-    declares that y^2 is integrable near zero and y near infinity; only
-    certified measures participate in the tail-exponent regression of the
-    growth classifier.
+    arrays by the fixed rule and the sampler, so it must accept both.  The
+    rule starts at y = e^-40, below which J' and J'' are linear in U(e^-40)
+    and no jump is drawn, and ends where the first moment of the tail falls
+    to 1e-12 of its value over [1, inf) (at ~1e9 at the latest); a negative
+    or non-finite density at a node raises DomainError.  The rule and the
+    measure-only integrals a path simulation asks for are kept in
+    ``_cache``.  ``a4_certified`` declares that y^2 is integrable near zero
+    and y near infinity; only certified measures participate in the
+    tail-exponent regression of the growth classifier.
     """
 
     density_fn: Callable
@@ -519,25 +533,15 @@ class UserDensity(MeasureFamily):
     def support(self) -> tuple[float, float]:
         return (0.0, math.inf)
 
-    def _tail_end(self, lo: float, tail: Callable[[float], float]) -> float:
-        """The first y = max(1, 2 lo) * 2^k with tail(y) <= 1e-12 tail(lo),
-        or the first one from 1e9 on."""
-        hi = max(1.0, 2.0 * lo)
-        total = tail(lo)
-        while tail(hi) > 1e-12 * total and hi < 1e9:
-            hi *= 2.0
-        return hi
-
     @_memoized
-    def _rule(self) -> tuple[np.ndarray, np.ndarray, int, float]:
-        """Nodes y_k and weights g_k = w_k y_k^2 f(y_k) of the fixed rule,
-        the number of nodes below 1, and U(e^-40)."""
-        hi = self._tail_end(1.0, lambda y: self.first_moment(y, math.inf))
-        n_low = round(-_RULE_S_MIN / _RULE_PANEL)
-        starts = _RULE_PANEL * np.arange(
-            -n_low, math.ceil(math.log(hi) / _RULE_PANEL))
-        half = 0.5 * _RULE_PANEL
-        y = np.exp((starts[:, None] + half * (_RULE_NODES + 1.0)).ravel())
+    def _rule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """Nodes y_k and weights g_k = w_k y_k f(y_k) of the fixed rule, its
+        mass from each panel's start on (then 0), and U(e^-40)."""
+        hi, total = 2.0, self.first_moment(1.0, math.inf)
+        while self.first_moment(hi, math.inf) > 1e-12 * total and hi < 1e9:
+            hi *= 2.0
+        y, w = _log_rule(_RULE_S_MIN,
+                         _RULE_PANEL * math.ceil(math.log(hi) / _RULE_PANEL))
         f = np.broadcast_to(np.asarray(self.density_fn(y), dtype=float),
                             y.shape)
         bad = ~(np.isfinite(f) & (f >= 0.0))
@@ -545,8 +549,8 @@ class UserDensity(MeasureFamily):
             k = int(np.argmax(bad))
             raise DomainError(f"density must be finite and nonnegative, got "
                               f"{f[k]} at y = {y[k]:.6g}")
-        g = np.tile(half * _RULE_WEIGHTS, starts.size) * y * y * f
-        return (y, g, n_low * _RULE_NODES.size,
+        mass = (w * f).reshape(-1, _RULE_NODES.size).sum(axis=1)
+        return (y, w * y * f, np.append(np.cumsum(mass[::-1])[::-1], 0.0),
                 self.squared_integral(math.exp(_RULE_S_MIN)))
 
     def derivative_measure_part(self, z: np.ndarray, order: int) -> np.ndarray:
@@ -557,8 +561,9 @@ class UserDensity(MeasureFamily):
         point's value depends on that point alone, whatever the block.
         """
         z = np.asarray(z, dtype=float)
-        y, g, n_low, u_min = self._rule()
+        y, g, _, u_min = self._rule()
         neg_y, weight = -y, (-g if order == 1 else g * y)
+        n_low = _RULE_N_LOW
         flat = z.ravel()
         out = np.empty(flat.size)
         # one (block x nodes) buffer, worked in place
@@ -577,6 +582,17 @@ class UserDensity(MeasureFamily):
                 out[i:i + _RULE_BLOCK] = w.sum(axis=1) + (
                     zb * u_min if order == 1 else u_min)
         return out.reshape(z.shape)
+
+    def _tail(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """nu([e^s, inf)) and y f(y) at y = e^s <= the rule's end: its mass
+        beyond the panel holding s plus 16 nodes from s to the panel's end."""
+        tails = self._rule()[2]
+        s = np.minimum(s, _RULE_S_MIN + _RULE_PANEL * (tails.size - 1))
+        p = np.minimum((s - _RULE_S_MIN) // _RULE_PANEL, tails.size - 2).astype(int)
+        half = 0.5 * (_RULE_S_MIN + _RULE_PANEL * (p + 1) - s)
+        y = np.exp(s[:, None] + half[:, None] * _TAIL_NODES)
+        yf = y * np.asarray(self.density_fn(y), dtype=float)
+        return tails[p + 1] + half * (yf[:, :-1] @ _RULE_WEIGHTS), yf[:, -1]
 
     def squared_integral(self, x: float) -> float:
         if x <= 0.0:
@@ -612,21 +628,21 @@ class UserDensity(MeasureFamily):
 
     @_memoized
     def tail_mass(self, y: float) -> float:
-        return _quad(lambda v: float(self.density_fn(v)), y, math.inf,
-                     "UserDensity tail mass")
-
-    @_memoized
-    def _inverse_table(self, eps: float) -> tuple[np.ndarray, np.ndarray]:
-        ys = np.geomspace(eps, self._tail_end(eps, self.tail_mass), 4096)
-        pdf = np.asarray(self.density(ys), dtype=float)
-        cdf = integrate.cumulative_trapezoid(pdf, ys, initial=0.0)
-        cdf /= cdf[-1]
-        return cdf, ys
+        if not y >= math.exp(_RULE_S_MIN):
+            raise DomainError(f"truncation level must be at least e^-40, got {y}")
+        return float(self._tail(np.array([math.log(y)]))[0][0])
 
     def sample_sizes(self, rng: np.random.Generator, n: int,
                      eps: float) -> np.ndarray:
-        if eps <= 0.0:
-            raise DomainError(f"truncation level must be positive, got {eps}")
-        cdf, ys = self._inverse_table(eps)
-        u = rng.uniform(size=n)
-        return np.interp(u, cdf, ys)
+        if eps <= 0.0 and self.is_finite_activity:
+            eps = math.exp(_RULE_S_MIN)  # the whole measure the rule covers
+        total = self.tail_mass(eps)
+        if not total > 0.0:
+            raise DomainError(f"no mass above the truncation level {eps}")
+        target = (1.0 - rng.uniform(size=n)) * total
+        # bracket: the last panel whose start carries the target, from eps on
+        start = _RULE_S_MIN + _RULE_PANEL * (
+            np.searchsorted(-self._rule()[2], -target, side="right") - 1)
+        lo = np.maximum(start, math.log(eps))
+        return np.exp(_invert_log_tail(self._tail, target, lo,
+                                       np.maximum(start + _RULE_PANEL, lo)))

@@ -17,8 +17,8 @@ from hjmm.cli import (
     main,
 )
 from hjmm.config import load_config
-from hjmm.paths import field_a, field_b, simulate_path
-from hjmm.solver import apriori_bound, solve_fixed_point, weighted_norms
+from hjmm.paths import field_b, simulate_path
+from hjmm.solver import apriori_bound, weighted_norms
 
 
 def _write(tmp_path, doc, name="run.json") -> str:
@@ -137,28 +137,24 @@ class TestSolve:
         assert report["c1_bound"] == expected
 
     def test_user_density_matches_gamma_twin(self, tmp_path) -> None:
-        # the two samplers draw different paths; on the path the CLI drew,
-        # the gamma twin's closed-form J' must give the same solve
-        cfg = _write(tmp_path, _user_density_doc())
-        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
-        report = json.loads((tmp_path / "solve_report.json").read_text())
-        user = load_config(cfg)
-        twin = load_config(_write(tmp_path, _existence_doc(), "twin.json"))
-        grid = user.grid
-        path = simulate_path(user.levy, grid.t_star, [3, 0], eps=user.mc["eps"])
-        a = field_a(user.curve, field_b(user.volatility, path, grid), grid)
-        expected = solve_fixed_point(a, twin.volatility, twin.levy, grid,
-                                     **twin.solver)
-        assert report["status"] == expected.status == "Converged"
-        assert report["iterations"] == expected.iterations
-        np.testing.assert_allclose(report["norm_trace"], expected.norm_trace,
+        # the README model and its user-density twin draw the same path
+        # from the same seed and solve it to the same field
+        user, twin = tmp_path / "user", tmp_path / "twin"
+        for doc, out in ((_user_density_doc(), user), (_existence_doc(), twin)):
+            cfg = _write(tmp_path, doc, f"{out.name}.json")
+            assert main(["solve", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        got = json.loads((user / "solve_report.json").read_text())
+        want = json.loads((twin / "solve_report.json").read_text())
+        assert got["status"] == want["status"] == "Converged"
+        assert got["iterations"] == want["iterations"]
+        np.testing.assert_allclose(got["norm_trace"], want["norm_trace"],
                                    rtol=1e-10, atol=0.0)
-        # the CSV keeps 11 significant digits, at most 5e-11 relative off
-        rows = np.loadtxt(tmp_path / "field_standard.csv", delimiter=",",
-                          skiprows=1)
-        np.testing.assert_allclose(rows[:, 2],
-                                   expected.final_field.values.ravel(),
-                                   rtol=1e-10, atol=0.0)
+        # the CSVs keep 11 significant digits, at most 5e-11 relative off
+        for name in ("field_standard.csv", "field_musiela.csv"):
+            np.testing.assert_allclose(
+                np.loadtxt(user / name, delimiter=",", skiprows=1),
+                np.loadtxt(twin / name, delimiter=",", skiprows=1),
+                rtol=1e-10, atol=0.0)
 
     def test_rerun_is_byte_identical(self, tmp_path) -> None:
         cfg = _write(tmp_path, _existence_doc())

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from hjmm.errors import DomainError
-from hjmm.levy import LevyModelSpec, fast_derivative
+from hjmm.levy import (LevyModelSpec, exponent, exponent_derivative,
+                       fast_derivative)
 from hjmm.measures import (
     GammaLike,
     PointMasses,
@@ -19,11 +20,13 @@ from hjmm.paths import simulate_path
 ORACLE_TOL = 1e-10
 QUAD_AGREEMENT_RTOL = 1e-8
 
-# z points of the fixed-rule checks; the adaptive quadrature misses the
-# boundary layer of width 1/z at y = 0 once z >= 1e4, so it is the
-# oracle up to 1e3 and closed forms are checked over the whole range
+# z points of the fixed-rule and quadrature-route checks
 _RULE_Z = np.concatenate(([0.0], np.geomspace(1e-8, 1e6, 29)))
-_QUAD_Z = _RULE_Z[_RULE_Z <= 1e3]
+
+
+def _exp_density_exponent(z):
+    """J of the density e^{-2y}: z ((1 - 3e^-2)/4 - 1/(2(2+z)))."""
+    return z * ((1.0 - 3.0 * math.exp(-2.0)) / 4.0 - 0.5 / (2.0 + z))
 
 
 def _exp_density_derivative(z, order):
@@ -145,6 +148,36 @@ class TestStableLike:
                 assert abs(fast - slow) / scale < QUAD_AGREEMENT_RTOL, (
                     f"z={z} order={order}: {fast} vs {slow}")
 
+    @pytest.mark.parametrize("y_max", [100.0, 1e4])
+    def test_fast_derivative_part_on_a_long_support(self, y_max) -> None:
+        # the y > 1 piece spans ln y_max; at z = 0 both orders are exact:
+        # -c (Y^(1-a) - 1)/(1-a) and c Y^(2-a)/(2-a)
+        c, alpha = 0.8, 1.3
+        nu = StableLike(c=c, alpha=alpha, y_max=y_max)
+        for z in (0.0, 1e-6, 0.03, 1.0, 7.5, 40.0):
+            for order in (1, 2):
+                fast = float(nu.derivative_measure_part(np.array(z), order))
+                slow = nu.piece_derivatives(z, order)
+                assert abs(fast - slow) / abs(slow) < QUAD_AGREEMENT_RTOL, (
+                    f"z={z} order={order}: {fast} vs {slow}")
+        exact = (-c * (y_max ** (1.0 - alpha) - 1.0) / (1.0 - alpha),
+                 c * y_max ** (2.0 - alpha) / (2.0 - alpha))
+        for order, want in zip((1, 2), exact):
+            got = float(nu.derivative_measure_part(np.array(0.0), order))
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.5])
+    def test_quadrature_route_matches_closed_form_up_to_large_z(
+            self, alpha) -> None:
+        # the boundary layer of width 1/z at y = 0 must not be missed
+        nu = StableLike(c=1.0, alpha=alpha, y_max=1.0)
+        spec = LevyModelSpec(0.0, 0.0, nu)
+        for order in (1, 2):
+            got = [exponent_derivative(spec, float(z), order) for z in _RULE_Z]
+            np.testing.assert_allclose(
+                got, nu.derivative_measure_part(_RULE_Z, order),
+                rtol=ORACLE_TOL, atol=0.0)
+
     def test_alpha_one_log_branch_matches_quadrature(self) -> None:
         nu = StableLike(c=1.0, alpha=1.0, y_max=1.0)
         for z in (0.01, 0.5, 3.0):
@@ -229,12 +262,62 @@ class TestUserDensity:
                                        fast_derivative(gamma, order)(z),
                                        rtol=1e-10, atol=0.0)
 
+    def test_exponent_matches_closed_form_up_to_large_z(self) -> None:
+        # J, J', J'' of e^{-2y} on the quadrature route, boundary layer
+        # of width 1/z at y = 0 included
+        spec = LevyModelSpec(0.0, 0.0, UserDensity(
+            density_fn=lambda y: np.exp(-2.0 * y)))
+        for z in _RULE_Z:
+            z = float(z)
+            want = _exp_density_exponent(z)
+            assert abs(exponent(spec, z) - want) <= ORACLE_TOL * abs(want)
+            for order in (1, 2):
+                want = _exp_density_derivative(z, order)
+                got = exponent_derivative(spec, z, order)
+                assert abs(got - want) <= ORACLE_TOL * abs(want), (z, order)
+
+    def test_sizes_match_gamma_sampler(self) -> None:
+        # the gamma density written as a user density draws the same jumps
+        user = UserDensity(density_fn=lambda y: 0.5 * np.exp(-2.0 * y) / y)
+        got = user.sample_sizes(np.random.default_rng(3), 20000, 1e-3)
+        want = GammaLike(c=0.5, beta=2.0).sample_sizes(
+            np.random.default_rng(3), 20000, 1e-3)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_heavy_tail_sizes_follow_exact_quantiles(self) -> None:
+        # nu([y, inf)) = 1/(2 (1+y)^2): the size of uniform u above eps is
+        # (1 + eps)/sqrt(1 - u) - 1
+        nu = UserDensity(density_fn=lambda y: 1.0 / (1.0 + y) ** 3)
+        eps = 1e-3
+        u = np.random.default_rng(4).uniform(size=20000)
+        got = nu.sample_sizes(np.random.default_rng(4), 20000, eps)
+        np.testing.assert_allclose(got, (1.0 + eps) / np.sqrt(1.0 - u) - 1.0,
+                                   rtol=1e-11, atol=0.0)
+        assert nu.tail_mass(eps) == pytest.approx(0.5 / (1.0 + eps) ** 2,
+                                                  rel=1e-13, abs=0.0)
+
+    def test_simulate_path_runs_on_heavy_tail(self) -> None:
+        # finite activity (total mass 1/2): sizes drawn from the whole measure
+        spec = LevyModelSpec(0.0, 0.0, UserDensity(
+            density_fn=lambda y: 1.0 / (1.0 + y) ** 3))
+        sizes = np.concatenate([simulate_path(spec, 1.0, [1, k], eps=1e-3).sizes
+                                for k in range(20)])
+        assert sizes.size > 0
+        assert np.all(np.isfinite(sizes)) and np.all(sizes > 0.0)
+
+    def test_truncation_below_rule_start_raises(self) -> None:
+        nu = UserDensity(density_fn=lambda y: 0.5 * np.exp(-2.0 * y) / y)
+        with pytest.raises(DomainError, match="at least"):
+            nu.sample_sizes(np.random.default_rng(0), 3, 1e-20)
+        with pytest.raises(DomainError, match="at least"):
+            nu.sample_sizes(np.random.default_rng(0), 3, 0.0)
+
     @pytest.mark.parametrize("name", sorted(_RULE_CASES))
     def test_fixed_rule_matches_quadrature_route(self, name) -> None:
         fn, rtols, closed = _RULE_CASES[name]
         nu = UserDensity(density_fn=fn)
         for order, rtol in zip((1, 2), rtols):
-            zs = _QUAD_Z
+            zs = _RULE_Z
             if name == "heavy_tail" and order == 2:
                 zs = zs[1:]  # J''(0) is infinite: y^2 f ~ 1/y at infinity
             expected = [nu.piece_derivatives(float(z), order) for z in zs]
@@ -282,18 +365,22 @@ class TestUserDensity:
         calls = []
 
         def density(y):
-            calls.append(1)
+            calls.append(y)
             return 0.5 * np.exp(-2.0 * y) / y
 
         cold = [LevyModelSpec(0.0, 0.0, UserDensity(density_fn=density))
                 for _ in range(3)]
         warm = LevyModelSpec(0.0, 0.0, UserDensity(density_fn=density))
         simulate_path(warm, 1.0, [9, 99], eps=1e-3)
+        nodes = warm.measure._rule()[0]
         for k, spec in enumerate(cold):
             first = simulate_path(spec, 1.0, [9, k], eps=1e-3)
             del calls[:]
             second = simulate_path(warm, 1.0, [9, k], eps=1e-3)
-            assert not calls  # the warm measure integrates nothing again
+            # the sampler evaluates the density at its draws, but the warm
+            # measure neither integrates (scalar calls) nor rebuilds its rule
+            assert not any(np.ndim(y) == 0 for y in calls)
+            assert not any(np.array_equal(y, nodes) for y in calls)
             assert np.array_equal(first.times, second.times)
             assert np.array_equal(first.sizes, second.sizes)
             assert first.drift_rate == second.drift_rate
