@@ -17,18 +17,16 @@ from .grids import GridSpec, RateField, flat_extend
 from .levy import (AssumptionReport, GrowthClassification, LevyModelSpec,
                    Rule, Verdict, check_assumptions, classify_growth,
                    drift_only, exponent, exponent_derivative,
-                   fast_derivative, gamma_subordinator, log_growth_profile,
-                   small_jump_moment)
+                   fast_derivative, gamma_subordinator, log_growth_profile)
 from .market import (BondSurface, MartingaleReport, bond_surface,
                      default_checkpoints, drift_identity_check,
                      martingale_test)
 from .measures import (GammaLike, MeasureFamily, PointMasses, StableLike,
                        UserDensity)
-from .paths import (JumpPath, field_a, field_b, integrate_against_path,
-                    simulate_path)
+from .paths import JumpPath, field_a, field_b, simulate_path
 from .solver import (ContractionReport, SolverReport, StrongResidualReport,
                      apply_K, apriori_bound, solve_fixed_point,
-                     strong_residual, tail_bound, timeline_norm,
+                     strong_residual, timeline_norm,
                      uniqueness_contraction_check, weighted_norms)
 from .volatility import (VolatilitySpec, constant_volatility,
                          grid_violations, time_affine_volatility)
@@ -52,9 +50,9 @@ __all__ = [
     "default_checkpoints", "drift_identity_check", "drift_only",
     "exp_decay_curve", "exponent", "exponent_derivative", "fast_derivative",
     "field_a", "field_b", "flat_extend", "gamma_subordinator",
-    "grid_violations", "integrate_against_path", "load_config",
-    "log_growth_profile", "martingale_test", "parse_config", "run_all",
-    "simulate_path", "small_jump_moment", "solve_fixed_point",
-    "strong_residual", "table_curve", "tail_bound", "time_affine_volatility",
-    "timeline_norm", "uniqueness_contraction_check", "weighted_norms",
+    "grid_violations", "load_config", "log_growth_profile",
+    "martingale_test", "parse_config", "run_all", "simulate_path",
+    "solve_fixed_point", "strong_residual", "table_curve",
+    "time_affine_volatility", "timeline_norm",
+    "uniqueness_contraction_check", "weighted_norms",
 ]

@@ -141,10 +141,8 @@ def cmd_solve(args, config: RunConfig) -> int:
                          eps=config.mc["eps"])
     b_vals = field_b(config.volatility, path, grid)
     a_vals = field_a(config.curve, b_vals, grid)
-    report = solve_fixed_point(
-        a_vals, config.volatility, config.levy, grid,
-        tol=config.solver["tol"], max_iter=config.solver["max_iter"],
-        explosion_threshold=config.solver["explosion_threshold"])
+    report = solve_fixed_point(a_vals, config.volatility, config.levy, grid,
+                               **config.solver)
     r0_norm = weighted_norms(np.asarray(config.curve(grid.T_nodes()),
                                         dtype=float)[None, :],
                              grid, 0.0).l2_gamma
@@ -213,9 +211,7 @@ def cmd_mc(args, config: RunConfig) -> int:
         eps=config.mc["eps"],
         t_checkpoints=config.mc.get("t_checkpoints"),
         T_checkpoints=config.mc.get("T_checkpoints"),
-        tol=config.solver["tol"], max_iter=config.solver["max_iter"],
-        explosion_threshold=config.solver["explosion_threshold"],
-        threads=args.threads)
+        threads=args.threads, **config.solver)
     out = _out_dir(args, config)
     rows = [(r.t, r.T, r.mean_discounted, r.reference, r.deviation,
              r.std, r.z_score, r.degenerate) for r in report.results]

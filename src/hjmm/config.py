@@ -83,6 +83,7 @@ class RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
+    """Read a JSON run configuration file and validate it like parse_config."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -94,6 +95,7 @@ def load_config(path: str) -> RunConfig:
 
 
 def parse_config(doc: dict) -> RunConfig:
+    """Validate a configuration document and build its run description."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     version = doc.get("version")

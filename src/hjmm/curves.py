@@ -57,6 +57,7 @@ def require_positive_on(curve: InitialCurve, nodes: np.ndarray) -> None:
 
 
 def constant_curve(level: float) -> InitialCurve:
+    """The flat curve f0(T) = level > 0."""
     if level <= 0.0:
         raise DomainError(f"curve level must be positive, got {level}")
     return InitialCurve(
@@ -67,6 +68,7 @@ def constant_curve(level: float) -> InitialCurve:
 
 
 def affine_curve(intercept: float, slope: float) -> InitialCurve:
+    """The line f0(T) = intercept + slope * T."""
     return InitialCurve(
         func=lambda u: intercept + slope * u,
         deriv=lambda u: np.full_like(u, slope),
@@ -75,6 +77,7 @@ def affine_curve(intercept: float, slope: float) -> InitialCurve:
 
 
 def exp_decay_curve(level: float, rate: float) -> InitialCurve:
+    """f0(T) = level * exp(-rate * T) with level > 0 and rate >= 0."""
     if level <= 0.0:
         raise DomainError(f"curve level must be positive, got {level}")
     if rate < 0.0:

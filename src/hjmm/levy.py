@@ -37,7 +37,6 @@ __all__ = [
     "exponent",
     "exponent_derivative",
     "fast_derivative",
-    "small_jump_moment",
     "classify_growth",
     "check_assumptions",
     "log_growth_profile",
@@ -83,12 +82,16 @@ class LevyModelSpec:
 
 
 class Verdict(str, Enum):
+    """Growth regime of J' decided by :func:`classify_growth`."""
+
     EXISTENCE = "ExistenceLogGrowth"
     EXPLOSION = "ExplosionCubicLog"
     INDETERMINATE = "Indeterminate"
 
 
 class Rule(str, Enum):
+    """The classifier rule that decided a verdict."""
+
     NECESSARY = "NecessaryCondition"
     SUBORDINATOR = "Subordinator"
     RHO_GT1 = "TauberianRhoGt1"
@@ -140,11 +143,12 @@ def exponent_derivative(spec: LevyModelSpec, z: float, order: int = 1) -> float:
 
 
 def fast_derivative(spec: LevyModelSpec, order: int = 1):
-    """Vectorized evaluator of J' or J'' for solver-scale workloads.
+    """Vectorized evaluator of J' or J'' on whole arrays of z.
 
     Returns a callable mapping a nonnegative float array to the derivative
-    values.  Built from the measure family's closed form (exact sums for
-    atoms, incomplete gamma and exponential-integral forms for the built-in
+    values; the solver and every checker read J' and J'' through it.
+    Built from the measure family's closed form (exact sums for atoms,
+    incomplete gamma and exponential-integral forms for the built-in
     densities, with a stable-like density's jumps above 1 on a fixed
     Gauss-Legendre rule in ln y); a :class:`UserDensity` has none and uses
     the same rule, built once per measure from one array call of its
@@ -163,13 +167,6 @@ def fast_derivative(spec: LevyModelSpec, order: int = 1):
         return q + part
 
     return evaluate
-
-
-def small_jump_moment(spec: LevyModelSpec, x: float) -> float:
-    """U(x) = int_{(0, x]} y^2 nu(dy), the truncated second moment."""
-    if x < 0.0 or not math.isfinite(x):
-        raise DomainError(f"small_jump_moment requires x >= 0, got {x}")
-    return spec.measure.squared_integral(x)
 
 
 _RHO_REGRESSION_RANGE = (1e-6, 1e-2)

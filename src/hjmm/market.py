@@ -26,7 +26,7 @@ from scipy import integrate
 from .curves import InitialCurve
 from .errors import DomainError, NonPositiveFactor
 from .grids import GridSpec, RateField, cumtrapz
-from .levy import LevyModelSpec, exponent, exponent_derivative
+from .levy import LevyModelSpec, exponent, fast_derivative
 from .paths import field_a, field_b, simulate_path
 from .solver import solve_fixed_point
 from .volatility import VolatilitySpec
@@ -282,7 +282,8 @@ def drift_identity_check(spec: LevyModelSpec, vol: VolatilitySpec,
         int_t^T J'(int_s^u sigma(s, v) dv) sigma(s, u) du
 
     with the antiderivative form J(int_s^T sigma) - J(int_s^t sigma).
-    Both sides use the adaptive-quadrature exponent routines; the
+    J' comes from the vectorized :func:`fast_derivative` on all maturity
+    nodes at once and J from the adaptive-quadrature :func:`exponent`; the
     discrepancy is pure maturity-grid discretization, O(delta^2).
     """
     if not (0.0 <= s <= t <= T <= grid.t_max):
@@ -298,12 +299,10 @@ def drift_identity_check(spec: LevyModelSpec, vol: VolatilitySpec,
     lam_row = np.asarray(vol.standard(grid.t_nodes()[i_s], T_nodes), dtype=float)
     sigma = lam_row * rate_field.values[i_s]
     ct = cumtrapz(sigma, grid.delta, axis=0)
-    inner = ct - ct[i_s]
+    inner = np.maximum(ct - ct[i_s], 0.0)
 
-    cols = np.arange(j_t, j_T + 1)
-    dj_vals = np.array([exponent_derivative(spec, max(inner[j], 0.0), 1)
-                        for j in cols])
+    cols = slice(j_t, j_T + 1)
+    dj_vals = fast_derivative(spec, 1)(inner[cols])
     left = float(np.trapezoid(dj_vals * sigma[cols], dx=grid.delta))
-    right = (exponent(spec, max(inner[j_T], 0.0))
-             - exponent(spec, max(inner[j_t], 0.0)))
+    right = exponent(spec, inner[j_T]) - exponent(spec, inner[j_t])
     return abs(left - right)

@@ -113,11 +113,15 @@ def _quad(f: Callable[[float], float], a: float, b: float, what: str) -> float:
 
 def _layered_quad(f: Callable[[float], float], z: float, a: float, b: float,
                   what: str) -> float:
-    """``_quad`` of f over (a, b), cut at a + 4^k/z, k = 0..3, if b is finite:
-    J and its derivatives change on the scale 1/z next to a, which the first
-    nodes on a long (a, b) miss (an infinite one crowds its nodes at a)."""
-    ends = [a, *(a + c / z for c in (1.0, 4.0, 16.0, 64.0)
-                 if z > 0.0 and a + c / z < b < math.inf), b]
+    """``_quad`` of f over (a, b), cut, if b is finite, at a + 4^k/z
+    (k = 0..3) and, for a > 0, at a 10^k (k >= 1): J and its derivatives
+    change on the scale 1/z next to a, and a power law over decades of
+    (a, b) on every decade; one call on a long (a, b) misses both (an
+    infinite one crowds its nodes at a)."""
+    cuts = [a + c / z for c in (1.0, 4.0, 16.0, 64.0) if z > 0.0]
+    if 0.0 < a < b < math.inf:
+        cuts += [a * 10.0 ** k for k in range(1, math.ceil(math.log10(b / a)))]
+    ends = [a, *sorted(c for c in cuts if a < c < b < math.inf), b]
     return sum(_quad(f, lo, hi, what) for lo, hi in zip(ends, ends[1:]))
 
 

@@ -33,13 +33,9 @@ from .volatility import VolatilitySpec
 __all__ = [
     "JumpPath",
     "simulate_path",
-    "integrate_against_path",
     "field_b",
     "field_a",
 ]
-
-# Default absolute step of the deterministic part of pathwise integrals.
-DEFAULT_STEP = 1.0 / 512.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,28 +81,6 @@ class JumpPath:
         """L(t) = drift_rate * t + sum of jumps up to and including t."""
         k = int(np.searchsorted(self.times, t, side="right"))
         return self.drift_rate * t + float(self.sizes[:k].sum())
-
-    def to_json(self) -> dict:
-        return {
-            "horizon": self.horizon,
-            "drift_rate": self.drift_rate,
-            "times": self.times.tolist(),
-            "sizes": self.sizes.tolist(),
-            "seed": list(self.seed) if isinstance(self.seed, (tuple, list))
-                    else self.seed,
-            "truncation_eps": self.truncation_eps,
-        }
-
-    @classmethod
-    def from_json(cls, doc: dict) -> "JumpPath":
-        return cls(
-            horizon=float(doc["horizon"]),
-            drift_rate=float(doc["drift_rate"]),
-            times=np.asarray(doc["times"], dtype=float),
-            sizes=np.asarray(doc["sizes"], dtype=float),
-            seed=doc.get("seed"),
-            truncation_eps=float(doc.get("truncation_eps", 0.0)),
-        )
 
 
 def simulate_path(spec: LevyModelSpec, t_star: float, seed,
@@ -160,43 +134,6 @@ def simulate_path(spec: LevyModelSpec, t_star: float, seed,
     seed_record = list(seed) if isinstance(seed, (tuple, list, np.ndarray)) else seed
     return JumpPath(horizon=t_star, drift_rate=drift, times=times, sizes=sizes,
                     seed=seed_record, truncation_eps=eps_used)
-
-
-def integrate_against_path(vol: VolatilitySpec, path: JumpPath, t: float,
-                           x: float, *, t_lower: float = 0.0,
-                           step: float = DEFAULT_STEP) -> float:
-    """int_{t_lower}^{t} lambda(s, t - s + x) dL(s).
-
-    In standard coordinates the integrand is lambda(s, T) with the fixed
-    maturity T = t + x, so the drift part is a deterministic integral
-    evaluated by composite trapezoid on panels anchored at multiples of
-    ``step`` (a global anchor, so splitting at an anchored point is exact),
-    and the jump part is an exact sum over jump times in (t_lower, t].
-    """
-    if not 0.0 <= t_lower <= t <= path.horizon + 1e-12:
-        raise DomainError(
-            f"need 0 <= t_lower <= t <= horizon, got ({t_lower}, {t}, {path.horizon})")
-    if x < 0.0:
-        raise DomainError(f"gap x must be >= 0, got {x}")
-    T = t + x
-
-    drift_term = 0.0
-    if t > t_lower:
-        first = math.ceil(t_lower / step - 1e-12)
-        last = math.floor(t / step + 1e-12)
-        interior = step * np.arange(first, last + 1)
-        nodes = np.concatenate(([t_lower], interior[(interior > t_lower + 1e-15)
-                                                    & (interior < t - 1e-15)], [t]))
-        values = vol.standard(nodes, T)
-        drift_term = path.drift_rate * float(np.trapezoid(values, nodes))
-
-    lo = int(np.searchsorted(path.times, t_lower, side="right"))
-    hi = int(np.searchsorted(path.times, t, side="right"))
-    jump_term = 0.0
-    if hi > lo:
-        lam = np.asarray(vol.standard(path.times[lo:hi], T), dtype=float)
-        jump_term = float(np.dot(lam, path.sizes[lo:hi]))
-    return drift_term + jump_term
 
 
 def _jump_prefixes(vol: VolatilitySpec, path: JumpPath,

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DomainError, SecondMomentInfinite, NotTimeOnly
 from .grids import GridSpec, RateField, cumtrapz, flat_extend, gap_integral
 from .levy import LevyModelSpec, fast_derivative
-from .paths import JumpPath
+from .paths import JumpPath, _jump_prefixes
 from .volatility import VolatilitySpec
 
 __all__ = [
@@ -35,7 +35,6 @@ __all__ = [
     "solve_fixed_point",
     "weighted_norms",
     "timeline_norm",
-    "tail_bound",
     "apriori_bound",
     "ContractionReport",
     "uniqueness_contraction_check",
@@ -157,28 +156,58 @@ def weighted_norms(field: RateField | np.ndarray, grid: GridSpec,
                    t: float) -> NormTriple:
     """Weighted norms of the gap slice r(t, .) over x in [0, t_max - t].
 
-    The L2 norm integrates r^2 e^{gamma x} by trapezoid; the H1 norm adds
-    the central-difference derivative term; sup is the plain maximum of
-    |r| on the slice.  Norms are over the truncated range; the analytic
-    tail factor is available via :func:`tail_bound`.
+    The L2 norm sums r^2 against the trapezoid-times-e^{gamma x} weights
+    that :func:`timeline_norm` uses; the H1 norm adds the same sum over the
+    derivative of the slice (second-order differences, first-order on a
+    two-node slice); sup is the plain maximum of |r| on the slice.  Norms
+    are over the truncated range.
     """
     values = field.values if isinstance(field, RateField) else np.asarray(field)
     i = grid.index_of_time(t)
     slice_vals = values[i, i:]
-    return _slice_norms(slice_vals, grid.delta, grid.gamma)
-
-
-def _slice_norms(slice_vals: np.ndarray, delta: float, gamma: float) -> NormTriple:
     n = slice_vals.size
     sup = float(np.max(np.abs(slice_vals))) if n else 0.0
     if n < 2:
         return NormTriple(0.0, 0.0, sup)
-    x = delta * np.arange(n)
-    weight = np.exp(gamma * x)
-    l2_sq = float(np.trapezoid(slice_vals * slice_vals * weight, dx=delta))
-    deriv = np.gradient(slice_vals, delta, edge_order=2 if n > 2 else 1)
-    h1_sq = l2_sq + float(np.trapezoid(deriv * deriv * weight, dx=delta))
-    return NormTriple(math.sqrt(max(l2_sq, 0.0)), math.sqrt(max(h1_sq, 0.0)), sup)
+    weight = _l2_weights(grid)[i, i:]
+    deriv = (_row_gradient(values[i:i + 1, i:], grid.delta)[0] if n > 2
+             else np.diff(slice_vals) / grid.delta)
+    l2_sq = float(np.sum(weight * slice_vals * slice_vals))
+    h1_sq = l2_sq + float(np.sum(weight * deriv * deriv))
+    return NormTriple(math.sqrt(l2_sq), math.sqrt(h1_sq), sup)
+
+
+def _l2_weights(grid: GridSpec) -> np.ndarray:
+    """Weight of cell (i, j) in the slice L2 norm of row i: the trapezoid
+    weight of the gap x = (j - i) delta times e^{gamma x}, zero below the
+    diagonal; a one-node slice (i = n_cols) weighs nothing."""
+    gap = np.arange(grid.n_cols + 1) - np.arange(grid.n_t + 1)[:, None]
+    weight = np.where(gap >= 0, grid.delta
+                      * np.exp(grid.gamma * (grid.delta * gap)), 0.0)
+    weight[gap == 0] *= 0.5
+    weight[:, -1] *= 0.5
+    weight[grid.n_cols:] = 0.0
+    return weight
+
+
+def _row_gradient(values: np.ndarray, dx: float) -> np.ndarray:
+    """Every row i at once: np.gradient(values[i, i:], dx, edge_order=2).
+
+    Row i of the result holds the slice derivative in columns i onward,
+    from numpy's own interior and edge expressions, so bitwise the same;
+    cells below the diagonal, and rows with fewer than 3 cells on or
+    above it, hold no meaningful value.
+    """
+    out = np.zeros_like(values)
+    if values.shape[1] < 3:
+        return out
+    out[:, 1:-1] = (values[:, 2:] - values[:, :-2]) / (2. * dx)
+    out[:, -1] = ((0.5 / dx) * values[:, -3] + (-2. / dx) * values[:, -2]
+                  + (1.5 / dx) * values[:, -1])
+    i = np.arange(min(values.shape[0], values.shape[1] - 2))
+    out[i, i] = ((-1.5 / dx) * values[i, i] + (2. / dx) * values[i, i + 1]
+                 + (-0.5 / dx) * values[i, i + 2])
+    return out
 
 
 def timeline_norm(values: np.ndarray, grid: GridSpec) -> float:
@@ -189,24 +218,8 @@ def timeline_norm(values: np.ndarray, grid: GridSpec) -> float:
     upper = np.triu(values)
     if not np.all(np.isfinite(upper)):
         return math.inf
-    # cell (i, j): trapezoid weight of the gap x = (j - i) delta times
-    # e^{gamma x}; a one-node slice (i = n_cols) weighs nothing
-    gap = np.arange(grid.n_cols + 1) - np.arange(grid.n_t + 1)[:, None]
-    weight = np.where(gap >= 0, grid.delta
-                      * np.exp(grid.gamma * (grid.delta * gap)), 0.0)
-    weight[gap == 0] *= 0.5
-    weight[:, -1] *= 0.5
-    weight[grid.n_cols:] = 0.0
-    return math.sqrt(float(np.max(np.sum(weight * upper * upper, axis=1))))
-
-
-def tail_bound(norm: float, grid: GridSpec, t: float) -> float:
-    """Bound on the mass of the untruncated tail: e^{-gamma X/2} norm / sqrt(gamma).
-
-    X = t_max - t is the truncation length of the slice at time t.
-    """
-    x_len = grid.t_max - t
-    return math.exp(-0.5 * grid.gamma * x_len) * norm / math.sqrt(grid.gamma)
+    return math.sqrt(float(np.max(np.sum(_l2_weights(grid) * upper * upper,
+                                         axis=1))))
 
 
 def apriori_bound(spec: LevyModelSpec, vol: VolatilitySpec, grid: GridSpec,
@@ -329,65 +342,48 @@ def strong_residual(field: RateField, vol: VolatilitySpec, spec: LevyModelSpec,
                     path: JumpPath, grid: GridSpec) -> StrongResidualReport:
     """Check the solved field against the strong form of the dynamics.
 
-    Between consecutive jumps the forward-difference in time is compared
+    On every jump-free time panel [t_i, t_{i+1}] whose slice has at least
+    3 nodes, the forward difference in time at fixed gap x is compared
     with delta times the drift
     d_x r + J'(int_0^x lambda r dv) lambda r + lambda c r (c the path
-    drift rate); across each jump the factor 1 + lambda(s) dL that the
-    path's prefix sums carry into the factor field is compared with its
-    direct value (a check of the path data at rounding level, which does
-    not read the solved field); and the analytic identity for d_x r in
-    terms of J'' is checked on the grid.  Volatility must be time-only.
+    drift rate, d_x r by second-order differences along the slice), all
+    panels in one array; across each jump the factor 1 + lambda(s) dL that
+    the path's prefix sums carry into the factor field is compared with
+    its direct value (a check of the path data at rounding level, which
+    does not read the solved field); and the analytic identity for d_x r
+    in terms of J'' is checked on the interior cells of every slice with
+    at least 4 nodes.  Volatility must be time-only.
     """
     if not vol.time_only:
         raise NotTimeOnly("the strong form needs maturity-independent volatility")
     values = field.values
     dx = grid.delta
-    lam_t = np.asarray(vol.standard(grid.t_nodes(), 0.0), dtype=float)
-    dj = fast_derivative(spec, 1)
-    ddj = fast_derivative(spec, 2)
-
-    inner = gap_integral(values * lam_t[:, None], dx)
-
     t_nodes = grid.t_nodes()
-    residuals = []
-    n_panels = 0
-    for i in range(grid.n_t):
-        t_lo, t_hi = t_nodes[i], t_nodes[i + 1]
-        k_lo = np.searchsorted(path.times, t_lo, side="right")
-        k_hi = np.searchsorted(path.times, t_hi, side="right")
-        if k_hi > k_lo:
-            continue
-        n_panels += 1
-        sl = values[i, i:]
-        if sl.size < 3:
-            continue
-        d_slice = np.gradient(sl, dx, edge_order=2)
-        gap_arg = inner[i, i:]
-        drift = (d_slice + dj(gap_arg) * lam_t[i] * sl
-                 + lam_t[i] * path.drift_rate * sl)
-        # same gap coordinate x on both rows: column shifts by one with the row
-        fwd = (values[i + 1, i + 1:] - values[i, i:-1]) / dx
-        res = fwd - drift[:-1]
-        residuals.append(np.abs(res))
+    lam = np.asarray(vol.standard(t_nodes, 0.0), dtype=float)[:, None]
+    inner = gap_integral(values * lam, dx)
+    d_x = _row_gradient(values, dx)
 
-    if residuals:
-        all_res = np.concatenate(residuals)
-        t_max_res = float(np.max(all_res))
-        t_mean_res = float(np.mean(all_res))
-    else:
-        t_max_res = t_mean_res = math.nan
+    drift = (d_x + fast_derivative(spec, 1)(inner) * lam * values
+             + lam * path.drift_rate * values)
+    # same gap coordinate x on both rows: column shifts by one with the row
+    fwd = (values[1:, 1:] - values[:-1, :-1]) / dx
+    counts = np.searchsorted(path.times, t_nodes, side="right")
+    jump_free = counts[1:] == counts[:-1]
+    i = np.arange(grid.n_t)[:, None]
+    checked = (jump_free[:, None] & (i <= grid.n_cols - 2)
+               & (i <= np.arange(grid.n_cols)))
+    res = np.abs(fwd - drift[:-1, :-1])[checked]
 
-    jump_err = _jump_relation_error(vol, path, grid)
-    dx_max, dx_mean = _dx_identity_residual(values, lam_t, ddj, inner, grid)
-
+    dx_res = _dx_identity_residual(values, lam, fast_derivative(spec, 2),
+                                   inner, d_x, grid)
     return StrongResidualReport(
         delta=dx,
-        time_residual_max=t_max_res,
-        time_residual_mean=t_mean_res,
-        panels_checked=n_panels,
-        jump_relation_max_error=jump_err,
-        dx_identity_max=dx_max,
-        dx_identity_mean=dx_mean,
+        time_residual_max=float(np.max(res)) if res.size else math.nan,
+        time_residual_mean=float(np.mean(res)) if res.size else math.nan,
+        panels_checked=int(np.count_nonzero(jump_free)),
+        jump_relation_max_error=_jump_relation_error(vol, path, grid),
+        dx_identity_max=float(np.max(dx_res)) if dx_res.size else math.nan,
+        dx_identity_mean=float(np.mean(dx_res)) if dx_res.size else math.nan,
     )
 
 
@@ -397,48 +393,29 @@ def _jump_relation_error(vol: VolatilitySpec, path: JumpPath,
 
     Across the k-th jump the exponent sum(a) + sum(log1p(a) - a) of the
     factor field, a = lambda(s, T) dL, grows by log1p(a_k); the exponential
-    of that growth is compared with 1 + a_k on every maturity node.  Only
-    the path and the volatility are read, so the error is the rounding of
-    the log1p/exp round trip.
+    of that growth (consecutive rows of the prefix sums that
+    :func:`field_b` reads) is compared with 1 + a_k on every maturity node.
+    Only the path and the volatility are read, so the error is the
+    rounding of the log1p/exp round trip.
     """
-    if path.n_jumps == 0:
-        return 0.0
-    T_nodes = grid.T_nodes()
-    worst = 0.0
-    lam_jump = vol.matrix(path.times, T_nodes)
-    a = lam_jump * path.sizes[:, None]
-    log_stoch = np.cumsum(a, axis=0)
-    log_corr = np.cumsum(np.log1p(a) - a, axis=0)
-    for k in range(path.n_jumps):
-        before = (log_stoch[k - 1] + log_corr[k - 1]) if k else np.zeros_like(T_nodes)
-        after = log_stoch[k] + log_corr[k]
-        with np.errstate(over="ignore"):
-            ratio = np.exp(after - before)
-        expected = 1.0 + a[k]
-        rel = np.max(np.abs(ratio - expected) / np.abs(expected))
-        worst = max(worst, float(rel))
-    return worst
+    _, stoch, corr = _jump_prefixes(vol, path, grid)
+    log_b = stoch + corr
+    with np.errstate(over="ignore"):
+        ratio = np.exp(log_b[1:] - log_b[:-1])
+    expected = 1.0 + (vol.matrix(path.times, grid.T_nodes())
+                      * path.sizes[:, None])
+    return float(np.max(np.abs(ratio - expected) / np.abs(expected),
+                        initial=0.0))
 
 
-def _dx_identity_residual(values: np.ndarray, lam_t: np.ndarray, ddj,
-                          inner: np.ndarray, grid: GridSpec) -> tuple[float, float]:
-    """Residual of d_x r = r (f0'/f0 + int_0^t J''(...) lambda^2 r ds)."""
-    dx = grid.delta
-    row0 = values[0]
-    g0 = np.gradient(row0, dx, edge_order=2) / row0
-    kern = ddj(inner) * (lam_t ** 2)[:, None] * values
-    integral = cumtrapz(kern, dx, axis=0)
-    worst = 0.0
-    total = 0.0
-    count = 0
-    for i in range(grid.n_t + 1):
-        sl = values[i, i:]
-        if sl.size < 4:
-            continue
-        d_slice = np.gradient(sl, dx, edge_order=2)
-        rhs = sl * (g0[i:] + integral[i, i:])
-        res = np.abs(d_slice - rhs)[1:-1]
-        worst = max(worst, float(np.max(res)))
-        total += float(np.sum(res))
-        count += res.size
-    return worst, (total / count if count else math.nan)
+def _dx_identity_residual(values: np.ndarray, lam: np.ndarray, ddj,
+                          inner: np.ndarray, d_x: np.ndarray,
+                          grid: GridSpec) -> np.ndarray:
+    """|d_x r - r (f0'/f0 + int_0^t J''(...) lambda^2 r ds)| on the interior
+    cells of every slice with at least 4 nodes."""
+    kern = ddj(inner) * (lam ** 2) * values
+    integral = cumtrapz(kern, grid.delta, axis=0)
+    res = np.abs(d_x - values * (d_x[0] / values[0] + integral))
+    i = np.arange(grid.n_t + 1)[:, None]
+    j = np.arange(grid.n_cols + 1)
+    return res[(i <= grid.n_cols - 3) & (i < j) & (j < grid.n_cols)]

@@ -18,7 +18,7 @@ from .config import RunConfig
 from .errors import UnsupportedSpec
 from .grids import GridSpec, RateField
 from .levy import exponent_derivative, fast_derivative
-from .paths import field_a, field_b, simulate_path
+from .paths import JumpPath, field_a, field_b, simulate_path
 from .solver import (solve_fixed_point, strong_residual,
                      uniqueness_contraction_check)
 
@@ -39,6 +39,8 @@ class SuiteResult:
 
 @dataclass
 class VerificationReport:
+    """The results of :func:`run_all`, one per suite."""
+
     suites: list
 
     @property
@@ -46,23 +48,24 @@ class VerificationReport:
         return all(s.passed for s in self.suites)
 
 
-def _solve_on(config: RunConfig, grid: GridSpec, seed, initial=None):
-    path = simulate_path(config.levy, grid.t_star, seed,
+def _simulate(config: RunConfig, seed) -> JumpPath:
+    return simulate_path(config.levy, config.grid.t_star, seed,
                          eps=config.mc["eps"])
+
+
+def _solve_on(config: RunConfig, grid: GridSpec, path: JumpPath):
     b_vals = field_b(config.volatility, path, grid)
     a_vals = field_a(config.curve, b_vals, grid)
-    report = solve_fixed_point(
-        a_vals, config.volatility, config.levy, grid,
-        tol=config.solver["tol"], max_iter=config.solver["max_iter"],
-        explosion_threshold=config.solver["explosion_threshold"],
-        initial=initial)
-    return path, a_vals, report
+    report = solve_fixed_point(a_vals, config.volatility, config.levy, grid,
+                               **config.solver)
+    return a_vals, report
 
 
 def suite_monotone_iterates(config: RunConfig, seed: int) -> SuiteResult:
     """Iterates from zero must grow pointwise and converge."""
     try:
-        _, _, report = _solve_on(config, config.grid, [seed, 0])
+        _, report = _solve_on(config, config.grid,
+                              _simulate(config, [seed, 0]))
     except UnsupportedSpec as exc:
         return SuiteResult("monotone_iterates", True, note=f"skipped: {exc}")
     worst = min(report.increment_mins) if report.increment_mins else 0.0
@@ -143,8 +146,7 @@ def suite_jump_factor_positive(config: RunConfig, seed: int) -> SuiteResult:
     worst = math.inf
     try:
         for k in range(5):
-            path = simulate_path(config.levy, config.grid.t_star,
-                                 [seed, 1000 + k], eps=config.mc["eps"])
+            path = _simulate(config, [seed, 1000 + k])
             b_vals = field_b(config.volatility, path, config.grid)
             if not np.all(np.isfinite(b_vals)):
                 return SuiteResult("jump_factor_positive", False,
@@ -170,15 +172,9 @@ def suite_strong_residual(config: RunConfig, seed: int) -> SuiteResult:
     maxima = []
     jump_err = 0.0
     try:
-        path = simulate_path(config.levy, config.grid.t_star, [seed, 2000],
-                             eps=config.mc["eps"])
+        path = _simulate(config, [seed, 2000])
         for g in grids:
-            b_vals = field_b(config.volatility, path, g)
-            a_vals = field_a(config.curve, b_vals, g)
-            report = solve_fixed_point(
-                a_vals, config.volatility, config.levy, g,
-                tol=config.solver["tol"], max_iter=config.solver["max_iter"],
-                explosion_threshold=config.solver["explosion_threshold"])
+            _, report = _solve_on(config, g, path)
             if not report.converged:
                 return SuiteResult("strong_residual", False,
                                    details={"status": report.status})
@@ -207,18 +203,16 @@ def suite_strong_residual(config: RunConfig, seed: int) -> SuiteResult:
 def suite_two_start(config: RunConfig, seed: int) -> SuiteResult:
     """Restarting from twice the fixed point must land on the same field."""
     try:
-        _, a_vals, first = _solve_on(config, config.grid, [seed, 3000])
+        a_vals, first = _solve_on(config, config.grid,
+                                  _simulate(config, [seed, 3000]))
     except UnsupportedSpec as exc:
         return SuiteResult("two_start", True, note=f"skipped: {exc}")
     if not first.converged:
         return SuiteResult("two_start", False,
                            details={"status": first.status})
     doubled = RateField(2.0 * first.final_field.values, config.grid)
-    second = solve_fixed_point(
-        a_vals, config.volatility, config.levy, config.grid,
-        tol=config.solver["tol"], max_iter=config.solver["max_iter"],
-        explosion_threshold=config.solver["explosion_threshold"],
-        initial=doubled)
+    second = solve_fixed_point(a_vals, config.volatility, config.levy,
+                               config.grid, initial=doubled, **config.solver)
     if not second.converged:
         return SuiteResult("two_start", False,
                            details={"status": second.status})
@@ -233,6 +227,7 @@ def suite_two_start(config: RunConfig, seed: int) -> SuiteResult:
 
 
 def run_all(config: RunConfig, seed: int = 0) -> VerificationReport:
+    """Run every invariant suite on the configured model."""
     suites = [
         suite_monotone_iterates(config, seed),
         suite_norm_embeddings(config, seed),

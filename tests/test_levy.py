@@ -19,7 +19,6 @@ from hjmm.levy import (
     fast_derivative,
     gamma_subordinator,
     log_growth_profile,
-    small_jump_moment,
 )
 from hjmm.measures import GammaLike, PointMasses, StableLike, UserDensity
 from hjmm.volatility import constant_volatility
@@ -104,11 +103,6 @@ def test_exponent_first_derivative_nondecreasing() -> None:
     z = np.geomspace(1e-3, 30.0, 40)
     vals = fast_derivative(spec, 1)(z)
     assert np.all(np.diff(vals) >= -1e-14)
-
-
-def test_small_jump_moment_passthrough() -> None:
-    spec = LevyModelSpec(0.0, 0.0, StableLike(c=1.0, alpha=1.5, y_max=1.0))
-    assert abs(small_jump_moment(spec, 0.25) - 0.25 ** 0.5 / 0.5) < 1e-12
 
 
 def test_domain_checks() -> None:

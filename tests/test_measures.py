@@ -166,6 +166,21 @@ class TestStableLike:
             got = float(nu.derivative_measure_part(np.array(0.0), order))
             assert abs(got - want) <= 1e-12 * abs(want)
 
+    def test_quadrature_route_over_eight_decades(self) -> None:
+        # the power law y^(-alpha) on [1, 1e8]: one quad call over eight
+        # decades does not converge at small z
+        c, alpha, y_max = 0.8, 1.3, 1e8
+        nu = StableLike(c=c, alpha=alpha, y_max=y_max)
+        exact = (-c * (y_max ** (1.0 - alpha) - 1.0) / (1.0 - alpha),
+                 c * y_max ** (2.0 - alpha) / (2.0 - alpha))
+        for order, want in zip((1, 2), exact):
+            assert nu.piece_derivatives(0.0, order) == pytest.approx(
+                want, rel=1e-12, abs=0.0)
+            for z in (0.0, 1e-6, 1e-3, 3.0):
+                fast = float(nu.derivative_measure_part(np.array(z), order))
+                assert nu.piece_derivatives(z, order) == pytest.approx(
+                    fast, rel=1e-12, abs=0.0), (z, order)
+
     @pytest.mark.parametrize("alpha", [0.5, 1.5])
     def test_quadrature_route_matches_closed_form_up_to_large_z(
             self, alpha) -> None:

@@ -21,17 +21,55 @@ from hjmm.paths import (
     JumpPath,
     field_a,
     field_b,
-    integrate_against_path,
     simulate_path,
 )
 from hjmm.volatility import (VolatilitySpec, constant_volatility,
                              time_affine_volatility)
 
 PRODUCT_IDENTITY_RTOL = 1e-12
+# absolute step of the drift part of the pathwise integral oracle
+_ORACLE_STEP = 1.0 / 512.0
 
 
 def _grid(delta=0.125) -> GridSpec:
     return GridSpec(delta, 1.0, 2.0, 1.0)
+
+
+def _integrate_against_path(vol: VolatilitySpec, path: JumpPath, t: float,
+                            x: float, *, t_lower: float = 0.0,
+                            step: float = _ORACLE_STEP) -> float:
+    """int_{t_lower}^{t} lambda(s, t - s + x) dL(s), an oracle for field_b.
+
+    In standard coordinates the integrand is lambda(s, T) with the fixed
+    maturity T = t + x, so the drift part is a deterministic integral
+    evaluated by composite trapezoid on panels anchored at multiples of
+    ``step`` (a global anchor, so splitting at an anchored point is exact),
+    and the jump part is an exact sum over jump times in (t_lower, t].
+    """
+    if not 0.0 <= t_lower <= t <= path.horizon + 1e-12:
+        raise DomainError(f"need 0 <= t_lower <= t <= horizon, got "
+                          f"({t_lower}, {t}, {path.horizon})")
+    if x < 0.0:
+        raise DomainError(f"gap x must be >= 0, got {x}")
+    T = t + x
+
+    drift_term = 0.0
+    if t > t_lower:
+        first = math.ceil(t_lower / step - 1e-12)
+        last = math.floor(t / step + 1e-12)
+        interior = step * np.arange(first, last + 1)
+        inside = (interior > t_lower + 1e-15) & (interior < t - 1e-15)
+        nodes = np.concatenate(([t_lower], interior[inside], [t]))
+        values = vol.standard(nodes, T)
+        drift_term = path.drift_rate * float(np.trapezoid(values, nodes))
+
+    lo = int(np.searchsorted(path.times, t_lower, side="right"))
+    hi = int(np.searchsorted(path.times, t, side="right"))
+    jump_term = 0.0
+    if hi > lo:
+        lam = np.asarray(vol.standard(path.times[lo:hi], T), dtype=float)
+        jump_term = float(np.dot(lam, path.sizes[lo:hi]))
+    return drift_term + jump_term
 
 
 class TestJumpPath:
@@ -54,19 +92,6 @@ class TestJumpPath:
         with pytest.raises(DomainError):
             JumpPath(horizon=1.0, drift_rate=0.0,
                      times=np.array([0.5]), sizes=np.array([0.0]))
-
-    def test_json_roundtrip(self) -> None:
-        path = JumpPath(horizon=2.0, drift_rate=-0.3,
-                        times=np.array([0.4, 1.9]),
-                        sizes=np.array([0.2, 0.7]),
-                        seed=[17, 3], truncation_eps=1e-3)
-        back = JumpPath.from_json(path.to_json())
-        assert back.horizon == path.horizon
-        assert back.drift_rate == path.drift_rate
-        np.testing.assert_array_equal(back.times, path.times)
-        np.testing.assert_array_equal(back.sizes, path.sizes)
-        assert back.seed == [17, 3]
-        assert back.truncation_eps == 1e-3
 
 
 class TestSimulatePath:
@@ -129,7 +154,7 @@ class TestIntegrateAgainstPath:
         vol = constant_volatility(0.2)
         path = JumpPath(horizon=1.0, drift_rate=3.0, times=np.empty(0),
                         sizes=np.empty(0))
-        got = integrate_against_path(vol, path, 0.8, 0.5)
+        got = _integrate_against_path(vol, path, 0.8, 0.5)
         assert got == pytest.approx(3.0 * 0.2 * 0.8, rel=1e-12)
 
     def test_drift_part_affine_vol_exact(self) -> None:
@@ -139,7 +164,7 @@ class TestIntegrateAgainstPath:
                         sizes=np.empty(0))
         t = 0.75
         exact = 2.0 * (0.2 * t + 0.05 * t * t)
-        assert integrate_against_path(vol, path, t, 0.0) == pytest.approx(
+        assert _integrate_against_path(vol, path, t, 0.0) == pytest.approx(
             exact, rel=1e-12)
 
     def test_jump_part_exact_sum(self) -> None:
@@ -149,7 +174,7 @@ class TestIntegrateAgainstPath:
                         sizes=np.array([1.0, 2.0]))
         t, x = 0.7, 0.25
         expected = (0.2 + 0.1 * 0.3) * 1.0 + (0.2 + 0.1 * 0.6) * 2.0
-        assert integrate_against_path(vol, path, t, x) == pytest.approx(
+        assert _integrate_against_path(vol, path, t, x) == pytest.approx(
             expected, rel=1e-14)
 
     def test_additive_over_anchored_split(self) -> None:
@@ -157,9 +182,9 @@ class TestIntegrateAgainstPath:
         spec = gamma_subordinator(0.5, 2.0)
         path = simulate_path(spec, 1.0, [9, 0], eps=1e-3)
         t, x, s = 0.875, 0.5, 0.25
-        whole = integrate_against_path(vol, path, t, x)
-        left = integrate_against_path(vol, path, s, t - s + x)
-        right = integrate_against_path(vol, path, t, x, t_lower=s)
+        whole = _integrate_against_path(vol, path, t, x)
+        left = _integrate_against_path(vol, path, s, t - s + x)
+        right = _integrate_against_path(vol, path, t, x, t_lower=s)
         assert whole == pytest.approx(left + right, rel=1e-12, abs=1e-14)
 
 
@@ -217,7 +242,7 @@ class TestFieldB:
 
     def test_log_factor_matches_pathwise_integral(self) -> None:
         # log b = int_0^t lambda(s, T) dL(s) + sum_{s_k <= t} [log1p(lambda dL)
-        # - lambda dL]; integrate_against_path is an independent route to the
+        # - lambda dL]; _integrate_against_path is an independent route to the
         # integral, on drift and jumps together with maturity-dependent lambda
         g = GridSpec(1.0 / 16.0, 1.0, 2.0, 1.0)
         vol = VolatilitySpec(
@@ -236,7 +261,7 @@ class TestFieldB:
                     continue
                 a = np.array([vol.standard(s, T) * dl for s, dl
                               in zip(path.times, path.sizes) if s <= t])
-                expected = (integrate_against_path(vol, path, t, T - t)
+                expected = (_integrate_against_path(vol, path, t, T - t)
                             + float(np.sum(np.log1p(a) - a)))
                 worst = max(worst, abs(log_b[i, j] - expected))
         assert worst <= 1e-12

@@ -12,18 +12,20 @@ import pytest
 
 from hjmm.curves import affine_curve, constant_curve, exp_decay_curve
 from hjmm.errors import DomainError, NotTimeOnly, SecondMomentInfinite
-from hjmm.grids import GridSpec, RateField, flat_extend
-from hjmm.levy import LevyModelSpec, drift_only, gamma_subordinator
+from hjmm.grids import (GridSpec, RateField, cumtrapz, flat_extend,
+                        gap_integral)
+from hjmm.levy import (LevyModelSpec, drift_only, fast_derivative,
+                       gamma_subordinator)
 from hjmm.measures import PointMasses, StableLike, UserDensity
 from hjmm.paths import JumpPath, field_a, field_b, simulate_path
 from hjmm.solver import (
     STATUS_CONVERGED,
     STATUS_EXPLODED,
+    _row_gradient,
     apply_K,
     apriori_bound,
     solve_fixed_point,
     strong_residual,
-    tail_bound,
     timeline_norm,
     uniqueness_contraction_check,
     weighted_norms,
@@ -203,11 +205,16 @@ class TestNorms:
         assert timeline_norm(field.values, grid) == pytest.approx(
             expected, rel=1e-13)
 
-    def test_tail_bound_formula(self) -> None:
-        grid = _grid()
-        got = tail_bound(3.0, grid, 0.5)
-        expected = math.exp(-0.5 * grid.gamma * 1.5) * 3.0
-        assert got == pytest.approx(expected, rel=1e-14)
+
+@pytest.mark.parametrize("t_max", [1.0, 1.5])
+def test_row_gradient_matches_numpy_per_slice(t_max) -> None:
+    grid = GridSpec(0.125, 1.0, t_max, 1.0)
+    rng = np.random.default_rng(5)
+    values = rng.uniform(0.1, 2.0, size=(grid.n_t + 1, grid.n_cols + 1))
+    got = _row_gradient(values, grid.delta)
+    for i in range(min(grid.n_t + 1, grid.n_cols - 1)):
+        np.testing.assert_array_equal(
+            got[i, i:], np.gradient(values[i, i:], grid.delta, edge_order=2))
 
 
 class TestAprioriBound:
@@ -316,6 +323,59 @@ class TestStrongResidual:
             residuals.append(rep.time_residual_max)
             assert rep.jump_relation_max_error == 0.0
         assert residuals[0] / residuals[1] >= 1.5
+
+    def test_dx_identity_residual_is_second_order(self) -> None:
+        # d_x r = r (f0'/f0 + int J'' lambda^2 r ds) holds up to the O(delta^2)
+        # error of the differences and the trapezoid rule
+        spec = gamma_subordinator(0.5, 2.0)
+        path = simulate_path(spec, 1.0, [31, 0])
+        maxima = []
+        for delta in (1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0):
+            grid = GridSpec(delta, 1.0, 2.0, 1.0)
+            spec, vol, field = self._solve_with_path(grid, path)
+            rep = strong_residual(field, vol, spec, path, grid)
+            assert 0.0 < rep.dx_identity_mean <= rep.dx_identity_max
+            maxima.append(rep.dx_identity_max)
+        assert maxima[0] / maxima[1] >= 3.0
+        assert maxima[1] / maxima[2] >= 3.0
+
+    @pytest.mark.parametrize("t_max", [1.0, 2.0])
+    def test_whole_array_residuals_match_per_slice_loop(self, t_max) -> None:
+        # reference: one np.gradient per slice and per-panel jump checks;
+        # the arithmetic per cell is the same, so everything but the
+        # summation order of the d_x mean agrees bitwise
+        grid = GridSpec(1.0 / 16.0, 1.0, t_max, 1.0)
+        path = simulate_path(gamma_subordinator(0.5, 2.0), 1.0, [31, 0])
+        spec, vol, field = self._solve_with_path(grid, path)
+        rep = strong_residual(field, vol, spec, path, grid)
+
+        r, dx, t = field.values, grid.delta, grid.t_nodes()
+        lam = np.asarray(vol.standard(t, 0.0), dtype=float)
+        inner = gap_integral(r * lam[:, None], dx)
+        dj, ddj = fast_derivative(spec, 1), fast_derivative(spec, 2)
+        integral = cumtrapz(ddj(inner) * (lam ** 2)[:, None] * r, dx, axis=0)
+        g0 = np.gradient(r[0], dx, edge_order=2) / r[0]
+        jump_free = [not np.any((path.times > t[i]) & (path.times <= t[i + 1]))
+                     for i in range(grid.n_t)]
+        time_res, dx_res = [], []
+        for i in range(min(grid.n_t + 1, grid.n_cols - 1)):
+            sl = r[i, i:]
+            d_sl = np.gradient(sl, dx, edge_order=2)
+            if i < grid.n_t and jump_free[i]:
+                drift = (d_sl + dj(inner[i, i:]) * lam[i] * sl
+                         + lam[i] * path.drift_rate * sl)
+                fwd = (r[i + 1, i + 1:] - r[i, i:-1]) / dx
+                time_res.append(np.abs(fwd - drift[:-1]))
+            if sl.size >= 4:
+                dx_res.append(
+                    np.abs(d_sl - sl * (g0[i:] + integral[i, i:]))[1:-1])
+        time_res, dx_res = np.concatenate(time_res), np.concatenate(dx_res)
+        assert path.n_jumps and rep.panels_checked == sum(jump_free)
+        assert rep.time_residual_max == np.max(time_res)
+        assert rep.time_residual_mean == np.mean(time_res)
+        assert rep.dx_identity_max == np.max(dx_res)
+        assert rep.dx_identity_mean == pytest.approx(np.mean(dx_res),
+                                                     rel=1e-14)
 
     def test_jump_relation_holds_at_jumps(self) -> None:
         grid = _grid()
