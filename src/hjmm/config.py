@@ -10,13 +10,17 @@ standing assumptions and reports violations by their labels:
     (A3) the volatility factor is bounded away from zero and infinity
          with a bounded maturity derivative,
     (A4) the jump measure integrates min(y^2, y).
+
+Each tagged object (measure family, volatility term kind, curve family)
+maps its tag to a builder and the keys it reads; the volatility's term
+builders and its (A3) constants come from ``volatility``.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,10 +31,10 @@ from .grids import GridSpec
 from .levy import LevyModelSpec, check_assumptions
 from .measures import (GammaLike, MeasureFamily, PointMasses, StableLike,
                        UserDensity)
-from .volatility import VolatilitySpec
+from .volatility import (VolatilitySpec, constant_term, exp_decay_term,
+                         sample_bounds, time_affine_term, unit_factor)
 
-__all__ = ["RunConfig", "load_config", "parse_config", "default_solver_settings",
-           "default_mc_settings", "default_output_settings"]
+__all__ = ["RunConfig", "load_config", "parse_config"]
 
 SCHEMA_VERSION = 1
 
@@ -41,31 +45,29 @@ _EXPR_NAMES = {
 }
 
 
-# the document's sections and the keys each measure family, volatility
-# kind and curve family reads; parse_config rejects any other key
+# the document's sections, and for each tag of a tagged object its
+# builder and the keys it reads; parse_config rejects any other key.  A
+# tag whose keys are all numbers is built from them in key order,
+# point_masses, user_density and table by their own branches.
 _SECTIONS = ("version", "levy", "volatility", "initial_curve", "grid",
              "solver", "mc", "outputs")
-_MEASURE_KEYS = {"point_masses": ("atoms",),
-                 "stable_like": ("c", "alpha", "y_max"),
-                 "gamma_like": ("c", "beta"),
-                 "user_density": ("expression", "a4_certified")}
-_TERM_KEYS = {"constant": ("level",), "time_affine": ("intercept", "slope"),
-              "exp_decay": ("level", "rate")}
-_CURVE_KEYS = {"constant": ("level",), "affine": ("intercept", "slope"),
-               "exponential_decay": ("level", "rate"), "table": ("points",)}
+_MEASURES = {"point_masses": (PointMasses, ("atoms",)),
+             "stable_like": (StableLike, ("c", "alpha", "y_max")),
+             "gamma_like": (GammaLike, ("c", "beta")),
+             "user_density": (UserDensity, ("expression", "a4_certified"))}
+_TERMS = {"constant": (constant_term, ("level",)),
+          "time_affine": (time_affine_term, ("intercept", "slope")),
+          "exp_decay": (exp_decay_term, ("level", "rate"))}
+_CURVES = {"constant": (constant_curve, ("level",)),
+           "affine": (affine_curve, ("intercept", "slope")),
+           "exponential_decay": (exp_decay_curve, ("level", "rate")),
+           "table": (table_curve, ("points",))}
 
-
-def default_solver_settings() -> dict:
-    return {"tol": 1e-9, "max_iter": 200, "explosion_threshold": 1e8}
-
-
-def default_mc_settings() -> dict:
-    return {"n_paths": 100, "master_seed": 0, "eps": 1e-3,
-            "t_checkpoints": None, "T_checkpoints": None}
-
-
-def default_output_settings() -> dict:
-    return {"directory": ".", "write_csv": True}
+# the settings of the optional sections, each updated by its section
+_SOLVER_DEFAULTS = {"tol": 1e-9, "max_iter": 200, "explosion_threshold": 1e8}
+_MC_DEFAULTS = {"n_paths": 100, "master_seed": 0, "eps": 1e-3,
+                "t_checkpoints": None, "T_checkpoints": None}
+_OUTPUT_DEFAULTS = {"directory": ".", "write_csv": True}
 
 
 @dataclass
@@ -76,10 +78,10 @@ class RunConfig:
     volatility: VolatilitySpec
     curve: InitialCurve
     grid: GridSpec
-    solver: dict = field(default_factory=default_solver_settings)
-    mc: dict = field(default_factory=default_mc_settings)
-    outputs: dict = field(default_factory=default_output_settings)
-    raw: dict = field(default_factory=dict)
+    solver: dict
+    mc: dict
+    outputs: dict
+    raw: dict
 
 
 def load_config(path: str) -> RunConfig:
@@ -129,20 +131,20 @@ def parse_config(doc: dict) -> RunConfig:
             f"small-jump part {report.a4_square_integral:g}, "
             f"tail part {report.a4_tail_integral:g}")
 
-    solver = _section(doc, "solver", default_solver_settings())
+    solver = _section(doc, "solver", _SOLVER_DEFAULTS)
     _require_positive_number(solver, "tol")
     _require_positive_number(solver, "explosion_threshold")
     if not _is_int(solver.get("max_iter")) or solver["max_iter"] < 1:
         raise ConfigError("solver.max_iter must be a positive integer")
 
-    mc = _section(doc, "mc", default_mc_settings())
+    mc = _section(doc, "mc", _MC_DEFAULTS)
     if not _is_int(mc.get("n_paths")) or mc["n_paths"] < 1:
         raise ConfigError("mc.n_paths must be a positive integer")
     if not _is_int(mc.get("master_seed")) or mc["master_seed"] < 0:
         raise ConfigError("mc.master_seed must be a nonnegative integer")
     _require_positive_number(mc, "eps")
 
-    outputs = _section(doc, "outputs", default_output_settings())
+    outputs = _section(doc, "outputs", _OUTPUT_DEFAULTS)
 
     return RunConfig(levy=levy, volatility=vol, curve=curve, grid=grid,
                      solver=solver, mc=mc, outputs=outputs, raw=doc)
@@ -173,8 +175,14 @@ def _tagged_keys(sec: dict, tag: str, table: dict, context: str) -> str:
     if not isinstance(name, str) or name not in table:
         raise ConfigError(f"{context}: unknown {tag} {name!r}; expected one "
                           f"of {', '.join(table)}")
-    _require_known_keys(sec, (tag,) + table[name], f"{context} {name}")
+    _require_known_keys(sec, (tag,) + table[name][1], f"{context} {name}")
     return name
+
+
+def _build(sec: dict, entry: tuple, context: str):
+    """The builder of a table entry, called with the numbers of its keys."""
+    builder, keys = entry
+    return builder(*(_get_number(sec, key, context) for key in keys))
 
 
 def _is_int(val) -> bool:
@@ -222,7 +230,7 @@ def _parse_grid(sec: dict) -> GridSpec:
 
 
 def _parse_measure(sec: dict) -> MeasureFamily:
-    family = _tagged_keys(sec, "family", _MEASURE_KEYS, "levy.measure")
+    family = _tagged_keys(sec, "family", _MEASURES, "levy.measure")
     try:
         if family == "point_masses":
             atoms = sec.get("atoms")
@@ -230,14 +238,9 @@ def _parse_measure(sec: dict) -> MeasureFamily:
                 raise ConfigError("point_masses: 'atoms' must be a list of "
                                   "[size, weight] pairs")
             return PointMasses(tuple((float(y), float(w)) for y, w in atoms))
-        if family == "stable_like":
-            return StableLike(c=_get_number(sec, "c", "stable_like"),
-                              alpha=_get_number(sec, "alpha", "stable_like"),
-                              y_max=_get_number(sec, "y_max", "stable_like"))
-        if family == "gamma_like":
-            return GammaLike(c=_get_number(sec, "c", "gamma_like"),
-                             beta=_get_number(sec, "beta", "gamma_like"))
-        return _parse_user_density(sec)
+        if family == "user_density":
+            return _parse_user_density(sec)
+        return _build(sec, _MEASURES[family], family)
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:
@@ -307,40 +310,6 @@ def _parse_levy(sec: dict) -> LevyModelSpec:
         raise ConfigError(f"levy: {exc}") from exc
 
 
-def _ones(T):
-    return np.ones_like(np.asarray(T, dtype=float))
-
-
-def _build_term(term: dict, n: int):
-    context = f"volatility.terms[{n}]"
-    kind = _tagged_keys(term, "kind", _TERM_KEYS, context)
-    if kind == "constant":
-        level = _get_number(term, "level", context)
-
-        def a_const(t):
-            return np.full_like(np.asarray(t, dtype=float), level)
-
-        return a_const, _ones
-    if kind == "time_affine":
-        intercept = _get_number(term, "intercept", context)
-        slope = _get_number(term, "slope", context)
-
-        def a_affine(t):
-            return intercept + slope * np.asarray(t, dtype=float)
-
-        return a_affine, _ones
-    level = _get_number(term, "level", context)
-    rate = _get_number(term, "rate", context)
-
-    def a_level(t):
-        return np.full_like(np.asarray(t, dtype=float), level)
-
-    def b_decay(T):
-        return np.exp(-rate * np.asarray(T, dtype=float))
-
-    return a_level, b_decay
-
-
 def _parse_volatility(sec: dict, grid: GridSpec) -> VolatilitySpec:
     if not isinstance(sec, dict):
         raise ConfigError("volatility section must be an object")
@@ -349,26 +318,20 @@ def _parse_volatility(sec: dict, grid: GridSpec) -> VolatilitySpec:
     terms_doc = sec.get("terms")
     if not isinstance(terms_doc, list) or not terms_doc:
         raise ConfigError("volatility.terms must be a nonempty list")
-    terms = tuple(_build_term(t, n) for n, t in enumerate(terms_doc))
-    time_only = all(t.get("kind") in ("constant", "time_affine")
-                    for t in terms_doc)
+    terms = []
+    for n, term in enumerate(terms_doc):
+        context = f"volatility.terms[{n}]"
+        kind = _tagged_keys(term, "kind", _TERMS, context)
+        terms.append(_build(term, _TERMS[kind], context))
 
-    # mesh-sample the summed factor over the full rectangle for the
-    # model constants the assumptions need
-    t_mesh = np.linspace(0.0, grid.t_star, 257)
-    T_mesh = np.linspace(0.0, grid.t_max, 257)
-    total = np.zeros((t_mesh.size, T_mesh.size))
-    for a_fn, b_fn in terms:
-        a_vals = np.asarray(a_fn(t_mesh), dtype=float)
-        b_vals = np.asarray(b_fn(T_mesh), dtype=float)
-        total += np.outer(a_vals, b_vals)
-    lo = float(np.min(total))
-    hi = float(np.max(total))
+    # sample the summed factor over the full rectangle for the model
+    # constants the assumptions need
+    lo, hi, deriv_bound = sample_bounds(
+        terms, np.linspace(0.0, grid.t_star, 257),
+        np.linspace(0.0, grid.t_max, 257), grid.delta / 16.0)
     if lo <= 0.0:
         raise ConfigError(
             f"(A3) volatility factor must stay positive; sampled minimum {lo:g}")
-    dT = T_mesh[1] - T_mesh[0]
-    deriv_bound = float(np.max(np.abs(np.diff(total, axis=1)))) / dT
     lo_cfg = (_get_number(sec, "lambda_lower", "volatility")
               if "lambda_lower" in sec else lo)
     hi_cfg = (_get_number(sec, "lambda_upper", "volatility")
@@ -379,30 +342,24 @@ def _parse_volatility(sec: dict, grid: GridSpec) -> VolatilitySpec:
             f"(A3) declared bounds [{lo_cfg:g}, {hi_cfg:g}] must enclose the "
             f"sampled volatility range [{lo:g}, {hi:g}]")
     try:
-        return VolatilitySpec(terms=terms, lambda_lower=lo_cfg,
-                              lambda_upper=hi_cfg,
-                              x_derivative_bound=max(deriv_bound, 1e-12),
-                              time_only=time_only)
+        return VolatilitySpec(
+            terms=tuple(terms), lambda_lower=lo_cfg, lambda_upper=hi_cfg,
+            x_derivative_bound=deriv_bound,
+            time_only=all(b_fn is unit_factor for _, b_fn in terms))
     except ValueError as exc:
         raise ConfigError(f"(A3) volatility bounds invalid: {exc}") from exc
 
 
 def _parse_curve(sec: dict) -> InitialCurve:
-    family = _tagged_keys(sec, "family", _CURVE_KEYS, "initial_curve")
+    family = _tagged_keys(sec, "family", _CURVES, "initial_curve")
     try:
-        if family == "constant":
-            return constant_curve(_get_number(sec, "level", "initial_curve"))
-        if family == "affine":
-            return affine_curve(_get_number(sec, "intercept", "initial_curve"),
-                                _get_number(sec, "slope", "initial_curve"))
-        if family == "exponential_decay":
-            return exp_decay_curve(_get_number(sec, "level", "initial_curve"),
-                                   _get_number(sec, "rate", "initial_curve"))
-        points = sec.get("points")
-        if not isinstance(points, list) or len(points) < 2:
-            raise ConfigError(
-                "initial_curve table needs at least 2 [x, value] points")
-        return table_curve([(float(x), float(v)) for x, v in points])
+        if family == "table":
+            points = sec.get("points")
+            if not isinstance(points, list) or len(points) < 2:
+                raise ConfigError(
+                    "initial_curve table needs at least 2 [x, value] points")
+            return table_curve([(float(x), float(v)) for x, v in points])
+        return _build(sec, _CURVES[family], "initial_curve")
     except ConfigError:
         raise
     except (TypeError, ValueError) as exc:

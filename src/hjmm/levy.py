@@ -282,13 +282,22 @@ class AssumptionReport:
         return self.a2_pass and self.a3_pass and self.a4_pass
 
 
+def _integral_or_inf(integral, *bounds) -> float:
+    """The integral over ``bounds``, inf where the quadrature diverges."""
+    try:
+        return integral(*bounds)
+    except NonIntegrable:
+        return math.inf
+
+
 def check_assumptions(spec: LevyModelSpec, vol) -> AssumptionReport:
     """Verify the structural assumptions linking the driver and volatility.
 
     Checks the support condition (the measure must not charge
     (-inf, -1/lambda_upper]), the two integrability conditions (square
     integrability near zero over (-1/lambda_upper, 1) and a finite first
-    moment of the tail [1, inf)), and reports the positive second moment
+    moment of the tail [1, inf); an integral whose quadrature diverges
+    counts as infinite), and reports the positive second moment
     needed by the uniqueness bound.  The volatility's structural properties
     (separable terms, declared positive bounds) are validated at
     construction; they are reported here as the third assumption.
@@ -304,11 +313,8 @@ def check_assumptions(spec: LevyModelSpec, vol) -> AssumptionReport:
     if isinstance(measure, PointMasses):
         a4_square = sum(c * y * y for y, c in measure.atoms if threshold < y < 1.0)
     else:
-        a4_square = measure.squared_integral(1.0)
-    try:
-        a4_tail = measure.first_moment(1.0, math.inf)
-    except NonIntegrable:
-        a4_tail = math.inf
+        a4_square = _integral_or_inf(measure.squared_integral, 1.0)
+    a4_tail = _integral_or_inf(measure.first_moment, 1.0, math.inf)
     a4_pass = math.isfinite(a4_square) and math.isfinite(a4_tail)
     if not a4_pass:
         notes.append("(A4) integrability fails")

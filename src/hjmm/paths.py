@@ -51,7 +51,6 @@ class JumpPath:
     drift_rate: float
     times: np.ndarray
     sizes: np.ndarray
-    seed: object = None
     truncation_eps: float = 0.0
 
     def __post_init__(self) -> None:
@@ -131,9 +130,8 @@ def simulate_path(spec: LevyModelSpec, t_star: float, seed,
         raise UnsupportedSpec(
             "small-jump compensator diverges; increase the truncation level")
 
-    seed_record = list(seed) if isinstance(seed, (tuple, list, np.ndarray)) else seed
     return JumpPath(horizon=t_star, drift_rate=drift, times=times, sizes=sizes,
-                    seed=seed_record, truncation_eps=eps_used)
+                    truncation_eps=eps_used)
 
 
 def _jump_prefixes(vol: VolatilitySpec, path: JumpPath,

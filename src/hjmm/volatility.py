@@ -7,8 +7,16 @@ The relative volatility has the separable form
 in gap coordinates, equivalently lambda(t, T) = sum_n a_n(t) * b_n(T) in
 standard coordinates, with continuous a_n on [0, t_star] and bounded
 differentiable b_n on [0, inf).  Declared bounds 0 < lambda_lower <=
-lambda <= lambda_upper and a bound on the gap derivative are part of the
-specification and are validated against grid samples.
+lambda <= lambda_upper and a bound on the maturity derivative are part
+of the specification (assumption (A3)).
+
+This module owns the three term kinds (``constant_term``,
+``time_affine_term``, ``exp_decay_term``; the time-only kinds share the
+maturity factor ``unit_factor``), the one tensor-mesh sum of the terms
+and ``sample_bounds``, the one estimate of the (A3) constants: the
+sampled minimum and maximum and the sup of |d lambda / dT| by centred
+differences.  The config parser derives its bounds with it and
+``grid_violations`` checks declared bounds with it.
 """
 
 from __future__ import annotations
@@ -22,14 +30,69 @@ import numpy as np
 from .errors import DomainError
 from .grids import GridSpec
 
-__all__ = [
-    "VolatilitySpec",
-    "constant_volatility",
-    "time_affine_volatility",
-    "grid_violations",
-]
+__all__ = ["VolatilitySpec", "constant_volatility", "time_affine_volatility",
+           "grid_violations", "constant_term", "time_affine_term",
+           "exp_decay_term", "unit_factor", "sample_bounds"]
 
 Term = tuple[Callable, Callable]
+
+
+def unit_factor(T):
+    """The maturity factor b = 1 of the time-only term kinds."""
+    return np.ones_like(np.asarray(T, dtype=float))
+
+
+def constant_term(level: float) -> Term:
+    """The term lambda = level."""
+    def a_fn(t):
+        return np.full_like(np.asarray(t, dtype=float), level)
+
+    return a_fn, unit_factor
+
+
+def time_affine_term(intercept: float, slope: float) -> Term:
+    """The term lambda(t) = intercept + slope * t."""
+    def a_fn(t):
+        return intercept + slope * np.asarray(t, dtype=float)
+
+    return a_fn, unit_factor
+
+
+def exp_decay_term(level: float, rate: float) -> Term:
+    """The term lambda(T) = level * exp(-rate * T)."""
+    a_fn, _ = constant_term(level)
+
+    def b_fn(T):
+        return np.exp(-rate * np.asarray(T, dtype=float))
+
+    return a_fn, b_fn
+
+
+def _tensor_sum(terms, t_values, T_values) -> np.ndarray:
+    """sum_n a_n(t_i) * b_n(T_j) on the tensor mesh, shape (len(t), len(T))."""
+    t_values = np.asarray(t_values, dtype=float)
+    T_values = np.asarray(T_values, dtype=float)
+    total = np.zeros((t_values.size, T_values.size))
+    for a_fn, b_fn in terms:
+        total += np.outer(np.asarray(a_fn(t_values), dtype=float),
+                          np.asarray(b_fn(T_values), dtype=float))
+    return total
+
+
+def sample_bounds(terms, t_values, T_values,
+                  h: float) -> tuple[float, float, float]:
+    """The (A3) constants of the summed terms sampled on a tensor mesh.
+
+    Returns the minimum and the maximum of lambda on the mesh and the
+    largest |d lambda / dT| by centred differences of half-width h.
+    """
+    values = _tensor_sum(terms, t_values, T_values)
+    lo, hi = float(values.min()), float(values.max())
+    # in place, so no more than three meshes are alive at a time
+    T_values = np.asarray(T_values, dtype=float)
+    values = _tensor_sum(terms, t_values, T_values + h)
+    values -= _tensor_sum(terms, t_values, T_values - h)
+    return lo, hi, float(np.max(np.abs(values, out=values))) / (2 * h)
 
 
 @dataclass(frozen=True)
@@ -75,21 +138,9 @@ class VolatilitySpec:
             total = total + np.asarray(a_fn(t)) * np.asarray(b_fn(T))
         return total if total.shape else float(total)
 
-    def musiela(self, t, x):
-        """lambda in gap coordinates: lambda(t, x) = standard(t, t + x)."""
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        return self.standard(t, t + x)
-
     def matrix(self, t_values: np.ndarray, T_values: np.ndarray) -> np.ndarray:
         """Tensor-grid values lambda(t_i, T_j) of shape (len(t), len(T))."""
-        t_values = np.asarray(t_values, dtype=float)
-        T_values = np.asarray(T_values, dtype=float)
-        total = np.zeros((t_values.size, T_values.size))
-        for a_fn, b_fn in self.terms:
-            total += np.outer(np.asarray(a_fn(t_values), dtype=float),
-                              np.asarray(b_fn(T_values), dtype=float))
-        return total
+        return _tensor_sum(self.terms, t_values, T_values)
 
     def on_grid(self, grid: GridSpec) -> np.ndarray:
         return self.matrix(grid.t_nodes(), grid.T_nodes())
@@ -98,14 +149,16 @@ class VolatilitySpec:
 def grid_violations(vol: VolatilitySpec, grid: GridSpec) -> list[str]:
     """Check the declared bounds against samples on a refinement of the grid.
 
-    Returns human-readable violation messages; empty when all checks pass.
+    The samples are ``sample_bounds`` on the grid refined four times, with
+    half-width delta / 16, the estimate the config parser derives its
+    bounds from.  Returns human-readable violation messages; empty when
+    all checks pass.
     """
     t = np.linspace(0.0, grid.t_star, 4 * grid.n_t + 1)
     T = np.linspace(0.0, grid.t_max, 4 * grid.n_cols + 1)
-    values = vol.matrix(t, T)
+    lo, hi, dbound = sample_bounds(vol.terms, t, T, grid.delta / 16.0)
     problems: list[str] = []
     tol = 1e-9 * max(1.0, vol.lambda_upper)
-    lo, hi = float(values.min()), float(values.max())
     if lo < vol.lambda_lower - tol:
         problems.append(
             f"volatility drops to {lo:.6g}, below the declared lower bound "
@@ -114,13 +167,12 @@ def grid_violations(vol: VolatilitySpec, grid: GridSpec) -> list[str]:
         problems.append(
             f"volatility reaches {hi:.6g}, above the declared upper bound "
             f"{vol.lambda_upper:.6g}")
-    h = grid.delta / 16.0
-    dbound = float(np.max(np.abs(vol.matrix(t, T + h) - vol.matrix(t, T - h)))) / (2 * h)
     if dbound > vol.x_derivative_bound + 1e-6 * max(1.0, dbound):
         problems.append(
             f"gap derivative reaches {dbound:.6g}, above the declared bound "
             f"{vol.x_derivative_bound:.6g}")
     if vol.time_only:
+        values = vol.matrix(t, T)
         spread = float(np.max(values.max(axis=1) - values.min(axis=1)))
         if spread > 1e-12 * max(1.0, vol.lambda_upper):
             problems.append(
@@ -132,14 +184,7 @@ def constant_volatility(level: float) -> VolatilitySpec:
     """lambda identically equal to ``level``."""
     if level <= 0.0:
         raise DomainError(f"volatility level must be positive, got {level}")
-
-    def a_fn(t):
-        return np.full_like(np.asarray(t, dtype=float), level)
-
-    def b_fn(T):
-        return np.ones_like(np.asarray(T, dtype=float))
-
-    return VolatilitySpec(terms=((a_fn, b_fn),), lambda_lower=level,
+    return VolatilitySpec(terms=(constant_term(level),), lambda_lower=level,
                           lambda_upper=level, x_derivative_bound=0.0,
                           time_only=True)
 
@@ -153,13 +198,6 @@ def time_affine_volatility(intercept: float, slope: float,
         raise DomainError(
             f"affine volatility must stay positive on [0, {t_star}], "
             f"reaches {lo:.6g}")
-
-    def a_fn(t):
-        return intercept + slope * np.asarray(t, dtype=float)
-
-    def b_fn(T):
-        return np.ones_like(np.asarray(T, dtype=float))
-
-    return VolatilitySpec(terms=((a_fn, b_fn),), lambda_lower=lo,
-                          lambda_upper=hi, x_derivative_bound=0.0,
-                          time_only=True)
+    return VolatilitySpec(terms=(time_affine_term(intercept, slope),),
+                          lambda_lower=lo, lambda_upper=hi,
+                          x_derivative_bound=0.0, time_only=True)

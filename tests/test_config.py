@@ -4,6 +4,7 @@ import copy
 import json
 import math
 
+import numpy as np
 import pytest
 
 from hjmm.config import (
@@ -14,6 +15,8 @@ from hjmm.config import (
 from hjmm.errors import ConfigError
 from hjmm.levy import gamma_subordinator
 from hjmm.measures import GammaLike, PointMasses, StableLike, UserDensity
+from hjmm.volatility import (constant_volatility, grid_violations,
+                             time_affine_volatility)
 
 
 def _base_doc() -> dict:
@@ -105,6 +108,17 @@ def test_a4_violation_names_the_assumption() -> None:
         parse_config(doc)
 
 
+def test_a4_divergent_small_jumps_name_the_assumption() -> None:
+    # y^2 * y^-3.5 is not integrable at 0: the quadrature of the
+    # small-jump part gives up, which is an (A4) failure, not a crash
+    doc = _base_doc()
+    doc["levy"] = {"drift_a": 0.0,
+                   "measure": {"family": "user_density",
+                               "expression": "y**(-3.5)*exp(-y)"}}
+    with pytest.raises(ConfigError, match=r"\(A4\).*small-jump part inf"):
+        parse_config(doc)
+
+
 def test_measure_families_constructed() -> None:
     doc = _base_doc()
     doc["levy"] = {"drift_a": 0.0,
@@ -176,6 +190,46 @@ def test_volatility_term_sum() -> None:
     assert not cfg.volatility.time_only
     got = cfg.volatility.standard(0.3, 1.0)
     assert got == pytest.approx(0.1 + 0.2 * math.exp(-0.5))
+
+
+# term mixes with their exact sup |d lambda / dT| (at T = 0)
+_DECAY_MIXES = [
+    ([{"kind": "exp_decay", "level": 0.2, "rate": 1.5}], 0.2 * 1.5),
+    ([{"kind": "time_affine", "intercept": 0.1, "slope": 0.05},
+      {"kind": "exp_decay", "level": 0.2, "rate": 0.5}], 0.2 * 0.5),
+    ([{"kind": "exp_decay", "level": 0.1, "rate": 2.0},
+      {"kind": "exp_decay", "level": 0.15, "rate": 0.7}], 0.1 * 2.0 + 0.15 * 0.7),
+]
+
+
+@pytest.mark.parametrize("delta", [1 / 8, 1 / 16, 1 / 32, 1 / 128])
+@pytest.mark.parametrize("terms, exact", _DECAY_MIXES,
+                         ids=["exp_decay", "time_affine+exp_decay",
+                              "two_exp_decay"])
+def test_derived_bounds_pass_grid_violations(terms, exact, delta) -> None:
+    doc = _base_doc()
+    doc["volatility"] = {"terms": terms}
+    doc["grid"]["delta"] = delta
+    cfg = parse_config(doc)
+    assert grid_violations(cfg.volatility, cfg.grid) == []
+    bound = cfg.volatility.x_derivative_bound
+    assert exact <= bound <= exact * (1 + 1e-4)
+
+
+@pytest.mark.parametrize("term, direct", [
+    ({"kind": "constant", "level": 0.2}, constant_volatility(0.2)),
+    ({"kind": "time_affine", "intercept": 0.2, "slope": 0.1},
+     time_affine_volatility(0.2, 0.1, 1.0)),
+], ids=["constant", "time_affine"])
+def test_time_only_kinds_match_the_direct_builders(term, direct) -> None:
+    doc = _base_doc()
+    doc["volatility"] = {"terms": [term]}
+    cfg = parse_config(doc)
+    vol = cfg.volatility
+    assert np.array_equal(vol.on_grid(cfg.grid), direct.on_grid(cfg.grid))
+    assert (vol.lambda_lower, vol.lambda_upper, vol.x_derivative_bound,
+            vol.time_only) == (direct.lambda_lower, direct.lambda_upper,
+                               direct.x_derivative_bound, direct.time_only)
 
 
 def test_volatility_bounds_overridable() -> None:

@@ -8,7 +8,9 @@ from hjmm.grids import GridSpec
 from hjmm.volatility import (
     VolatilitySpec,
     constant_volatility,
+    exp_decay_term,
     grid_violations,
+    sample_bounds,
     time_affine_volatility,
 )
 
@@ -20,7 +22,6 @@ def _grid() -> GridSpec:
 def test_constant_factor_everywhere() -> None:
     vol = constant_volatility(0.2)
     assert vol.standard(0.3, 1.7) == pytest.approx(0.2)
-    assert vol.musiela(0.3, 0.5) == pytest.approx(0.2)
     assert vol.lambda_lower == pytest.approx(0.2)
     assert vol.lambda_upper == pytest.approx(0.2)
 
@@ -28,8 +29,6 @@ def test_constant_factor_everywhere() -> None:
 def test_time_affine_values() -> None:
     vol = time_affine_volatility(0.2, 0.1, 1.0)
     assert vol.standard(0.5, 1.3) == pytest.approx(0.25)
-    # musiela(t, x) = lambda(t, t + x) depends on t only
-    assert vol.musiela(0.5, 0.8) == pytest.approx(0.25)
     assert vol.time_only
 
 
@@ -109,3 +108,16 @@ def test_grid_violations_flags_out_of_band_values() -> None:
                          lambda_upper=1.0, x_derivative_bound=10.0,
                          time_only=False)
     assert grid_violations(vol, g)
+
+
+def test_sample_bounds_of_one_decay_term() -> None:
+    t = np.linspace(0.0, 1.0, 9)
+    T = np.linspace(0.0, 2.0, 17)
+    h = 1.0 / 128
+    lo, hi, dbound = sample_bounds((exp_decay_term(0.2, 1.5),), t, T, h)
+    assert lo == 0.2 * np.exp(-3.0)
+    assert hi == 0.2
+    # the centred difference at T = 0 is 0.2 * sinh(1.5 h) / h
+    assert dbound == pytest.approx(0.2 * np.sinh(1.5 * h) / h, rel=1e-12)
+    assert dbound >= 0.3
+
