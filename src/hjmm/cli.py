@@ -168,25 +168,17 @@ def cmd_solve(args, config: RunConfig) -> int:
 
 def _write_field_csvs(out: str, rate_field: RateField) -> None:
     grid = rate_field.grid
-    t_nodes = grid.t_nodes()
-    T_nodes = grid.T_nodes()
     values = rate_field.values
-
-    def standard_rows():
-        for i, t in enumerate(t_nodes):
-            for j, T in enumerate(T_nodes):
-                yield (t, T, values[i, j])
-
-    _write_csv(os.path.join(out, "field_standard.csv"),
-               ["t", "T", "f"], standard_rows())
-
-    def musiela_rows():
-        for i, t in enumerate(t_nodes):
-            for k in range(values.shape[1] - i):
-                yield (t, k * grid.delta, values[i, i + k])
-
-    _write_csv(os.path.join(out, "field_musiela.csv"),
-               ["t", "x", "r"], musiela_rows())
+    t, T = np.meshgrid(grid.t_nodes(), grid.T_nodes(), indexing="ij")
+    rows, cols = np.triu_indices(values.shape[0], m=values.shape[1])
+    for name, header, columns in (
+            ("field_standard.csv", "t,T,f", (t, T, values)),
+            ("field_musiela.csv", "t,x,r",
+             (t[rows, cols], (cols - rows) * grid.delta, values[rows, cols]))):
+        with open(os.path.join(out, name), "w", encoding="utf-8",
+                  newline="\n") as fh:
+            np.savetxt(fh, np.column_stack([c.ravel() for c in columns]),
+                       fmt="%.10e", delimiter=",", header=header, comments="")
 
 
 def cmd_verify(args, config: RunConfig) -> int:

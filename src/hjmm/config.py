@@ -324,11 +324,12 @@ def _parse_volatility(sec: dict, grid: GridSpec) -> VolatilitySpec:
         kind = _tagged_keys(term, "kind", _TERMS, context)
         terms.append(_build(term, _TERMS[kind], context))
 
-    # sample the summed factor over the full rectangle for the model
-    # constants the assumptions need
+    # the (A3) constants on the maturities grid_violations samples; every
+    # term kind is affine in t, so the extremes over t of the factor and of
+    # its maturity differences lie at t = 0 and t = t_star
     lo, hi, deriv_bound = sample_bounds(
-        terms, np.linspace(0.0, grid.t_star, 257),
-        np.linspace(0.0, grid.t_max, 257), grid.delta / 16.0)
+        terms, [0.0, grid.t_star],
+        np.linspace(0.0, grid.t_max, 4 * grid.n_cols + 1), grid.delta / 16.0)
     if lo <= 0.0:
         raise ConfigError(
             f"(A3) volatility factor must stay positive; sampled minimum {lo:g}")

@@ -1,10 +1,8 @@
 """Initial forward-curve families.
 
 An initial curve maps the maturity u >= 0 to the starting forward rate
-f(0, u); it must be strictly positive.  Smooth families carry an analytic
-derivative, which the strong-form residual check uses; the tabulated
-family interpolates linearly and its derivative is a finite-difference
-stand-in, adequate for diagnostics only.
+f(0, u); it must be strictly positive.  The tabulated family interpolates
+linearly and extends flat.
 """
 
 from __future__ import annotations
@@ -28,22 +26,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class InitialCurve:
-    """Initial forward curve with an optional analytic derivative."""
+    """Initial forward curve: a vectorized function of the maturity."""
 
     func: Callable
-    deriv: Callable | None = None
     label: str = ""
 
     def __call__(self, u):
         return self.func(np.asarray(u, dtype=float))
-
-    def derivative(self, u):
-        if self.deriv is None:
-            u = np.asarray(u, dtype=float)
-            h = 1e-6
-            return (self.func(u + h) - self.func(np.maximum(u - h, 0.0))) / (
-                h + np.minimum(u, h))
-        return self.deriv(np.asarray(u, dtype=float))
 
 
 def require_positive_on(curve: InitialCurve, nodes: np.ndarray) -> None:
@@ -62,7 +51,6 @@ def constant_curve(level: float) -> InitialCurve:
         raise DomainError(f"curve level must be positive, got {level}")
     return InitialCurve(
         func=lambda u: np.full_like(u, level),
-        deriv=lambda u: np.zeros_like(u),
         label=f"constant({level})",
     )
 
@@ -71,7 +59,6 @@ def affine_curve(intercept: float, slope: float) -> InitialCurve:
     """The line f0(T) = intercept + slope * T."""
     return InitialCurve(
         func=lambda u: intercept + slope * u,
-        deriv=lambda u: np.full_like(u, slope),
         label=f"affine({intercept}, {slope})",
     )
 
@@ -84,7 +71,6 @@ def exp_decay_curve(level: float, rate: float) -> InitialCurve:
         raise DomainError(f"decay rate must be >= 0, got {rate}")
     return InitialCurve(
         func=lambda u: level * np.exp(-rate * u),
-        deriv=lambda u: -rate * level * np.exp(-rate * u),
         label=f"exp_decay({level}, {rate})",
     )
 
@@ -100,6 +86,5 @@ def table_curve(points) -> InitialCurve:
         raise DomainError("tabulated maturities must be strictly increasing")
     return InitialCurve(
         func=lambda u: np.interp(u, us, vs),
-        deriv=None,
         label=f"table({len(pts)} points)",
     )

@@ -13,6 +13,10 @@ The growth classifier decides between two asymptotic regimes of J'(z):
 at most logarithmic growth (the regime in which the forward-rate fixed
 point exists globally) and growth at least a*(ln z)^3 + b (the regime in
 which positive initial curves explode with positive probability).
+
+Nothing here depends on the measure family: the measure's part of J, J'
+and J'', its atoms in (-1/lambda_bar, 0), its (A4) small-jump integral and
+its tail index rho are methods of :class:`hjmm.measures.MeasureFamily`.
 """
 
 from __future__ import annotations
@@ -22,11 +26,9 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import stats
 
 from .errors import DomainError, NonIntegrable, UnsupportedSpec
-from .measures import (GammaLike, MeasureFamily, PointMasses, StableLike,
-                       UserDensity)
+from .measures import GammaLike, MeasureFamily, PointMasses
 
 __all__ = [
     "LevyModelSpec",
@@ -113,16 +115,17 @@ class GrowthClassification:
 def exponent(spec: LevyModelSpec, z: float) -> float:
     """Laplace exponent J(z) for z >= 0.
 
-    Computed as -a*z + q*z^2/2 plus the three measure pieces, each by
-    adaptive quadrature at relative tolerance 1e-10 (exact sums for atomic
-    measures); the compensated integrand switches to its power series for
-    |z*y| below 1e-4 to avoid cancellation.
+    Computed as -a*z + q*z^2/2 plus the measure's part,
+    ``MeasureFamily.exponent_part``: adaptive quadrature at relative
+    tolerance 1e-10 (exact sums for atomic measures); the compensated
+    integrand switches to its power series for |z*y| below 1e-4 to avoid
+    cancellation.
     """
     z = float(z)
     if z < 0.0 or not math.isfinite(z):
         raise DomainError(f"exponent requires z >= 0, got {z}")
-    j1, j2, j3 = spec.measure.piece_values(z)
-    return -spec.drift_a * z + 0.5 * spec.gaussian_q * z * z + j1 + j2 + j3
+    return (-spec.drift_a * z + 0.5 * spec.gaussian_q * z * z
+            + spec.measure.exponent_part(z, 0))
 
 
 def exponent_derivative(spec: LevyModelSpec, z: float, order: int = 1) -> float:
@@ -136,7 +139,7 @@ def exponent_derivative(spec: LevyModelSpec, z: float, order: int = 1) -> float:
         raise DomainError(f"exponent_derivative requires z >= 0, got {z}")
     if order not in (1, 2):
         raise DomainError(f"order must be 1 or 2, got {order}")
-    measure_part = spec.measure.piece_derivatives(z, order)
+    measure_part = spec.measure.exponent_part(z, order)
     if order == 1:
         return -spec.drift_a + spec.gaussian_q * z + measure_part
     return spec.gaussian_q + measure_part
@@ -169,20 +172,17 @@ def fast_derivative(spec: LevyModelSpec, order: int = 1):
     return evaluate
 
 
-_RHO_REGRESSION_RANGE = (1e-6, 1e-2)
-_RHO_INDETERMINATE_BAND = 0.1
-
-
 def classify_growth(spec: LevyModelSpec, lambda_bar: float,
                     t_star: float) -> GrowthClassification:
     """Decide the asymptotic growth regime of J'.
 
     Rules are applied in priority order: the necessary condition for
-    log-growth (no Gaussian part, no negative jump mass), then the
-    subordinator rule, then the Tauberian comparison of U(x) ~ x^rho near
-    zero.  The verdict itself is horizon-free; ``lambda_bar`` enters only
-    through the negative-support threshold -1/lambda_bar and ``t_star`` is
-    accepted for interface symmetry with the solver.
+    log-growth (no Gaussian part, no atom in (-1/lambda_bar, 0)), then the
+    subordinator rule, then the Tauberian comparison of the measure's tail
+    index rho, U(x) ~ x^rho near zero, with 1: indeterminate within the
+    band the measure knows rho to.  The verdict itself is horizon-free;
+    ``lambda_bar`` enters only through the threshold -1/lambda_bar and
+    ``t_star`` is accepted for interface symmetry with the solver.
     """
     if lambda_bar <= 0.0:
         raise DomainError(f"lambda_bar must be positive, got {lambda_bar}")
@@ -193,73 +193,35 @@ def classify_growth(spec: LevyModelSpec, lambda_bar: float,
             Verdict.EXPLOSION, Rule.NECESSARY,
             notes="Gaussian part q > 0 forces at least cubic-log growth of J'.")
     measure = spec.measure
-    if isinstance(measure, PointMasses):
-        negative = [(y, c) for y, c in measure.atoms if threshold < y < 0.0]
-        if negative:
-            return GrowthClassification(
-                Verdict.EXPLOSION, Rule.NECESSARY,
-                notes=f"{len(negative)} negative atom(s) in ({threshold:.6g}, 0) "
-                      "force at least cubic-log growth of J'.")
+    negative = measure.negative_atoms(threshold)
+    if negative:
+        return GrowthClassification(
+            Verdict.EXPLOSION, Rule.NECESSARY,
+            notes=f"{negative} negative atom(s) in ({threshold:.6g}, 0) "
+                  "force at least cubic-log growth of J'.")
 
     if spec.subordinator:
         return GrowthClassification(
             Verdict.EXISTENCE, Rule.SUBORDINATOR,
             notes="Subordinator plus linear function: J' is bounded above.")
 
-    if isinstance(measure, PointMasses):
+    index = measure.tail_index()
+    if index is None:
         return GrowthClassification(
-            Verdict.EXISTENCE, Rule.RHO_GT1, rho=math.inf,
-            notes="Atomic measure: U vanishes near zero (rho treated as +inf); "
-                  "finite-activity positive jumps grow at most logarithmically.")
-
-    if isinstance(measure, StableLike):
-        rho = 2.0 - measure.alpha
-        if abs(rho - 1.0) < 1e-12:
-            return GrowthClassification(
-                Verdict.INDETERMINATE, Rule.RHO_EQ1, rho=1.0,
-                notes="U(x) ~ c*x with constant slowly-varying part; the "
-                      "rho = 1 rule needs M(x) -> 0, which fails here.")
-        if rho > 1.0:
-            return GrowthClassification(
-                Verdict.EXISTENCE, Rule.RHO_GT1, rho=rho,
-                notes=f"U(x) ~ x^{rho:.6g} near zero with rho > 1.")
+            Verdict.INDETERMINATE, Rule.NONE,
+            notes=f"{type(measure).__name__} gives no tail index (a user "
+                  "density gives one only with integrability certificates).")
+    rho = index.rho
+    if abs(rho - 1.0) < index.band:
         return GrowthClassification(
-            Verdict.EXPLOSION, Rule.RHO_LT1, rho=rho,
-            notes=f"U(x) ~ x^{rho:.6g} near zero with rho < 1.")
-
-    if isinstance(measure, GammaLike):
-        return GrowthClassification(
-            Verdict.EXISTENCE, Rule.RHO_GT1, rho=2.0,
-            notes="U(x) ~ c*x^2/2 near zero; rho = 2 > 1.")
-
-    if isinstance(measure, UserDensity):
-        if not measure.a4_certified:
-            return GrowthClassification(
-                Verdict.INDETERMINATE, Rule.NONE,
-                notes="UserDensity without integrability certificates.")
-        lo, hi = _RHO_REGRESSION_RANGE
-        xs = np.geomspace(lo, hi, 25)
-        us = np.array([measure.squared_integral(float(x)) for x in xs])
-        if np.all(us <= 0.0):
-            return GrowthClassification(
-                Verdict.EXISTENCE, Rule.RHO_GT1, rho=math.inf,
-                notes="U vanishes on the regression range (rho treated as +inf).")
-        fit = stats.linregress(np.log(xs), np.log(us))
-        rho_hat = float(fit.slope)
-        band = 2.0 * float(fit.stderr)
-        notes = (f"log-log regression of U over [{lo:g}, {hi:g}]: "
-                 f"rho_hat = {rho_hat:.4f} +/- {band:.4f} (2 se)")
-        if abs(rho_hat - 1.0) < _RHO_INDETERMINATE_BAND:
-            return GrowthClassification(
-                Verdict.INDETERMINATE, Rule.RHO_EQ1, rho=rho_hat,
-                notes=notes + "; too close to the rho = 1 boundary.")
-        if rho_hat > 1.0:
-            return GrowthClassification(Verdict.EXISTENCE, Rule.RHO_GT1,
-                                        rho=rho_hat, notes=notes)
-        return GrowthClassification(Verdict.EXPLOSION, Rule.RHO_LT1,
-                                    rho=rho_hat, notes=notes)
-
-    raise UnsupportedSpec(f"unknown measure family {type(measure).__name__}")
+            Verdict.INDETERMINATE, Rule.RHO_EQ1, rho=rho,
+            notes=f"{index.note}; rho = 1 within {index.band:g}, where the "
+                  "rule needs the slowly-varying part of U.")
+    if rho > 1.0:
+        return GrowthClassification(Verdict.EXISTENCE, Rule.RHO_GT1, rho=rho,
+                                    notes=f"{index.note}; rho > 1.")
+    return GrowthClassification(Verdict.EXPLOSION, Rule.RHO_LT1, rho=rho,
+                                notes=f"{index.note}; rho < 1.")
 
 
 @dataclass(frozen=True)
@@ -310,10 +272,7 @@ def check_assumptions(spec: LevyModelSpec, vol) -> AssumptionReport:
     a2_pass = support_inf > threshold
 
     notes = []
-    if isinstance(measure, PointMasses):
-        a4_square = sum(c * y * y for y, c in measure.atoms if threshold < y < 1.0)
-    else:
-        a4_square = _integral_or_inf(measure.squared_integral, 1.0)
+    a4_square = _integral_or_inf(measure.small_jump_square, threshold)
     a4_tail = _integral_or_inf(measure.first_moment, 1.0, math.inf)
     a4_pass = math.isfinite(a4_square) and math.isfinite(a4_tail)
     if not a4_pass:

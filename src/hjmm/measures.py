@@ -8,20 +8,28 @@ Four families of Levy measures are supported:
 * ``GammaLike`` -- density c * y**(-1) * exp(-beta*y) on (0, inf).
 * ``UserDensity`` -- an arbitrary callable density on (0, inf).
 
-Each family gives the pieces of the Laplace exponent and its derivatives
-by two routes:
+Every per-family fact the growth classifier and the assumption check read
+is a method here, so ``hjmm.levy`` never asks which family it holds: the
+atoms in (-1/lambda_bar, 0) (``negative_atoms``), the (A4) small-jump
+integral (``small_jump_square``) and the tail index rho of
+U(x) ~ x^rho near zero (``tail_index``: exact for the built-in
+families, a log-log regression of U for a certified ``UserDensity``,
+none for an uncertified one).
 
-* one adaptive-quadrature route (``piece_values`` / ``piece_derivatives``),
+Each family gives the measure's part of the Laplace exponent and its
+derivatives by two routes:
+
+* one adaptive-quadrature route (``exponent_part``, orders 0, 1 and 2),
   written once on ``MeasureFamily`` as integrals of the family's scalar
   ``density(y)`` over its support, with relative tolerance 1e-10, a series
   fallback for the compensated integrand near z*y = 0 and the boundary
   layer of width 1/z at each piece's lower end cut out.  It serves the
   public exponent operations and is the oracle the vectorized route is
-  tested against; ``PointMasses`` replaces it with exact sums; and
+  tested against; ``PointMasses`` answers it with its exact sums; and
 * a vectorized route (``derivative_measure_part``) used by the
   fixed-point solver, where thousands of evaluations per iteration are
-  needed: a closed form (incomplete gamma, exponential integral, plain
-  sums) or the fixed rule below.
+  needed: a closed form (incomplete gamma, exponential integral, one loop
+  of exact sums over the atoms) or the fixed rule below.
 
 One fixed rule, composite Gauss-Legendre in s = ln y with 16 nodes on
 each panel of width 2, gives ``UserDensity`` its J', J'' and tail mass
@@ -43,6 +51,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 from scipy import special as sc
+from scipy import stats
 
 from .errors import DomainError, NonIntegrable
 
@@ -52,6 +61,7 @@ __all__ = [
     "StableLike",
     "GammaLike",
     "UserDensity",
+    "TailIndex",
 ]
 
 # Relative tolerance demanded from adaptive quadrature.
@@ -70,6 +80,11 @@ _RULE_BLOCK = 128
 # A sub-panel's 16 nodes, then its start, in half-widths from the start.
 _TAIL_NODES = np.append(_RULE_NODES + 1.0, 0.0)
 
+# The tail-index regression of U: its range, and the band around its slope
+# within which rho is taken as known.
+_RHO_REGRESSION_RANGE = (1e-6, 1e-2)
+_RHO_BAND = 0.1
+
 
 def compensated_exp(w: float) -> float:
     """exp(-w) - 1 + w, evaluated without cancellation for small |w|."""
@@ -78,9 +93,8 @@ def compensated_exp(w: float) -> float:
     return math.expm1(-w) + w
 
 
-def _compensated(y: float) -> bool:
-    """Whether the exponent compensates jumps of size y: all below 1."""
-    return y < 1.0
+# compensated_exp on arrays, element by element: J of the atoms
+_compensated_exps = np.vectorize(compensated_exp, otypes=[float])
 
 
 def _memoized(method: Callable) -> Callable:
@@ -156,61 +170,81 @@ def _invert_log_tail(tail: Callable, target: np.ndarray, lo: np.ndarray,
     return s
 
 
+@dataclass(frozen=True)
+class TailIndex:
+    """Small-jump tail index: U(x) = int_(0,x] y^2 nu(dy) ~ x^rho near 0.
+
+    ``rho`` is known to within ``band``; ``note`` says where it came from.
+    """
+
+    rho: float
+    band: float
+    note: str
+
+
 class MeasureFamily(ABC):
     """Common interface of the jump-measure families.
 
-    The quadrature route below integrates ``self.density(y)``, which every
-    family with a density defines on floats y > 0, over a support inside
-    [0, inf): (0, min(1, y_max)) compensated, [1, y_max) uncompensated.
-    ``PointMasses`` overrides it with exact sums.
+    The defaults below serve a density on (0, inf): ``exponent_part``
+    integrates ``self.density(y)``, which every family with a density
+    defines on floats y > 0, over a support inside [0, inf), a density has
+    no atoms, its (A4) small-jump integral is U(1), and its tail index is
+    read off U.  ``PointMasses`` overrides them with exact sums.
     """
 
     @abstractmethod
     def support(self) -> tuple[float, float]:
         """Infimum and supremum of the support."""
 
-    def piece_values(self, z: float) -> tuple[float, float, float]:
-        """The three exponent pieces (J1, J2, J3) at z >= 0, quadrature route.
+    def exponent_part(self, z: float, order: int) -> float:
+        """The measure's part of J (order 0), J' or J'' at one z >= 0.
 
-        J1 compensates over the negative part of the support, J2 over (0, 1),
-        J3 is the uncompensated piece over [1, inf).
+        Adaptive quadrature of the density times the integrand of the
+        order: e^{-zy} - 1 + zy, (1 - e^{-zy}) y and e^{-zy} y^2 on
+        (0, min(1, y_max)), compensated, and e^{-zy} - 1, -e^{-zy} y and
+        e^{-zy} y^2 on [1, y_max).
         """
-        name = type(self).__name__
         y_max = self.support()[1]
         f = self.density
-        j2 = _layered_quad(lambda y: compensated_exp(z * y) * f(y), z,
-                           0.0, min(1.0, y_max), f"{name} J2")
-        j3 = 0.0
+        low, high = (
+            (lambda y: compensated_exp(z * y) * f(y),
+             lambda y: math.expm1(-z * y) * f(y)),
+            (lambda y: -math.expm1(-z * y) * y * f(y),
+             lambda y: -math.exp(-z * y) * y * f(y)),
+            (lambda y: math.exp(-z * y) * y * y * f(y),) * 2,
+        )[order]
+        what = f"{type(self).__name__} J" + "'" * order
+        total = _layered_quad(low, z, 0.0, min(1.0, y_max), what)
         if y_max > 1.0:
-            j3 = _layered_quad(lambda y: math.expm1(-z * y) * f(y), z,
-                               1.0, y_max, f"{name} J3")
-        return 0.0, j2, j3
-
-    def piece_derivatives(self, z: float, order: int) -> float:
-        """Sum of the three pieces' derivatives at z >= 0, quadrature route."""
-        name = type(self).__name__
-        y_max = self.support()[1]
-        b1 = min(1.0, y_max)
-        f = self.density
-        if order == 1:
-            total = _layered_quad(lambda y: -math.expm1(-z * y) * y * f(y),
-                                  z, 0.0, b1, f"{name} J2'")
-            if y_max > 1.0:
-                total -= _layered_quad(lambda y: math.exp(-z * y) * y * f(y),
-                                       z, 1.0, y_max, f"{name} J3'")
-            return total
-
-        def second(y: float) -> float:
-            return math.exp(-z * y) * y * y * f(y)
-
-        total = _layered_quad(second, z, 0.0, b1, f"{name} J2''")
-        if y_max > 1.0:
-            total += _layered_quad(second, z, 1.0, y_max, f"{name} J3''")
+            total += _layered_quad(high, z, 1.0, y_max, what)
         return total
 
     @abstractmethod
     def derivative_measure_part(self, z: np.ndarray, order: int) -> np.ndarray:
         """Vectorized J1'+J2'+J3' (order 1) or J1''+J2''+J3'' (order 2)."""
+
+    def negative_atoms(self, lo: float) -> int:
+        """The number of atoms in (lo, 0)."""
+        return 0
+
+    def small_jump_square(self, lo: float) -> float:
+        """Integral of y**2 over (lo, 1), the small-jump part of (A4)."""
+        return self.squared_integral(1.0)
+
+    def tail_index(self) -> TailIndex | None:
+        """rho from a log-log regression of U over [1e-6, 1e-2], known to
+        within 0.1 (+inf where U vanishes there); None if not known."""
+        lo, hi = _RHO_REGRESSION_RANGE
+        xs = np.geomspace(lo, hi, 25)
+        us = np.array([self.squared_integral(float(x)) for x in xs])
+        if np.all(us <= 0.0):
+            return TailIndex(math.inf, 0.0, "U vanishes on the regression "
+                                            "range (rho treated as +inf)")
+        fit = stats.linregress(np.log(xs), np.log(us))
+        rho = float(fit.slope)
+        return TailIndex(rho, _RHO_BAND,
+                         f"log-log regression of U over [{lo:g}, {hi:g}]: "
+                         f"rho_hat = {rho:.4f} +/- {2.0 * fit.stderr:.4f} (2 se)")
 
     @abstractmethod
     def squared_integral(self, x: float) -> float:
@@ -277,42 +311,40 @@ class PointMasses(MeasureFamily):
         ys, _ = self._arrays()
         return (float(ys.min()), float(ys.max()))
 
-    def piece_values(self, z: float) -> tuple[float, float, float]:
-        j1 = j2 = j3 = 0.0
-        for y, c in self.atoms:
-            if not _compensated(y):
-                j3 += c * math.expm1(-z * y)
-            elif y < 0.0:
-                j1 += c * compensated_exp(z * y)
-            else:
-                j2 += c * compensated_exp(z * y)
-        return j1, j2, j3
-
-    def piece_derivatives(self, z: float, order: int) -> float:
-        total = 0.0
-        for y, c in self.atoms:
-            if order == 1:
-                if _compensated(y):
-                    total += c * y * (-math.expm1(-z * y))
-                else:
-                    total += -c * y * math.exp(-z * y)
-            else:
-                total += c * y * y * math.exp(-z * y)
-        return total
+    def exponent_part(self, z: float, order: int) -> float:
+        return float(self.derivative_measure_part(z, order))
 
     def derivative_measure_part(self, z: np.ndarray, order: int) -> np.ndarray:
+        """Exact sums over the atoms; order 0 gives the part of J itself.
+
+        Every atom below 1, negative ones included, is compensated.
+        """
         z = np.asarray(z, dtype=float)
-        ys, cs = self._arrays()
         out = np.zeros_like(z)
         with np.errstate(over="ignore", under="ignore"):
-            for y, c in zip(ys, cs):
-                if order == 2:
-                    out += c * y * y * np.exp(-z * y)
-                elif _compensated(y):
-                    out += c * y * (-np.expm1(-z * y))
+            for y, c in self.atoms:
+                w = z * y
+                if order == 0:
+                    out += c * (_compensated_exps(w) if y < 1.0
+                                else np.expm1(-w))
+                elif order == 1:
+                    out += (c * y * (-np.expm1(-w)) if y < 1.0
+                            else -c * y * np.exp(-w))
                 else:
-                    out -= c * y * np.exp(-z * y)
+                    out += c * y * y * np.exp(-w)
         return out
+
+    def negative_atoms(self, lo: float) -> int:
+        return sum(lo < y < 0.0 for y, _ in self.atoms)
+
+    def small_jump_square(self, lo: float) -> float:
+        return sum(c * y * y for y, c in self.atoms if lo < y < 1.0)
+
+    def tail_index(self) -> TailIndex:
+        return TailIndex(math.inf, 0.0,
+                         "Atomic measure: U vanishes near zero (rho treated "
+                         "as +inf); finite-activity jumps grow at most "
+                         "logarithmically")
 
     def squared_integral(self, x: float) -> float:
         return sum(c * y * y for y, c in self.atoms if 0.0 < y <= x)
@@ -400,6 +432,10 @@ class StableLike(MeasureFamily):
                     np.exp(-np.multiply.outer(z, y)) @ (w * y ** (order - 1.0 - alpha)))
         return out
 
+    def tail_index(self) -> TailIndex:
+        rho = 2.0 - self.alpha
+        return TailIndex(rho, 1e-12, f"U(x) ~ c*x^{rho:.6g}/{rho:.6g} near zero")
+
     def squared_integral(self, x: float) -> float:
         if x <= 0.0:
             return 0.0
@@ -467,6 +503,9 @@ class GammaLike(MeasureFamily):
                 m1 = self.c * (-math.expm1(-self.beta)) / self.beta
                 return m1 - self.c / sigma
             return self.c / (sigma * sigma)
+
+    def tail_index(self) -> TailIndex:
+        return TailIndex(2.0, 0.0, "U(x) ~ c*x^2/2 near zero")
 
     def squared_integral(self, x: float) -> float:
         if x <= 0.0:
@@ -597,6 +636,10 @@ class UserDensity(MeasureFamily):
         y = np.exp(s[:, None] + half[:, None] * _TAIL_NODES)
         yf = y * np.asarray(self.density_fn(y), dtype=float)
         return tails[p + 1] + half * (yf[:, :-1] @ _RULE_WEIGHTS), yf[:, -1]
+
+    def tail_index(self) -> TailIndex | None:
+        """The regression of U, for a certified density only."""
+        return super().tail_index() if self.a4_certified else None
 
     def squared_integral(self, x: float) -> float:
         if x <= 0.0:

@@ -248,7 +248,6 @@ def test_discounted_prices_stay_centered(capsys) -> None:
     vol = constant_volatility(0.2)
     curve = InitialCurve(
         func=lambda u: 0.08 + 0.175 * np.exp(-4.0 * np.asarray(u, dtype=float)),
-        deriv=lambda u: -0.7 * np.exp(-4.0 * np.asarray(u, dtype=float)),
         label="steep_decay")
     coarse = GridSpec(delta=1.0 / 32.0, t_star=1.0, t_max=2.0, gamma=1.0)
     fine = coarse.refine(2)

@@ -14,9 +14,11 @@ from hjmm.cli import (
     EXIT_INDETERMINATE,
     EXIT_MC_FAILED,
     EXIT_OK,
+    _write_field_csvs,
     main,
 )
 from hjmm.config import load_config
+from hjmm.grids import GridSpec, RateField
 from hjmm.paths import field_b, simulate_path
 from hjmm.solver import apriori_bound, weighted_norms
 
@@ -288,3 +290,28 @@ def test_float_format_in_csv(tmp_path) -> None:
     assert "e" in cells[2]
     mantissa = cells[2].split("e")[0]
     assert len(mantissa.split(".")[1]) == 10
+
+
+def test_field_csvs_match_row_by_row_writer(tmp_path) -> None:
+    # the whole-array writer against one formatted row per cell, in the
+    # order (t, T) for the standard field and (t, x) for the Musiela one
+    grid = GridSpec(delta=1.0 / 8.0, t_star=1.0, t_max=2.0, gamma=1.0)
+    values = np.random.default_rng(6).normal(size=(grid.n_t + 1,
+                                                   grid.n_cols + 1))
+    values[0, :3] = (0.0, -0.0, np.inf)
+    _write_field_csvs(str(tmp_path), RateField(values, grid))
+
+    def rows_text(header, rows):
+        return header + "\n" + "".join(
+            ",".join(f"{v:.10e}" for v in row) + "\n" for row in rows)
+
+    t_nodes, T_nodes = grid.t_nodes(), grid.T_nodes()
+    standard = [(t, T, values[i, j]) for i, t in enumerate(t_nodes)
+                for j, T in enumerate(T_nodes)]
+    musiela = [(t, k * grid.delta, values[i, i + k])
+               for i, t in enumerate(t_nodes)
+               for k in range(values.shape[1] - i)]
+    assert (tmp_path / "field_standard.csv").read_bytes() == rows_text(
+        "t,T,f", standard).encode()
+    assert (tmp_path / "field_musiela.csv").read_bytes() == rows_text(
+        "t,x,r", musiela).encode()

@@ -216,6 +216,29 @@ def test_derived_bounds_pass_grid_violations(terms, exact, delta) -> None:
     assert exact <= bound <= exact * (1 + 1e-4)
 
 
+# terms of mixed sign, with a minimum or the steepest point off the corners
+_MIXED_SIGN = {
+    "three_terms": [{"kind": "constant", "level": 0.3},
+                    {"kind": "exp_decay", "level": -0.1, "rate": 0.5},
+                    {"kind": "exp_decay", "level": 0.1, "rate": 2.5}],
+    "two_exp_decay": [{"kind": "exp_decay", "level": 0.3, "rate": 1.0},
+                      {"kind": "exp_decay", "level": -0.1, "rate": 3.0}],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MIXED_SIGN))
+def test_mixed_sign_bounds_pass_grid_violations(name) -> None:
+    # the parser samples the maturities grid_violations checks
+    for delta in (1 / 32, 1 / 128):
+        for t_max in (4.0, 8.0):
+            doc = _base_doc()
+            doc["volatility"] = {"terms": _MIXED_SIGN[name]}
+            doc["grid"].update(delta=delta, t_max=t_max)
+            cfg = parse_config(doc)
+            assert grid_violations(cfg.volatility, cfg.grid) == [], (
+                delta, t_max)
+
+
 @pytest.mark.parametrize("term, direct", [
     ({"kind": "constant", "level": 0.2}, constant_volatility(0.2)),
     ({"kind": "time_affine", "intercept": 0.2, "slope": 0.1},

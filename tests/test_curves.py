@@ -20,21 +20,18 @@ def test_constant_curve() -> None:
     c = constant_curve(0.05)
     assert c(0.0) == 0.05
     assert c(7.3) == 0.05
-    assert c.derivative(2.0) == 0.0
 
 
 def test_affine_curve_values_and_slope() -> None:
     c = affine_curve(1.0, 1.0)
     u = np.linspace(0.0, 2.0, 5)
     np.testing.assert_allclose(c(u), 1.0 + u)
-    np.testing.assert_allclose(c.derivative(u), np.ones(5))
 
 
 def test_exp_decay_curve() -> None:
     c = exp_decay_curve(0.08, 0.4)
     assert c(0.0) == pytest.approx(0.08)
     assert c(1.0) == pytest.approx(0.08 * math.exp(-0.4))
-    assert c.derivative(1.0) == pytest.approx(-0.4 * 0.08 * math.exp(-0.4))
 
 
 def test_table_curve_interpolates_and_extends() -> None:
@@ -47,10 +44,8 @@ def test_table_curve_interpolates_and_extends() -> None:
 
 
 def test_custom_curve_callable_protocol() -> None:
-    c = InitialCurve(func=lambda u: 0.08 + 0.175 * np.exp(-4.0 * u),
-                     deriv=lambda u: -0.7 * np.exp(-4.0 * u))
+    c = InitialCurve(func=lambda u: 0.08 + 0.175 * np.exp(-4.0 * u))
     assert c(0.0) == pytest.approx(0.255)
-    assert c.derivative(0.0) == pytest.approx(-0.7)
 
 
 def test_require_positive_on_accepts_positive_curve() -> None:

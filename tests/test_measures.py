@@ -6,16 +6,19 @@ import numpy as np
 import pytest
 
 from hjmm.errors import DomainError
-from hjmm.levy import (LevyModelSpec, exponent, exponent_derivative,
+from hjmm.levy import (LevyModelSpec, Rule, Verdict, check_assumptions,
+                       classify_growth, exponent, exponent_derivative,
                        fast_derivative)
 from hjmm.measures import (
     GammaLike,
+    MeasureFamily,
     PointMasses,
     StableLike,
     UserDensity,
     compensated_exp,
 )
 from hjmm.paths import simulate_path
+from hjmm.volatility import constant_volatility
 
 ORACLE_TOL = 1e-10
 QUAD_AGREEMENT_RTOL = 1e-8
@@ -55,6 +58,63 @@ _RULE_CASES = {
 }
 
 
+class _ExpDensity(MeasureFamily):
+    """The density e^{-2y} on (0, inf), a family the library does not know."""
+
+    def density(self, y):
+        return math.exp(-2.0 * y)
+
+    def support(self):
+        return (0.0, math.inf)
+
+    def derivative_measure_part(self, z, order):
+        return _exp_density_derivative(np.asarray(z, dtype=float), order)
+
+    def squared_integral(self, x):
+        # int_0^x y^2 e^{-2y} dy = (1 - e^{-2x} (1 + 2x + 2x^2)) / 4
+        return -0.25 * (math.expm1(-2.0 * x)
+                        + math.exp(-2.0 * x) * 2.0 * x * (1.0 + x))
+
+    def first_moment(self, lo, hi):
+        upper = (1.0 + 2.0 * hi) * math.exp(-2.0 * hi) if hi < math.inf else 0.0
+        return 0.25 * ((1.0 + 2.0 * lo) * math.exp(-2.0 * lo) - upper)
+
+    def second_moment(self, positive_only=False):
+        return 0.25
+
+    def total_mass(self):
+        return 0.5
+
+    def tail_mass(self, y):
+        return 0.5 * math.exp(-2.0 * y)
+
+    def sample_sizes(self, rng, n, eps):
+        return rng.exponential(0.5, size=n)
+
+
+def test_family_outside_the_library_is_classified_and_integrated() -> None:
+    # levy.py reads only the MeasureFamily interface: U(x) ~ x^3/3 near 0
+    # gives rho ~ 3 by the default regression, and J, J', J'' come from the
+    # default quadrature of the density
+    spec = LevyModelSpec(0.1, 0.0, _ExpDensity())
+    out = classify_growth(spec, 1.0, 1.0)
+    assert out.verdict is Verdict.EXISTENCE and out.rule_fired is Rule.RHO_GT1
+    assert abs(out.rho - 3.0) < 1e-3
+    report = check_assumptions(spec, constant_volatility(0.2))
+    assert report.ok and report.a4_square_integral == pytest.approx(
+        spec.measure.squared_integral(1.0), rel=0.0, abs=0.0)
+    for z in (0.0, 1e-5, 0.7, 40.0, 1e4):
+        want = -0.1 * z + _exp_density_exponent(z)
+        assert exponent(spec, z) == pytest.approx(want, rel=ORACLE_TOL, abs=0.0)
+        for order in (1, 2):
+            want = _exp_density_derivative(z, order) - (0.1 if order == 1
+                                                        else 0.0)
+            assert exponent_derivative(spec, z, order) == pytest.approx(
+                want, rel=ORACLE_TOL, abs=0.0)
+            assert float(fast_derivative(spec, order)(z)) == pytest.approx(
+                want, rel=1e-15, abs=0.0)
+
+
 def test_compensated_exp_matches_reference() -> None:
     # e^{-w} - 1 + w, checked against mpmath-free high-precision expansion
     assert compensated_exp(0.0) == 0.0
@@ -70,31 +130,43 @@ class TestPointMasses:
     def test_piece_derivatives_at_zero(self) -> None:
         # single atom of size 2, mass 1: J'(0) = -y*c = -2, J''(0) = y^2*c = 4
         nu = PointMasses([(2.0, 1.0)])
-        assert abs(nu.piece_derivatives(0.0, 1) - (-2.0)) < ORACLE_TOL
-        assert abs(nu.piece_derivatives(0.0, 2) - 4.0) < ORACLE_TOL
+        for order, want in ((1, -2.0), (2, 4.0)):
+            assert nu.exponent_part(0.0, order) == want
+            assert nu.derivative_measure_part(np.zeros(3), order).tolist() == [
+                want] * 3
 
     def test_piece_values_single_atom(self) -> None:
-        # atom y=2 with mass 3 sits in [1, inf): J3(z) = 3*(e^{-2z} - 1)
+        # atom y=2 with mass 3 sits in [1, inf), uncompensated:
+        # J(z) = 3 (e^{-2z} - 1), J'(z) = -6 e^{-2z}, J''(z) = 12 e^{-2z}
         nu = PointMasses([(2.0, 3.0)])
         z = 0.7
-        j1, j2, j3 = nu.piece_values(z)
-        assert j1 == 0.0 and j2 == 0.0
-        assert abs(j3 - 3.0 * math.expm1(-2.0 * z)) < ORACLE_TOL
+        closed = (3.0 * math.expm1(-2.0 * z), -6.0 * math.exp(-2.0 * z),
+                  12.0 * math.exp(-2.0 * z))
+        for order, want in enumerate(closed):
+            assert abs(nu.exponent_part(z, order) - want) < ORACLE_TOL
 
     def test_small_atom_lands_in_compensated_piece(self) -> None:
-        nu = PointMasses([(0.25, 2.0)])
-        z = 1.3
-        j1, j2, j3 = nu.piece_values(z)
-        assert j3 == 0.0
-        expected = 2.0 * (math.exp(-z * 0.25) - 1.0 + z * 0.25)
-        assert abs(j2 - expected) < ORACLE_TOL
+        # atoms below 1, negative ones too, carry the compensator:
+        # J(z) = sum c (e^{-zy} - 1 + zy), J'(z) = sum c y (1 - e^{-zy})
+        atoms = [(0.25, 2.0), (-0.5, 0.7), (3.0, 0.2)]
+        nu = PointMasses(atoms)
+        for z in (1e-6, 1.3, 9.0):
+            j = sum(c * (math.expm1(-z * y) + (z * y if y < 1.0 else 0.0))
+                    for y, c in atoms)
+            dj = sum(c * y * ((1.0 if y < 1.0 else 0.0) - math.exp(-z * y))
+                     for y, c in atoms)
+            ddj = sum(c * y * y * math.exp(-z * y) for y, c in atoms)
+            for order, want in enumerate((j, dj, ddj)):
+                got = nu.exponent_part(z, order)
+                assert abs(got - want) <= 1e-9 * abs(want), (z, order)
+                assert float(nu.derivative_measure_part(np.array(z), order)) == got
 
     def test_vectorized_derivative_keeps_precision_at_small_z(self) -> None:
         # 1 - e^{-zy} cancels for small z*y; both routes must use expm1
         nu = PointMasses([(0.4, 1.0)])
         zs = [1e-12, 1e-9, 1e-6, 0.5]
         got = nu.derivative_measure_part(np.array(zs), 1)
-        expected = [nu.piece_derivatives(z, 1) for z in zs]
+        expected = [-0.4 * math.expm1(-0.4 * z) for z in zs]
         np.testing.assert_allclose(got, expected, rtol=1e-14, atol=0.0)
 
     def test_squared_integral_and_moments(self) -> None:
@@ -143,7 +215,7 @@ class TestStableLike:
         for z in (0.0, 1e-6, 0.03, 1.0, 7.5, 40.0):
             for order in (1, 2):
                 fast = float(nu.derivative_measure_part(np.array(z), order))
-                slow = nu.piece_derivatives(z, order)
+                slow = nu.exponent_part(z, order)
                 scale = max(abs(slow), 1e-12)
                 assert abs(fast - slow) / scale < QUAD_AGREEMENT_RTOL, (
                     f"z={z} order={order}: {fast} vs {slow}")
@@ -157,7 +229,7 @@ class TestStableLike:
         for z in (0.0, 1e-6, 0.03, 1.0, 7.5, 40.0):
             for order in (1, 2):
                 fast = float(nu.derivative_measure_part(np.array(z), order))
-                slow = nu.piece_derivatives(z, order)
+                slow = nu.exponent_part(z, order)
                 assert abs(fast - slow) / abs(slow) < QUAD_AGREEMENT_RTOL, (
                     f"z={z} order={order}: {fast} vs {slow}")
         exact = (-c * (y_max ** (1.0 - alpha) - 1.0) / (1.0 - alpha),
@@ -174,11 +246,11 @@ class TestStableLike:
         exact = (-c * (y_max ** (1.0 - alpha) - 1.0) / (1.0 - alpha),
                  c * y_max ** (2.0 - alpha) / (2.0 - alpha))
         for order, want in zip((1, 2), exact):
-            assert nu.piece_derivatives(0.0, order) == pytest.approx(
+            assert nu.exponent_part(0.0, order) == pytest.approx(
                 want, rel=1e-12, abs=0.0)
             for z in (0.0, 1e-6, 1e-3, 3.0):
                 fast = float(nu.derivative_measure_part(np.array(z), order))
-                assert nu.piece_derivatives(z, order) == pytest.approx(
+                assert nu.exponent_part(z, order) == pytest.approx(
                     fast, rel=1e-12, abs=0.0), (z, order)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.5])
@@ -197,7 +269,7 @@ class TestStableLike:
         nu = StableLike(c=1.0, alpha=1.0, y_max=1.0)
         for z in (0.01, 0.5, 3.0):
             fast = float(nu.derivative_measure_part(np.array(z), 1))
-            slow = nu.piece_derivatives(z, 1)
+            slow = nu.exponent_part(z, 1)
             assert abs(fast - slow) / max(abs(slow), 1e-12) < QUAD_AGREEMENT_RTOL
 
     def test_inverse_tail_sampling_distribution(self) -> None:
@@ -241,7 +313,7 @@ class TestGammaLike:
         for z in (0.0, 1e-5, 0.2, 2.0, 25.0):
             for order in (1, 2):
                 fast = float(nu.derivative_measure_part(np.array(z), order))
-                slow = nu.piece_derivatives(z, order)
+                slow = nu.exponent_part(z, order)
                 scale = max(abs(slow), 1e-12)
                 assert abs(fast - slow) / scale < QUAD_AGREEMENT_RTOL
 
@@ -335,7 +407,7 @@ class TestUserDensity:
             zs = _RULE_Z
             if name == "heavy_tail" and order == 2:
                 zs = zs[1:]  # J''(0) is infinite: y^2 f ~ 1/y at infinity
-            expected = [nu.piece_derivatives(float(z), order) for z in zs]
+            expected = [nu.exponent_part(float(z), order) for z in zs]
             np.testing.assert_allclose(nu.derivative_measure_part(zs, order),
                                        expected, rtol=rtol, atol=0.0)
             if closed is not None:
