@@ -17,8 +17,10 @@ Exit codes: 0 success (existence / converged / suites pass / test pass),
 1 invalid configuration or command-line usage, 2 explosion verdict,
 3 indeterminate verdict, 4 solver exploded or hit the iteration cap,
 5 a verification suite failed, 6 the martingale test failed.  The
-HJMM_LOG environment variable sets the log level.  Reruns with the same
-config and seed write byte-identical files for any --threads value.
+HJMM_LOG environment variable sets the log level; at ``debug`` every
+solved path logs its seed, jump count, status and iterations.  Reruns
+with the same config and seed write byte-identical files for any
+--threads value.
 """
 
 from __future__ import annotations
@@ -38,14 +40,10 @@ from .errors import ConfigError, HjmmError
 from .grids import RateField
 from .levy import Verdict, classify_growth
 from .market import martingale_test
-from .paths import field_a, field_b, simulate_path
-from .solver import (STATUS_CONVERGED, apriori_bound, solve_fixed_point,
-                     weighted_norms)
+from .solver import STATUS_CONVERGED, apriori_bound, solve_path, weighted_norms
 from .verification import run_all
 
 __all__ = ["main"]
-
-log = logging.getLogger("hjmm")
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -137,12 +135,9 @@ def cmd_solve(args, config: RunConfig) -> int:
                 else EXIT_INDETERMINATE)
     seed = _seed(args, config)
     grid = config.grid
-    path = simulate_path(config.levy, grid.t_star, [seed, 0],
-                         eps=config.mc["eps"])
-    b_vals = field_b(config.volatility, path, grid)
-    a_vals = field_a(config.curve, b_vals, grid)
-    report = solve_fixed_point(a_vals, config.volatility, config.levy, grid,
-                               **config.solver)
+    path, b_vals, _, report = solve_path(
+        config.levy, config.volatility, config.curve, grid, [seed, 0],
+        config.mc["eps"], **config.solver)
     r0_norm = weighted_norms(np.asarray(config.curve(grid.T_nodes()),
                                         dtype=float)[None, :],
                              grid, 0.0).l2_gamma

@@ -26,7 +26,7 @@ import numpy as np
 
 from .curves import (InitialCurve, affine_curve, constant_curve,
                      exp_decay_curve, require_positive_on, table_curve)
-from .errors import ConfigError, NonPositiveInitialCurve
+from .errors import ConfigError, DomainError, NonPositiveInitialCurve
 from .grids import GridSpec
 from .levy import LevyModelSpec, check_assumptions
 from .measures import (GammaLike, MeasureFamily, PointMasses, StableLike,
@@ -143,6 +143,20 @@ def parse_config(doc: dict) -> RunConfig:
     if not _is_int(mc.get("master_seed")) or mc["master_seed"] < 0:
         raise ConfigError("mc.master_seed must be a nonnegative integer")
     _require_positive_number(mc, "eps")
+    for key, index_of in (("t_checkpoints", grid.index_of_time),
+                          ("T_checkpoints", grid.index_of_maturity)):
+        points = mc[key]
+        if points is None:
+            continue
+        if (not isinstance(points, list) or not points
+                or not all(_is_number(v) for v in points)):
+            raise ConfigError(
+                f"mc.{key} must be null or a nonempty list of numbers")
+        try:
+            for v in points:
+                index_of(v)
+        except DomainError as exc:
+            raise ConfigError(f"mc.{key}: {exc}") from exc
 
     outputs = _section(doc, "outputs", _OUTPUT_DEFAULTS)
 
@@ -190,10 +204,14 @@ def _is_int(val) -> bool:
     return isinstance(val, int) and not isinstance(val, bool)
 
 
+def _is_number(val) -> bool:
+    """Whether val is a finite JSON number (a JSON boolean is not)."""
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and math.isfinite(val))
+
+
 def _require_positive_number(sec: dict, key: str) -> None:
-    val = sec.get(key)
-    if (isinstance(val, bool) or not isinstance(val, (int, float))
-            or not math.isfinite(val) or val <= 0):
+    if not _is_number(sec.get(key)) or sec[key] <= 0:
         raise ConfigError(f"'{key}' must be a positive finite number")
 
 

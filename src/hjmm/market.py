@@ -11,11 +11,15 @@ where the second equality uses the flat extension f(t, u) = f(u, u) for
 u <= t.  On the grid the two P_hat routes sum the same trapezoid panels,
 so they agree to rounding; the discounted price should be a martingale
 in t under the risk-neutral dynamics, which the Monte Carlo test checks
-through z-scores against the time-zero price.
+through z-scores against the time-zero price.  Each Monte Carlo path is
+one :func:`~hjmm.solver.solve_path` call followed by a bond surface; the
+checkpoint rows come back through one loop, from the calling process or
+from a fork pool.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import multiprocessing
 from dataclasses import dataclass
@@ -27,8 +31,7 @@ from .curves import InitialCurve
 from .errors import DomainError, NonPositiveFactor
 from .grids import GridSpec, RateField, cumtrapz
 from .levy import LevyModelSpec, exponent, fast_derivative
-from .paths import field_a, field_b, simulate_path
-from .solver import solve_fixed_point
+from .solver import solve_path
 from .volatility import VolatilitySpec
 
 __all__ = [
@@ -130,35 +133,35 @@ class MartingaleReport:
         return all(abs(r.z_score) <= 4.0 for r in self.results)
 
 
-def _run_one_path(ctx: dict, path_index: int):
-    seed = [ctx["master_seed"], path_index]
-    try:
-        path = simulate_path(ctx["spec"], ctx["grid"].t_star, seed,
-                             eps=ctx["eps"])
-        b_vals = field_b(ctx["vol"], path, ctx["grid"])
-        a_vals = field_a(ctx["curve"], b_vals, ctx["grid"])
-        report = solve_fixed_point(a_vals, ctx["vol"], ctx["spec"], ctx["grid"],
-                                   tol=ctx["tol"], max_iter=ctx["max_iter"],
-                                   explosion_threshold=ctx["explosion_threshold"])
-        if not report.converged:
-            return path_index, None
-        surface = bond_surface(report.final_field, ctx["grid"])
-        out = surface.discounted[np.ix_(ctx["t_idx"], ctx["T_idx"])]
-        return path_index, out.ravel()
-    except NonPositiveFactor:
-        return path_index, None
+# The run's checkpoint-row function in a pool worker, set by the pool's
+# initializer.
+_worker_row = None
 
 
-# The run's context in a pool worker, set once by the pool's initializer.
-_pool_ctx: dict = {}
+def _set_worker_row(row) -> None:
+    global _worker_row
+    _worker_row = row
 
 
-def _init_pool_worker(ctx: dict) -> None:
-    _pool_ctx.update(ctx)
+def _pooled_row(path_index: int):
+    return _worker_row(path_index)
 
 
-def _run_pooled_path(path_index: int):
-    return _run_one_path(_pool_ctx, path_index)
+def _rows(row, n_paths: int, threads: int):
+    """``row(i)`` for every path index i, serially or from a pool.
+
+    Pool results arrive in any order; each carries its path index.
+    """
+    if threads <= 1 or n_paths <= 1:
+        yield from map(row, range(n_paths))
+        return
+    # the fork start method hands ``row`` to the workers without pickling
+    # closures such as a user density
+    with multiprocessing.get_context("fork").Pool(
+            processes=threads, initializer=_set_worker_row,
+            initargs=(row,)) as pool:
+        yield from pool.imap_unordered(_pooled_row, range(n_paths),
+                                       max(1, n_paths // (threads * 8)))
 
 
 def martingale_test(spec: LevyModelSpec, vol: VolatilitySpec,
@@ -170,12 +173,14 @@ def martingale_test(spec: LevyModelSpec, vol: VolatilitySpec,
                     threads: int = 1) -> MartingaleReport:
     """Monte Carlo check that discounted bond prices are constant in mean.
 
-    Each path gets its own generator seeded by (master_seed, path index),
-    so results are identical for any worker count.  The reference price
+    Path i runs :func:`solve_path` with the seed (master_seed, i), so
+    results are identical for any worker count.  The reference price
     P(0,T) integrates the initial curve by adaptive quadrature, so the
     deviations carry the grid's own discretization bias and must shrink
-    under refinement.  Paths whose solve diverges are excluded; more than
-    1% exclusions invalidates the test.
+    under refinement.  A path whose solve does not converge, or whose jump
+    factor turns non-positive, is excluded; more than 1% exclusions
+    invalidates the test.  Checkpoints must be grid nodes, at least one
+    time and one maturity.
     """
     if n_paths < 1:
         raise DomainError("n_paths must be at least 1")
@@ -184,40 +189,32 @@ def martingale_test(spec: LevyModelSpec, vol: VolatilitySpec,
         t_pts = tuple(float(v) for v in t_checkpoints)
     if T_checkpoints is not None:
         T_pts = tuple(float(v) for v in T_checkpoints)
+    if not t_pts or not T_pts:
+        raise DomainError("need at least one checkpoint time and maturity")
     t_idx = np.array([grid.index_of_time(v) for v in t_pts], dtype=int)
     T_idx = np.array([grid.index_of_maturity(v) for v in T_pts], dtype=int)
+    master_seed, eps = int(master_seed), float(eps)
 
-    ctx = {
-        "spec": spec, "vol": vol, "curve": curve, "grid": grid,
-        "master_seed": int(master_seed), "eps": float(eps),
-        "tol": tol, "max_iter": max_iter,
-        "explosion_threshold": explosion_threshold,
-        "t_idx": t_idx, "T_idx": T_idx,
-    }
+    def row(path_index: int):
+        try:
+            *_, report = solve_path(
+                spec, vol, curve, grid, [master_seed, path_index], eps,
+                tol=tol, max_iter=max_iter,
+                explosion_threshold=explosion_threshold)
+        except NonPositiveFactor:
+            return path_index, None
+        if not report.converged:
+            return path_index, None
+        surface = bond_surface(report.final_field, grid)
+        return path_index, surface.discounted[np.ix_(t_idx, T_idx)].ravel()
 
-    n_ckpt = len(t_pts) * len(T_pts)
-    samples = np.full((n_paths, n_ckpt), np.nan)
+    samples = np.full((n_paths, len(t_pts) * len(T_pts)), np.nan)
     excluded = 0
-    if threads > 1 and n_paths > 1:
-        # the fork start method hands the context to the workers without
-        # pickling closures such as a user density
-        mp_ctx = multiprocessing.get_context("fork")
-        chunk = max(1, n_paths // (threads * 8))
-        with mp_ctx.Pool(processes=threads, initializer=_init_pool_worker,
-                         initargs=(ctx,)) as pool:
-            for idx, row in pool.imap_unordered(_run_pooled_path,
-                                                range(n_paths), chunk):
-                if row is None:
-                    excluded += 1
-                else:
-                    samples[idx] = row
-    else:
-        for idx in range(n_paths):
-            _, row = _run_one_path(ctx, idx)
-            if row is None:
-                excluded += 1
-            else:
-                samples[idx] = row
+    for idx, values in _rows(row, n_paths, threads):
+        if values is None:
+            excluded += 1
+        else:
+            samples[idx] = values
 
     reference = _reference_prices(curve, grid, T_idx)
     kept = samples[~np.isnan(samples[:, 0])]
@@ -228,34 +225,28 @@ def martingale_test(spec: LevyModelSpec, vol: VolatilitySpec,
         notes = f"{excluded} of {n_paths} paths excluded"
 
     results = []
-    pos = 0
-    for i, t_val in enumerate(t_pts):
-        for j, T_val in enumerate(T_pts):
-            ref = reference[j]
-            col = kept[:, pos] if n_kept else np.empty(0)
-            mean = float(np.mean(col)) if n_kept else math.nan
-            dev = mean - ref
-            if n_kept >= 2:
-                std = float(np.std(col, ddof=1))
-            else:
-                std = math.nan
-            degenerate = not (n_kept >= 2 and std > 0.0)
-            if degenerate:
-                # deterministic samples: quadrature-size deviations count
-                # as zero, anything larger is unexplained
-                quad_tol = 100.0 * grid.delta ** 2 * max(abs(ref), 1.0)
-                z = 0.0 if abs(dev) <= quad_tol else math.nan
-            else:
-                z = dev / (std / math.sqrt(n_kept))
-            results.append(CheckpointResult(
-                t=t_val, T=T_val, mean_discounted=mean, reference=ref,
-                deviation=dev, std=std, z_score=z, degenerate=degenerate))
-            pos += 1
+    for pos, (t_val, T_val) in enumerate(itertools.product(t_pts, T_pts)):
+        ref = reference[pos % len(T_pts)]
+        col = kept[:, pos]
+        mean = float(np.mean(col)) if n_kept else math.nan
+        std = float(np.std(col, ddof=1)) if n_kept >= 2 else math.nan
+        dev = mean - ref
+        degenerate = not (n_kept >= 2 and std > 0.0)
+        if degenerate:
+            # deterministic samples: quadrature-size deviations count as
+            # zero, anything larger is unexplained
+            quad_tol = 100.0 * grid.delta ** 2 * max(abs(ref), 1.0)
+            z = 0.0 if abs(dev) <= quad_tol else math.nan
+        else:
+            z = dev / (std / math.sqrt(n_kept))
+        results.append(CheckpointResult(
+            t=t_val, T=T_val, mean_discounted=mean, reference=ref,
+            deviation=dev, std=std, z_score=z, degenerate=degenerate))
     if n_kept < 2:
         valid = False
         notes = (notes + "; " if notes else "") + "fewer than 2 valid paths"
     return MartingaleReport(results=results, n_paths=n_paths,
-                            n_excluded=excluded, master_seed=int(master_seed),
+                            n_excluded=excluded, master_seed=master_seed,
                             valid=valid, notes=notes)
 
 

@@ -13,19 +13,26 @@ minimal solution or blows up; both outcomes are reported.
 
 All quadratures are composite trapezoid on the uniform grid; J' is
 evaluated through the vectorized route of the measure family.
+
+:func:`solve_path` is the per-path pipeline that ``hjmm solve``,
+``hjmm verify`` and the martingale Monte Carlo share: simulate a jump
+path, build the factor fields b and a = f0 * b, solve.  It logs one
+DEBUG record per path to the ``hjmm.solver`` logger.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .curves import InitialCurve
 from .errors import DomainError, SecondMomentInfinite, NotTimeOnly
 from .grids import GridSpec, RateField, cumtrapz, flat_extend, gap_integral
 from .levy import LevyModelSpec, fast_derivative
-from .paths import JumpPath, _jump_prefixes
+from .paths import JumpPath, _jump_prefixes, field_a, field_b, simulate_path
 from .volatility import VolatilitySpec
 
 __all__ = [
@@ -33,6 +40,7 @@ __all__ = [
     "NormTriple",
     "apply_K",
     "solve_fixed_point",
+    "solve_path",
     "weighted_norms",
     "timeline_norm",
     "apriori_bound",
@@ -45,6 +53,8 @@ __all__ = [
 STATUS_CONVERGED = "Converged"
 STATUS_EXPLODED = "Exploded"
 STATUS_MAX_ITER = "MaxIterations"
+
+log = logging.getLogger(__name__)
 
 
 class _OperatorContext:
@@ -64,6 +74,10 @@ class _OperatorContext:
     def apply(self, values: np.ndarray) -> np.ndarray:
         """One application of the operator to a field on the rectangle."""
         dx = self.grid.delta
+        # once a path blows up, exp overflows to inf, and where a row
+        # integral has overflowed, inf - inf in gap_integral gives NaN;
+        # timeline_norm reads any non-finite cell as an infinite norm, so
+        # the solve stops as Exploded
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             inner = gap_integral(self.lam * values, dx)
             integrand = self.dj(inner) * self.lam
@@ -127,6 +141,9 @@ def solve_fixed_point(a_field: np.ndarray, vol: VolatilitySpec,
     for iterations in range(1, max_iter + 1):
         new = ctx.apply(current)
         diff = new - current
+        # an exploding iterate can hold inf and NaN cells (see apply);
+        # nanmax and nanmin skip the NaNs, and the non-finite timeline
+        # norm below stops the solve as Exploded
         with np.errstate(invalid="ignore"):
             sup_diffs.append(float(np.nanmax(np.abs(diff))))
             increment_mins.append(float(np.nanmin(diff)))
@@ -143,6 +160,25 @@ def solve_fixed_point(a_field: np.ndarray, vol: VolatilitySpec,
                         sup_diffs=sup_diffs, norm_trace=norm_trace,
                         increment_mins=increment_mins,
                         final_field=RateField(current, grid))
+
+
+def solve_path(spec: LevyModelSpec, vol: VolatilitySpec, curve: InitialCurve,
+               grid: GridSpec, seed, eps: float, **solver):
+    """One path of the pipeline: simulate, build b and a = f0 * b, solve.
+
+    Returns ``(path, b, a, report)``.  ``seed`` seeds
+    :func:`simulate_path` over [0, t_star], so every grid with the same
+    horizon sees the same jumps; ``solver`` holds the keyword arguments
+    of :func:`solve_fixed_point`.  Raises NonPositiveFactor when a jump
+    makes the factor field non-positive.
+    """
+    path = simulate_path(spec, grid.t_star, seed, eps=eps)
+    b_vals = field_b(vol, path, grid)
+    a_vals = field_a(curve, b_vals, grid)
+    report = solve_fixed_point(a_vals, vol, spec, grid, **solver)
+    log.debug("path %s: %d jumps, %s after %d iterations", seed,
+              path.n_jumps, report.status, report.iterations)
+    return path, b_vals, a_vals, report
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,11 @@
 Each suite exercises one qualitative property of the machinery (monotone
 iteration, norm embeddings, exponent monotonicity, positivity of the
 jump factor, the strong differential form, two-start uniqueness) on the
-model a run configuration describes.  Suites that need a simulated jump
-path skip, with a note, for models the path simulator does not cover.
+model a run configuration describes.  The suites that solve a path run
+:func:`~hjmm.solver.solve_path`, the pipeline ``hjmm solve`` and the
+Monte Carlo run.  A suite that needs a simulated jump path raises
+UnsupportedSpec for a model the path simulator does not cover, and
+:func:`run_all` turns that into a passed result with a "skipped" note.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import UnsupportedSpec
-from .grids import GridSpec, RateField
+from .grids import RateField
 from .levy import exponent_derivative, fast_derivative
-from .paths import JumpPath, field_a, field_b, simulate_path
-from .solver import (solve_fixed_point, strong_residual,
+from .paths import field_b, simulate_path
+from .solver import (solve_fixed_point, solve_path, strong_residual,
                      uniqueness_contraction_check)
 
 __all__ = ["SuiteResult", "VerificationReport", "run_all"]
@@ -48,26 +51,11 @@ class VerificationReport:
         return all(s.passed for s in self.suites)
 
 
-def _simulate(config: RunConfig, seed) -> JumpPath:
-    return simulate_path(config.levy, config.grid.t_star, seed,
-                         eps=config.mc["eps"])
-
-
-def _solve_on(config: RunConfig, grid: GridSpec, path: JumpPath):
-    b_vals = field_b(config.volatility, path, grid)
-    a_vals = field_a(config.curve, b_vals, grid)
-    report = solve_fixed_point(a_vals, config.volatility, config.levy, grid,
-                               **config.solver)
-    return a_vals, report
-
-
 def suite_monotone_iterates(config: RunConfig, seed: int) -> SuiteResult:
     """Iterates from zero must grow pointwise and converge."""
-    try:
-        _, report = _solve_on(config, config.grid,
-                              _simulate(config, [seed, 0]))
-    except UnsupportedSpec as exc:
-        return SuiteResult("monotone_iterates", True, note=f"skipped: {exc}")
+    *_, report = solve_path(config.levy, config.volatility, config.curve,
+                            config.grid, [seed, 0], config.mc["eps"],
+                            **config.solver)
     worst = min(report.increment_mins) if report.increment_mins else 0.0
     ok = report.converged and worst >= -MONOTONE_TOL
     return SuiteResult("monotone_iterates", ok,
@@ -144,17 +132,14 @@ def suite_exponent_monotone(config: RunConfig) -> SuiteResult:
 def suite_jump_factor_positive(config: RunConfig, seed: int) -> SuiteResult:
     """The realized jump factor must stay finite and strictly positive."""
     worst = math.inf
-    try:
-        for k in range(5):
-            path = _simulate(config, [seed, 1000 + k])
-            b_vals = field_b(config.volatility, path, config.grid)
-            if not np.all(np.isfinite(b_vals)):
-                return SuiteResult("jump_factor_positive", False,
-                                   details={"reason": "non-finite b values"})
-            worst = min(worst, float(np.min(b_vals)))
-    except UnsupportedSpec as exc:
-        return SuiteResult("jump_factor_positive", True,
-                           note=f"skipped: {exc}")
+    for k in range(5):
+        path = simulate_path(config.levy, config.grid.t_star,
+                             [seed, 1000 + k], eps=config.mc["eps"])
+        b_vals = field_b(config.volatility, path, config.grid)
+        if not np.all(np.isfinite(b_vals)):
+            return SuiteResult("jump_factor_positive", False,
+                               details={"reason": "non-finite b values"})
+        worst = min(worst, float(np.min(b_vals)))
     return SuiteResult("jump_factor_positive", worst > 0.0,
                        details={"min_b": worst})
 
@@ -163,27 +148,25 @@ def suite_strong_residual(config: RunConfig, seed: int) -> SuiteResult:
     """Inter-jump residual must shrink under grid refinement.
 
     Only meaningful for maturity-independent volatility; skipped
-    otherwise, and skipped for models without a path simulator.
+    otherwise.  Both grids solve the path of seed (seed, 2000): a path
+    depends only on its seed and the horizon, so they see the same jumps.
     """
     if not config.volatility.time_only:
         return SuiteResult("strong_residual", True,
                            note="skipped: volatility depends on maturity")
-    grids = [config.grid, config.grid.refine(2)]
     maxima = []
     jump_err = 0.0
-    try:
-        path = _simulate(config, [seed, 2000])
-        for g in grids:
-            _, report = _solve_on(config, g, path)
-            if not report.converged:
-                return SuiteResult("strong_residual", False,
-                                   details={"status": report.status})
-            stats = strong_residual(report.final_field, config.volatility,
-                                    config.levy, path, g)
-            maxima.append(stats.time_residual_max)
-            jump_err = max(jump_err, stats.jump_relation_max_error)
-    except UnsupportedSpec as exc:
-        return SuiteResult("strong_residual", True, note=f"skipped: {exc}")
+    for g in (config.grid, config.grid.refine(2)):
+        path, _, _, report = solve_path(config.levy, config.volatility,
+                                        config.curve, g, [seed, 2000],
+                                        config.mc["eps"], **config.solver)
+        if not report.converged:
+            return SuiteResult("strong_residual", False,
+                               details={"status": report.status})
+        stats = strong_residual(report.final_field, config.volatility,
+                                config.levy, path, g)
+        maxima.append(stats.time_residual_max)
+        jump_err = max(jump_err, stats.jump_relation_max_error)
     coarse, fine = maxima
     if math.isnan(coarse) or math.isnan(fine):
         return SuiteResult("strong_residual", False,
@@ -202,11 +185,9 @@ def suite_strong_residual(config: RunConfig, seed: int) -> SuiteResult:
 
 def suite_two_start(config: RunConfig, seed: int) -> SuiteResult:
     """Restarting from twice the fixed point must land on the same field."""
-    try:
-        a_vals, first = _solve_on(config, config.grid,
-                                  _simulate(config, [seed, 3000]))
-    except UnsupportedSpec as exc:
-        return SuiteResult("two_start", True, note=f"skipped: {exc}")
+    _, _, a_vals, first = solve_path(config.levy, config.volatility,
+                                     config.curve, config.grid, [seed, 3000],
+                                     config.mc["eps"], **config.solver)
     if not first.converged:
         return SuiteResult("two_start", False,
                            details={"status": first.status})
@@ -227,13 +208,22 @@ def suite_two_start(config: RunConfig, seed: int) -> SuiteResult:
 
 
 def run_all(config: RunConfig, seed: int = 0) -> VerificationReport:
-    """Run every invariant suite on the configured model."""
-    suites = [
-        suite_monotone_iterates(config, seed),
-        suite_norm_embeddings(config, seed),
-        suite_exponent_monotone(config),
-        suite_jump_factor_positive(config, seed),
-        suite_strong_residual(config, seed),
-        suite_two_start(config, seed),
-    ]
+    """Run every invariant suite on the configured model.
+
+    A suite that raises UnsupportedSpec (no path simulator for the model)
+    passes with the note "skipped: <reason>".
+    """
+    suites = []
+    for name, suite, args in (
+            ("monotone_iterates", suite_monotone_iterates, (config, seed)),
+            ("norm_embeddings", suite_norm_embeddings, (config, seed)),
+            ("exponent_monotone", suite_exponent_monotone, (config,)),
+            ("jump_factor_positive", suite_jump_factor_positive,
+             (config, seed)),
+            ("strong_residual", suite_strong_residual, (config, seed)),
+            ("two_start", suite_two_start, (config, seed))):
+        try:
+            suites.append(suite(*args))
+        except UnsupportedSpec as exc:
+            suites.append(SuiteResult(name, True, note=f"skipped: {exc}"))
     return VerificationReport(suites=suites)

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, output files, determinism."""
 
 import json
+import logging
 import math
 import os
 
@@ -124,7 +125,8 @@ class TestSolve:
         # the README model: c1_bound is the bound for r0_norm = weighted L2
         # norm of f0 on the maturity nodes and b_sup = max of the factor field
         cfg = _write(tmp_path, _existence_doc())
-        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        code = main(["solve", "--config", cfg, "--out", str(tmp_path)])
+        assert code == EXIT_OK
         report = json.loads((tmp_path / "solve_report.json").read_text())
         config = load_config(cfg)
         grid = config.grid
@@ -166,6 +168,20 @@ class TestSolve:
         for name in ("solve_report.json", "field_standard.csv",
                      "field_musiela.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+    def test_debug_log_records_the_path(self, tmp_path, caplog) -> None:
+        cfg = _write(tmp_path, _existence_doc())
+        caplog.set_level(logging.DEBUG, logger="hjmm")
+        code = main(["solve", "--config", cfg, "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        report = json.loads((tmp_path / "solve_report.json").read_text())
+        records = [r for r in caplog.records if r.name.startswith("hjmm.")]
+        assert len(records) == 1
+        assert records[0].levelno == logging.DEBUG
+        assert records[0].getMessage() == (
+            f"path [3, 0]: {report['n_jumps']} jumps, Converged after "
+            f"{report['iterations']} iterations")
 
 
 class TestVerify:

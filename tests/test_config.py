@@ -363,6 +363,37 @@ def test_solver_and_mc_validation() -> None:
         parse_config(doc)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("t_checkpoints", "ab"),
+    ("t_checkpoints", 0.5),
+    ("t_checkpoints", []),
+    ("t_checkpoints", [True]),
+    ("t_checkpoints", [0.3]),
+    ("t_checkpoints", [1.5]),
+    ("t_checkpoints", [math.inf]),
+    ("T_checkpoints", {"T": 1.0}),
+    ("T_checkpoints", [1.0, None]),
+    ("T_checkpoints", [2.5]),
+    ("T_checkpoints", [-0.125]),
+])
+def test_mc_checkpoints_must_be_grid_nodes(key, value) -> None:
+    doc = _base_doc()
+    doc["mc"] = {key: value}
+    with pytest.raises(ConfigError, match=f"mc.{key}"):
+        parse_config(doc)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("t_checkpoints", None),
+    ("t_checkpoints", [0.0, 0.5, 1]),
+    ("T_checkpoints", [0.125, 2]),
+])
+def test_mc_checkpoints_accept_null_and_grid_nodes(key, value) -> None:
+    doc = _base_doc()
+    doc["mc"] = {key: value}
+    assert parse_config(doc).mc[key] == value
+
+
 def test_curve_families() -> None:
     doc = _base_doc()
     doc["initial_curve"] = {"family": "table",

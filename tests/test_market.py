@@ -5,16 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from hjmm.curves import affine_curve, exp_decay_curve
+from hjmm.curves import affine_curve, constant_curve, exp_decay_curve
 from hjmm.errors import DomainError
 from hjmm.grids import GridSpec, RateField, flat_extend
-from hjmm.levy import drift_only, gamma_subordinator
+from hjmm.levy import LevyModelSpec, drift_only, gamma_subordinator
 from hjmm.market import (
     bond_surface,
     default_checkpoints,
     drift_identity_check,
     martingale_test,
 )
+from hjmm.measures import StableLike
 from hjmm.paths import field_a, field_b, simulate_path
 from hjmm.solver import solve_fixed_point
 from hjmm.volatility import constant_volatility, time_affine_volatility
@@ -183,6 +184,26 @@ class TestMartingale:
             assert a.mean_discounted == b.mean_discounted
             assert a.std == b.std
 
+    def test_worker_count_keeps_partial_exclusions(self) -> None:
+        # a stable-like driver in the explosion regime: with f0 = 26 some,
+        # but not all, of the 24 paths explode and are excluded
+        grid = GridSpec(1.0 / 8.0, 1.0, 2.0, 1.0)
+        spec = LevyModelSpec(drift_a=0.0, gaussian_q=0.0,
+                             measure=StableLike(c=1.0, alpha=1.5, y_max=1.0))
+        kwargs = dict(n_paths=24, master_seed=7, eps=1e-2, max_iter=50,
+                      explosion_threshold=1e6)
+        serial, forked = (
+            martingale_test(spec, constant_volatility(0.25),
+                            constant_curve(26.0), grid, threads=threads,
+                            **kwargs)
+            for threads in (1, 2))
+        assert 0 < serial.n_excluded < 24
+        assert forked.n_excluded == serial.n_excluded
+        assert not serial.valid
+        for a, b in zip(serial.results, forked.results):
+            assert a.mean_discounted == b.mean_discounted
+            assert a.std == b.std
+
     def test_explicit_checkpoints_respected(self) -> None:
         grid = _grid()
         spec = drift_only(1.0)
@@ -191,6 +212,15 @@ class TestMartingale:
                                  n_paths=8, master_seed=5,
                                  t_checkpoints=(0.5,), T_checkpoints=(1.0, 2.0))
         assert [(r.t, r.T) for r in report.results] == [(0.5, 1.0), (0.5, 2.0)]
+
+    @pytest.mark.parametrize("t_pts, T_pts", [((), None), (None, []),
+                                              ((), ())])
+    def test_empty_checkpoints_rejected(self, t_pts, T_pts) -> None:
+        with pytest.raises(DomainError, match="checkpoint"):
+            martingale_test(drift_only(1.0), constant_volatility(0.2),
+                            affine_curve(1.0, 1.0), _grid(), n_paths=4,
+                            master_seed=5, t_checkpoints=t_pts,
+                            T_checkpoints=T_pts)
 
     def test_invalid_path_count_rejected(self) -> None:
         grid = _grid()

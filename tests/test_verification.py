@@ -14,7 +14,7 @@ from hjmm.verification import (
 )
 
 
-def _config(vol_terms=None):
+def _config(vol_terms=None, levy=None):
     doc = {
         "version": 1,
         "levy": {
@@ -28,6 +28,8 @@ def _config(vol_terms=None):
                           "rate": 0.4},
         "grid": {"delta": 0.125, "t_star": 1.0, "t_max": 2.0, "gamma": 1.0},
     }
+    if levy is not None:
+        doc["levy"] = levy
     return parse_config(doc)
 
 
@@ -87,3 +89,18 @@ def test_run_all_aggregates(base_config) -> None:
     names = [s.name for s in report.suites]
     assert len(names) == len(set(names))
     assert len(names) == 6
+
+
+def test_run_all_skips_path_suites_for_a_gaussian_part() -> None:
+    config = _config(levy={
+        "drift_a": 0.0, "gaussian_q": 0.01,
+        "measure": {"family": "gamma_like", "c": 0.5, "beta": 2.0}})
+    report = run_all(config, seed=0)
+    assert report.all_passed
+    notes = {s.name: s.note for s in report.suites}
+    skipped = ("skipped: simulation is restricted to drivers without a "
+               "Gaussian part")
+    for name in ("monotone_iterates", "jump_factor_positive",
+                 "strong_residual", "two_start"):
+        assert notes[name] == skipped
+    assert notes["norm_embeddings"] == notes["exponent_monotone"] == ""
