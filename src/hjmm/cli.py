@@ -37,7 +37,7 @@ import numpy as np
 
 from .config import RunConfig, load_config
 from .errors import ConfigError, HjmmError
-from .grids import RateField
+from .grids import RateField, below_diagonal
 from .levy import Verdict, classify_growth
 from .market import martingale_test
 from .solver import STATUS_CONVERGED, apriori_bound, solve_path, weighted_norms
@@ -135,12 +135,11 @@ def cmd_solve(args, config: RunConfig) -> int:
                 else EXIT_INDETERMINATE)
     seed = _seed(args, config)
     grid = config.grid
-    path, b_vals, _, report = solve_path(
+    path, b_vals, a_vals, report = solve_path(
         config.levy, config.volatility, config.curve, grid, [seed, 0],
         config.mc["eps"], **config.solver)
-    r0_norm = weighted_norms(np.asarray(config.curve(grid.T_nodes()),
-                                        dtype=float)[None, :],
-                             grid, 0.0).l2_gamma
+    # b = 1 at t = 0, so row 0 of a = f0 * b is f0 on the maturity nodes
+    r0_norm = weighted_norms(a_vals[:1], grid, 0.0).l2_gamma
     c1_bound = apriori_bound(config.levy, config.volatility, grid,
                              r0_norm, float(b_vals.max()))
     out = _out_dir(args, config)
@@ -165,7 +164,7 @@ def _write_field_csvs(out: str, rate_field: RateField) -> None:
     grid = rate_field.grid
     values = rate_field.values
     t, T = np.meshgrid(grid.t_nodes(), grid.T_nodes(), indexing="ij")
-    rows, cols = np.triu_indices(values.shape[0], m=values.shape[1])
+    rows, cols = np.nonzero(~below_diagonal(values.shape)[2])
     for name, header, columns in (
             ("field_standard.csv", "t,T,f", (t, T, values)),
             ("field_musiela.csv", "t,x,r",

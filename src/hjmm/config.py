@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,9 +206,13 @@ def _is_int(val) -> bool:
 
 
 def _is_number(val) -> bool:
-    """Whether val is a finite JSON number (a JSON boolean is not)."""
+    """Whether val is a JSON number with a finite float value.
+
+    A JSON boolean is not a number; the magnitude bound rejects inf, NaN
+    and an integer beyond the float range, comparing without conversion.
+    """
     return (isinstance(val, (int, float)) and not isinstance(val, bool)
-            and math.isfinite(val))
+            and abs(val) <= sys.float_info.max)
 
 
 def _require_positive_number(sec: dict, key: str) -> None:
@@ -226,12 +231,9 @@ def _get_flag(sec: dict, key: str, context: str) -> bool:
 def _get_number(sec: dict, key: str, context: str) -> float:
     if key not in sec:
         raise ConfigError(f"{context}: missing '{key}'")
-    val = sec[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{context}: '{key}' must be a number")
-    if not math.isfinite(float(val)):
-        raise ConfigError(f"{context}: '{key}' must be finite")
-    return float(val)
+    if not _is_number(sec[key]):
+        raise ConfigError(f"{context}: '{key}' must be a finite number")
+    return float(sec[key])
 
 
 def _parse_grid(sec: dict) -> GridSpec:
@@ -261,7 +263,7 @@ def _parse_measure(sec: dict) -> MeasureFamily:
         return _build(sec, _MEASURES[family], family)
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"invalid measure parameters: {exc}") from exc
 
 
@@ -315,11 +317,11 @@ def _parse_levy(sec: dict) -> LevyModelSpec:
         drift_a = first
         subordinator = True
     else:
-        if isinstance(drift, bool) or not isinstance(drift, (int, float)):
+        if not _is_number(drift):
             raise ConfigError("levy.drift_a must be a number or 'subordinator'")
         drift_a = float(drift)
     q = sec.get("gaussian_q", 0.0)
-    if isinstance(q, bool) or not isinstance(q, (int, float)) or q < 0:
+    if not _is_number(q) or q < 0:
         raise ConfigError("levy.gaussian_q must be a nonnegative number")
     try:
         return LevyModelSpec(drift_a=drift_a, gaussian_q=float(q),
@@ -381,5 +383,5 @@ def _parse_curve(sec: dict) -> InitialCurve:
         return _build(sec, _CURVES[family], "initial_curve")
     except ConfigError:
         raise
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"initial_curve: {exc}") from exc

@@ -35,14 +35,15 @@ class InitialCurve:
         return self.func(np.asarray(u, dtype=float))
 
 
-def require_positive_on(curve: InitialCurve, nodes: np.ndarray) -> None:
-    """Raise NonPositiveInitialCurve unless the curve is > 0 at all nodes."""
+def require_positive_on(curve: InitialCurve, nodes: np.ndarray) -> np.ndarray:
+    """The curve at the nodes, all > 0, else NonPositiveInitialCurve."""
     vals = np.asarray(curve(nodes), dtype=float)
     if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
         bad = int(np.argmin(vals))
         raise NonPositiveInitialCurve(
             f"initial curve must be strictly positive; value {vals[bad]:.6g} "
             f"at u={float(np.asarray(nodes)[bad]):.6g}")
+    return vals
 
 
 def constant_curve(level: float) -> InitialCurve:

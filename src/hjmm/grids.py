@@ -6,10 +6,17 @@ time axis is a prefix of the maturity axis and Musiela slices
 r(t_i, x) = f(t_i, t_i + x) are plain diagonal re-indexings.  Below the
 diagonal (t > T) fields carry the flat extension f(t, T) = f(T, T), which
 is what the discounted-bond identity uses.
+
+The grid owns its triangle.  The field shape is checked by
+:meth:`GridSpec.check_field` alone; the below-diagonal cells of a field
+shape (:func:`below_diagonal`) and the slice L2 weights of a grid
+(:func:`slice_weights`) are built once per shape and grid, cached and
+read-only, and no other module builds a triangle index or mask.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,6 +25,10 @@ import numpy as np
 from .errors import DomainError
 
 __all__ = ["GridSpec", "RateField"]
+
+# grids kept at once: a run uses one, the strong-residual suite adds its
+# refinement, and the rest is room for callers that switch grids
+_CACHE_SIZE = 8
 
 
 def _divisible(total: float, step: float) -> int:
@@ -66,6 +77,18 @@ class GridSpec:
     def n_cols(self) -> int:
         return round(self.t_max / self.delta)
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        """Shape of a field on the grid: time nodes by maturity nodes."""
+        return (self.n_t + 1, self.n_cols + 1)
+
+    def check_field(self, values: np.ndarray) -> np.ndarray:
+        """``values``, if it has the grid's field shape; else DomainError."""
+        if values.shape != self.shape:
+            raise DomainError(
+                f"field shape {values.shape} does not match grid {self.shape}")
+        return values
+
     def t_nodes(self) -> np.ndarray:
         return self.delta * np.arange(self.n_t + 1)
 
@@ -112,10 +135,41 @@ def gap_integral(values: np.ndarray, dx: float) -> np.ndarray:
     return inner
 
 
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def below_diagonal(shape: tuple[int, int]) -> tuple[np.ndarray, ...]:
+    """``(rows, cols, mask)`` of the cells (i, j) with i > j, read-only.
+
+    ``rows`` and ``cols`` list the cells in row-major order; ``mask`` is
+    true on them and false on and above the diagonal.
+    """
+    mask = np.tri(*shape, -1, dtype=bool)
+    cells = (*np.nonzero(mask), mask)
+    for arr in cells:
+        arr.flags.writeable = False
+    return cells
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def slice_weights(grid: GridSpec) -> np.ndarray:
+    """Weight of cell (i, j) in the slice L2 norm of row i, read-only.
+
+    The trapezoid weight of the gap x = (j - i) delta times e^{gamma x},
+    zero below the diagonal; a one-node slice (i = n_cols) weighs nothing.
+    """
+    gap = np.arange(grid.n_cols + 1) - np.arange(grid.n_t + 1)[:, None]
+    weight = np.where(gap >= 0, grid.delta
+                      * np.exp(grid.gamma * (grid.delta * gap)), 0.0)
+    weight[gap == 0] *= 0.5
+    weight[:, -1] *= 0.5
+    weight[grid.n_cols:] = 0.0
+    weight.flags.writeable = False
+    return weight
+
+
 def flat_extend(values: np.ndarray) -> np.ndarray:
     """Copy values and overwrite the below-diagonal cells with f(T, T)."""
     out = np.array(values, dtype=float, copy=True)
-    rows, cols = np.tril_indices(out.shape[0], -1, out.shape[1])
+    rows, cols, _ = below_diagonal(out.shape)
     out[rows, cols] = out[cols, cols]
     return out
 
@@ -132,10 +186,7 @@ class RateField:
     grid: GridSpec
 
     def __post_init__(self) -> None:
-        expected = (self.grid.n_t + 1, self.grid.n_cols + 1)
-        if self.values.shape != expected:
-            raise DomainError(
-                f"field shape {self.values.shape} does not match grid {expected}")
+        self.grid.check_field(self.values)
 
     @classmethod
     def from_triangle(cls, values: np.ndarray, grid: GridSpec) -> "RateField":
@@ -158,6 +209,6 @@ class RateField:
 
     def extension_defect(self) -> float:
         """Max deviation of below-diagonal cells from their diagonal value, or NaN."""
-        rows, cols = np.tril_indices(self.grid.n_t + 1, -1, self.grid.n_cols + 1)
+        rows, cols, _ = below_diagonal(self.values.shape)
         return float(np.max(np.abs(self.values[rows, cols]
                                    - self.values[cols, cols]), initial=0.0))

@@ -29,7 +29,7 @@ from scipy import integrate
 
 from .curves import InitialCurve
 from .errors import DomainError, NonPositiveFactor
-from .grids import GridSpec, RateField, cumtrapz
+from .grids import GridSpec, RateField, below_diagonal, cumtrapz
 from .levy import LevyModelSpec, exponent, fast_derivative
 from .solver import solve_path
 from .volatility import VolatilitySpec
@@ -80,7 +80,7 @@ def bond_surface(rate_field: RateField, grid: GridSpec) -> BondSurface:
     ct = cumtrapz(values, grid.delta, axis=1)
     discounted = np.exp(-ct)
     prices = np.exp(-(ct - np.diagonal(ct)[:, None]))
-    prices[np.tril_indices(values.shape[0], -1, values.shape[1])] = np.nan
+    prices[below_diagonal(values.shape)[:2]] = np.nan
     return BondSurface(prices=prices, discounted=discounted,
                        short_rates=rate_field.short_rates(), grid=grid)
 

@@ -177,10 +177,5 @@ def field_b(vol: VolatilitySpec, path: JumpPath, grid: GridSpec) -> np.ndarray:
 
 def field_a(r0: InitialCurve, b_values: np.ndarray, grid: GridSpec) -> np.ndarray:
     """a(t_i, T_j) = f0(T_j) * b(t_i, T_j); requires a positive curve."""
-    T = grid.T_nodes()
-    require_positive_on(r0, T)
-    curve = np.asarray(r0(T), dtype=float)
-    if b_values.shape != (grid.n_t + 1, grid.n_cols + 1):
-        raise DomainError(
-            f"factor field shape {b_values.shape} does not match the grid")
-    return curve[None, :] * b_values
+    curve = require_positive_on(r0, grid.T_nodes())
+    return curve[None, :] * grid.check_field(b_values)

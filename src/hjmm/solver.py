@@ -12,7 +12,11 @@ produces a pointwise nondecreasing sequence that either converges to the
 minimal solution or blows up; both outcomes are reported.
 
 All quadratures are composite trapezoid on the uniform grid; J' is
-evaluated through the vectorized route of the measure family.
+evaluated through the vectorized route of the measure family.  The grid
+owns its triangle: the below-diagonal cells and the slice L2 weights
+come from :mod:`hjmm.grids`, built once per grid shape, and one private
+operator function serves :func:`apply_K` and :func:`solve_fixed_point`,
+with lambda on the grid and J' set up once per solve.
 
 :func:`solve_path` is the per-path pipeline that ``hjmm solve``,
 ``hjmm verify`` and the martingale Monte Carlo share: simulate a jump
@@ -30,7 +34,8 @@ import numpy as np
 
 from .curves import InitialCurve
 from .errors import DomainError, SecondMomentInfinite, NotTimeOnly
-from .grids import GridSpec, RateField, cumtrapz, flat_extend, gap_integral
+from .grids import (GridSpec, RateField, below_diagonal, cumtrapz,
+                    flat_extend, gap_integral, slice_weights)
 from .levy import LevyModelSpec, fast_derivative
 from .paths import JumpPath, _jump_prefixes, field_a, field_b, simulate_path
 from .volatility import VolatilitySpec
@@ -57,33 +62,28 @@ STATUS_MAX_ITER = "MaxIterations"
 log = logging.getLogger(__name__)
 
 
-class _OperatorContext:
-    """Grid-sized precomputations shared by all iterations of one solve."""
+def _operator(a_field: np.ndarray, vol: VolatilitySpec, spec: LevyModelSpec,
+              grid: GridSpec):
+    """The operator of one solve, f -> a * exp(...), as a function of f.
 
-    def __init__(self, a_field: np.ndarray, vol: VolatilitySpec,
-                 spec: LevyModelSpec, grid: GridSpec) -> None:
-        expected = (grid.n_t + 1, grid.n_cols + 1)
-        if a_field.shape != expected:
-            raise DomainError(
-                f"a-field shape {a_field.shape} does not match grid {expected}")
-        self.grid = grid
-        self.a_field = np.asarray(a_field, dtype=float)
-        self.lam = vol.on_grid(grid)
-        self.dj = fast_derivative(spec, 1)
+    lambda on the grid and J' are evaluated once, for all iterations.
+    """
+    a_field = np.asarray(grid.check_field(a_field), dtype=float)
+    lam = vol.on_grid(grid)
+    dj = fast_derivative(spec, 1)
 
-    def apply(self, values: np.ndarray) -> np.ndarray:
-        """One application of the operator to a field on the rectangle."""
-        dx = self.grid.delta
+    def apply(values: np.ndarray) -> np.ndarray:
         # once a path blows up, exp overflows to inf, and where a row
         # integral has overflowed, inf - inf in gap_integral gives NaN;
         # timeline_norm reads any non-finite cell as an infinite norm, so
         # the solve stops as Exploded
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            inner = gap_integral(self.lam * values, dx)
-            integrand = self.dj(inner) * self.lam
-            outer = cumtrapz(integrand, dx, axis=0)
-            new = self.a_field * np.exp(outer)
+            inner = gap_integral(lam * values, grid.delta)
+            outer = cumtrapz(dj(inner) * lam, grid.delta, axis=0)
+            new = a_field * np.exp(outer)
         return flat_extend(new)
+
+    return apply
 
 
 def apply_K(field: RateField, a_field: np.ndarray, vol: VolatilitySpec,
@@ -94,8 +94,7 @@ def apply_K(field: RateField, a_field: np.ndarray, vol: VolatilitySpec,
     nondecreasing).  Output values below the diagonal carry the flat
     extension, like every :class:`RateField`.
     """
-    ctx = _OperatorContext(a_field, vol, spec, grid)
-    return RateField(ctx.apply(field.values), grid)
+    return RateField(_operator(a_field, vol, spec, grid)(field.values), grid)
 
 
 @dataclass
@@ -129,8 +128,8 @@ def solve_fixed_point(a_field: np.ndarray, vol: VolatilitySpec,
     """
     if tol <= 0.0 or max_iter < 1 or explosion_threshold <= 0.0:
         raise DomainError("tol, max_iter and explosion_threshold must be positive")
-    ctx = _OperatorContext(a_field, vol, spec, grid)
-    current = (np.zeros_like(ctx.a_field) if initial is None
+    apply = _operator(a_field, vol, spec, grid)
+    current = (np.zeros(grid.shape) if initial is None
                else np.asarray(initial.values, dtype=float))
 
     sup_diffs: list[float] = []
@@ -139,9 +138,9 @@ def solve_fixed_point(a_field: np.ndarray, vol: VolatilitySpec,
     status = STATUS_MAX_ITER
     iterations = 0
     for iterations in range(1, max_iter + 1):
-        new = ctx.apply(current)
+        new = apply(current)
         diff = new - current
-        # an exploding iterate can hold inf and NaN cells (see apply);
+        # an exploding iterate can hold inf and NaN cells (see _operator);
         # nanmax and nanmin skip the NaNs, and the non-finite timeline
         # norm below stops the solve as Exploded
         with np.errstate(invalid="ignore"):
@@ -205,25 +204,12 @@ def weighted_norms(field: RateField | np.ndarray, grid: GridSpec,
     sup = float(np.max(np.abs(slice_vals))) if n else 0.0
     if n < 2:
         return NormTriple(0.0, 0.0, sup)
-    weight = _l2_weights(grid)[i, i:]
+    weight = slice_weights(grid)[i, i:]
     deriv = (_row_gradient(values[i:i + 1, i:], grid.delta)[0] if n > 2
              else np.diff(slice_vals) / grid.delta)
     l2_sq = float(np.sum(weight * slice_vals * slice_vals))
     h1_sq = l2_sq + float(np.sum(weight * deriv * deriv))
     return NormTriple(math.sqrt(l2_sq), math.sqrt(h1_sq), sup)
-
-
-def _l2_weights(grid: GridSpec) -> np.ndarray:
-    """Weight of cell (i, j) in the slice L2 norm of row i: the trapezoid
-    weight of the gap x = (j - i) delta times e^{gamma x}, zero below the
-    diagonal; a one-node slice (i = n_cols) weighs nothing."""
-    gap = np.arange(grid.n_cols + 1) - np.arange(grid.n_t + 1)[:, None]
-    weight = np.where(gap >= 0, grid.delta
-                      * np.exp(grid.gamma * (grid.delta * gap)), 0.0)
-    weight[gap == 0] *= 0.5
-    weight[:, -1] *= 0.5
-    weight[grid.n_cols:] = 0.0
-    return weight
 
 
 def _row_gradient(values: np.ndarray, dx: float) -> np.ndarray:
@@ -249,13 +235,15 @@ def _row_gradient(values: np.ndarray, dx: float) -> np.ndarray:
 def timeline_norm(values: np.ndarray, grid: GridSpec) -> float:
     """sup over grid times of the slice L2 norms (the timeline norm).
 
-    Infinite when a cell on or above the diagonal is not finite.
+    Infinite when a cell on or above the diagonal is not finite, or when
+    a weighted sum of finite cells overflows.
     """
-    upper = np.triu(values)
+    upper = np.where(below_diagonal(values.shape)[2], 0.0, values)
     if not np.all(np.isfinite(upper)):
         return math.inf
-    return math.sqrt(float(np.max(np.sum(_l2_weights(grid) * upper * upper,
-                                         axis=1))))
+    with np.errstate(over="ignore"):
+        return math.sqrt(float(np.max(np.sum(
+            slice_weights(grid) * upper * upper, axis=1))))
 
 
 def apriori_bound(spec: LevyModelSpec, vol: VolatilitySpec, grid: GridSpec,
@@ -405,9 +393,8 @@ def strong_residual(field: RateField, vol: VolatilitySpec, spec: LevyModelSpec,
     fwd = (values[1:, 1:] - values[:-1, :-1]) / dx
     counts = np.searchsorted(path.times, t_nodes, side="right")
     jump_free = counts[1:] == counts[:-1]
-    i = np.arange(grid.n_t)[:, None]
-    checked = (jump_free[:, None] & (i <= grid.n_cols - 2)
-               & (i <= np.arange(grid.n_cols)))
+    i, j = np.indices(fwd.shape, sparse=True)
+    checked = jump_free[:, None] & (i <= grid.n_cols - 2) & (i <= j)
     res = np.abs(fwd - drift[:-1, :-1])[checked]
 
     dx_res = _dx_identity_residual(values, lam, fast_derivative(spec, 2),
@@ -452,6 +439,5 @@ def _dx_identity_residual(values: np.ndarray, lam: np.ndarray, ddj,
     kern = ddj(inner) * (lam ** 2) * values
     integral = cumtrapz(kern, grid.delta, axis=0)
     res = np.abs(d_x - values * (d_x[0] / values[0] + integral))
-    i = np.arange(grid.n_t + 1)[:, None]
-    j = np.arange(grid.n_cols + 1)
+    i, j = np.indices(grid.shape, sparse=True)
     return res[(i <= grid.n_cols - 3) & (i < j) & (j < grid.n_cols)]

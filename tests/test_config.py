@@ -394,6 +394,42 @@ def test_mc_checkpoints_accept_null_and_grid_nodes(key, value) -> None:
     assert parse_config(doc).mc[key] == value
 
 
+HUGE_INT = 10 ** 400  # a JSON integer beyond the float range
+
+
+@pytest.mark.parametrize("section, key", [
+    ("mc", "eps"),
+    ("grid", "delta"),
+    ("solver", "tol"),
+    ("solver", "explosion_threshold"),
+    ("levy.measure", "beta"),
+    ("levy", "drift_a"),
+    ("levy", "gaussian_q"),
+    ("initial_curve", "level"),
+])
+def test_huge_integer_is_a_config_error_naming_the_key(section, key) -> None:
+    doc = _base_doc()
+    target = doc
+    for name in section.split("."):
+        target = target.setdefault(name, {})
+    target[key] = HUGE_INT
+    with pytest.raises(ConfigError, match=key):
+        parse_config(doc)
+
+
+@pytest.mark.parametrize("section, value", [
+    ("levy", {"drift_a": 0.0, "measure": {"family": "point_masses",
+                                          "atoms": [[HUGE_INT, 1.0]]}}),
+    ("initial_curve", {"family": "table",
+                       "points": [[0.0, 0.1], [HUGE_INT, 0.1]]}),
+])
+def test_huge_integer_in_a_list_is_a_config_error(section, value) -> None:
+    doc = _base_doc()
+    doc[section] = value
+    with pytest.raises(ConfigError):
+        parse_config(doc)
+
+
 def test_curve_families() -> None:
     doc = _base_doc()
     doc["initial_curve"] = {"family": "table",

@@ -1,12 +1,21 @@
-"""Grid geometry, flat extension, and rate-field slicing."""
+"""Grid geometry, flat extension, rate fields and the cached triangle."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from hjmm.curves import exp_decay_curve
 from hjmm.errors import DomainError
-from hjmm.grids import GridSpec, RateField, flat_extend
+from hjmm.grids import (GridSpec, RateField, below_diagonal, cumtrapz,
+                        flat_extend, slice_weights)
+from hjmm.levy import gamma_subordinator
+from hjmm.market import bond_surface
+from hjmm.paths import field_a, field_b, simulate_path
+from hjmm.solver import (_row_gradient, apply_K, solve_fixed_point,
+                         timeline_norm, weighted_norms)
+from hjmm.volatility import constant_volatility
 
 
 def _grid(delta=0.25, t_star=1.0, t_max=2.0, gamma=1.0) -> GridSpec:
@@ -99,3 +108,137 @@ class TestRateField:
         field = RateField.from_triangle(rng.uniform(size=(5, 9)), g)
         field.values[3, 1] = math.nan
         assert math.isnan(field.extension_defect())
+
+
+# The triangle layout and the slice weights are cached per shape and per
+# grid.  The oracles below are the per-call formulas they replace.
+
+def _oracle_flat_extend(values):
+    out = np.array(values, dtype=float, copy=True)
+    rows, cols = np.tril_indices(out.shape[0], -1, out.shape[1])
+    out[rows, cols] = out[cols, cols]
+    return out
+
+
+def _oracle_extension_defect(field):
+    grid = field.grid
+    rows, cols = np.tril_indices(grid.n_t + 1, -1, grid.n_cols + 1)
+    return float(np.max(np.abs(field.values[rows, cols]
+                               - field.values[cols, cols]), initial=0.0))
+
+
+def _oracle_weights(grid):
+    gap = np.arange(grid.n_cols + 1) - np.arange(grid.n_t + 1)[:, None]
+    weight = np.where(gap >= 0, grid.delta
+                      * np.exp(grid.gamma * (grid.delta * gap)), 0.0)
+    weight[gap == 0] *= 0.5
+    weight[:, -1] *= 0.5
+    weight[grid.n_cols:] = 0.0
+    return weight
+
+
+def _oracle_timeline_norm(values, grid):
+    upper = np.triu(values)
+    if not np.all(np.isfinite(upper)):
+        return math.inf
+    return math.sqrt(float(np.max(np.sum(_oracle_weights(grid) * upper * upper,
+                                         axis=1))))
+
+
+def _oracle_weighted_norms(values, grid, t):
+    i = grid.index_of_time(t)
+    slice_vals = values[i, i:]
+    n = slice_vals.size
+    sup = float(np.max(np.abs(slice_vals)))
+    if n < 2:
+        return (0.0, 0.0, sup)
+    weight = _oracle_weights(grid)[i, i:]
+    deriv = (_row_gradient(values[i:i + 1, i:], grid.delta)[0] if n > 2
+             else np.diff(slice_vals) / grid.delta)
+    l2_sq = float(np.sum(weight * slice_vals * slice_vals))
+    h1_sq = l2_sq + float(np.sum(weight * deriv * deriv))
+    return (math.sqrt(l2_sq), math.sqrt(h1_sq), sup)
+
+
+def _oracle_prices(values, grid):
+    ct = cumtrapz(values, grid.delta, axis=1)
+    prices = np.exp(-(ct - np.diagonal(ct)[:, None]))
+    prices[np.tril_indices(values.shape[0], -1, values.shape[1])] = np.nan
+    return prices, np.exp(-ct)
+
+
+# t_max = t_star makes n_t = n_cols, so the last row is a one-node slice
+CACHE_GRIDS = [GridSpec(delta, 1.0, t_max, 1.3)
+               for delta in (0.125, 0.03125) for t_max in (1.0, 4.0)]
+
+
+def _grid_id(grid):
+    return f"delta={grid.delta}-t_max={grid.t_max}"
+
+
+def _cached(grid):
+    return (*below_diagonal(grid.shape), slice_weights(grid))
+
+
+def _random_field(grid, seed=3):
+    rng = np.random.default_rng(seed)
+    return RateField.from_triangle(
+        rng.uniform(0.1, 2.0, size=grid.shape), grid)
+
+
+@pytest.mark.parametrize("grid", CACHE_GRIDS, ids=_grid_id)
+def test_cached_arrays_are_read_only(grid) -> None:
+    for arr in _cached(grid):
+        with pytest.raises(ValueError):
+            arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
+    assert below_diagonal(grid.shape)[0] is below_diagonal(grid.shape)[0]
+    equal = GridSpec(*dataclasses.astuple(grid))
+    assert slice_weights(grid) is slice_weights(equal)
+
+
+@pytest.mark.parametrize("grid", CACHE_GRIDS, ids=_grid_id)
+def test_cached_layout_matches_per_call_formulas(grid) -> None:
+    rows, cols, mask = below_diagonal(grid.shape)
+    expected = np.tril_indices(grid.n_t + 1, -1, grid.n_cols + 1)
+    assert rows.tobytes() == expected[0].tobytes()
+    assert cols.tobytes() == expected[1].tobytes()
+    assert np.array_equal(mask, np.tri(*grid.shape, -1, dtype=bool))
+    assert slice_weights(grid).tobytes() == _oracle_weights(grid).tobytes()
+
+
+@pytest.mark.parametrize("grid", CACHE_GRIDS, ids=_grid_id)
+def test_triangle_sites_bitwise_equal_to_per_call_formulas(grid) -> None:
+    field = _random_field(grid)
+    raw = np.random.default_rng(4).uniform(0.1, 2.0, size=grid.shape)
+    assert flat_extend(raw).tobytes() == _oracle_flat_extend(raw).tobytes()
+    raw[grid.n_t, 0] = 7.0
+    defect = RateField(raw, grid).extension_defect()
+    assert defect == _oracle_extension_defect(RateField(raw, grid)) > 0.0
+    surface = bond_surface(field, grid)
+    prices, discounted = _oracle_prices(field.values, grid)
+    assert surface.prices.tobytes() == prices.tobytes()
+    assert surface.discounted.tobytes() == discounted.tobytes()
+    assert (timeline_norm(field.values, grid)
+            == _oracle_timeline_norm(field.values, grid))
+    for t in grid.t_nodes():
+        got = weighted_norms(field, grid, float(t))
+        assert ((got.l2_gamma, got.h1_gamma, got.sup)
+                == _oracle_weighted_norms(field.values, grid, float(t)))
+
+
+@pytest.mark.parametrize("grid", CACHE_GRIDS, ids=_grid_id)
+def test_returned_arrays_own_their_memory(grid) -> None:
+    field = _random_field(grid)
+    vol = constant_volatility(0.2)
+    spec = gamma_subordinator(0.5, 2.0)
+    path = simulate_path(spec, grid.t_star, [5, 0])
+    a = field_a(exp_decay_curve(0.08, 0.4), field_b(vol, path, grid), grid)
+    report = solve_fixed_point(a, vol, spec, grid)
+    surface = bond_surface(report.final_field, grid)
+    returned = [flat_extend(field.values), a, report.final_field.values,
+                apply_K(field, a, vol, spec, grid).values, surface.prices,
+                surface.discounted, surface.short_rates]
+    for arr in returned:
+        assert arr.flags.writeable
+        for cached in _cached(grid):
+            assert not np.shares_memory(arr, cached)

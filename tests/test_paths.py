@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hjmm.curves import exp_decay_curve
+from hjmm.curves import InitialCurve, exp_decay_curve
 from hjmm.errors import DomainError, NonPositiveFactor, UnsupportedSpec
 from hjmm.grids import GridSpec
 from hjmm.levy import LevyModelSpec, drift_only, gamma_subordinator
@@ -291,3 +291,19 @@ def test_field_a_rejects_nonpositive_curve() -> None:
     b = np.ones((g.n_t + 1, g.n_cols + 1))
     with pytest.raises(NonPositiveInitialCurve):
         field_a(affine_curve(0.1, -0.2), b, g)
+
+
+def test_field_a_evaluates_the_curve_once() -> None:
+    g = _grid()
+    calls = []
+
+    def level(u):
+        calls.append(u.size)
+        return 0.08 * np.exp(-0.4 * u)
+
+    b = np.random.default_rng(2).uniform(0.5, 2.0,
+                                         size=(g.n_t + 1, g.n_cols + 1))
+    a = field_a(InitialCurve(level), b, g)
+    assert calls == [g.n_cols + 1]
+    # bitwise the product of the curve on the maturity nodes and b
+    assert a.tobytes() == (level(g.T_nodes())[None, :] * b).tobytes()

@@ -25,6 +25,7 @@ from hjmm.solver import (
     apply_K,
     apriori_bound,
     solve_fixed_point,
+    solve_path,
     strong_residual,
     timeline_norm,
     uniqueness_contraction_check,
@@ -424,6 +425,19 @@ class TestExplosion:
         # the norm trace grows monotonically on the way out
         finite = [v for v in report.norm_trace if math.isfinite(v)]
         assert all(b >= a for a, b in zip(finite, finite[1:]))
+
+    @pytest.mark.parametrize("seed", [[900, 0], [903, 0]])
+    def test_overflowing_norm_is_infinite_without_warning(self, seed) -> None:
+        # the fourth iterate is finite, but its squared cells overflow the
+        # weighted sum; pytest turns a RuntimeWarning into an error
+        grid = _grid()
+        spec = LevyModelSpec(0.0, 0.0, StableLike(c=1.0, alpha=1.5, y_max=1.0))
+        *_, report = solve_path(spec, constant_volatility(0.25),
+                                constant_curve(100.0), grid, seed, 1e-2,
+                                explosion_threshold=1e300)
+        assert report.status == STATUS_EXPLODED
+        assert report.iterations == 4
+        assert report.norm_trace[-1] == math.inf
 
     def test_invalid_controls_rejected(self) -> None:
         grid = _grid()
