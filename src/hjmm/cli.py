@@ -11,7 +11,8 @@ mc         Monte Carlo martingale test of discounted bond prices
 
 Every subcommand takes --config and --out.  Only the subcommands that
 read a flag accept it: --seed (override mc.master_seed) on solve, verify
-and mc; --allow-explosive on solve; --threads (worker processes) on mc.
+and mc; --allow-explosive on solve; --threads (worker processes, at
+least 1) on mc.
 
 Exit codes: 0 success (existence / converged / suites pass / test pass),
 1 invalid configuration or command-line usage, 2 explosion verdict,
@@ -96,7 +97,7 @@ def _format_cell(value) -> str:
 
 
 def _out_dir(args, config: RunConfig) -> str:
-    out = args.out if args.out else config.outputs.get("directory", ".")
+    out = args.out if args.out else config.outputs["directory"]
     os.makedirs(out, exist_ok=True)
     return out
 
@@ -154,7 +155,7 @@ def cmd_solve(args, config: RunConfig) -> int:
         "n_jumps": path.n_jumps,
     }
     _write_json(os.path.join(out, "solve_report.json"), payload)
-    if config.outputs.get("write_csv", True):
+    if config.outputs["write_csv"]:
         _write_field_csvs(out, report.final_field)
     print(f"solve: {report.status} after {report.iterations} iterations")
     return EXIT_OK if report.status == STATUS_CONVERGED else EXIT_DIVERGED
@@ -195,8 +196,8 @@ def cmd_mc(args, config: RunConfig) -> int:
         config.levy, config.volatility, config.curve, config.grid,
         n_paths=config.mc["n_paths"], master_seed=_seed(args, config),
         eps=config.mc["eps"],
-        t_checkpoints=config.mc.get("t_checkpoints"),
-        T_checkpoints=config.mc.get("T_checkpoints"),
+        t_checkpoints=config.mc["t_checkpoints"],
+        T_checkpoints=config.mc["T_checkpoints"],
         threads=args.threads, **config.solver)
     out = _out_dir(args, config)
     rows = [(r.t, r.T, r.mean_discounted, r.reference, r.deviation,
@@ -219,6 +220,13 @@ def cmd_mc(args, config: RunConfig) -> int:
           f"(max |z| = {report.max_abs_z:.3g}, "
           f"excluded {report.n_excluded}/{report.n_paths})")
     return EXIT_OK if report.passed else EXIT_MC_FAILED
+
+
+def _worker_count(text: str) -> int:
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -244,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parsers["solve"].add_argument(
         "--allow-explosive", action="store_true",
         help="run solve even when the classifier does not report existence")
-    parsers["mc"].add_argument("--threads", type=int, default=1,
+    parsers["mc"].add_argument("--threads", type=_worker_count, default=1,
                                help="worker processes")
     return parser
 

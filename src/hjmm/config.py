@@ -1,7 +1,7 @@
 """Run configuration: one JSON document per reproducible run.
 
 The document is versioned and carries everything a pipeline needs: the
-noise model, the volatility structure, the initial curve, the grid, and
+noise model, the volatility structure, the initial curve, the grid and
 the solver / Monte Carlo / output settings.  Loading validates the
 standing assumptions and reports violations by their labels:
 
@@ -11,9 +11,13 @@ standing assumptions and reports violations by their labels:
          with a bounded maturity derivative,
     (A4) the jump measure integrates min(y^2, y).
 
-Each tagged object (measure family, volatility term kind, curve family)
-maps its tag to a builder and the keys it reads; the volatility's term
-builders and its (A3) constants come from ``volatility``.
+Every section, and every tag of a tagged object (measure family,
+volatility term kind, curve family), has one table mapping each key to
+its default and its value kind; ``_read`` checks a JSON object against
+its table and ``_build`` hands the checked values to the object's
+builder.  A bad value is reported as ``<context>.<key> must be <kind>``.
+The volatility's term builders and its (A3) constants come from
+``volatility``.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,8 +35,7 @@ from .curves import (InitialCurve, affine_curve, constant_curve,
 from .errors import ConfigError, DomainError, NonPositiveInitialCurve
 from .grids import GridSpec
 from .levy import LevyModelSpec, check_assumptions
-from .measures import (GammaLike, MeasureFamily, PointMasses, StableLike,
-                       UserDensity)
+from .measures import GammaLike, PointMasses, StableLike, UserDensity
 from .volatility import (VolatilitySpec, constant_term, exp_decay_term,
                          sample_bounds, time_affine_term, unit_factor)
 
@@ -46,29 +50,116 @@ _EXPR_NAMES = {
 }
 
 
-# the document's sections, and for each tag of a tagged object its
-# builder and the keys it reads; parse_config rejects any other key.  A
-# tag whose keys are all numbers is built from them in key order,
-# point_masses, user_density and table by their own branches.
-_SECTIONS = ("version", "levy", "volatility", "initial_curve", "grid",
-             "solver", "mc", "outputs")
-_MEASURES = {"point_masses": (PointMasses, ("atoms",)),
-             "stable_like": (StableLike, ("c", "alpha", "y_max")),
-             "gamma_like": (GammaLike, ("c", "beta")),
-             "user_density": (UserDensity, ("expression", "a4_certified"))}
-_TERMS = {"constant": (constant_term, ("level",)),
-          "time_affine": (time_affine_term, ("intercept", "slope")),
-          "exp_decay": (exp_decay_term, ("level", "rate"))}
-_CURVES = {"constant": (constant_curve, ("level",)),
-           "affine": (affine_curve, ("intercept", "slope")),
-           "exponential_decay": (exp_decay_curve, ("level", "rate")),
-           "table": (table_curve, ("points",))}
+def _is_int(val) -> bool:
+    """Whether val is a JSON integer (a JSON boolean is not)."""
+    return isinstance(val, int) and not isinstance(val, bool)
 
-# the settings of the optional sections, each updated by its section
-_SOLVER_DEFAULTS = {"tol": 1e-9, "max_iter": 200, "explosion_threshold": 1e8}
-_MC_DEFAULTS = {"n_paths": 100, "master_seed": 0, "eps": 1e-3,
-                "t_checkpoints": None, "T_checkpoints": None}
-_OUTPUT_DEFAULTS = {"directory": ".", "write_csv": True}
+
+def _is_number(val) -> bool:
+    """Whether val is a JSON number with a finite float value.
+
+    A JSON boolean is not a number; the magnitude bound rejects inf, NaN
+    and an integer beyond the float range, comparing without conversion.
+    """
+    return (isinstance(val, (int, float)) and not isinstance(val, bool)
+            and abs(val) <= sys.float_info.max)
+
+
+def _is_pairs(val) -> bool:
+    return isinstance(val, list) and all(
+        isinstance(pair, list) and len(pair) == 2
+        and all(map(_is_number, pair)) for pair in val)
+
+
+class _Kind(NamedTuple):
+    """A value kind: its name in messages and its test of a JSON value."""
+
+    text: str
+    accepts: Callable
+
+
+_NUMBER = _Kind("a finite number", _is_number)
+_POSITIVE = _Kind("a positive finite number",
+                  lambda v: _is_number(v) and v > 0)
+_NONNEGATIVE = _Kind("a nonnegative finite number",
+                     lambda v: _is_number(v) and v >= 0)
+_COUNT = _Kind(f"an integer from 1 to {sys.maxsize}",
+               lambda v: _is_int(v) and 1 <= v <= sys.maxsize)
+_SEED = _Kind("a nonnegative integer", lambda v: _is_int(v) and v >= 0)
+_FLAG = _Kind("true or false", lambda v: isinstance(v, bool))
+_TEXT = _Kind("a nonempty string",
+              lambda v: isinstance(v, str) and bool(v.strip()))
+_PAIRS = _Kind("a list of [number, number] pairs", _is_pairs)
+_CHECKPOINTS = _Kind(
+    "null or a nonempty list of numbers",
+    lambda v: v is None or (isinstance(v, list) and len(v) > 0
+                            and all(map(_is_number, v))))
+# a value checked by the code that reads it, never handed to a builder
+_OWN = None
+_REQUIRED = object()
+
+
+def _user_density(expression: str, a4_certified: bool) -> UserDensity:
+    """The density of an expression in y over the names of _EXPR_NAMES."""
+    try:
+        code = compile(expression, "<user_density>", "eval")
+    except SyntaxError as exc:
+        raise ConfigError(f"user_density: bad expression: {exc}") from exc
+    for name in code.co_names:
+        if name not in _EXPR_NAMES and name != "y":
+            raise ConfigError(
+                f"user_density: name '{name}' is not allowed; available: "
+                f"y, {', '.join(sorted(_EXPR_NAMES))}")
+
+    def density(y):
+        scope = dict(_EXPR_NAMES)
+        scope["y"] = y
+        return eval(code, {"__builtins__": {}}, scope)
+
+    try:
+        probe = float(density(0.5))
+    except Exception as exc:
+        raise ConfigError(f"user_density: expression failed at y=0.5: {exc}")
+    if not math.isfinite(probe) or probe < 0.0:
+        raise ConfigError("user_density: expression must be a finite "
+                          "nonnegative density")
+    return UserDensity(density_fn=density, a4_certified=a4_certified)
+
+
+def _numbers(*keys: str) -> dict:
+    return dict.fromkeys(keys, (_REQUIRED, _NUMBER))
+
+
+# each section, and each tag of a tagged object with its builder, maps
+# its keys to (default, kind); parse_config rejects any other key
+_DOCUMENT = {"version": (_REQUIRED, _OWN), "levy": (_REQUIRED, _OWN),
+             "volatility": (_REQUIRED, _OWN),
+             "initial_curve": (_REQUIRED, _OWN), "grid": (_REQUIRED, _OWN),
+             "solver": ({}, _OWN), "mc": ({}, _OWN), "outputs": ({}, _OWN)}
+_GRID = _numbers("delta", "t_star", "t_max", "gamma")
+_LEVY = {"drift_a": (0.0, _OWN), "gaussian_q": (0.0, _NONNEGATIVE),
+         "measure": (None, _OWN), "subordinator": (False, _FLAG)}
+_VOLATILITY = {"terms": (_REQUIRED, _OWN), "lambda_lower": (None, _NUMBER),
+               "lambda_upper": (None, _NUMBER)}
+_SOLVER = {"tol": (1e-9, _POSITIVE), "max_iter": (200, _COUNT),
+           "explosion_threshold": (1e8, _POSITIVE)}
+_MC = {"n_paths": (100, _COUNT), "master_seed": (0, _SEED),
+       "eps": (1e-3, _POSITIVE), "t_checkpoints": (None, _CHECKPOINTS),
+       "T_checkpoints": (None, _CHECKPOINTS)}
+_OUTPUTS = {"directory": (".", _TEXT), "write_csv": (True, _FLAG)}
+_MEASURES = {"point_masses": (PointMasses, {"atoms": (_REQUIRED, _PAIRS)}),
+             "stable_like": (StableLike, _numbers("c", "alpha", "y_max")),
+             "gamma_like": (GammaLike, _numbers("c", "beta")),
+             "user_density": (_user_density,
+                              {"expression": (_REQUIRED, _TEXT),
+                               "a4_certified": (False, _FLAG)})}
+_TERMS = {"constant": (constant_term, _numbers("level")),
+          "time_affine": (time_affine_term, _numbers("intercept", "slope")),
+          "exp_decay": (exp_decay_term, _numbers("level", "rate"))}
+_CURVES = {"constant": (constant_curve, _numbers("level")),
+           "affine": (affine_curve, _numbers("intercept", "slope")),
+           "exponential_decay": (exp_decay_curve, _numbers("level", "rate")),
+           "table": (table_curve, {"points": (_REQUIRED, _PAIRS)})}
 
 
 @dataclass
@@ -99,21 +190,15 @@ def load_config(path: str) -> RunConfig:
 
 def parse_config(doc: dict) -> RunConfig:
     """Validate a configuration document and build its run description."""
-    if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    version = doc.get("version")
-    if version != SCHEMA_VERSION:
-        raise ConfigError(
-            f"unsupported config version {version!r}; expected {SCHEMA_VERSION}")
-    _require_known_keys(doc, _SECTIONS, "config")
-    for key in ("levy", "volatility", "initial_curve", "grid"):
-        if key not in doc:
-            raise ConfigError(f"missing required section '{key}'")
-
-    grid = _parse_grid(doc["grid"])
-    vol = _parse_volatility(doc["volatility"], grid)
-    levy = _parse_levy(doc["levy"])
-    curve = _parse_curve(doc["initial_curve"])
+    sections = _read(doc, _DOCUMENT, "config")
+    if sections["version"] != SCHEMA_VERSION:
+        raise ConfigError(f"unsupported config version "
+                          f"{sections['version']!r}; expected {SCHEMA_VERSION}")
+    grid = _build(GridSpec, _GRID, sections["grid"], "grid")
+    vol = _parse_volatility(sections["volatility"], grid)
+    levy = _parse_levy(sections["levy"])
+    curve = _build_tagged(sections["initial_curve"], "family", _CURVES,
+                          "initial_curve")
 
     try:
         require_positive_on(curve, grid.T_nodes())
@@ -132,217 +217,106 @@ def parse_config(doc: dict) -> RunConfig:
             f"small-jump part {report.a4_square_integral:g}, "
             f"tail part {report.a4_tail_integral:g}")
 
-    solver = _section(doc, "solver", _SOLVER_DEFAULTS)
-    _require_positive_number(solver, "tol")
-    _require_positive_number(solver, "explosion_threshold")
-    if not _is_int(solver.get("max_iter")) or solver["max_iter"] < 1:
-        raise ConfigError("solver.max_iter must be a positive integer")
-
-    mc = _section(doc, "mc", _MC_DEFAULTS)
-    if not _is_int(mc.get("n_paths")) or mc["n_paths"] < 1:
-        raise ConfigError("mc.n_paths must be a positive integer")
-    if not _is_int(mc.get("master_seed")) or mc["master_seed"] < 0:
-        raise ConfigError("mc.master_seed must be a nonnegative integer")
-    _require_positive_number(mc, "eps")
+    solver = _read(sections["solver"], _SOLVER, "solver")
+    mc = _read(sections["mc"], _MC, "mc")
     for key, index_of in (("t_checkpoints", grid.index_of_time),
                           ("T_checkpoints", grid.index_of_maturity)):
-        points = mc[key]
-        if points is None:
-            continue
-        if (not isinstance(points, list) or not points
-                or not all(_is_number(v) for v in points)):
-            raise ConfigError(
-                f"mc.{key} must be null or a nonempty list of numbers")
         try:
-            for v in points:
+            for v in mc[key] or ():
                 index_of(v)
         except DomainError as exc:
             raise ConfigError(f"mc.{key}: {exc}") from exc
-
-    outputs = _section(doc, "outputs", _OUTPUT_DEFAULTS)
+    outputs = _read(sections["outputs"], _OUTPUTS, "outputs")
 
     return RunConfig(levy=levy, volatility=vol, curve=curve, grid=grid,
                      solver=solver, mc=mc, outputs=outputs, raw=doc)
 
 
-def _section(doc: dict, name: str, defaults: dict) -> dict:
-    """The defaults, updated with the keys of the optional section ``name``."""
-    sec = doc.get(name, {})
-    if not isinstance(sec, dict):
-        raise ConfigError(f"section '{name}' must be an object")
-    _require_known_keys(sec, tuple(defaults), name)
-    return {**defaults, **sec}
+def _read(obj, table: dict, context: str) -> dict:
+    """The value of every key of ``table`` in the JSON object ``obj``.
 
-
-def _require_known_keys(sec: dict, allowed: tuple, context: str) -> None:
-    unknown = [key for key in sec if key not in allowed]
+    A value given is checked against its kind and kept as written; a key
+    not given takes its default.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{context} must be an object")
+    unknown = [key for key in obj if key not in table]
     if unknown:
         raise ConfigError(
             f"{context}: unknown key(s) {', '.join(map(repr, unknown))}; "
-            f"allowed: {', '.join(allowed)}")
+            f"allowed: {', '.join(table)}")
+    values = {}
+    for key, (default, kind) in table.items():
+        if key not in obj:
+            if default is _REQUIRED:
+                raise ConfigError(f"{context}: missing '{key}'")
+            values[key] = default
+        elif kind is _OWN or kind.accepts(obj[key]):
+            values[key] = obj[key]
+        else:
+            raise ConfigError(f"{context}.{key} must be {kind.text}")
+    return values
 
 
-def _tagged_keys(sec: dict, tag: str, table: dict, context: str) -> str:
-    """The value of ``sec[tag]``, checked against ``table`` with its keys."""
-    if not isinstance(sec, dict):
-        raise ConfigError(f"{context} must be an object")
-    name = sec.get(tag)
-    if not isinstance(name, str) or name not in table:
-        raise ConfigError(f"{context}: unknown {tag} {name!r}; expected one "
-                          f"of {', '.join(table)}")
-    _require_known_keys(sec, (tag,) + table[name][1], f"{context} {name}")
-    return name
+def _build(builder: Callable, table: dict, obj, context: str):
+    """``builder`` called with the values of ``obj`` checked against ``table``.
 
-
-def _build(sec: dict, entry: tuple, context: str):
-    """The builder of a table entry, called with the numbers of its keys."""
-    builder, keys = entry
-    return builder(*(_get_number(sec, key, context) for key in keys))
-
-
-def _is_int(val) -> bool:
-    """Whether val is a JSON integer (a JSON boolean is not)."""
-    return isinstance(val, int) and not isinstance(val, bool)
-
-
-def _is_number(val) -> bool:
-    """Whether val is a JSON number with a finite float value.
-
-    A JSON boolean is not a number; the magnitude bound rejects inf, NaN
-    and an integer beyond the float range, comparing without conversion.
+    A builder receives each number as a float and converts the numbers
+    inside a list itself.
     """
-    return (isinstance(val, (int, float)) and not isinstance(val, bool)
-            and abs(val) <= sys.float_info.max)
-
-
-def _require_positive_number(sec: dict, key: str) -> None:
-    if not _is_number(sec.get(key)) or sec[key] <= 0:
-        raise ConfigError(f"'{key}' must be a positive finite number")
-
-
-def _get_flag(sec: dict, key: str, context: str) -> bool:
-    """The JSON boolean ``sec[key]``, False when absent."""
-    val = sec.get(key, False)
-    if not isinstance(val, bool):
-        raise ConfigError(f"{context}: '{key}' must be true or false")
-    return val
-
-
-def _get_number(sec: dict, key: str, context: str) -> float:
-    if key not in sec:
-        raise ConfigError(f"{context}: missing '{key}'")
-    if not _is_number(sec[key]):
-        raise ConfigError(f"{context}: '{key}' must be a finite number")
-    return float(sec[key])
-
-
-def _parse_grid(sec: dict) -> GridSpec:
-    if not isinstance(sec, dict):
-        raise ConfigError("grid section must be an object")
-    _require_known_keys(sec, ("delta", "t_star", "t_max", "gamma"), "grid")
+    values = _read(obj, table, context)
     try:
-        return GridSpec(delta=_get_number(sec, "delta", "grid"),
-                        t_star=_get_number(sec, "t_star", "grid"),
-                        t_max=_get_number(sec, "t_max", "grid"),
-                        gamma=_get_number(sec, "gamma", "grid"))
-    except ValueError as exc:
-        raise ConfigError(f"grid: {exc}") from exc
+        return builder(**{key: float(val) if _is_number(val) else val
+                          for key, val in values.items()
+                          if table[key][1] is not _OWN})
+    except DomainError as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
 
 
-def _parse_measure(sec: dict) -> MeasureFamily:
-    family = _tagged_keys(sec, "family", _MEASURES, "levy.measure")
-    try:
-        if family == "point_masses":
-            atoms = sec.get("atoms")
-            if not isinstance(atoms, list):
-                raise ConfigError("point_masses: 'atoms' must be a list of "
-                                  "[size, weight] pairs")
-            return PointMasses(tuple((float(y), float(w)) for y, w in atoms))
-        if family == "user_density":
-            return _parse_user_density(sec)
-        return _build(sec, _MEASURES[family], family)
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"invalid measure parameters: {exc}") from exc
+def _build_tagged(obj, tag: str, builders: dict, context: str):
+    """``obj`` built by the builder of the name in its key ``tag``."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{context} must be an object")
+    name = obj.get(tag)
+    if not isinstance(name, str) or name not in builders:
+        raise ConfigError(f"{context}: unknown {tag} {name!r}; expected one "
+                          f"of {', '.join(builders)}")
+    builder, table = builders[name]
+    return _build(builder, {tag: (_REQUIRED, _OWN), **table}, obj, context)
 
 
-def _parse_user_density(sec: dict) -> UserDensity:
-    expr = sec.get("expression")
-    if not isinstance(expr, str) or not expr.strip():
-        raise ConfigError("user_density: 'expression' must be a nonempty string "
-                          "in the variable y")
-    try:
-        code = compile(expr, "<user_density>", "eval")
-    except SyntaxError as exc:
-        raise ConfigError(f"user_density: bad expression: {exc}") from exc
-    for name in code.co_names:
-        if name not in _EXPR_NAMES and name != "y":
-            raise ConfigError(
-                f"user_density: name '{name}' is not allowed; available: "
-                f"y, {', '.join(sorted(_EXPR_NAMES))}")
-
-    def density(y):
-        scope = dict(_EXPR_NAMES)
-        scope["y"] = y
-        return eval(code, {"__builtins__": {}}, scope)
-
-    try:
-        probe = float(density(0.5))
-    except Exception as exc:
-        raise ConfigError(f"user_density: expression failed at y=0.5: {exc}")
-    if not math.isfinite(probe) or probe < 0.0:
-        raise ConfigError("user_density: expression must be a finite "
-                          "nonnegative density")
-    return UserDensity(density_fn=density,
-                       a4_certified=_get_flag(sec, "a4_certified",
-                                              "user_density"))
-
-
-def _parse_levy(sec: dict) -> LevyModelSpec:
-    if not isinstance(sec, dict):
-        raise ConfigError("levy section must be an object")
-    _require_known_keys(
-        sec, ("drift_a", "gaussian_q", "measure", "subordinator"), "levy")
+def _parse_levy(sec) -> LevyModelSpec:
+    values = _read(sec, _LEVY, "levy")
     # a missing measure section means a measure with no jumps
-    measure = (_parse_measure(sec["measure"]) if "measure" in sec
+    measure = (_build_tagged(sec["measure"], "family", _MEASURES,
+                             "levy.measure") if "measure" in sec
                else PointMasses(()))
-    subordinator = _get_flag(sec, "subordinator", "levy")
-    drift = sec.get("drift_a", 0.0)
+    drift, subordinator = values["drift_a"], values["subordinator"]
     if drift == "subordinator":
-        first = measure.first_moment(0.0, 1.0)
-        if not math.isfinite(first):
+        drift = measure.first_moment(0.0, 1.0)
+        if not math.isfinite(drift):
             raise ConfigError(
                 "drift_a='subordinator' needs a finite small-jump first moment")
-        drift_a = first
         subordinator = True
+    elif _is_number(drift):
+        drift = float(drift)
     else:
-        if not _is_number(drift):
-            raise ConfigError("levy.drift_a must be a number or 'subordinator'")
-        drift_a = float(drift)
-    q = sec.get("gaussian_q", 0.0)
-    if not _is_number(q) or q < 0:
-        raise ConfigError("levy.gaussian_q must be a nonnegative number")
+        raise ConfigError("levy.drift_a must be a finite number or "
+                          "'subordinator'")
     try:
-        return LevyModelSpec(drift_a=drift_a, gaussian_q=float(q),
+        return LevyModelSpec(drift_a=drift,
+                             gaussian_q=float(values["gaussian_q"]),
                              measure=measure, subordinator=subordinator)
     except ValueError as exc:
         raise ConfigError(f"levy: {exc}") from exc
 
 
-def _parse_volatility(sec: dict, grid: GridSpec) -> VolatilitySpec:
-    if not isinstance(sec, dict):
-        raise ConfigError("volatility section must be an object")
-    _require_known_keys(sec, ("terms", "lambda_lower", "lambda_upper"),
-                        "volatility")
-    terms_doc = sec.get("terms")
-    if not isinstance(terms_doc, list) or not terms_doc:
+def _parse_volatility(sec, grid: GridSpec) -> VolatilitySpec:
+    values = _read(sec, _VOLATILITY, "volatility")
+    if not isinstance(values["terms"], list) or not values["terms"]:
         raise ConfigError("volatility.terms must be a nonempty list")
-    terms = []
-    for n, term in enumerate(terms_doc):
-        context = f"volatility.terms[{n}]"
-        kind = _tagged_keys(term, "kind", _TERMS, context)
-        terms.append(_build(term, _TERMS[kind], context))
+    terms = [_build_tagged(term, "kind", _TERMS, f"volatility.terms[{n}]")
+             for n, term in enumerate(values["terms"])]
 
     # the (A3) constants on the maturities grid_violations samples; every
     # term kind is affine in t, so the extremes over t of the factor and of
@@ -353,10 +327,9 @@ def _parse_volatility(sec: dict, grid: GridSpec) -> VolatilitySpec:
     if lo <= 0.0:
         raise ConfigError(
             f"(A3) volatility factor must stay positive; sampled minimum {lo:g}")
-    lo_cfg = (_get_number(sec, "lambda_lower", "volatility")
-              if "lambda_lower" in sec else lo)
-    hi_cfg = (_get_number(sec, "lambda_upper", "volatility")
-              if "lambda_upper" in sec else hi)
+    lo_cfg, hi_cfg = (bound if given is None else float(given)
+                      for bound, given in ((lo, values["lambda_lower"]),
+                                           (hi, values["lambda_upper"])))
     slack = 1e-9 * max(1.0, hi_cfg)
     if lo_cfg > lo + slack or hi_cfg < hi - slack:
         raise ConfigError(
@@ -369,19 +342,3 @@ def _parse_volatility(sec: dict, grid: GridSpec) -> VolatilitySpec:
             time_only=all(b_fn is unit_factor for _, b_fn in terms))
     except ValueError as exc:
         raise ConfigError(f"(A3) volatility bounds invalid: {exc}") from exc
-
-
-def _parse_curve(sec: dict) -> InitialCurve:
-    family = _tagged_keys(sec, "family", _CURVES, "initial_curve")
-    try:
-        if family == "table":
-            points = sec.get("points")
-            if not isinstance(points, list) or len(points) < 2:
-                raise ConfigError(
-                    "initial_curve table needs at least 2 [x, value] points")
-            return table_curve([(float(x), float(v)) for x, v in points])
-        return _build(sec, _CURVES[family], "initial_curve")
-    except ConfigError:
-        raise
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"initial_curve: {exc}") from exc

@@ -152,16 +152,17 @@ def _rows(row, n_paths: int, threads: int):
 
     Pool results arrive in any order; each carries its path index.
     """
-    if threads <= 1 or n_paths <= 1:
+    workers = min(threads, n_paths)
+    if workers <= 1:
         yield from map(row, range(n_paths))
         return
     # the fork start method hands ``row`` to the workers without pickling
     # closures such as a user density
     with multiprocessing.get_context("fork").Pool(
-            processes=threads, initializer=_set_worker_row,
+            processes=workers, initializer=_set_worker_row,
             initargs=(row,)) as pool:
         yield from pool.imap_unordered(_pooled_row, range(n_paths),
-                                       max(1, n_paths // (threads * 8)))
+                                       max(1, n_paths // (workers * 8)))
 
 
 def martingale_test(spec: LevyModelSpec, vol: VolatilitySpec,
@@ -174,7 +175,8 @@ def martingale_test(spec: LevyModelSpec, vol: VolatilitySpec,
     """Monte Carlo check that discounted bond prices are constant in mean.
 
     Path i runs :func:`solve_path` with the seed (master_seed, i), so
-    results are identical for any worker count.  The reference price
+    results are identical for any worker count; ``threads`` >= 1 asks for
+    that many worker processes, at most one per path.  The reference price
     P(0,T) integrates the initial curve by adaptive quadrature, so the
     deviations carry the grid's own discretization bias and must shrink
     under refinement.  A path whose solve does not converge, or whose jump
@@ -184,6 +186,8 @@ def martingale_test(spec: LevyModelSpec, vol: VolatilitySpec,
     """
     if n_paths < 1:
         raise DomainError("n_paths must be at least 1")
+    if threads < 1:
+        raise DomainError("threads must be at least 1")
     t_pts, T_pts = default_checkpoints(grid)
     if t_checkpoints is not None:
         t_pts = tuple(float(v) for v in t_checkpoints)
@@ -208,17 +212,19 @@ def martingale_test(spec: LevyModelSpec, vol: VolatilitySpec,
         surface = bond_surface(report.final_field, grid)
         return path_index, surface.discounted[np.ix_(t_idx, T_idx)].ravel()
 
-    samples = np.full((n_paths, len(t_pts) * len(T_pts)), np.nan)
+    # the rows of the kept paths, stacked in path-index order
+    kept_rows = {}
     excluded = 0
     for idx, values in _rows(row, n_paths, threads):
         if values is None:
             excluded += 1
         else:
-            samples[idx] = values
+            kept_rows[idx] = values
+    n_kept = len(kept_rows)
+    kept = np.array([kept_rows[i] for i in sorted(kept_rows)],
+                    dtype=float).reshape(n_kept, len(t_pts) * len(T_pts))
 
     reference = _reference_prices(curve, grid, T_idx)
-    kept = samples[~np.isnan(samples[:, 0])]
-    n_kept = kept.shape[0]
     valid = excluded <= 0.01 * n_paths
     notes = ""
     if excluded:

@@ -273,6 +273,27 @@ class TestConfigErrors:
         p.write_text("{not json")
         assert main(["classify", "--config", str(p)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("section, setting", [
+        ("outputs", {"directory": 5}),
+        ("outputs", {"write_csv": "no"}),
+        ("mc", {"n_paths": 10 ** 400}),
+        ("solver", {"max_iter": 10 ** 400}),
+    ])
+    def test_bad_setting_exit_one_without_traceback(
+            self, tmp_path, capsys, monkeypatch, section, setting) -> None:
+        # no --out, so a directory setting would be used; files would
+        # land in the test's own directory
+        monkeypatch.chdir(tmp_path)
+        doc = _existence_doc()
+        doc[section] = setting
+        command = "mc" if section == "mc" else "solve"
+        code = main([command, "--config", _write(tmp_path, doc)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith(f"config error: {section}.{next(iter(setting))}")
+        assert "Traceback" not in err
+        assert sorted(os.listdir(tmp_path)) == ["run.json"]
+
 
 class TestUsage:
     def test_usage_errors_exit_one(self, tmp_path, capsys) -> None:
@@ -281,6 +302,15 @@ class TestUsage:
         assert main(["solve"]) == EXIT_CONFIG
         assert main(["classify", "--config", cfg, "--threads", "2"]) == EXIT_CONFIG
         assert "--threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threads", ["0", "-2", "two"])
+    def test_threads_below_one_is_a_usage_error(self, tmp_path, capsys,
+                                                threads) -> None:
+        cfg = _write(tmp_path, _existence_doc())
+        assert main(["mc", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--threads", threads]) == EXIT_CONFIG
+        assert "--threads" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_flags_only_where_read(self, tmp_path) -> None:
         cfg = _write(tmp_path, _existence_doc())

@@ -3,10 +3,14 @@
 import copy
 import json
 import math
+import re
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hjmm import config
 from hjmm.config import (
     SCHEMA_VERSION,
     load_config,
@@ -422,12 +426,68 @@ def test_huge_integer_is_a_config_error_naming_the_key(section, key) -> None:
                                           "atoms": [[HUGE_INT, 1.0]]}}),
     ("initial_curve", {"family": "table",
                        "points": [[0.0, 0.1], [HUGE_INT, 0.1]]}),
+    # a JSON boolean is not a number inside a list either
+    ("levy", {"drift_a": 0.0, "measure": {"family": "point_masses",
+                                          "atoms": [[True, 1.0]]}}),
+    ("levy", {"drift_a": 0.0, "measure": {"family": "point_masses",
+                                          "atoms": [[0.5, True]]}}),
+    ("initial_curve", {"family": "table",
+                       "points": [[0.0, 0.1], [2.0, True]]}),
 ])
 def test_huge_integer_in_a_list_is_a_config_error(section, value) -> None:
     doc = _base_doc()
     doc[section] = value
-    with pytest.raises(ConfigError):
+    key = {"levy": "levy.measure.atoms",
+           "initial_curve": "initial_curve.points"}[section]
+    with pytest.raises(ConfigError, match=key):
         parse_config(doc)
+
+
+@pytest.mark.parametrize("value", [HUGE_INT, sys.maxsize + 1])
+@pytest.mark.parametrize("section, key", [("mc", "n_paths"),
+                                          ("solver", "max_iter")])
+def test_count_beyond_maxsize_is_a_config_error(section, key, value) -> None:
+    doc = _base_doc()
+    doc[section] = {key: value}
+    with pytest.raises(ConfigError, match=f"{section}.{key} must be"):
+        parse_config(doc)
+    doc[section] = {key: sys.maxsize}
+    assert getattr(parse_config(doc), section)[key] == sys.maxsize
+
+
+@pytest.mark.parametrize("key, value", [
+    ("directory", 5),
+    ("directory", ""),
+    ("directory", None),
+    ("directory", ["out"]),
+    ("write_csv", "no"),
+    ("write_csv", 0),
+    ("write_csv", None),
+])
+def test_outputs_take_only_their_json_type(key, value) -> None:
+    doc = _base_doc()
+    doc["outputs"] = {key: value}
+    with pytest.raises(ConfigError, match=f"outputs.{key} must be"):
+        parse_config(doc)
+
+
+def test_every_key_the_reader_accepts_is_in_the_readme() -> None:
+    # a key counts as documented when the README writes it as `key`,
+    # "key" (the JSON example) or as the end of a dotted `section.key`
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    tables = [config._DOCUMENT, config._GRID, config._LEVY,
+              config._VOLATILITY, config._SOLVER, config._MC,
+              config._OUTPUTS]
+    for tag, builders in (("family", config._MEASURES),
+                          ("kind", config._TERMS),
+                          ("family", config._CURVES)):
+        for name, (_, table) in builders.items():
+            tables.append({tag: None, name: None, **table})
+    missing = sorted({key for table in tables for key in table
+                      if not re.search(rf"[`\".]{re.escape(key)}[`\"]",
+                                       readme)})
+    assert missing == []
 
 
 def test_curve_families() -> None:

@@ -1,10 +1,12 @@
 """Bond surfaces, the discounted-price identity, and the martingale check."""
 
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
 
+from hjmm import market
 from hjmm.curves import affine_curve, constant_curve, exp_decay_curve
 from hjmm.errors import DomainError
 from hjmm.grids import GridSpec, RateField, flat_extend
@@ -201,6 +203,52 @@ class TestMartingale:
         assert forked.n_excluded == serial.n_excluded
         assert not serial.valid
         for a, b in zip(serial.results, forked.results):
+            assert a.mean_discounted == b.mean_discounted
+            assert a.std == b.std
+
+    def test_threads_below_one_rejected(self) -> None:
+        for threads in (0, -1):
+            with pytest.raises(DomainError, match="threads"):
+                martingale_test(drift_only(1.0), constant_volatility(0.2),
+                                exp_decay_curve(0.08, 0.4), _grid(),
+                                n_paths=4, master_seed=0, threads=threads)
+
+    def test_pool_starts_at_most_one_worker_per_path(self,
+                                                     monkeypatch) -> None:
+        # an in-process stand-in for the fork pool records the worker
+        # count it is asked for and hands back the rows last path first,
+        # as an unordered pool may; no process is started
+        requested = []
+
+        class RecordingPool:
+            def __init__(self, processes, initializer, initargs):
+                requested.append(processes)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def imap_unordered(self, func, iterable, chunksize=1):
+                return map(func, reversed(list(iterable)))
+
+        class FakeContext:
+            Pool = RecordingPool
+
+        monkeypatch.setattr(multiprocessing, "get_context",
+                            lambda method: FakeContext)
+        monkeypatch.setattr(market, "_worker_row", None)
+        grid = GridSpec(1.0 / 8.0, 1.0, 2.0, 1.0)
+        pooled, serial = (
+            martingale_test(gamma_subordinator(0.5, 2.0),
+                            constant_volatility(0.2),
+                            exp_decay_curve(0.08, 0.4), grid, n_paths=3,
+                            master_seed=7, threads=threads)
+            for threads in (64, 1))
+        assert requested == [3]
+        for a, b in zip(pooled.results, serial.results):
             assert a.mean_discounted == b.mean_discounted
             assert a.std == b.std
 
