@@ -210,6 +210,7 @@ def cmd_mc(args, config: RunConfig) -> int:
         "valid": report.valid,
         "n_paths": report.n_paths,
         "n_excluded": report.n_excluded,
+        "excluded_by_cause": report.excluded_by_cause,
         "master_seed": report.master_seed,
         "max_abs_z": report.max_abs_z,
         "mean_abs_deviation": report.mean_abs_deviation,

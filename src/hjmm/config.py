@@ -43,6 +43,12 @@ __all__ = ["RunConfig", "load_config", "parse_config"]
 
 SCHEMA_VERSION = 1
 
+# Most cells of one field, (n_t + 1) * (n_cols + 1), that a document may
+# ask for: 2^22 cells, 32 MiB per field, and a solve holds a few fields.
+# On t_star = 1, t_max = 2, delta = 1/1024 gives 2.1 million cells and
+# 1/2048 gives 8.4 million, which is refused.
+MAX_FIELD_CELLS = 1 << 22
+
 _EXPR_NAMES = {
     "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "abs": np.abs,
     "cos": np.cos, "sin": np.sin, "where": np.where,
@@ -86,6 +92,8 @@ _NONNEGATIVE = _Kind("a nonnegative finite number",
 _COUNT = _Kind(f"an integer from 1 to {sys.maxsize}",
                lambda v: _is_int(v) and 1 <= v <= sys.maxsize)
 _SEED = _Kind("a nonnegative integer", lambda v: _is_int(v) and v >= 0)
+_VERSION = _Kind(f"the integer {SCHEMA_VERSION}",
+                 lambda v: _is_int(v) and v == SCHEMA_VERSION)
 _FLAG = _Kind("true or false", lambda v: isinstance(v, bool))
 _TEXT = _Kind("a nonempty string",
               lambda v: isinstance(v, str) and bool(v.strip()))
@@ -132,7 +140,7 @@ def _numbers(*keys: str) -> dict:
 
 # each section, and each tag of a tagged object with its builder, maps
 # its keys to (default, kind); parse_config rejects any other key
-_DOCUMENT = {"version": (_REQUIRED, _OWN), "levy": (_REQUIRED, _OWN),
+_DOCUMENT = {"version": (_REQUIRED, _VERSION), "levy": (_REQUIRED, _OWN),
              "volatility": (_REQUIRED, _OWN),
              "initial_curve": (_REQUIRED, _OWN), "grid": (_REQUIRED, _OWN),
              "solver": ({}, _OWN), "mc": ({}, _OWN), "outputs": ({}, _OWN)}
@@ -191,10 +199,7 @@ def load_config(path: str) -> RunConfig:
 def parse_config(doc: dict) -> RunConfig:
     """Validate a configuration document and build its run description."""
     sections = _read(doc, _DOCUMENT, "config")
-    if sections["version"] != SCHEMA_VERSION:
-        raise ConfigError(f"unsupported config version "
-                          f"{sections['version']!r}; expected {SCHEMA_VERSION}")
-    grid = _build(GridSpec, _GRID, sections["grid"], "grid")
+    grid = _build(_bounded_grid, _GRID, sections["grid"], "grid")
     vol = _parse_volatility(sections["volatility"], grid)
     levy = _parse_levy(sections["levy"])
     curve = _build_tagged(sections["initial_curve"], "family", _CURVES,
@@ -283,6 +288,17 @@ def _build_tagged(obj, tag: str, builders: dict, context: str):
                           f"of {', '.join(builders)}")
     builder, table = builders[name]
     return _build(builder, {tag: (_REQUIRED, _OWN), **table}, obj, context)
+
+
+def _bounded_grid(delta: float, t_star: float, t_max: float,
+                  gamma: float) -> GridSpec:
+    """The GridSpec, unless its field would hold more than MAX_FIELD_CELLS
+    cells; the count is checked before anything is built."""
+    if (min(delta, t_star, t_max) > 0.0
+            and (t_star / delta + 1.0) * (t_max / delta + 1.0) > MAX_FIELD_CELLS):
+        raise ConfigError(f"grid.delta {delta:g} gives a field of more than "
+                          f"{MAX_FIELD_CELLS} cells")
+    return GridSpec(delta, t_star, t_max, gamma)
 
 
 def _parse_levy(sec) -> LevyModelSpec:

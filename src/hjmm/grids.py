@@ -111,26 +111,39 @@ class GridSpec:
         return GridSpec(self.delta / factor, self.t_star, self.t_max, self.gamma)
 
 
-def cumtrapz(values: np.ndarray, dx: float, axis: int) -> np.ndarray:
-    """Cumulative trapezoid sums with step dx along axis 0 or 1, from 0."""
-    out = np.zeros_like(values)
-    if axis == 0:
-        np.cumsum(0.5 * dx * (values[1:] + values[:-1]), axis=0, out=out[1:])
-    else:
-        np.cumsum(0.5 * dx * (values[:, 1:] + values[:, :-1]), axis=1,
-                  out=out[:, 1:])
+def cumtrapz(values: np.ndarray, dx: float, axis: int,
+             out: np.ndarray | None = None) -> np.ndarray:
+    """Cumulative trapezoid sums with step dx along ``axis``, from 0.
+
+    ``axis`` is any axis of ``values``: 0 or -2 is the time axis of a
+    field or of a stack of fields, 1 or -1 the maturity axis.  Each lane
+    is summed on its own, so a field gives the same sums alone and
+    stacked.  The sums go into ``out`` if given (not ``values`` itself).
+    """
+    axis %= values.ndim
+    lead = (slice(None),) * axis
+    out = np.empty_like(values) if out is None else out
+    steps = out[lead + (slice(1, None),)]
+    np.add(values[lead + (slice(1, None),)], values[lead + (slice(None, -1),)],
+           out=steps)
+    np.multiply(0.5 * dx, steps, out=steps)
+    np.cumsum(steps, axis=axis, out=steps)
+    out[lead + (0,)] = 0.0
     return out
 
 
-def gap_integral(values: np.ndarray, dx: float) -> np.ndarray:
+def gap_integral(values: np.ndarray, dx: float,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """int_{T_i}^{T_j} values(t_i, u) du per cell (i, j), clipped at 0.
 
     The lower limit is the diagonal node T_i = t_i of each row, so the
     result is the integral over the gap x = T_j - t_i, and zero below the
-    diagonal.
+    diagonal.  Works on the last two axes, so on a stack of fields too;
+    the result goes into ``out`` if given (not ``values`` itself).
     """
-    ct = cumtrapz(values, dx, axis=1)
-    inner = ct - np.diagonal(ct)[:, None]
+    inner = cumtrapz(values, dx, axis=-1, out=out)
+    np.subtract(inner, np.diagonal(inner, axis1=-2, axis2=-1).copy()[..., None],
+                out=inner)
     np.maximum(inner, 0.0, out=inner)
     return inner
 
@@ -166,11 +179,18 @@ def slice_weights(grid: GridSpec) -> np.ndarray:
     return weight
 
 
-def flat_extend(values: np.ndarray) -> np.ndarray:
-    """Copy values and overwrite the below-diagonal cells with f(T, T)."""
-    out = np.array(values, dtype=float, copy=True)
-    rows, cols, _ = below_diagonal(out.shape)
-    out[rows, cols] = out[cols, cols]
+def flat_extend(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Copy values and overwrite the below-diagonal cells with f(T, T).
+
+    Works on the last two axes, so on a stack of fields too.  The copy is
+    ``out`` if given, which may be ``values`` itself.
+    """
+    if out is None:
+        out = np.array(values, dtype=float, copy=True)
+    elif out is not values:
+        out[...] = values
+    rows, cols, _ = below_diagonal(out.shape[-2:])
+    out[..., rows, cols] = out[..., cols, cols]
     return out
 
 

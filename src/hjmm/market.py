@@ -11,10 +11,11 @@ where the second equality uses the flat extension f(t, u) = f(u, u) for
 u <= t.  On the grid the two P_hat routes sum the same trapezoid panels,
 so they agree to rounding; the discounted price should be a martingale
 in t under the risk-neutral dynamics, which the Monte Carlo test checks
-through z-scores against the time-zero price.  Each Monte Carlo path is
-one :func:`~hjmm.solver.solve_path` call followed by a bond surface; the
-checkpoint rows come back through one loop, from the calling process or
-from a fork pool.
+through z-scores against the time-zero price.  The Monte Carlo solves
+blocks of consecutive paths with one :func:`~hjmm.solver.solve_paths`
+call each and prices the checkpoints of every converged path of a block
+at once; the blocks' rows come back through one loop, from the calling
+process or from a fork pool.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import itertools
 import math
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
@@ -31,7 +32,8 @@ from .curves import InitialCurve
 from .errors import DomainError, NonPositiveFactor
 from .grids import GridSpec, RateField, below_diagonal, cumtrapz
 from .levy import LevyModelSpec, exponent, fast_derivative
-from .solver import solve_path
+from .solver import (STATUS_CONVERGED, STATUS_EXPLODED, STATUS_MAX_ITER,
+                     solve_paths)
 from .volatility import VolatilitySpec
 
 __all__ = [
@@ -104,9 +106,29 @@ class CheckpointResult:
     degenerate: bool = False
 
 
+# the causes for which martingale_test excludes a path
+EXCLUSION_CAUSES = (STATUS_EXPLODED, STATUS_MAX_ITER, "NonPositiveFactor")
+
+# Most field cells that one block of Monte Carlo paths stacks: 15 paths
+# at delta = 1/32 (2145 cells each), 3 at 1/64 and 1 at 1/128 on the
+# t_star = 1, t_max = 2 grid.  A stack saves per-call overhead, which
+# leads at 1/32 and fades as fields grow.  Measured on the gamma model of
+# README (median of 11-21 serial runs, 2-vCPU VM): at 1/32 blocks of 8 to
+# 48 paths took about 0.6 of the time per path of single paths; at 1/64
+# blocks of 2 to 7 paths took 0.90-0.97 of it and 12 paths 1.05; at
+# 1/128 a stack only adds memory.
+BLOCK_CELLS = 1 << 15
+# fewest blocks per worker process, so that the workers finish together
+BLOCKS_PER_WORKER = 4
+
+
 @dataclass
 class MartingaleReport:
-    """Aggregate of the per-path discounted prices at every checkpoint."""
+    """Aggregate of the per-path discounted prices at every checkpoint.
+
+    ``excluded_by_cause`` counts the excluded paths by cause, one entry
+    per name in EXCLUSION_CAUSES; ``n_excluded`` is their sum.
+    """
 
     results: list
     n_paths: int
@@ -114,6 +136,7 @@ class MartingaleReport:
     master_seed: int
     valid: bool
     notes: str = ""
+    excluded_by_cause: dict = field(default_factory=dict)
 
     @property
     def max_abs_z(self) -> float:
@@ -133,36 +156,47 @@ class MartingaleReport:
         return all(abs(r.z_score) <= 4.0 for r in self.results)
 
 
-# The run's checkpoint-row function in a pool worker, set by the pool's
-# initializer.
+# The run's function from a block of path indices to their rows, in a
+# pool worker, set by the pool's initializer.
 _worker_row = None
 
 
-def _set_worker_row(row) -> None:
+def _set_worker_row(rows) -> None:
     global _worker_row
-    _worker_row = row
+    _worker_row = rows
 
 
-def _pooled_row(path_index: int):
-    return _worker_row(path_index)
+def _pooled_row(block: range):
+    return _worker_row(block)
 
 
-def _rows(row, n_paths: int, threads: int):
-    """``row(i)`` for every path index i, serially or from a pool.
+def _block_size(n_paths: int, workers: int, cells: int) -> int:
+    """Paths per block: at most BLOCK_CELLS field cells, at least one path,
+    and at least BLOCKS_PER_WORKER blocks for each worker."""
+    return max(1, min(BLOCK_CELLS // cells,
+                      n_paths // (BLOCKS_PER_WORKER * workers)))
 
-    Pool results arrive in any order; each carries its path index.
+
+def _rows(rows, n_paths: int, threads: int, cells: int):
+    """``rows(block)`` for consecutive blocks of path indices, serially or
+    from a pool; yields each block's ``(path_index, outcome)`` pairs.
+
+    Pool results arrive in any order; each carries its path indices.
     """
     workers = min(threads, n_paths)
+    size = _block_size(n_paths, workers, cells)
+    blocks = [range(i, min(i + size, n_paths)) for i in range(0, n_paths, size)]
     if workers <= 1:
-        yield from map(row, range(n_paths))
+        for block in blocks:
+            yield from rows(block)
         return
-    # the fork start method hands ``row`` to the workers without pickling
+    # the fork start method hands ``rows`` to the workers without pickling
     # closures such as a user density
     with multiprocessing.get_context("fork").Pool(
             processes=workers, initializer=_set_worker_row,
-            initargs=(row,)) as pool:
-        yield from pool.imap_unordered(_pooled_row, range(n_paths),
-                                       max(1, n_paths // (workers * 8)))
+            initargs=(rows,)) as pool:
+        for block_rows in pool.imap_unordered(_pooled_row, blocks, 1):
+            yield from block_rows
 
 
 def martingale_test(spec: LevyModelSpec, vol: VolatilitySpec,
@@ -174,15 +208,17 @@ def martingale_test(spec: LevyModelSpec, vol: VolatilitySpec,
                     threads: int = 1) -> MartingaleReport:
     """Monte Carlo check that discounted bond prices are constant in mean.
 
-    Path i runs :func:`solve_path` with the seed (master_seed, i), so
-    results are identical for any worker count; ``threads`` >= 1 asks for
-    that many worker processes, at most one per path.  The reference price
+    Path i runs the pipeline of :func:`solve_paths` with the seed
+    (master_seed, i); blocks of consecutive paths are solved stacked, in
+    the calling process or in ``threads`` >= 1 worker processes (at most
+    one per path).  A path's outcome is bitwise the same in any block, so
+    results are identical for any worker count.  The reference price
     P(0,T) integrates the initial curve by adaptive quadrature, so the
     deviations carry the grid's own discretization bias and must shrink
-    under refinement.  A path whose solve does not converge, or whose jump
-    factor turns non-positive, is excluded; more than 1% exclusions
-    invalidates the test.  Checkpoints must be grid nodes, at least one
-    time and one maturity.
+    under refinement.  A path whose solve explodes or reaches
+    ``max_iter``, or whose jump factor turns non-positive, is excluded
+    and counted by cause; more than 1% exclusions invalidates the test.
+    Checkpoints must be grid nodes, at least one time and one maturity.
     """
     if n_paths < 1:
         raise DomainError("n_paths must be at least 1")
@@ -199,27 +235,35 @@ def martingale_test(spec: LevyModelSpec, vol: VolatilitySpec,
     T_idx = np.array([grid.index_of_maturity(v) for v in T_pts], dtype=int)
     master_seed, eps = int(master_seed), float(eps)
 
-    def row(path_index: int):
-        try:
-            *_, report = solve_path(
-                spec, vol, curve, grid, [master_seed, path_index], eps,
-                tol=tol, max_iter=max_iter,
-                explosion_threshold=explosion_threshold)
-        except NonPositiveFactor:
-            return path_index, None
-        if not report.converged:
-            return path_index, None
-        surface = bond_surface(report.final_field, grid)
-        return path_index, surface.discounted[np.ix_(t_idx, T_idx)].ravel()
+    def rows(block: range) -> list:
+        """Per path of the block: its checkpoint row, or its exclusion cause."""
+        entries = solve_paths(
+            spec, vol, curve, grid, [[master_seed, i] for i in block], eps,
+            tol=tol, max_iter=max_iter,
+            explosion_threshold=explosion_threshold)
+        outcomes = ["NonPositiveFactor" if isinstance(entry, NonPositiveFactor)
+                    else entry[3].status for entry in entries]
+        converged = [k for k, status in enumerate(outcomes)
+                     if status == STATUS_CONVERGED]
+        if converged:
+            # the discounted prices of bond_surface, on the checkpoint
+            # cells of every converged path at once
+            fields = np.stack([entries[k][3].final_field.values[t_idx]
+                               for k in converged])
+            prices = np.exp(-cumtrapz(fields, grid.delta, axis=-1)[..., T_idx])
+            for k, row in zip(converged, prices.reshape(len(converged), -1)):
+                outcomes[k] = row
+        return list(zip(block, outcomes))
 
     # the rows of the kept paths, stacked in path-index order
     kept_rows = {}
-    excluded = 0
-    for idx, values in _rows(row, n_paths, threads):
-        if values is None:
-            excluded += 1
+    by_cause = dict.fromkeys(EXCLUSION_CAUSES, 0)
+    for idx, outcome in _rows(rows, n_paths, threads, math.prod(grid.shape)):
+        if isinstance(outcome, str):
+            by_cause[outcome] += 1
         else:
-            kept_rows[idx] = values
+            kept_rows[idx] = outcome
+    excluded = sum(by_cause.values())
     n_kept = len(kept_rows)
     kept = np.array([kept_rows[i] for i in sorted(kept_rows)],
                     dtype=float).reshape(n_kept, len(t_pts) * len(T_pts))
@@ -253,7 +297,8 @@ def martingale_test(spec: LevyModelSpec, vol: VolatilitySpec,
         notes = (notes + "; " if notes else "") + "fewer than 2 valid paths"
     return MartingaleReport(results=results, n_paths=n_paths,
                             n_excluded=excluded, master_seed=master_seed,
-                            valid=valid, notes=notes)
+                            valid=valid, notes=notes,
+                            excluded_by_cause=by_cause)
 
 
 def _reference_prices(curve: InitialCurve, grid: GridSpec,

@@ -149,6 +149,31 @@ def _log_rule(s_lo: float, s_hi: float) -> tuple[np.ndarray, np.ndarray]:
     return y, (half * _RULE_WEIGHTS).ravel() * y
 
 
+def _rule_sums(z: np.ndarray, y: np.ndarray, weight: np.ndarray,
+               n_expm1: int) -> np.ndarray:
+    """sum_k weight_k h(-z y_k) for every point z, where h is expm1 on the
+    first ``n_expm1`` nodes and exp on the others.
+
+    The points go through a (block x nodes) buffer, and each point's sum
+    is its own row's, so a value does not depend on which points, or how
+    many, are evaluated with it.
+    """
+    flat = z.ravel()
+    out = np.empty(flat.size)
+    buf = np.empty((min(_RULE_BLOCK, flat.size), y.size))
+    neg_y = -y
+    with np.errstate(over="ignore", under="ignore"):
+        for i in range(0, flat.size, _RULE_BLOCK):
+            zb = flat[i:i + _RULE_BLOCK]
+            w = buf[:zb.size]
+            np.multiply(zb[:, None], neg_y, out=w)
+            np.expm1(w[:, :n_expm1], out=w[:, :n_expm1])
+            np.exp(w[:, n_expm1:], out=w[:, n_expm1:])
+            w *= weight
+            out[i:i + _RULE_BLOCK] = w.sum(axis=1)
+    return out.reshape(z.shape)
+
+
 def _invert_log_tail(tail: Callable, target: np.ndarray, lo: np.ndarray,
                      hi: np.ndarray) -> np.ndarray:
     """Per draw, s = ln y in [lo, hi] with T(e^s) = target, where ``tail(s)``
@@ -428,8 +453,8 @@ class StableLike(MeasureFamily):
             if self.y_max > 1.0:
                 # -int_1^y_max e^{-zy} y^-alpha dy, +int y^(1-alpha) e^{-zy} dy
                 y, w = _log_rule(0.0, math.log(self.y_max))
-                out = out + (-1) ** order * c * (
-                    np.exp(-np.multiply.outer(z, y)) @ (w * y ** (order - 1.0 - alpha)))
+                out = out + (-1) ** order * c * _rule_sums(
+                    z, y, w * y ** (order - 1.0 - alpha), 0)
         return out
 
     def tail_index(self) -> TailIndex:
@@ -597,34 +622,16 @@ class UserDensity(MeasureFamily):
                 self.squared_integral(math.exp(_RULE_S_MIN)))
 
     def derivative_measure_part(self, z: np.ndarray, order: int) -> np.ndarray:
-        """J' or J'' by the fixed rule, summed over blocks of points.
+        """J' or J'' by the fixed rule, summed per point.
 
         J'(z) = sum_{y_k<1} g_k (1 - e^{-z y_k}) - sum_{y_k>=1} g_k e^{-z y_k}
-        + z U(e^-40) and J''(z) = sum_k g_k y_k e^{-z y_k} + U(e^-40).  Each
-        point's value depends on that point alone, whatever the block.
+        + z U(e^-40) and J''(z) = sum_k g_k y_k e^{-z y_k} + U(e^-40).
         """
         z = np.asarray(z, dtype=float)
         y, g, _, u_min = self._rule()
-        neg_y, weight = -y, (-g if order == 1 else g * y)
-        n_low = _RULE_N_LOW
-        flat = z.ravel()
-        out = np.empty(flat.size)
-        # one (block x nodes) buffer, worked in place
-        buf = np.empty((min(_RULE_BLOCK, flat.size), y.size))
-        with np.errstate(over="ignore", under="ignore"):
-            for i in range(0, flat.size, _RULE_BLOCK):
-                zb = flat[i:i + _RULE_BLOCK]
-                w = buf[:zb.size]
-                np.multiply(zb[:, None], neg_y, out=w)
-                if order == 1:
-                    np.expm1(w[:, :n_low], out=w[:, :n_low])
-                    np.exp(w[:, n_low:], out=w[:, n_low:])
-                else:
-                    np.exp(w, out=w)
-                w *= weight
-                out[i:i + _RULE_BLOCK] = w.sum(axis=1) + (
-                    zb * u_min if order == 1 else u_min)
-        return out.reshape(z.shape)
+        if order == 1:
+            return _rule_sums(z, y, -g, _RULE_N_LOW) + z * u_min
+        return _rule_sums(z, y, g * y, 0) + u_min
 
     def _tail(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """nu([e^s, inf)) and y f(y) at y = e^s <= the rule's end: its mass

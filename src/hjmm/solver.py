@@ -14,14 +14,19 @@ minimal solution or blows up; both outcomes are reported.
 All quadratures are composite trapezoid on the uniform grid; J' is
 evaluated through the vectorized route of the measure family.  The grid
 owns its triangle: the below-diagonal cells and the slice L2 weights
-come from :mod:`hjmm.grids`, built once per grid shape, and one private
-operator function serves :func:`apply_K` and :func:`solve_fixed_point`,
-with lambda on the grid and J' set up once per solve.
+come from :mod:`hjmm.grids`, built once per grid shape.  One iteration
+loop works on a stack of a-fields, shape ``(P, n_t+1, n_cols+1)``, with
+lambda on the grid and J' set up once per stack; a path leaves the
+stack when it converges or explodes.  Every step acts on each path's
+cells alone, so a path's report is bitwise the same in any stack:
+:func:`solve_fixed_point` is the loop on a stack of one and
+:func:`apply_K` one step of it.
 
-:func:`solve_path` is the per-path pipeline that ``hjmm solve``,
-``hjmm verify`` and the martingale Monte Carlo share: simulate a jump
-path, build the factor fields b and a = f0 * b, solve.  It logs one
-DEBUG record per path to the ``hjmm.solver`` logger.
+:func:`solve_paths` is the pipeline that ``hjmm solve``, ``hjmm verify``
+and the martingale Monte Carlo share: simulate a block of jump paths,
+build the factor fields b and a = f0 * b, solve them stacked.
+:func:`solve_path` is that pipeline on one path.  It logs one DEBUG
+record per path to the ``hjmm.solver`` logger.
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import InitialCurve
-from .errors import DomainError, SecondMomentInfinite, NotTimeOnly
+from .errors import (DomainError, NonPositiveFactor, NotTimeOnly,
+                     SecondMomentInfinite)
 from .grids import (GridSpec, RateField, below_diagonal, cumtrapz,
                     flat_extend, gap_integral, slice_weights)
 from .levy import LevyModelSpec, fast_derivative
@@ -46,6 +52,7 @@ __all__ = [
     "apply_K",
     "solve_fixed_point",
     "solve_path",
+    "solve_paths",
     "weighted_norms",
     "timeline_norm",
     "apriori_bound",
@@ -62,26 +69,30 @@ STATUS_MAX_ITER = "MaxIterations"
 log = logging.getLogger(__name__)
 
 
-def _operator(a_field: np.ndarray, vol: VolatilitySpec, spec: LevyModelSpec,
-              grid: GridSpec):
-    """The operator of one solve, f -> a * exp(...), as a function of f.
+def _operator(vol: VolatilitySpec, spec: LevyModelSpec, grid: GridSpec):
+    """The operator f -> a * exp(...) on a stack of fields and their a-fields.
 
-    lambda on the grid and J' are evaluated once, for all iterations.
+    lambda on the grid and J' are set up once, for every iteration of
+    every path of the stack.  ``apply(values, a_fields, out, work)``
+    writes K of each field into ``out``, using ``work`` (same shape) as
+    scratch; each path's cells depend on that path alone.
     """
-    a_field = np.asarray(grid.check_field(a_field), dtype=float)
     lam = vol.on_grid(grid)
     dj = fast_derivative(spec, 1)
 
-    def apply(values: np.ndarray) -> np.ndarray:
+    def apply(values, a_fields, out, work) -> np.ndarray:
         # once a path blows up, exp overflows to inf, and where a row
         # integral has overflowed, inf - inf in gap_integral gives NaN;
-        # timeline_norm reads any non-finite cell as an infinite norm, so
-        # the solve stops as Exploded
+        # _timeline_norms reads such a field as having an infinite norm,
+        # so the solve stops that path as Exploded
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            inner = gap_integral(lam * values, grid.delta)
-            outer = cumtrapz(dj(inner) * lam, grid.delta, axis=0)
-            new = a_field * np.exp(outer)
-        return flat_extend(new)
+            inner = gap_integral(np.multiply(lam, values, out=work),
+                                 grid.delta, out=out)
+            slopes = dj(inner)
+            outer = cumtrapz(np.multiply(slopes, lam, out=slopes), grid.delta,
+                             axis=-2, out=work)
+            np.multiply(a_fields, np.exp(outer, out=outer), out=out)
+        return flat_extend(out, out=out)
 
     return apply
 
@@ -94,7 +105,11 @@ def apply_K(field: RateField, a_field: np.ndarray, vol: VolatilitySpec,
     nondecreasing).  Output values below the diagonal carry the flat
     extension, like every :class:`RateField`.
     """
-    return RateField(_operator(a_field, vol, spec, grid)(field.values), grid)
+    a_field = np.asarray(grid.check_field(a_field), dtype=float)[None]
+    new = _operator(vol, spec, grid)(field.values[None], a_field,
+                                     np.empty_like(a_field),
+                                     np.empty_like(a_field))
+    return RateField(new[0], grid)
 
 
 @dataclass
@@ -114,70 +129,138 @@ class SolverReport:
 
 
 def solve_fixed_point(a_field: np.ndarray, vol: VolatilitySpec,
-                      spec: LevyModelSpec, grid: GridSpec, *,
-                      tol: float = 1e-9, max_iter: int = 200,
-                      explosion_threshold: float = 1e8,
-                      initial: RateField | None = None) -> SolverReport:
+                      spec: LevyModelSpec, grid: GridSpec,
+                      **solver) -> SolverReport:
     """Iterate the operator to a fixed point, starting from zero.
 
     Stops Converged when the sup difference of consecutive iterates falls
-    below ``tol``; stops Exploded as soon as the timeline weighted norm
-    exceeds ``explosion_threshold`` (or turns non-finite); reports
-    MaxIterations otherwise.  The a-priori norm bound is a separate
+    below ``tol`` (default 1e-9); stops Exploded as soon as the timeline
+    weighted norm exceeds ``explosion_threshold`` (default 1e8) or turns
+    non-finite; reports MaxIterations after ``max_iter`` (default 200)
+    iterations otherwise.  ``initial`` (a RateField) replaces the zero
+    start.  This is the stacked iteration of :func:`solve_paths` on a
+    stack of one field.  The a-priori norm bound is a separate
     computation, :func:`apriori_bound`.
+    """
+    a_field = np.asarray(grid.check_field(a_field), dtype=float)
+    return _solve_stack(a_field[None], vol, spec, grid, **solver)[0]
+
+
+def _solve_stack(a_fields: np.ndarray, vol: VolatilitySpec,
+                 spec: LevyModelSpec, grid: GridSpec, *, tol: float = 1e-9,
+                 max_iter: int = 200, explosion_threshold: float = 1e8,
+                 initial: RateField | None = None) -> list[SolverReport]:
+    """The fixed-point iteration on a stack of a-fields, one report each.
+
+    Every path iterates from ``initial`` (zero if None) until it stops; a
+    Converged or Exploded path leaves the stack and the others run on
+    without it, in the leading part of the same buffers.  Each report is
+    bitwise the report of that path's field solved alone.
     """
     if tol <= 0.0 or max_iter < 1 or explosion_threshold <= 0.0:
         raise DomainError("tol, max_iter and explosion_threshold must be positive")
-    apply = _operator(a_field, vol, spec, grid)
-    current = (np.zeros(grid.shape) if initial is None
-               else np.asarray(initial.values, dtype=float))
+    apply = _operator(vol, spec, grid)
+    a_fields = np.array(a_fields, dtype=float)
+    current = np.zeros_like(a_fields)
+    if initial is not None:
+        current[...] = initial.values
+    new, work = np.empty_like(a_fields), np.empty_like(a_fields)
+    # per path: sup_diffs, norm_trace, increment_mins
+    traces = [([], [], []) for _ in range(len(a_fields))]
+    reports: list = [None] * len(a_fields)
+    active = np.arange(len(a_fields))
 
-    sup_diffs: list[float] = []
-    norm_trace: list[float] = []
-    increment_mins: list[float] = []
-    status = STATUS_MAX_ITER
-    iterations = 0
+    def report(p: int, status: str, iterations: int,
+               values: np.ndarray) -> SolverReport:
+        sup_diffs, norm_trace, increment_mins = traces[p]
+        return SolverReport(status=status, iterations=iterations,
+                            sup_diffs=sup_diffs, norm_trace=norm_trace,
+                            increment_mins=increment_mins,
+                            final_field=RateField(values.copy(), grid))
+
     for iterations in range(1, max_iter + 1):
-        new = apply(current)
-        diff = new - current
+        m = active.size
+        apply(current[:m], a_fields[:m], new[:m], work[:m])
+        current, new = new, current
+        diff = np.subtract(current[:m], new[:m], out=work[:m]).reshape(m, -1)
         # an exploding iterate can hold inf and NaN cells (see _operator);
-        # nanmax and nanmin skip the NaNs, and the non-finite timeline
-        # norm below stops the solve as Exploded
+        # fmin and fmax skip the NaNs, and the infinite timeline norm
+        # stops the path as Exploded
         with np.errstate(invalid="ignore"):
-            sup_diffs.append(float(np.nanmax(np.abs(diff))))
-            increment_mins.append(float(np.nanmin(diff)))
-        norm = timeline_norm(new, grid)
-        norm_trace.append(norm)
-        current = new
-        if not math.isfinite(norm) or norm > explosion_threshold:
-            status = STATUS_EXPLODED
-            break
-        if sup_diffs[-1] < tol:
-            status = STATUS_CONVERGED
-            break
-    return SolverReport(status=status, iterations=iterations,
-                        sup_diffs=sup_diffs, norm_trace=norm_trace,
-                        increment_mins=increment_mins,
-                        final_field=RateField(current, grid))
+            mins = np.fmin.reduce(diff, axis=1).tolist()
+            sups = np.fmax.reduce(np.abs(diff, out=diff), axis=1).tolist()
+        norms = _timeline_norms(current[:m], grid, work[:m])
+        keep = []
+        for k, p in enumerate(active.tolist()):
+            sup_diffs, norm_trace, increment_mins = traces[p]
+            sup_diffs.append(sups[k])
+            norm_trace.append(norms[k])
+            increment_mins.append(mins[k])
+            if not math.isfinite(norms[k]) or norms[k] > explosion_threshold:
+                reports[p] = report(p, STATUS_EXPLODED, iterations, current[k])
+            elif sups[k] < tol:
+                reports[p] = report(p, STATUS_CONVERGED, iterations, current[k])
+            else:
+                keep.append(k)
+        if len(keep) < m:
+            active = active[keep]
+            for stack in (current, a_fields):
+                stack[:len(keep)] = stack[:m][keep]
+            if not keep:
+                break
+    for k, p in enumerate(active):
+        reports[p] = report(p, STATUS_MAX_ITER, max_iter, current[k])
+    return reports
+
+
+def solve_paths(spec: LevyModelSpec, vol: VolatilitySpec, curve: InitialCurve,
+                grid: GridSpec, seeds, eps: float, **solver) -> list:
+    """The pipeline on a block of paths: simulate, build b and a, solve.
+
+    Each seed seeds :func:`simulate_path` over [0, t_star], so every grid
+    with the same horizon sees the same jumps.  The paths whose factor
+    fields are positive are solved in one stacked fixed-point iteration;
+    ``solver`` holds the keyword arguments of :func:`solve_fixed_point`.
+    Returns one entry per seed, in order: ``(path, b, a, report)``, or
+    the NonPositiveFactor that a jump of the path raised.  Each entry is
+    bitwise the one of that seed alone, so results do not depend on how
+    seeds are grouped into blocks.  Logs one DEBUG record per path.
+    """
+    entries = []
+    for seed in seeds:
+        path = simulate_path(spec, grid.t_star, seed, eps=eps)
+        try:
+            b_vals = field_b(vol, path, grid)
+        except NonPositiveFactor as exc:
+            log.debug("path %s: %d jumps, NonPositiveFactor", seed,
+                      path.n_jumps)
+            entries.append(exc)
+            continue
+        entries.append((path, b_vals, field_a(curve, b_vals, grid)))
+    solved = [entry for entry in entries if isinstance(entry, tuple)]
+    reports = iter(_solve_stack(np.stack([a for *_, a in solved]), vol, spec,
+                                grid, **solver) if solved else ())
+    out = []
+    for seed, entry in zip(seeds, entries):
+        if isinstance(entry, tuple):
+            entry = (*entry, next(reports))
+            log.debug("path %s: %d jumps, %s after %d iterations", seed,
+                      entry[0].n_jumps, entry[3].status, entry[3].iterations)
+        out.append(entry)
+    return out
 
 
 def solve_path(spec: LevyModelSpec, vol: VolatilitySpec, curve: InitialCurve,
                grid: GridSpec, seed, eps: float, **solver):
-    """One path of the pipeline: simulate, build b and a = f0 * b, solve.
+    """One path of the pipeline: :func:`solve_paths` on one seed.
 
-    Returns ``(path, b, a, report)``.  ``seed`` seeds
-    :func:`simulate_path` over [0, t_star], so every grid with the same
-    horizon sees the same jumps; ``solver`` holds the keyword arguments
-    of :func:`solve_fixed_point`.  Raises NonPositiveFactor when a jump
+    Returns ``(path, b, a, report)``; raises NonPositiveFactor when a jump
     makes the factor field non-positive.
     """
-    path = simulate_path(spec, grid.t_star, seed, eps=eps)
-    b_vals = field_b(vol, path, grid)
-    a_vals = field_a(curve, b_vals, grid)
-    report = solve_fixed_point(a_vals, vol, spec, grid, **solver)
-    log.debug("path %s: %d jumps, %s after %d iterations", seed,
-              path.n_jumps, report.status, report.iterations)
-    return path, b_vals, a_vals, report
+    entry, = solve_paths(spec, vol, curve, grid, [seed], eps, **solver)
+    if isinstance(entry, NonPositiveFactor):
+        raise entry
+    return entry
 
 
 @dataclass(frozen=True)
@@ -232,18 +315,33 @@ def _row_gradient(values: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
+def _timeline_norms(values: np.ndarray, grid: GridSpec,
+                    work: np.ndarray | None = None) -> list[float]:
+    """The timeline norm of each flat-extended field of a stack.
+
+    Below the diagonal the weights are zero and the cells copies of
+    diagonal cells, so they add nothing when finite; a non-finite cell,
+    or a weighted sum that overflows, makes the norm infinite.  ``work``
+    (the shape of ``values``) is scratch.  Sums run along the slices, so
+    each norm is that of its field alone.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = np.multiply(slice_weights(grid), values, out=work)
+        squares *= values
+        peaks = squares.sum(axis=-1).max(axis=-1).tolist()
+    # a peak is NaN where a non-finite cell met a zero weight or a NaN
+    return [math.sqrt(peak) if peak == peak else math.inf for peak in peaks]
+
+
 def timeline_norm(values: np.ndarray, grid: GridSpec) -> float:
     """sup over grid times of the slice L2 norms (the timeline norm).
 
     Infinite when a cell on or above the diagonal is not finite, or when
-    a weighted sum of finite cells overflows.
+    a weighted sum of finite cells overflows; cells below the diagonal
+    are not read.
     """
     upper = np.where(below_diagonal(values.shape)[2], 0.0, values)
-    if not np.all(np.isfinite(upper)):
-        return math.inf
-    with np.errstate(over="ignore"):
-        return math.sqrt(float(np.max(np.sum(
-            slice_weights(grid) * upper * upper, axis=1))))
+    return _timeline_norms(upper[None], grid)[0]
 
 
 def apriori_bound(spec: LevyModelSpec, vol: VolatilitySpec, grid: GridSpec,

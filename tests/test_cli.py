@@ -244,6 +244,21 @@ class TestMc:
         # which process of the fork pool computed them
         _assert_worker_count_keeps_bytes(tmp_path, _user_density_doc())
 
+    def test_summary_counts_exclusions_by_cause(self, tmp_path) -> None:
+        doc = _explosive_doc()
+        doc["volatility"] = {"terms": [{"kind": "constant", "level": 0.25}]}
+        doc["initial_curve"] = {"family": "constant", "level": 26.0}
+        doc["solver"] = {"max_iter": 20, "explosion_threshold": 1e300}
+        doc["mc"] = {"n_paths": 24, "master_seed": 7, "eps": 1e-2}
+        cfg = _write(tmp_path, doc)
+        assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == EXIT_MC_FAILED
+        summary = json.loads((tmp_path / "martingale.json").read_text())
+        causes = summary["excluded_by_cause"]
+        assert sorted(causes) == ["Exploded", "MaxIterations",
+                                  "NonPositiveFactor"]
+        assert causes["Exploded"] > 0 and causes["MaxIterations"] > 0
+        assert sum(causes.values()) == summary["n_excluded"]
+
     def test_seed_flag_overrides_config(self, tmp_path) -> None:
         doc = _existence_doc()
         cfg = _write(tmp_path, doc)
@@ -278,6 +293,8 @@ class TestConfigErrors:
         ("outputs", {"write_csv": "no"}),
         ("mc", {"n_paths": 10 ** 400}),
         ("solver", {"max_iter": 10 ** 400}),
+        ("grid", {"delta": 1e-300, "t_star": 1.0, "t_max": 2.0,
+                  "gamma": 1.0}),
     ])
     def test_bad_setting_exit_one_without_traceback(
             self, tmp_path, capsys, monkeypatch, section, setting) -> None:

@@ -67,6 +67,34 @@ def test_version_gate() -> None:
     assert SCHEMA_VERSION == 1
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1", 2, None])
+def test_version_is_the_json_integer_one(version) -> None:
+    doc = _base_doc()
+    doc["version"] = version
+    with pytest.raises(ConfigError, match="config.version must be the integer 1"):
+        parse_config(doc)
+
+
+@pytest.mark.parametrize("delta", [1e-300, 1e-310, 2.0 ** -11])
+def test_too_fine_grid_is_a_config_error(delta, monkeypatch) -> None:
+    # the cap is checked before the grid or any array is built
+    def no_grid(*args):
+        raise AssertionError("GridSpec built")
+
+    monkeypatch.setattr(config, "GridSpec", no_grid)
+    doc = _base_doc()
+    doc["grid"]["delta"] = delta
+    with pytest.raises(ConfigError, match="grid.delta .* more than 4194304 cells"):
+        parse_config(doc)
+
+
+def test_grid_below_the_cell_cap_parses() -> None:
+    # 1025 x 2049 cells at delta = 1/1024 on t_star = 1, t_max = 2
+    doc = _base_doc()
+    doc["grid"]["delta"] = 2.0 ** -10
+    assert parse_config(doc).grid.n_cols == 2048
+
+
 def test_missing_sections_reported_by_name() -> None:
     for key in ("levy", "volatility", "initial_curve", "grid"):
         doc = _base_doc()

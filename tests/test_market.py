@@ -20,7 +20,9 @@ from hjmm.market import (
 from hjmm.measures import StableLike
 from hjmm.paths import field_a, field_b, simulate_path
 from hjmm.solver import solve_fixed_point
-from hjmm.volatility import constant_volatility, time_affine_volatility
+from hjmm.volatility import (VolatilitySpec, constant_term,
+                             constant_volatility, exp_decay_term,
+                             time_affine_volatility)
 
 PRODUCT_IDENTITY_RTOL = 1e-12
 
@@ -205,6 +207,46 @@ class TestMartingale:
         for a, b in zip(serial.results, forked.results):
             assert a.mean_discounted == b.mean_discounted
             assert a.std == b.std
+
+    def test_outcomes_by_cause_do_not_depend_on_blocks_or_workers(
+            self, monkeypatch) -> None:
+        # a stable-like driver at f0 = 26 with a volatility that dips below
+        # zero near T = 0 (its declared bounds are not checked here): some
+        # paths explode, some reach max_iter, one jump factor turns
+        # non-positive, and the rest converge
+        grid = GridSpec(1.0 / 8.0, 1.0, 2.0, 1.0)
+        spec = LevyModelSpec(drift_a=0.0, gaussian_q=0.0,
+                             measure=StableLike(c=1.0, alpha=1.5, y_max=1.0))
+        vol = VolatilitySpec(
+            terms=(constant_term(0.25), exp_decay_term(-1.35, 40.0)),
+            lambda_lower=0.01, lambda_upper=0.25)
+
+        def run(threads):
+            return martingale_test(spec, vol, constant_curve(26.0), grid,
+                                   n_paths=24, master_seed=7, eps=1e-2,
+                                   max_iter=20, explosion_threshold=1e300,
+                                   threads=threads)
+
+        serial, forked = run(1), run(2)
+        monkeypatch.setattr(market, "BLOCK_CELLS", 1)
+        one_path_blocks = [run(1), run(2)]
+        assert serial.excluded_by_cause == {
+            "Exploded": 4, "MaxIterations": 6, "NonPositiveFactor": 1}
+        assert serial.n_excluded == 11
+        for other in [forked] + one_path_blocks:
+            assert other.excluded_by_cause == serial.excluded_by_cause
+            assert other.n_excluded == serial.n_excluded
+            for a, b in zip(serial.results, other.results):
+                assert a.mean_discounted == b.mean_discounted
+                assert a.std == b.std
+
+    def test_block_size_follows_cells_and_workers(self) -> None:
+        # 32768 cells: 15 fields at delta = 1/32, one at 1/128
+        assert market._block_size(100, 1, 33 * 65) == 15
+        assert market._block_size(100, 1, 129 * 257) == 1
+        # at least four blocks per worker
+        assert market._block_size(50, 2, 33 * 65) == 6
+        assert market._block_size(3, 3, 33 * 65) == 1
 
     def test_threads_below_one_rejected(self) -> None:
         for threads in (0, -1):

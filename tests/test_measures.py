@@ -448,6 +448,33 @@ class TestUserDensity:
                          for i in range(0, flat.size, size)]
                 assert np.array_equal(np.concatenate(parts), whole.ravel())
 
+    @pytest.mark.parametrize("measure", [
+        PointMasses([(0.4, 1.0), (2.0, 0.5)]),
+        StableLike(1.0, 1.5, 1.0),
+        StableLike(1.0, 1.0, 10.0),
+        StableLike(0.8, 1.3, 1e4),
+        GammaLike(0.5, 2.0),
+        UserDensity(density_fn=lambda y: 0.5 * np.exp(-2.0 * y) / y),
+    ], ids=lambda m: type(m).__name__)
+    def test_every_family_gives_each_point_its_own_value(self,
+                                                         measure) -> None:
+        # a stack of fields, a field, chunks and single points: the same
+        # bits for every point, so stacked solves match one-path solves
+        rng = np.random.default_rng(7)
+        z = np.exp(rng.uniform(-20.0, 8.0, size=(3, 9, 17)))
+        z[0, 0, :5] = 0.0
+        for order in (1, 2):
+            stacked = measure.derivative_measure_part(z, order)
+            assert stacked.shape == z.shape
+            for k in range(z.shape[0]):
+                assert np.array_equal(
+                    measure.derivative_measure_part(z[k], order), stacked[k])
+            flat = z.ravel()
+            for size in (1, 100):
+                parts = [measure.derivative_measure_part(flat[i:i + size], order)
+                         for i in range(0, flat.size, size)]
+                assert np.array_equal(np.concatenate(parts), stacked.ravel())
+
     def test_simulate_path_same_with_warm_and_cold_cache(self) -> None:
         calls = []
 

@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from hjmm.curves import affine_curve, constant_curve, exp_decay_curve
-from hjmm.errors import DomainError, NotTimeOnly, SecondMomentInfinite
+from hjmm.errors import (DomainError, NonPositiveFactor, NotTimeOnly,
+                         SecondMomentInfinite)
 from hjmm.grids import (GridSpec, RateField, cumtrapz, flat_extend,
                         gap_integral)
 from hjmm.levy import (LevyModelSpec, drift_only, fast_derivative,
@@ -21,17 +22,21 @@ from hjmm.paths import JumpPath, field_a, field_b, simulate_path
 from hjmm.solver import (
     STATUS_CONVERGED,
     STATUS_EXPLODED,
+    STATUS_MAX_ITER,
     _row_gradient,
     apply_K,
     apriori_bound,
     solve_fixed_point,
     solve_path,
+    solve_paths,
     strong_residual,
     timeline_norm,
     uniqueness_contraction_check,
     weighted_norms,
 )
-from hjmm.volatility import constant_volatility, time_affine_volatility
+from hjmm.volatility import (VolatilitySpec, constant_term,
+                             constant_volatility, exp_decay_term,
+                             time_affine_volatility)
 
 MONOTONE_TOL = 1e-12
 NORM_ORACLE_RTOL = 2e-3
@@ -453,3 +458,126 @@ class TestExplosion:
 
 def test_converged_status_string() -> None:
     assert STATUS_CONVERGED == "Converged"
+
+
+def _reference_solve(a, vol, spec, grid, *, tol=1e-9, max_iter=200,
+                     explosion_threshold=1e8):
+    """The fixed-point iteration on one field, written out plainly.
+
+    Returns (status, iterations, sup_diffs, increment_mins, norm_trace,
+    final values): the oracle the stacked solver must match bit for bit.
+    """
+    lam = vol.on_grid(grid)
+    dj = fast_derivative(spec, 1)
+    current = np.zeros(grid.shape)
+    sups, mins, norms = [], [], []
+    status = STATUS_MAX_ITER
+    for iterations in range(1, max_iter + 1):
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            inner = gap_integral(lam * current, grid.delta)
+            new = flat_extend(a * np.exp(cumtrapz(dj(inner) * lam,
+                                                  grid.delta, axis=0)))
+            diff = new - current
+            sups.append(float(np.nanmax(np.abs(diff))))
+            mins.append(float(np.nanmin(diff)))
+        norms.append(timeline_norm(new, grid))
+        current = new
+        if not math.isfinite(norms[-1]) or norms[-1] > explosion_threshold:
+            status = STATUS_EXPLODED
+            break
+        if sups[-1] < tol:
+            status = STATUS_CONVERGED
+            break
+    return status, iterations, sups, mins, norms, current
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _report_bits(report) -> tuple:
+    return (report.status, report.iterations, _bits(report.sup_diffs),
+            _bits(report.increment_mins), _bits(report.norm_trace),
+            _bits(report.final_field.values))
+
+
+_STABLE = LevyModelSpec(0.0, 0.0, StableLike(c=1.0, alpha=1.5, y_max=1.0))
+# negative near T = 0 (the declared bounds are not checked here), so that a
+# large jump turns the factor 1 + lambda*dL non-positive
+_DIPPING_VOL = VolatilitySpec(
+    terms=(constant_term(0.25), exp_decay_term(-1.35, 40.0)),
+    lambda_lower=0.01, lambda_upper=0.25)
+# (volatility, f0, seeds, solver settings): a block with every outcome
+# (at delta = 1/16: seed 10 explodes through an overflowing norm, 17 has a
+# non-positive factor, others converge or reach max_iter), and the two
+# seeds whose fourth iterate overflows the weighted norm sum
+_BLOCKS = {
+    "mixed": (_DIPPING_VOL, 20.0, [[k, 0] for k in range(24)],
+              dict(max_iter=16, explosion_threshold=1e300)),
+    "overflow": (constant_volatility(0.25), 100.0,
+                 [[900, 0], [10, 0], [903, 0]],
+                 dict(explosion_threshold=1e300)),
+}
+
+
+def _outcome(entry) -> str:
+    return ("NonPositiveFactor" if isinstance(entry, NonPositiveFactor)
+            else entry[3].status)
+
+
+class TestStackedSolve:
+    """A path's report is bitwise the same in any block of paths."""
+
+    def _entries(self, name, size):
+        vol, f0, seeds, solver = _BLOCKS[name]
+        entries = []
+        for i in range(0, len(seeds), size):
+            entries += solve_paths(_STABLE, vol, constant_curve(f0), _grid(),
+                                   seeds[i:i + size], 1e-2, **solver)
+        return entries
+
+    def test_mixed_block_holds_every_outcome(self) -> None:
+        outcomes = [_outcome(e) for e in self._entries("mixed", 24)]
+        assert set(outcomes) == {STATUS_CONVERGED, STATUS_EXPLODED,
+                                 STATUS_MAX_ITER, "NonPositiveFactor"}
+        exploded = [e[3] for e in self._entries("overflow", 3)]
+        assert all(r.status == STATUS_EXPLODED for r in exploded)
+        assert all(r.norm_trace[-1] == math.inf for r in exploded)
+
+    @pytest.mark.parametrize("name, size", [("mixed", 24), ("mixed", 5),
+                                            ("overflow", 3), ("overflow", 2)])
+    def test_block_gives_each_path_its_own_report(self, name, size) -> None:
+        vol, f0, seeds, solver = _BLOCKS[name]
+        for seed, entry in zip(seeds, self._entries(name, size)):
+            if isinstance(entry, NonPositiveFactor):
+                with pytest.raises(NonPositiveFactor):
+                    solve_path(_STABLE, vol, constant_curve(f0), _grid(),
+                               seed, 1e-2, **solver)
+                continue
+            *_, alone = solve_path(_STABLE, vol, constant_curve(f0), _grid(),
+                                   seed, 1e-2, **solver)
+            assert _report_bits(entry[3]) == _report_bits(alone)
+            status, iterations, sups, mins, norms, values = _reference_solve(
+                entry[2], vol, _STABLE, _grid(), **solver)
+            assert _report_bits(entry[3]) == (
+                status, iterations, _bits(sups), _bits(mins), _bits(norms),
+                _bits(values))
+
+    def test_stack_of_one_matches_the_plain_loop(self) -> None:
+        grid = _grid()
+        spec = gamma_subordinator(0.5, 2.0)
+        vol = constant_volatility(0.2)
+        path = simulate_path(spec, grid.t_star, [42, 0], eps=1e-3)
+        a = _solve_setup(spec, vol, exp_decay_curve(0.08, 0.4), grid, path)
+        report = solve_fixed_point(a, vol, spec, grid, tol=1e-11)
+        status, iterations, sups, mins, norms, values = _reference_solve(
+            a, vol, spec, grid, tol=1e-11)
+        assert _report_bits(report) == (status, iterations, _bits(sups),
+                                        _bits(mins), _bits(norms),
+                                        _bits(values))
+        applied = apply_K(report.final_field, a, vol, spec, grid)
+        lam = vol.on_grid(grid)
+        inner = gap_integral(lam * values, grid.delta)
+        expected = flat_extend(a * np.exp(cumtrapz(
+            fast_derivative(spec, 1)(inner) * lam, grid.delta, axis=0)))
+        assert _bits(applied.values) == _bits(expected)
