@@ -19,7 +19,8 @@ Exit codes: 0 success (existence / converged / suites pass / test pass),
 3 indeterminate verdict, 4 solver exploded or hit the iteration cap,
 5 a verification suite failed, 6 the martingale test failed.  The
 HJMM_LOG environment variable sets the log level; at ``debug`` every
-solved path logs its seed, jump count, status and iterations.  Reruns
+solved path logs each iteration's sup_diff, norm and smallest increment,
+then its seed, jump count, status and iterations.  Reruns
 with the same config and seed write byte-identical files for any
 --threads value.
 """

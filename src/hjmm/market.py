@@ -111,12 +111,15 @@ EXCLUSION_CAUSES = (STATUS_EXPLODED, STATUS_MAX_ITER, "NonPositiveFactor")
 
 # Most field cells that one block of Monte Carlo paths stacks: 15 paths
 # at delta = 1/32 (2145 cells each), 3 at 1/64 and 1 at 1/128 on the
-# t_star = 1, t_max = 2 grid.  A stack saves per-call overhead, which
+# t_star = 1, t_max = 2 grid.  A block saves per-call overhead, which
 # leads at 1/32 and fades as fields grow.  Measured on the gamma model of
-# README (median of 11-21 serial runs, 2-vCPU VM): at 1/32 blocks of 8 to
-# 48 paths took about 0.6 of the time per path of single paths; at 1/64
-# blocks of 2 to 7 paths took 0.90-0.97 of it and 12 paths 1.05; at
-# 1/128 a stack only adds memory.
+# README, 2-vCPU VM, with simulation, factor fields and solve each run
+# once per block (four sweeps, median of 11 serial 240-path calls per
+# size): at 1/32 blocks of 8 to 24 paths took 0.35-0.49 of the time per
+# path of single paths, 32 and 48 paths 0.41-0.57 and 4 paths 0.50-0.58.
+# At 1/64, measured with the solve alone stacked, blocks of 2 to 7 paths
+# took 0.90-0.97 of it and 12 paths 1.05; at 1/128 a stack only adds
+# memory.
 BLOCK_CELLS = 1 << 15
 # fewest blocks per worker process, so that the workers finish together
 BLOCKS_PER_WORKER = 4

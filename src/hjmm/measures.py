@@ -37,12 +37,16 @@ nu([y, inf)) (the rule's mass beyond y's panel plus 16 nodes from y to its
 end), and ``StableLike`` its y > 1 piece.  Jump sizes above eps solve
 nu([y, inf)) = (1 - u) nu([eps, inf)) by one safeguarded Newton iteration
 in ln y, on the rule for ``UserDensity`` and on E1 for ``GammaLike``;
-``StableLike`` and ``PointMasses`` draw exactly.
+``StableLike`` and ``PointMasses`` draw exactly.  ``sample_block`` draws
+the sizes of a block of paths, each from its own generator; the Newton
+iteration runs once over all of a block's draws, and each path's draws
+stop together, as they would alone.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -174,12 +178,19 @@ def _rule_sums(z: np.ndarray, y: np.ndarray, weight: np.ndarray,
     return out.reshape(z.shape)
 
 
-def _invert_log_tail(tail: Callable, target: np.ndarray, lo: np.ndarray,
-                     hi: np.ndarray) -> np.ndarray:
+def _invert_log_tail(tail: Callable, target: np.ndarray, lo, hi,
+                     group: np.ndarray) -> np.ndarray:
     """Per draw, s = ln y in [lo, hi] with T(e^s) = target, where ``tail(s)``
     gives a tail mass T(e^s) <= target at hi, >= at lo, and -dT/ds = y f(y):
-    Newton from lo, bisecting when a step leaves the narrowing bracket, until
-    every step is at most 1e-9 (Newton's error after it is of its square)."""
+    Newton from lo, bisecting when a step leaves the narrowing bracket.
+
+    ``group`` labels each draw with its path, in ascending order (0, 0,
+    1, ...).  A path's draws stop together, once each of their steps is at
+    most 1e-9 (Newton's error after it is of its square), and leave the
+    iteration, so a path's result is bitwise the one of its draws
+    inverted alone."""
+    out = np.empty(target.shape)
+    idx = np.arange(target.size)
     s = lo
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(100):
@@ -189,10 +200,44 @@ def _invert_log_tail(tail: Callable, target: np.ndarray, lo: np.ndarray,
             hi = np.where(gap <= 0.0, s, hi)
             new = s + gap / slope
             new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
-            if (np.abs(new - s) <= 1e-9).all():
-                return new
+            # a NaN step counts as unsettled, as a large one does
+            settled = np.abs(new - s) <= 1e-9
+            n_settled = np.count_nonzero(settled)
             s = new
-    return s
+            if n_settled == idx.size:
+                out[idx] = new
+                return out
+            # with one path left, its draws are all going
+            if n_settled and group[0] != group[-1]:
+                going = np.bincount(group[~settled], minlength=group[-1] + 1)
+                going = going[group] > 0
+                if not going.all():
+                    out[idx[~going]] = new[~going]
+                    idx, group, target, lo, hi, s = (
+                        v[going] for v in (idx, group, target, lo, hi, new))
+    out[idx] = s
+    return out
+
+
+def _invert_block(rngs, counts, total: float, tail: Callable,
+                  bracket: Callable) -> list[np.ndarray]:
+    """Jump sizes of a block of paths by one grouped tail inversion.
+
+    Path p draws ``counts[p]`` uniforms u from ``rngs[p]``; each size y
+    solves nu([y, inf)) = (1 - u) * total, from the bracket in ln y that
+    ``bracket(target)`` gives, by :func:`_invert_log_tail` with one group
+    per path.  Returns one array of sizes per path.
+    """
+    drawn = [n for n in counts if n]
+    if not drawn:
+        return [np.empty(0) for _ in counts]
+    target = np.concatenate([(1.0 - rng.uniform(size=n)) * total
+                             for rng, n in zip(rngs, counts) if n])
+    group = np.repeat(np.arange(len(drawn)), drawn)
+    lo, hi = bracket(target)
+    sizes = np.exp(_invert_log_tail(tail, target, lo, hi, group))
+    ends = itertools.accumulate(counts)
+    return [sizes[end - n:end] for n, end in zip(counts, ends)]
 
 
 @dataclass(frozen=True)
@@ -298,6 +343,13 @@ class MeasureFamily(ABC):
     def sample_sizes(self, rng: np.random.Generator, n: int,
                      eps: float) -> np.ndarray:
         """Draw n jump sizes; infinite-activity families condition on y >= eps."""
+
+    def sample_block(self, rngs, counts, eps: float) -> list[np.ndarray]:
+        """The sizes of a block of paths: path p draws ``counts[p]`` sizes
+        from its own generator ``rngs[p]``, as :meth:`sample_sizes` would
+        (a path without jumps draws nothing).  One array per path."""
+        return [self.sample_sizes(rng, n, eps) if n else np.empty(0)
+                for rng, n in zip(rngs, counts)]
 
     @property
     def is_finite_activity(self) -> bool:
@@ -560,17 +612,24 @@ class GammaLike(MeasureFamily):
 
     def sample_sizes(self, rng: np.random.Generator, n: int,
                      eps: float) -> np.ndarray:
+        return self.sample_block([rng], [n], eps)[0]
+
+    def sample_block(self, rngs, counts, eps: float) -> list[np.ndarray]:
+        """Every path's sizes by one grouped Newton inversion of c E1."""
         if eps <= 0.0:
             raise DomainError(f"truncation level must be positive, got {eps}")
-        target = (1.0 - rng.uniform(size=n)) * float(sc.exp1(self.beta * eps))
 
         def tail(s):
             x = self.beta * np.exp(s)
             return sc.exp1(x), np.exp(-x)
 
-        # E1(x) < e^-x from x = 1 on, so the root lies below this y
-        hi = np.log(np.maximum(1.0, -np.log(target)) / self.beta)
-        return np.exp(_invert_log_tail(tail, target, math.log(eps), hi))
+        def bracket(target):
+            # E1(x) < e^-x from x = 1 on, so the root lies below this y
+            return (math.log(eps),
+                    np.log(np.maximum(1.0, -np.log(target)) / self.beta))
+
+        return _invert_block(rngs, counts, float(sc.exp1(self.beta * eps)),
+                             tail, bracket)
 
 
 @dataclass(frozen=True)
@@ -642,7 +701,10 @@ class UserDensity(MeasureFamily):
         half = 0.5 * (_RULE_S_MIN + _RULE_PANEL * (p + 1) - s)
         y = np.exp(s[:, None] + half[:, None] * _TAIL_NODES)
         yf = y * np.asarray(self.density_fn(y), dtype=float)
-        return tails[p + 1] + half * (yf[:, :-1] @ _RULE_WEIGHTS), yf[:, -1]
+        # each row summed on its own, so a draw's mass does not depend on
+        # the draws evaluated with it
+        nodes = np.add.reduce(yf[:, :-1] * _RULE_WEIGHTS, axis=1)
+        return tails[p + 1] + half * nodes, yf[:, -1]
 
     def tail_index(self) -> TailIndex | None:
         """The regression of U, for a certified density only."""
@@ -688,15 +750,22 @@ class UserDensity(MeasureFamily):
 
     def sample_sizes(self, rng: np.random.Generator, n: int,
                      eps: float) -> np.ndarray:
+        return self.sample_block([rng], [n], eps)[0]
+
+    def sample_block(self, rngs, counts, eps: float) -> list[np.ndarray]:
+        """Every path's sizes by one grouped Newton inversion of the rule's
+        tail mass."""
         if eps <= 0.0 and self.is_finite_activity:
             eps = math.exp(_RULE_S_MIN)  # the whole measure the rule covers
         total = self.tail_mass(eps)
         if not total > 0.0:
             raise DomainError(f"no mass above the truncation level {eps}")
-        target = (1.0 - rng.uniform(size=n)) * total
-        # bracket: the last panel whose start carries the target, from eps on
-        start = _RULE_S_MIN + _RULE_PANEL * (
-            np.searchsorted(-self._rule()[2], -target, side="right") - 1)
-        lo = np.maximum(start, math.log(eps))
-        return np.exp(_invert_log_tail(self._tail, target, lo,
-                                       np.maximum(start + _RULE_PANEL, lo)))
+
+        def bracket(target):
+            # the last panel whose start carries the target, from eps on
+            start = _RULE_S_MIN + _RULE_PANEL * (
+                np.searchsorted(-self._rule()[2], -target, side="right") - 1)
+            lo = np.maximum(start, math.log(eps))
+            return lo, np.maximum(start + _RULE_PANEL, lo)
+
+        return _invert_block(rngs, counts, total, self._tail, bracket)

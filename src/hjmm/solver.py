@@ -25,8 +25,9 @@ cells alone, so a path's report is bitwise the same in any stack:
 :func:`solve_paths` is the pipeline that ``hjmm solve``, ``hjmm verify``
 and the martingale Monte Carlo share: simulate a block of jump paths,
 build the factor fields b and a = f0 * b, solve them stacked.
-:func:`solve_path` is that pipeline on one path.  It logs one DEBUG
-record per path to the ``hjmm.solver`` logger.
+:func:`solve_path` is that pipeline on one path.  At DEBUG level it
+logs one record per iteration of each path and one per path to the
+``hjmm.solver`` logger.
 """
 
 from __future__ import annotations
@@ -43,7 +44,8 @@ from .errors import (DomainError, NonPositiveFactor, NotTimeOnly,
 from .grids import (GridSpec, RateField, below_diagonal, cumtrapz,
                     flat_extend, gap_integral, slice_weights)
 from .levy import LevyModelSpec, fast_derivative
-from .paths import JumpPath, _jump_prefixes, field_a, field_b, simulate_path
+from .paths import (JumpPath, _fault, _jump_terms, _prefix_sums,
+                    factor_fields, field_a, simulate_paths)
 from .volatility import VolatilitySpec
 
 __all__ = [
@@ -217,37 +219,50 @@ def solve_paths(spec: LevyModelSpec, vol: VolatilitySpec, curve: InitialCurve,
                 grid: GridSpec, seeds, eps: float, **solver) -> list:
     """The pipeline on a block of paths: simulate, build b and a, solve.
 
-    Each seed seeds :func:`simulate_path` over [0, t_star], so every grid
-    with the same horizon sees the same jumps.  The paths whose factor
-    fields are positive are solved in one stacked fixed-point iteration;
-    ``solver`` holds the keyword arguments of :func:`solve_fixed_point`.
-    Returns one entry per seed, in order: ``(path, b, a, report)``, or
-    the NonPositiveFactor that a jump of the path raised.  Each entry is
-    bitwise the one of that seed alone, so results do not depend on how
-    seeds are grouped into blocks.  Logs one DEBUG record per path.
+    Each stage runs once for the block: :func:`~hjmm.paths.simulate_paths`
+    over [0, t_star] (so every grid with the same horizon sees the same
+    jumps), :func:`~hjmm.paths.factor_fields`, :func:`~hjmm.paths.field_a`
+    on the stack of positive factor fields, and one stacked fixed-point
+    iteration; ``solver`` holds the keyword arguments of
+    :func:`solve_fixed_point`.  Returns one entry per seed, in order:
+    ``(path, b, a, report)``, or the NonPositiveFactor that a jump of the
+    path raised.  Each entry is bitwise the one of that seed alone, so
+    results do not depend on how seeds are grouped into blocks.
+
+    At DEBUG level it logs, per path, one record per iteration (sup_diff,
+    norm, min increment, read from the report's traces) and then one
+    record for the path.
     """
-    entries = []
-    for seed in seeds:
-        path = simulate_path(spec, grid.t_star, seed, eps=eps)
-        try:
-            b_vals = field_b(vol, path, grid)
-        except NonPositiveFactor as exc:
-            log.debug("path %s: %d jumps, NonPositiveFactor", seed,
-                      path.n_jumps)
-            entries.append(exc)
-            continue
-        entries.append((path, b_vals, field_a(curve, b_vals, grid)))
-    solved = [entry for entry in entries if isinstance(entry, tuple)]
-    reports = iter(_solve_stack(np.stack([a for *_, a in solved]), vol, spec,
-                                grid, **solver) if solved else ())
+    seeds = list(seeds)
+    paths = simulate_paths(spec, grid.t_star, seeds, eps)
+    b_stack, faults = factor_fields(vol, paths, grid)
+    solved = iter(())
+    if len(b_stack):
+        a_stack = field_a(curve, b_stack, grid)
+        solved = zip(b_stack, a_stack,
+                     _solve_stack(a_stack, vol, spec, grid, **solver))
+    debug = log.isEnabledFor(logging.DEBUG)
     out = []
-    for seed, entry in zip(seeds, entries):
-        if isinstance(entry, tuple):
-            entry = (*entry, next(reports))
-            log.debug("path %s: %d jumps, %s after %d iterations", seed,
-                      entry[0].n_jumps, entry[3].status, entry[3].iterations)
+    for seed, path, fault in zip(seeds, paths, faults):
+        entry = fault if fault is not None else (path, *next(solved))
         out.append(entry)
+        if debug:
+            _log_path(seed, path, entry)
     return out
+
+
+def _log_path(seed, path: JumpPath, entry) -> None:
+    """The DEBUG records of one path of :func:`solve_paths`."""
+    if isinstance(entry, NonPositiveFactor):
+        log.debug("path %s: %d jumps, NonPositiveFactor", seed, path.n_jumps)
+        return
+    report = entry[3]
+    for k, (sup, norm, low) in enumerate(zip(
+            report.sup_diffs, report.norm_trace, report.increment_mins), 1):
+        log.debug("path %s iteration %d: sup_diff %r, norm %r, "
+                  "min increment %r", seed, k, sup, norm, low)
+    log.debug("path %s: %d jumps, %s after %d iterations", seed,
+              path.n_jumps, report.status, report.iterations)
 
 
 def solve_path(spec: LevyModelSpec, vol: VolatilitySpec, curve: InitialCurve,
@@ -515,16 +530,19 @@ def _jump_relation_error(vol: VolatilitySpec, path: JumpPath,
     Across the k-th jump the exponent sum(a) + sum(log1p(a) - a) of the
     factor field, a = lambda(s, T) dL, grows by log1p(a_k); the exponential
     of that growth (consecutive rows of the prefix sums that
-    :func:`field_b` reads) is compared with 1 + a_k on every maturity node.
+    :func:`~hjmm.paths.factor_fields` reads) is compared with 1 + a_k on
+    every maturity node.
     Only the path and the volatility are read, so the error is the
     rounding of the log1p/exp round trip.
     """
-    _, stoch, corr = _jump_prefixes(vol, path, grid)
-    log_b = stoch + corr
+    a, corr = _jump_terms(vol, path.times, path.sizes, grid.T_nodes())
+    fault = _fault(path, (a <= -1.0).any(axis=1))
+    if fault is not None:
+        raise fault
+    log_b = _prefix_sums(a) + _prefix_sums(corr)
     with np.errstate(over="ignore"):
         ratio = np.exp(log_b[1:] - log_b[:-1])
-    expected = 1.0 + (vol.matrix(path.times, grid.T_nodes())
-                      * path.sizes[:, None])
+    expected = 1.0 + a
     return float(np.max(np.abs(ratio - expected) / np.abs(expected),
                         initial=0.0))
 

@@ -177,9 +177,15 @@ class TestSolve:
         assert code == EXIT_OK
         report = json.loads((tmp_path / "solve_report.json").read_text())
         records = [r for r in caplog.records if r.name.startswith("hjmm.")]
-        assert len(records) == 1
-        assert records[0].levelno == logging.DEBUG
-        assert records[0].getMessage() == (
+        # one record per iteration, then one for the path
+        assert len(records) == report["iterations"] + 1
+        assert all(r.levelno == logging.DEBUG for r in records)
+        for k, (record, sup, norm) in enumerate(zip(
+                records, report["sup_diffs"], report["norm_trace"]), 1):
+            assert record.getMessage().startswith(
+                f"path [3, 0] iteration {k}: sup_diff {sup!r}, norm {norm!r}, "
+                "min increment ")
+        assert records[-1].getMessage() == (
             f"path [3, 0]: {report['n_jumps']} jumps, Converged after "
             f"{report['iterations']} iterations")
 

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special as sc
 
 from hjmm.errors import DomainError
 from hjmm.levy import (LevyModelSpec, Rule, Verdict, check_assumptions,
@@ -15,9 +16,10 @@ from hjmm.measures import (
     PointMasses,
     StableLike,
     UserDensity,
+    _invert_log_tail,
     compensated_exp,
 )
-from hjmm.paths import simulate_path
+from hjmm.paths import simulate_path, simulate_paths
 from hjmm.volatility import constant_volatility
 
 ORACLE_TOL = 1e-10
@@ -392,6 +394,16 @@ class TestUserDensity:
         assert sizes.size > 0
         assert np.all(np.isfinite(sizes)) and np.all(sizes > 0.0)
 
+    def test_tail_mass_of_a_draw_does_not_depend_on_its_batch(self) -> None:
+        # each row of the sampler's tail is summed on its own
+        nu = UserDensity(density_fn=lambda y: 0.5 * np.exp(-2.0 * y) / y)
+        s = np.log(np.random.default_rng(8).uniform(1e-3, 5.0, size=64))
+        for size in (7, 64):
+            mass, slope = nu._tail(s[:size])
+            for k in range(size):
+                one = nu._tail(s[k:k + 1])
+                assert (one[0][0], one[1][0]) == (mass[k], slope[k])
+
     def test_truncation_below_rule_start_raises(self) -> None:
         nu = UserDensity(density_fn=lambda y: 0.5 * np.exp(-2.0 * y) / y)
         with pytest.raises(DomainError, match="at least"):
@@ -498,3 +510,76 @@ class TestUserDensity:
             assert np.array_equal(first.times, second.times)
             assert np.array_equal(first.sizes, second.sizes)
             assert first.drift_rate == second.drift_rate
+
+
+def _gamma_tail(s):
+    """E1(2 e^s) and its -d/ds, the tail of GammaLike(1, 2) in s = ln y."""
+    x = 2.0 * np.exp(s)
+    return sc.exp1(x), np.exp(-x)
+
+
+# every family, the one defined outside the library included, with a
+# truncation level that each accepts
+_BLOCK_FAMILIES = [
+    GammaLike(0.5, 2.0),
+    StableLike(1.0, 1.5, 1.0),
+    PointMasses([(0.4, 1.0), (2.0, 0.5)]),
+    UserDensity(density_fn=lambda y: 0.5 * np.exp(-2.0 * y) / y),
+    _ExpDensity(),
+]
+
+
+class TestBlocks:
+    """A block of paths draws each path's jumps as that path alone."""
+
+    @pytest.mark.parametrize("size", [1, 7, 15])
+    @pytest.mark.parametrize("measure", _BLOCK_FAMILIES,
+                             ids=lambda m: type(m).__name__)
+    def test_block_sizes_are_each_paths_own(self, measure, size) -> None:
+        counts = [(3 * k) % 5 for k in range(size)]  # zeros among them
+        block = measure.sample_block(
+            [np.random.default_rng([11, k]) for k in range(size)], counts, 1e-2)
+        assert [sizes.size for sizes in block] == counts
+        for k, n in enumerate(counts):
+            alone = (measure.sample_sizes(np.random.default_rng([11, k]), n, 1e-2)
+                     if n else np.empty(0))
+            assert block[k].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("size", [1, 7, 15])
+    @pytest.mark.parametrize("measure", _BLOCK_FAMILIES,
+                             ids=lambda m: type(m).__name__)
+    def test_block_paths_are_each_seeds_own(self, measure, size) -> None:
+        spec = LevyModelSpec(0.0, 0.0, measure)
+        seeds = [[21, k] for k in range(size)]
+        for seed, path in zip(seeds, simulate_paths(spec, 1.0, seeds, 1e-2)):
+            alone = simulate_path(spec, 1.0, seed, eps=1e-2)
+            assert path.times.tobytes() == alone.times.tobytes()
+            assert path.sizes.tobytes() == alone.sizes.tobytes()
+            assert (path.drift_rate, path.truncation_eps) == (
+                alone.drift_rate, alone.truncation_eps)
+
+    def test_grouped_inversion_gives_each_group_its_own_result(self) -> None:
+        # six groups of 1 to 3 draws; inverted alone, some need more
+        # Newton steps than others, and in the group each stops with
+        # its own last step
+        sizes = [2, 1, 3, 1, 2, 3]
+        group = np.repeat(np.arange(len(sizes)), sizes)
+        u = np.random.default_rng(1).uniform(size=group.size)
+        target = (1.0 - u) * sc.exp1(2e-3)
+        lo = np.full(target.size, math.log(1e-3))
+        hi = np.log(np.maximum(1.0, -np.log(target)) / 2.0)
+        grouped = _invert_log_tail(_gamma_tail, target, lo, hi, group)
+        steps = []
+        for g in range(len(sizes)):
+            draws = group == g
+            calls = []
+
+            def counted(s):
+                calls.append(s.size)
+                return _gamma_tail(s)
+
+            alone = _invert_log_tail(counted, target[draws], lo[draws],
+                                     hi[draws], np.zeros(draws.sum(), int))
+            steps.append(len(calls))
+            assert grouped[draws].tobytes() == alone.tobytes()
+        assert min(steps) < max(steps)

@@ -6,24 +6,29 @@ identities here are exact, not approximate.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hjmm.paths
 from hjmm.curves import InitialCurve, exp_decay_curve
 from hjmm.errors import DomainError, NonPositiveFactor, UnsupportedSpec
-from hjmm.grids import GridSpec
+from hjmm.grids import GridSpec, cumtrapz
 from hjmm.levy import LevyModelSpec, drift_only, gamma_subordinator
 from hjmm.measures import GammaLike, PointMasses, StableLike
 from hjmm.paths import (
     JumpPath,
+    factor_fields,
     field_a,
     field_b,
     simulate_path,
+    simulate_paths,
 )
-from hjmm.volatility import (VolatilitySpec, constant_volatility,
+from hjmm.volatility import (VolatilitySpec, constant_term,
+                             constant_volatility, exp_decay_term,
                              time_affine_volatility)
 
 PRODUCT_IDENTITY_RTOL = 1e-12
@@ -135,6 +140,25 @@ class TestSimulatePath:
         counts = [simulate_path(spec, 1.0, [5, k], eps=eps).n_jumps
                   for k in range(200)]
         assert abs(np.mean(counts) - intensity) < 0.5 * math.sqrt(intensity)
+
+    def test_tied_jump_times_are_pulled_apart(self, monkeypatch) -> None:
+        # a generator whose uniform times collide in pairs
+        class Tied(np.random.Generator):
+            def uniform(self, low=0.0, high=1.0, size=None):
+                out = super().uniform(low, high, size)
+                if size:
+                    out[1::2] = out[:size - size % 2:2]
+                return out
+
+        monkeypatch.setattr(np.random, "default_rng",
+                            lambda seed: Tied(np.random.PCG64(seed)))
+        spec = LevyModelSpec(0.0, 0.0, PointMasses([(0.5, 6.0)]))
+        path = simulate_path(spec, 1.0, 4)
+        assert path.n_jumps >= 2
+        assert np.all(np.diff(path.times) > 0.0)
+        # each tie moved by one ulp
+        assert np.all(path.times[1::2] == np.nextafter(
+            path.times[:path.n_jumps - path.n_jumps % 2:2], np.inf))
 
     def test_unsupported_specs_rejected(self) -> None:
         with pytest.raises(UnsupportedSpec):
@@ -307,3 +331,95 @@ def test_field_a_evaluates_the_curve_once() -> None:
     assert calls == [g.n_cols + 1]
     # bitwise the product of the curve on the maturity nodes and b
     assert a.tobytes() == (level(g.T_nodes())[None, :] * b).tobytes()
+
+
+# negative near T = 0 (the declared bounds are not checked here), so that a
+# large jump turns the factor 1 + lambda*dL non-positive
+_DIPPING_VOL = VolatilitySpec(
+    terms=(constant_term(0.25), exp_decay_term(-1.35, 40.0)),
+    lambda_lower=0.01, lambda_upper=0.25)
+
+
+def _reference_field_b(vol, path, grid):
+    """b of one path as a whole-path expression, the oracle of the block."""
+    T = grid.T_nodes()
+    drift_cum = cumtrapz(vol.on_grid(grid), grid.delta, axis=0) * path.drift_rate
+    stoch = np.zeros((path.n_jumps + 1, T.size))
+    corr = np.zeros((path.n_jumps + 1, T.size))
+    if path.n_jumps:
+        a = vol.matrix(path.times, T) * path.sizes[:, None]
+        stoch[1:] = np.cumsum(a, axis=0)
+        corr[1:] = np.cumsum(np.log1p(a) - a, axis=0)
+    counts = np.searchsorted(path.times, grid.t_nodes(), side="right")
+    return np.exp(drift_cum + stoch[counts] + corr[counts])
+
+
+def _mixed_paths():
+    """Zero-jump paths, simulated stable-like paths and, mid-block, a path
+    whose second jump meets lambda(t, 0) = -1.1 with dL = 0.95."""
+    stable = LevyModelSpec(0.0, 0.0, StableLike(c=1.0, alpha=1.5, y_max=1.0))
+    sim = simulate_paths(stable, 1.0, [[k, 0] for k in range(4)], eps=1e-2)
+    quiet = JumpPath(horizon=1.0, drift_rate=-0.3, times=np.empty(0),
+                     sizes=np.empty(0))
+    fatal = JumpPath(horizon=1.0, drift_rate=0.1, times=np.array([0.2, 0.5]),
+                     sizes=np.array([0.3, 0.95]))
+    return [quiet, sim[0], quiet, fatal, sim[1], quiet, sim[2], sim[3], quiet]
+
+
+class TestFactorFieldBlocks:
+    """A block's factor fields are each path's own, bitwise."""
+
+    @pytest.mark.parametrize("size", [1, 4, 9])
+    @pytest.mark.parametrize("jump_cells", [1, 50_000, 1 << 16])
+    def test_block_gives_each_path_its_own_field(self, size, jump_cells,
+                                                 monkeypatch) -> None:
+        # jump_cells = 1: every path with jumps takes its own lambda*dL
+        # array; 50 000: two simulated paths share one
+        monkeypatch.setattr(hjmm.paths, "JUMP_CELLS", jump_cells)
+        grid = GridSpec(1.0 / 16.0, 1.0, 2.0, 1.0)
+        paths = _mixed_paths()
+        faults = []
+        fields = []
+        for i in range(0, len(paths), size):
+            b, block_faults = factor_fields(_DIPPING_VOL, paths[i:i + size], grid)
+            assert b.shape == (block_faults.count(None), *grid.shape)
+            faults += block_faults
+            fields += list(b)
+        assert isinstance(faults[3], NonPositiveFactor)
+        assert "t=0.5 " in str(faults[3])
+        assert faults[:3] == [None] * 3
+        fields = iter(fields)
+        for path, fault in zip(paths, faults):
+            if fault is not None:
+                with pytest.raises(NonPositiveFactor,
+                                   match=re.escape(str(fault))):
+                    field_b(_DIPPING_VOL, path, grid)
+                continue
+            b = next(fields)
+            assert b.tobytes() == field_b(_DIPPING_VOL, path, grid).tobytes()
+            assert b.tobytes() == _reference_field_b(_DIPPING_VOL, path,
+                                                     grid).tobytes()
+
+    def test_field_a_of_a_stack_is_each_fields_own(self) -> None:
+        grid = GridSpec(1.0 / 16.0, 1.0, 2.0, 1.0)
+        b, _ = factor_fields(_DIPPING_VOL, _mixed_paths(), grid)
+        curve = exp_decay_curve(0.08, 0.4)
+        stacked = field_a(curve, b, grid)
+        assert stacked.shape == b.shape
+        for k in range(len(b)):
+            assert stacked[k].tobytes() == field_a(curve, b[k], grid).tobytes()
+        with pytest.raises(DomainError, match="does not match grid"):
+            field_a(curve, b[:, :-1], grid)
+        with pytest.raises(DomainError, match="does not match grid"):
+            field_a(curve, b[None], grid)
+
+    def test_block_without_jumps_or_paths(self) -> None:
+        grid = _grid()
+        vol = constant_volatility(0.2)
+        quiet = JumpPath(horizon=1.0, drift_rate=2.0, times=np.empty(0),
+                         sizes=np.empty(0))
+        b, faults = factor_fields(vol, [quiet, quiet], grid)
+        assert faults == [None, None]
+        assert b[1].tobytes() == _reference_field_b(vol, quiet, grid).tobytes()
+        b, faults = factor_fields(vol, [], grid)
+        assert b.shape == (0, *grid.shape) and faults == []

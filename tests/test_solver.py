@@ -5,11 +5,13 @@ factor field exactly, so the solver must reproduce the initial curve to
 machine precision; that oracle anchors everything else here.
 """
 
+import logging
 import math
 
 import numpy as np
 import pytest
 
+import hjmm.solver
 from hjmm.curves import affine_curve, constant_curve, exp_decay_curve
 from hjmm.errors import (DomainError, NonPositiveFactor, NotTimeOnly,
                          SecondMomentInfinite)
@@ -581,3 +583,46 @@ class TestStackedSolve:
         expected = flat_extend(a * np.exp(cumtrapz(
             fast_derivative(spec, 1)(inner) * lam, grid.delta, axis=0)))
         assert _bits(applied.values) == _bits(expected)
+
+
+class TestDebugLog:
+    """Under DEBUG, solve_paths logs every iteration of every path."""
+
+    def test_records_every_iteration_of_every_path(self, caplog) -> None:
+        vol, f0, seeds, solver = _BLOCKS["mixed"]
+        seeds = seeds[15:19]
+        caplog.set_level(logging.DEBUG, logger="hjmm.solver")
+        entries = solve_paths(_STABLE, vol, constant_curve(f0), _grid(),
+                              seeds, 1e-2, **solver)
+        assert isinstance(entries[2], NonPositiveFactor)
+        expected = []
+        for seed, entry in zip(seeds, entries):
+            if isinstance(entry, NonPositiveFactor):
+                jumps = simulate_path(_STABLE, 1.0, seed, eps=1e-2).n_jumps
+                expected.append(f"path {seed}: {jumps} jumps, NonPositiveFactor")
+                continue
+            report = entry[3]
+            expected += [
+                f"path {seed} iteration {k}: sup_diff {sup!r}, norm {norm!r}, "
+                f"min increment {low!r}"
+                for k, (sup, norm, low) in enumerate(zip(
+                    report.sup_diffs, report.norm_trace,
+                    report.increment_mins), 1)]
+            expected.append(f"path {seed}: {entry[0].n_jumps} jumps, "
+                            f"{report.status} after {report.iterations} "
+                            "iterations")
+        records = [r for r in caplog.records if r.name == "hjmm.solver"]
+        assert all(r.levelno == logging.DEBUG for r in records)
+        assert [r.getMessage() for r in records] == expected
+
+    def test_above_debug_nothing_is_logged_or_formatted(
+            self, caplog, monkeypatch) -> None:
+        def unexpected(*args):
+            raise AssertionError("per-path records built above DEBUG")
+
+        monkeypatch.setattr(hjmm.solver, "_log_path", unexpected)
+        caplog.set_level(logging.INFO, logger="hjmm.solver")
+        vol, f0, seeds, solver = _BLOCKS["mixed"]
+        solve_paths(_STABLE, vol, constant_curve(f0), _grid(), seeds[15:19],
+                    1e-2, **solver)
+        assert not [r for r in caplog.records if r.name == "hjmm.solver"]
