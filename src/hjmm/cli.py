@@ -11,7 +11,7 @@ mc         Monte Carlo martingale test of discounted bond prices
 
 Every subcommand takes --config and --out.  Only the subcommands that
 read a flag accept it: --seed (override mc.master_seed) on solve, verify
-and mc; --allow-explosive on solve; --threads (worker processes, at
+and mc; --allow-explosive on solve; --threads (worker threads, at
 least 1) on mc.
 
 Exit codes: 0 success (existence / converged / suites pass / test pass),
@@ -255,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--allow-explosive", action="store_true",
         help="run solve even when the classifier does not report existence")
     parsers["mc"].add_argument("--threads", type=_worker_count, default=1,
-                               help="worker processes")
+                               help="worker threads")
     return parser
 
 

@@ -14,15 +14,16 @@ in t under the risk-neutral dynamics, which the Monte Carlo test checks
 through z-scores against the time-zero price.  The Monte Carlo solves
 blocks of consecutive paths with one :func:`~hjmm.solver.solve_paths`
 call each and prices the checkpoints of every converged path of a block
-at once; the blocks' rows come back through one loop, from the calling
-process or from a fork pool.
+at once; the blocks' rows come back in path order through one loop, from
+the calling thread or from a pool of threads.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,7 +122,7 @@ EXCLUSION_CAUSES = (STATUS_EXPLODED, STATUS_MAX_ITER, "NonPositiveFactor")
 # took 0.90-0.97 of it and 12 paths 1.05; at 1/128 a stack only adds
 # memory.
 BLOCK_CELLS = 1 << 15
-# fewest blocks per worker process, so that the workers finish together
+# fewest blocks per worker thread, so that the workers finish together
 BLOCKS_PER_WORKER = 4
 
 
@@ -159,18 +160,11 @@ class MartingaleReport:
         return all(abs(r.z_score) <= 4.0 for r in self.results)
 
 
-# The run's function from a block of path indices to their rows, in a
-# pool worker, set by the pool's initializer.
-_worker_row = None
-
-
-def _set_worker_row(rows) -> None:
-    global _worker_row
-    _worker_row = rows
-
-
-def _pooled_row(block: range):
-    return _worker_row(block)
+def _cpu_count() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _block_size(n_paths: int, workers: int, cells: int) -> int:
@@ -181,24 +175,20 @@ def _block_size(n_paths: int, workers: int, cells: int) -> int:
 
 
 def _rows(rows, n_paths: int, threads: int, cells: int):
-    """``rows(block)`` for consecutive blocks of path indices, serially or
-    from a pool; yields each block's ``(path_index, outcome)`` pairs.
-
-    Pool results arrive in any order; each carries its path indices.
-    """
-    workers = min(threads, n_paths)
+    """``rows(block)`` for consecutive blocks of path indices, in the calling
+    thread or on a pool of at most one thread per path and per CPU; yields
+    each path's outcome in path order."""
+    workers = min(threads, n_paths, _cpu_count())
     size = _block_size(n_paths, workers, cells)
     blocks = [range(i, min(i + size, n_paths)) for i in range(0, n_paths, size)]
     if workers <= 1:
         for block in blocks:
             yield from rows(block)
         return
-    # the fork start method hands ``rows`` to the workers without pickling
-    # closures such as a user density
-    with multiprocessing.get_context("fork").Pool(
-            processes=workers, initializer=_set_worker_row,
-            initargs=(rows,)) as pool:
-        for block_rows in pool.imap_unordered(_pooled_row, blocks, 1):
+    # the stacked numpy and scipy kernels that take a block's time release
+    # the GIL, so the threads run in parallel
+    with ThreadPoolExecutor(workers) as pool:
+        for block_rows in pool.map(rows, blocks):
             yield from block_rows
 
 
@@ -213,12 +203,12 @@ def martingale_test(spec: LevyModelSpec, vol: VolatilitySpec,
 
     Path i runs the pipeline of :func:`solve_paths` with the seed
     (master_seed, i); blocks of consecutive paths are solved stacked, in
-    the calling process or in ``threads`` >= 1 worker processes (at most
-    one per path).  A path's outcome is bitwise the same in any block, so
-    results are identical for any worker count.  The reference price
-    P(0,T) integrates the initial curve by adaptive quadrature, so the
-    deviations carry the grid's own discretization bias and must shrink
-    under refinement.  A path whose solve explodes or reaches
+    the calling thread or on ``threads`` >= 1 worker threads (at most one
+    per path and per CPU).  A path's outcome is bitwise the same in any
+    block, so results are identical for any worker count.  The reference
+    price P(0,T) integrates the initial curve by adaptive quadrature, so
+    the deviations carry the grid's own discretization bias and must
+    shrink under refinement.  A path whose solve explodes or reaches
     ``max_iter``, or whose jump factor turns non-positive, is excluded
     and counted by cause; more than 1% exclusions invalidates the test.
     Checkpoints must be grid nodes, at least one time and one maturity.
@@ -256,20 +246,19 @@ def martingale_test(spec: LevyModelSpec, vol: VolatilitySpec,
             prices = np.exp(-cumtrapz(fields, grid.delta, axis=-1)[..., T_idx])
             for k, row in zip(converged, prices.reshape(len(converged), -1)):
                 outcomes[k] = row
-        return list(zip(block, outcomes))
+        return outcomes
 
-    # the rows of the kept paths, stacked in path-index order
-    kept_rows = {}
+    kept_rows = []
     by_cause = dict.fromkeys(EXCLUSION_CAUSES, 0)
-    for idx, outcome in _rows(rows, n_paths, threads, math.prod(grid.shape)):
+    for outcome in _rows(rows, n_paths, threads, math.prod(grid.shape)):
         if isinstance(outcome, str):
             by_cause[outcome] += 1
         else:
-            kept_rows[idx] = outcome
+            kept_rows.append(outcome)
     excluded = sum(by_cause.values())
     n_kept = len(kept_rows)
-    kept = np.array([kept_rows[i] for i in sorted(kept_rows)],
-                    dtype=float).reshape(n_kept, len(t_pts) * len(T_pts))
+    kept = np.array(kept_rows, dtype=float).reshape(
+        n_kept, len(t_pts) * len(T_pts))
 
     reference = _reference_prices(curve, grid, T_idx)
     valid = excluded <= 0.01 * n_paths

@@ -112,9 +112,10 @@ def _memoized(method: Callable) -> Callable:
     return cached
 
 
-def _quad(f: Callable[[float], float], a: float, b: float, what: str) -> float:
+def _quad(f: Callable[[float], float], a: float, b: float, what: str,
+          epsabs: float = 1e-14) -> float:
     """Adaptive quadrature that raises NonIntegrable on failure."""
-    out = integrate.quad(f, a, b, epsabs=1e-14, epsrel=QUAD_RTOL,
+    out = integrate.quad(f, a, b, epsabs=epsabs, epsrel=QUAD_RTOL,
                          limit=300, full_output=1)
     value, abserr = out[0], out[1]
     if len(out) > 3:
@@ -640,8 +641,9 @@ class UserDensity(MeasureFamily):
     arrays by the fixed rule and the sampler, so it must accept both.  The
     rule starts at y = e^-40, below which J' and J'' are linear in U(e^-40)
     and no jump is drawn, and ends where the first moment of the tail falls
-    to 1e-12 of its value over [1, inf) (at ~1e9 at the latest); a negative
-    or non-finite density at a node raises DomainError.  The rule and the
+    to 1e-12 of its value over [1, inf) (at ~1e9 at the latest); its tail
+    masses add the mass beyond the end, integrated once.  A negative or
+    non-finite density at a node raises DomainError.  The rule and the
     measure-only integrals a path simulation asks for are kept in
     ``_cache``.  ``a4_certified`` declares that y^2 is integrable near zero
     and y near infinity; only certified measures participate in the
@@ -663,12 +665,13 @@ class UserDensity(MeasureFamily):
     @_memoized
     def _rule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
         """Nodes y_k and weights g_k = w_k y_k f(y_k) of the fixed rule, its
-        mass from each panel's start on (then 0), and U(e^-40)."""
+        mass from each panel's start on (then beyond its end), and
+        U(e^-40)."""
         hi, total = 2.0, self.first_moment(1.0, math.inf)
         while self.first_moment(hi, math.inf) > 1e-12 * total and hi < 1e9:
             hi *= 2.0
-        y, w = _log_rule(_RULE_S_MIN,
-                         _RULE_PANEL * math.ceil(math.log(hi) / _RULE_PANEL))
+        s_end = _RULE_PANEL * math.ceil(math.log(hi) / _RULE_PANEL)
+        y, w = _log_rule(_RULE_S_MIN, s_end)
         f = np.broadcast_to(np.asarray(self.density_fn(y), dtype=float),
                             y.shape)
         bad = ~(np.isfinite(f) & (f >= 0.0))
@@ -676,8 +679,13 @@ class UserDensity(MeasureFamily):
             k = int(np.argmax(bad))
             raise DomainError(f"density must be finite and nonnegative, got "
                               f"{f[k]} at y = {y[k]:.6g}")
+        # the mass beyond the end in t = end / y over (0, 1]: it is far
+        # below the 1e-14 absolute tolerance that _quad has by default
+        end = math.exp(s_end)
+        beyond = _quad(lambda t: float(self.density_fn(end / t)) * end / t**2,
+                       0.0, 1.0, "UserDensity tail mass", epsabs=0.0)
         mass = (w * f).reshape(-1, _RULE_NODES.size).sum(axis=1)
-        return (y, w * y * f, np.append(np.cumsum(mass[::-1])[::-1], 0.0),
+        return (y, w * y * f, np.cumsum(np.append(mass, beyond)[::-1])[::-1],
                 self.squared_integral(math.exp(_RULE_S_MIN)))
 
     def derivative_measure_part(self, z: np.ndarray, order: int) -> np.ndarray:

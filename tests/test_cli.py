@@ -247,7 +247,7 @@ class TestMc:
     def test_user_density_worker_count_keeps_bytes_identical(self,
                                                              tmp_path) -> None:
         # a user density's cached rule and integrals must not depend on
-        # which process of the fork pool computed them
+        # which worker thread computed them
         _assert_worker_count_keeps_bytes(tmp_path, _user_density_doc())
 
     def test_summary_counts_exclusions_by_cause(self, tmp_path) -> None:

@@ -2,6 +2,8 @@
 
 import math
 import multiprocessing
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from hjmm.market import (
     drift_identity_check,
     martingale_test,
 )
-from hjmm.measures import StableLike
+from hjmm.measures import StableLike, UserDensity
 from hjmm.paths import field_a, field_b, simulate_path
 from hjmm.solver import solve_fixed_point
 from hjmm.volatility import (VolatilitySpec, constant_term,
@@ -255,17 +257,15 @@ class TestMartingale:
                                 exp_decay_curve(0.08, 0.4), _grid(),
                                 n_paths=4, master_seed=0, threads=threads)
 
-    def test_pool_starts_at_most_one_worker_per_path(self,
-                                                     monkeypatch) -> None:
-        # an in-process stand-in for the fork pool records the worker
-        # count it is asked for and hands back the rows last path first,
-        # as an unordered pool may; no process is started
+    def test_pool_asks_for_at_most_one_thread_per_path_and_cpu(
+            self, monkeypatch) -> None:
+        # a stand-in for the thread pool records the worker count it is
+        # asked for and maps in the calling thread; no thread is started
         requested = []
 
-        class RecordingPool:
-            def __init__(self, processes, initializer, initargs):
-                requested.append(processes)
-                initializer(*initargs)
+        class RecordingExecutor:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
 
             def __enter__(self):
                 return self
@@ -273,24 +273,76 @@ class TestMartingale:
             def __exit__(self, *exc_info):
                 return False
 
-            def imap_unordered(self, func, iterable, chunksize=1):
-                return map(func, reversed(list(iterable)))
+            def map(self, fn, iterable):
+                return map(fn, iterable)
 
-        class FakeContext:
-            Pool = RecordingPool
-
-        monkeypatch.setattr(multiprocessing, "get_context",
-                            lambda method: FakeContext)
-        monkeypatch.setattr(market, "_worker_row", None)
+        monkeypatch.setattr(market, "ThreadPoolExecutor", RecordingExecutor)
         grid = GridSpec(1.0 / 8.0, 1.0, 2.0, 1.0)
-        pooled, serial = (
-            martingale_test(gamma_subordinator(0.5, 2.0),
-                            constant_volatility(0.2),
-                            exp_decay_curve(0.08, 0.4), grid, n_paths=3,
-                            master_seed=7, threads=threads)
-            for threads in (64, 1))
-        assert requested == [3]
-        for a, b in zip(pooled.results, serial.results):
+
+        def run(threads):
+            return martingale_test(gamma_subordinator(0.5, 2.0),
+                                   constant_volatility(0.2),
+                                   exp_decay_curve(0.08, 0.4), grid,
+                                   n_paths=3, master_seed=7, threads=threads)
+
+        serial = run(1)
+        for cpus, workers in ((8, 3), (2, 2)):
+            monkeypatch.setattr(market, "_cpu_count", lambda: cpus)
+            requested.clear()
+            pooled = run(64)
+            assert requested == [workers]
+            for a, b in zip(pooled.results, serial.results):
+                assert a.mean_discounted == b.mean_discounted
+                assert a.std == b.std
+
+    def test_workers_are_threads_of_the_calling_process(self,
+                                                       monkeypatch) -> None:
+        # two CPUs patched in, so that a one-CPU machine runs a pool too
+        monkeypatch.setattr(market, "_cpu_count", lambda: 2)
+        solve_paths = market.solve_paths
+        callers, children = set(), []
+
+        def recording_solve_paths(*args, **kwargs):
+            callers.add(threading.get_ident())
+            children.append(multiprocessing.active_children())
+            return solve_paths(*args, **kwargs)
+
+        monkeypatch.setattr(market, "solve_paths", recording_solve_paths)
+        report = martingale_test(gamma_subordinator(0.5, 2.0),
+                                 constant_volatility(0.2),
+                                 exp_decay_curve(0.08, 0.4),
+                                 GridSpec(1.0 / 8.0, 1.0, 2.0, 1.0),
+                                 n_paths=16, master_seed=7, threads=2)
+        assert report.valid
+        assert children and all(c == [] for c in children)
+        assert multiprocessing.active_children() == []
+        assert threading.get_ident() not in callers
+
+    def test_threads_fill_a_user_density_cache_together(self,
+                                                        monkeypatch) -> None:
+        # more threads than cores and a short switch interval, on a fresh
+        # user density per run, whose rule the threads build at once: a
+        # race may only compute the same bits twice
+        monkeypatch.setattr(market, "_cpu_count", lambda: 8)
+        grid = GridSpec(1.0 / 8.0, 1.0, 2.0, 1.0)
+
+        def run(threads):
+            spec = LevyModelSpec(0.0, 0.0, UserDensity(
+                density_fn=lambda y: 1.0 / (1.0 + y) ** 3))
+            return martingale_test(spec, constant_volatility(0.2),
+                                   exp_decay_curve(0.08, 0.4), grid,
+                                   n_paths=32, master_seed=7,
+                                   threads=threads)
+
+        serial = run(1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = run(8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded.n_excluded == serial.n_excluded == 0
+        for a, b in zip(serial.results, threaded.results):
             assert a.mean_discounted == b.mean_discounted
             assert a.std == b.std
 

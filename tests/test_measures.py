@@ -385,6 +385,23 @@ class TestUserDensity:
         assert nu.tail_mass(eps) == pytest.approx(0.5 / (1.0 + eps) ** 2,
                                                   rel=1e-13, abs=0.0)
 
+    def test_heavy_tail_mass_counts_the_mass_beyond_the_rule(self) -> None:
+        # nu([y, inf)) = 1/(2 (1+y)^2) up to y = 1e9, next to the rule's end
+        nu = UserDensity(density_fn=lambda y: 1.0 / (1.0 + y) ** 3)
+        for y in np.geomspace(1e-3, 1e9, 61):
+            assert nu.tail_mass(float(y)) == pytest.approx(
+                0.5 / (1.0 + y) ** 2, rel=1e-14, abs=0.0)
+
+    def test_far_tail_sizes_follow_exact_quantiles(self) -> None:
+        # above eps = 1e4 some draws lie beyond 1e6, where the mass beyond
+        # the rule's end is 1e-7 of the tail mass
+        nu = UserDensity(density_fn=lambda y: 1.0 / (1.0 + y) ** 3)
+        eps = 1e4
+        u = np.random.default_rng(4).uniform(size=20000)
+        got = nu.sample_sizes(np.random.default_rng(4), 20000, eps)
+        np.testing.assert_allclose(got, (1.0 + eps) / np.sqrt(1.0 - u) - 1.0,
+                                   rtol=1e-13, atol=0.0)
+
     def test_simulate_path_runs_on_heavy_tail(self) -> None:
         # finite activity (total mass 1/2): sizes drawn from the whole measure
         spec = LevyModelSpec(0.0, 0.0, UserDensity(
