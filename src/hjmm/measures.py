@@ -29,7 +29,10 @@ derivatives by two routes:
 * a vectorized route (``derivative_measure_part``) used by the
   fixed-point solver, where thousands of evaluations per iteration are
   needed: a closed form (incomplete gamma, exponential integral, one loop
-  of exact sums over the atoms) or the fixed rule below.
+  of exact sums over the atoms) or the fixed rule below.  For a family
+  that sets ``tabulate_derivative`` the solver reads J' from a table that
+  :func:`hjmm.levy.fast_derivative` builds from this route once per
+  measure.
 
 One fixed rule, composite Gauss-Legendre in s = ln y with 16 nodes on
 each panel of width 2, gives ``UserDensity`` its J', J'' and tail mass
@@ -83,6 +86,14 @@ _RULE_N_LOW = round(-_RULE_S_MIN / _RULE_PANEL) * _RULE_NODES.size
 _RULE_BLOCK = 128
 # A sub-panel's 16 nodes, then its start, in half-widths from the start.
 _TAIL_NODES = np.append(_RULE_NODES + 1.0, 0.0)
+
+# gamma_E + ln w + E1(w) = sum_k (-1)^(k+1) w^k / (k k!): the coefficients
+# up to w^14, and the end of the range where the stable-like J' at
+# alpha = 1 takes the series (its first omitted term is below 2e-18 there,
+# 4e-18 of the sum)
+_EIN_SERIES = [0.0] + [(-1.0) ** (k + 1) / (k * math.factorial(k))
+                       for k in range(1, 15)]
+_EIN_SERIES_END = 0.5
 
 # The tail-index regression of U: its range, and the band around its slope
 # within which rho is taken as known.
@@ -261,7 +272,13 @@ class MeasureFamily(ABC):
     defines on floats y > 0, over a support inside [0, inf), a density has
     no atoms, its (A4) small-jump integral is U(1), and its tail index is
     read off U.  ``PointMasses`` overrides them with exact sums.
+
+    ``tabulate_derivative`` marks a family whose J' costs more than
+    reading it from a table; :func:`hjmm.levy.fast_derivative` builds one
+    table per measure for such a family.
     """
+
+    tabulate_derivative = False
 
     @abstractmethod
     def support(self) -> tuple[float, float]:
@@ -454,6 +471,8 @@ class PointMasses(MeasureFamily):
 class StableLike(MeasureFamily):
     """Density c * y**(-1-alpha) on (0, y_max], alpha in (0, 2)."""
 
+    tabulate_derivative = True
+
     c: float
     alpha: float
     y_max: float = 1.0
@@ -483,10 +502,14 @@ class StableLike(MeasureFamily):
         with np.errstate(over="ignore", under="ignore", invalid="ignore"):
             if order == 1:
                 if abs(alpha - 1.0) < 1e-8:
-                    # int_0^b (1-e^{-zy})/y dy = gamma_E + ln(zb) + E1(zb)
-                    safe_w = np.where(w > 0, w, 1.0)
-                    out = c * np.where(w > 0, np.euler_gamma + np.log(safe_w)
-                                       + sc.exp1(safe_w), 0.0)
+                    # int_0^b (1-e^{-zy})/y dy = gamma_E + ln(zb) + E1(zb),
+                    # which cancels below w = zb = _EIN_SERIES_END: there
+                    # its power series
+                    safe_w = np.where(w < _EIN_SERIES_END, 1.0, w)
+                    out = c * np.where(
+                        w < _EIN_SERIES_END,
+                        np.polynomial.polynomial.polyval(w, _EIN_SERIES),
+                        np.euler_gamma + np.log(safe_w) + sc.exp1(safe_w))
                 else:
                     t1 = -np.expm1(-w) * b1 ** (1.0 - alpha) / (1.0 - alpha)
                     t2 = np.where(
@@ -642,13 +665,17 @@ class UserDensity(MeasureFamily):
     rule starts at y = e^-40, below which J' and J'' are linear in U(e^-40)
     and no jump is drawn, and ends where the first moment of the tail falls
     to 1e-12 of its value over [1, inf) (at ~1e9 at the latest); its tail
-    masses add the mass beyond the end, integrated once.  A negative or
-    non-finite density at a node raises DomainError.  The rule and the
+    masses add the mass beyond the end, integrated once.  Where that first
+    moment diverges (J'(0) = -inf, (A4) fails), building the rule raises
+    NonIntegrable.  A negative or non-finite density at a node raises
+    DomainError.  The rule and the
     measure-only integrals a path simulation asks for are kept in
     ``_cache``.  ``a4_certified`` declares that y^2 is integrable near zero
     and y near infinity; only certified measures participate in the
     tail-exponent regression of the growth classifier.
     """
+
+    tabulate_derivative = True
 
     density_fn: Callable
     a4_certified: bool = False
@@ -668,6 +695,10 @@ class UserDensity(MeasureFamily):
         mass from each panel's start on (then beyond its end), and
         U(e^-40)."""
         hi, total = 2.0, self.first_moment(1.0, math.inf)
+        if not math.isfinite(total):
+            raise NonIntegrable(
+                "UserDensity: the first moment over [1, inf) diverges, so "
+                "J'(0) = -inf and (A4) fails")
         while self.first_moment(hi, math.inf) > 1e-12 * total and hi < 1e9:
             hi *= 2.0
         s_end = _RULE_PANEL * math.ceil(math.log(hi) / _RULE_PANEL)

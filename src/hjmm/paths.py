@@ -214,8 +214,8 @@ def _jump_chunks(paths, cols: int):
         yield chunk
 
 
-def factor_fields(vol: VolatilitySpec, paths,
-                  grid: GridSpec) -> tuple[np.ndarray, list]:
+def factor_fields(vol: VolatilitySpec, paths, grid: GridSpec,
+                  lam: np.ndarray | None = None) -> tuple[np.ndarray, list]:
     """The factor fields b(t_i, T_j) of a block of paths.
 
     Returns the stack of b, shape ``(P, n_t+1, n_cols+1)``, of the paths
@@ -226,13 +226,16 @@ def factor_fields(vol: VolatilitySpec, paths,
     Each b is assembled as exp(stochastic integral) times the compensated
     jump product; the two jump exponentials are mathematically inverse
     and are kept separate here (the cancellation is exercised by tests,
-    not assumed).  lambda on the grid and its time integral are built
-    once for the block, and lambda*dL and its log1p once for each run of
-    paths of :func:`_jump_chunks`; the prefix sums over jumps run on each
-    path's own rows, so a path's b is bitwise the same in any block.
+    not assumed).  lambda on the grid (``lam``, if the caller has it
+    already) and its time integral are built once for the block, and
+    lambda*dL and its log1p once for each run of paths of
+    :func:`_jump_chunks`; the prefix sums over jumps run on each path's
+    own rows, so a path's b is bitwise the same in any block.
     """
     T, t_nodes = grid.T_nodes(), grid.t_nodes()
-    drift_cum = cumtrapz(vol.on_grid(grid), grid.delta, axis=0)
+    if lam is None:
+        lam = vol.on_grid(grid)
+    drift_cum = cumtrapz(lam, grid.delta, axis=0)
     stack = np.empty((len(paths), *grid.shape))
     faults = []
     kept = 0

@@ -12,15 +12,18 @@ produces a pointwise nondecreasing sequence that either converges to the
 minimal solution or blows up; both outcomes are reported.
 
 All quadratures are composite trapezoid on the uniform grid; J' is
-evaluated through the vectorized route of the measure family.  The grid
-owns its triangle: the below-diagonal cells and the slice L2 weights
-come from :mod:`hjmm.grids`, built once per grid shape.  One iteration
-loop works on a stack of a-fields, shape ``(P, n_t+1, n_cols+1)``, with
-lambda on the grid and J' set up once per stack; a path leaves the
-stack when it converges or explodes.  Every step acts on each path's
-cells alone, so a path's report is bitwise the same in any stack:
-:func:`solve_fixed_point` is the loop on a stack of one and
-:func:`apply_K` one step of it.
+evaluated through the vectorized route of the measure family, which for
+the stable-like and user densities reads the measure's part from one
+cubic Hermite table per measure (within 1e-10 of the family's own J',
+relative, absolute below |J'| = 1; see :func:`hjmm.levy.fast_derivative`).
+The grid owns its triangle: the below-diagonal cells and the slice L2
+weights come from :mod:`hjmm.grids`, built once per grid shape.  One
+iteration loop works on a stack of a-fields, shape
+``(P, n_t+1, n_cols+1)``, with lambda on the grid and J' set up once per
+stack; a path leaves the stack when it converges or explodes.  Every
+step acts on each path's cells alone, so a path's report is bitwise the
+same in any stack: :func:`solve_fixed_point` is the loop on a stack of
+one and :func:`apply_K` one step of it.
 
 :func:`solve_paths` is the pipeline that ``hjmm solve``, ``hjmm verify``
 and the martingale Monte Carlo share: simulate a block of jump paths,
@@ -71,15 +74,18 @@ STATUS_MAX_ITER = "MaxIterations"
 log = logging.getLogger(__name__)
 
 
-def _operator(vol: VolatilitySpec, spec: LevyModelSpec, grid: GridSpec):
+def _operator(vol: VolatilitySpec, spec: LevyModelSpec, grid: GridSpec,
+              lam: np.ndarray | None = None):
     """The operator f -> a * exp(...) on a stack of fields and their a-fields.
 
-    lambda on the grid and J' are set up once, for every iteration of
-    every path of the stack.  ``apply(values, a_fields, out, work)``
-    writes K of each field into ``out``, using ``work`` (same shape) as
-    scratch; each path's cells depend on that path alone.
+    lambda on the grid (``lam``, if the caller has it already) and J' are
+    set up once, for every iteration of every path of the stack.
+    ``apply(values, a_fields, out, work)`` writes K of each field into
+    ``out``, using ``work`` (same shape) as scratch; each path's cells
+    depend on that path alone.
     """
-    lam = vol.on_grid(grid)
+    if lam is None:
+        lam = vol.on_grid(grid)
     dj = fast_derivative(spec, 1)
 
     def apply(values, a_fields, out, work) -> np.ndarray:
@@ -149,19 +155,21 @@ def solve_fixed_point(a_field: np.ndarray, vol: VolatilitySpec,
 
 
 def _solve_stack(a_fields: np.ndarray, vol: VolatilitySpec,
-                 spec: LevyModelSpec, grid: GridSpec, *, tol: float = 1e-9,
+                 spec: LevyModelSpec, grid: GridSpec,
+                 lam: np.ndarray | None = None, *, tol: float = 1e-9,
                  max_iter: int = 200, explosion_threshold: float = 1e8,
                  initial: RateField | None = None) -> list[SolverReport]:
     """The fixed-point iteration on a stack of a-fields, one report each.
 
-    Every path iterates from ``initial`` (zero if None) until it stops; a
+    ``lam`` is lambda on the grid, if the caller has it already.  Every
+    path iterates from ``initial`` (zero if None) until it stops; a
     Converged or Exploded path leaves the stack and the others run on
     without it, in the leading part of the same buffers.  Each report is
     bitwise the report of that path's field solved alone.
     """
     if tol <= 0.0 or max_iter < 1 or explosion_threshold <= 0.0:
         raise DomainError("tol, max_iter and explosion_threshold must be positive")
-    apply = _operator(vol, spec, grid)
+    apply = _operator(vol, spec, grid, lam)
     a_fields = np.array(a_fields, dtype=float)
     current = np.zeros_like(a_fields)
     if initial is not None:
@@ -223,7 +231,8 @@ def solve_paths(spec: LevyModelSpec, vol: VolatilitySpec, curve: InitialCurve,
     over [0, t_star] (so every grid with the same horizon sees the same
     jumps), :func:`~hjmm.paths.factor_fields`, :func:`~hjmm.paths.field_a`
     on the stack of positive factor fields, and one stacked fixed-point
-    iteration; ``solver`` holds the keyword arguments of
+    iteration; lambda on the grid is evaluated once, for the factor
+    fields and the iteration; ``solver`` holds the keyword arguments of
     :func:`solve_fixed_point`.  Returns one entry per seed, in order:
     ``(path, b, a, report)``, or the NonPositiveFactor that a jump of the
     path raised.  Each entry is bitwise the one of that seed alone, so
@@ -235,12 +244,13 @@ def solve_paths(spec: LevyModelSpec, vol: VolatilitySpec, curve: InitialCurve,
     """
     seeds = list(seeds)
     paths = simulate_paths(spec, grid.t_star, seeds, eps)
-    b_stack, faults = factor_fields(vol, paths, grid)
+    lam = vol.on_grid(grid)
+    b_stack, faults = factor_fields(vol, paths, grid, lam)
     solved = iter(())
     if len(b_stack):
         a_stack = field_a(curve, b_stack, grid)
         solved = zip(b_stack, a_stack,
-                     _solve_stack(a_stack, vol, spec, grid, **solver))
+                     _solve_stack(a_stack, vol, spec, grid, lam, **solver))
     debug = log.isEnabledFor(logging.DEBUG)
     out = []
     for seed, path, fault in zip(seeds, paths, faults):

@@ -1,10 +1,12 @@
 """Laplace exponent, derivative routes, and the growth classifier."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from hjmm import levy
 from hjmm.errors import DomainError, UnsupportedSpec
 from hjmm.levy import (
     GrowthClassification,
@@ -95,6 +97,100 @@ def test_fast_route_agrees_with_quadrature_route() -> None:
                 b = exponent_derivative(spec, z, order)
                 assert abs(a - b) <= EXPONENT_RTOL * max(abs(b), 1e-10), (
                     f"{type(spec.measure).__name__} order={order} z={z}")
+
+
+# J' tables: their stated tolerance against the family's own J', relative,
+# absolute below |J'| = 1, where J' changes sign
+TABLE_TOL = 1e-10
+_TABLE_Z = np.concatenate(([0.0], np.geomspace(1e-8, 2.9e4, 20001)))
+_TABLED = {
+    "stable_0.5": StableLike(1.0, 0.5, 1.0),
+    "stable_1": StableLike(1.0, 1.0, 1.0),
+    "stable_1.5": StableLike(1.0, 1.5, 1.0),
+    "stable_y_max_4": StableLike(0.8, 1.3, 4.0),
+    "user_gamma": UserDensity(density_fn=lambda y: 0.5 * np.exp(-2.0 * y) / y),
+}
+
+
+def _family_route(spec: LevyModelSpec, z: np.ndarray) -> np.ndarray:
+    return -spec.drift_a + spec.gaussian_q * z + (
+        spec.measure.derivative_measure_part(z, 1))
+
+
+@pytest.mark.parametrize("a, q", [(0.0, 0.0), (0.4, 0.0), (-0.3, 0.2)])
+@pytest.mark.parametrize("name", sorted(_TABLED))
+def test_table_holds_its_tolerance(name, a, q) -> None:
+    # drift and Gaussian part stay exact, so the table's error is that of
+    # the measure's part; J' stays nondecreasing, as the iteration needs
+    spec = LevyModelSpec(a, q, _TABLED[name])
+    got = fast_derivative(spec, 1)(_TABLE_Z)
+    want = _family_route(spec, _TABLE_Z)
+    assert levy._derivative_table(spec.measure) is not None
+    assert np.all(np.abs(got - want)
+                  <= TABLE_TOL * np.maximum(1.0, np.abs(want)))
+    assert np.all(np.diff(got) >= 0.0)
+
+
+def test_table_keeps_the_shape_of_its_input() -> None:
+    dj = fast_derivative(LevyModelSpec(0.1, 0.2, StableLike(1.0, 1.5)), 1)
+    z = np.array([[0.3, 7.0], [0.0, 2e3]])
+    for k in np.ndindex(z.shape):
+        one = dj(z[k])
+        assert np.ndim(one) == 0 and one == dj(z)[k]
+    assert dj(z).shape == z.shape and dj(np.empty((0, 3))).shape == (0, 3)
+
+
+@pytest.mark.parametrize("name", ["stable_1.5", "user_gamma"])
+def test_cells_off_the_table_take_the_family_route(name) -> None:
+    # the cells of exploding paths: z >= z_max, inf and NaN, among cells
+    # on the table, which keep their own values
+    spec = LevyModelSpec(0.1, 0.2, _TABLED[name])
+    dj = fast_derivative(spec, 1)
+    z = np.array([0.5, levy._TABLE_Z_MAX, np.nextafter(levy._TABLE_Z_MAX, 0.0),
+                  1e6, np.inf, 3.0, np.nan])
+    off = np.array([False, True, False, True, True, False, True])
+    got = dj(z)
+    assert got[off].tobytes() == _family_route(spec, z[off]).tobytes()
+    assert got[~off].tobytes() == dj(z[~off]).tobytes()
+
+
+@pytest.mark.parametrize("measure", [
+    GammaLike(0.5, 2.0), PointMasses([(0.4, 1.0), (2.0, 0.5)]),
+    PointMasses([(-0.3, 2.0)])], ids=lambda m: type(m).__name__)
+def test_closed_forms_are_not_tabled(measure) -> None:
+    spec = LevyModelSpec(0.2, 0.1, measure)
+    levy._derivative_table.cache_clear()
+    got = fast_derivative(spec, 1)(_TABLE_Z)
+    assert got.tobytes() == _family_route(spec, _TABLE_Z).tobytes()
+    assert levy._derivative_table.cache_info().misses == 0
+
+
+@pytest.mark.parametrize("measure", [
+    # J'' ~ -ln z near 0, resolved only by the rule up to its end at e^22
+    UserDensity(density_fn=lambda y: 1.0 / (1.0 + y) ** 3),
+    # J' bends on the scale 1/y_max = 1e-4, inside the first interval
+    StableLike(0.8, 1.3, 1e4),
+], ids=["heavy_tail", "stable_y_max_1e4"])
+def test_table_that_misses_its_tolerance_is_not_used(measure) -> None:
+    spec = LevyModelSpec(0.0, 0.0, measure)
+    assert levy._derivative_table(measure) is None
+    got = fast_derivative(spec, 1)(_TABLE_Z)
+    assert got.tobytes() == _family_route(spec, _TABLE_Z).tobytes()
+
+
+def test_unhashable_density_takes_the_family_route() -> None:
+    # a density that is an unhashable callable (a dataclass instance here)
+    # has no key for the kept tables; its J' is the rule's
+    @dataclass
+    class Density:
+        c: float
+
+        def __call__(self, y):
+            return self.c * np.exp(-2.0 * y) / y
+
+    spec = LevyModelSpec(0.0, 0.0, UserDensity(density_fn=Density(0.5)))
+    got = fast_derivative(spec, 1)(_TABLE_Z)
+    assert got.tobytes() == _family_route(spec, _TABLE_Z).tobytes()
 
 
 def test_exponent_first_derivative_nondecreasing() -> None:

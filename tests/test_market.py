@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from hjmm import market
+from hjmm import levy, market
 from hjmm.curves import affine_curve, constant_curve, exp_decay_curve
 from hjmm.errors import DomainError
 from hjmm.grids import GridSpec, RateField, flat_extend
@@ -345,6 +345,26 @@ class TestMartingale:
         for a, b in zip(serial.results, threaded.results):
             assert a.mean_discounted == b.mean_discounted
             assert a.std == b.std
+
+    def test_threads_build_one_table_per_model(self, monkeypatch) -> None:
+        # two calls on two threads each, switching often: the first block
+        # of the first call builds the J' table and every later one reads it
+        monkeypatch.setattr(market, "_cpu_count", lambda: 2)
+        spec = LevyModelSpec(0.0, 0.0, StableLike(c=1.0, alpha=1.5))
+        levy._derivative_table.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reports = [martingale_test(spec, constant_volatility(0.25),
+                                       constant_curve(5.0), _grid(1.0 / 8.0),
+                                       n_paths=12, master_seed=seed, eps=1e-2,
+                                       threads=2)
+                       for seed in (1, 2)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(r.n_paths == 12 for r in reports)
+        info = levy._derivative_table.cache_info()
+        assert (info.misses, info.currsize) == (1, 1) and info.hits >= 3
 
     def test_explicit_checkpoints_respected(self) -> None:
         grid = _grid()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import special as sc
 
-from hjmm.errors import DomainError
+from hjmm.errors import DomainError, NonIntegrable
 from hjmm.levy import (LevyModelSpec, Rule, Verdict, check_assumptions,
                        classify_growth, exponent, exponent_derivative,
                        fast_derivative)
@@ -274,6 +274,16 @@ class TestStableLike:
             slow = nu.exponent_part(z, 1)
             assert abs(fast - slow) / max(abs(slow), 1e-12) < QUAD_AGREEMENT_RTOL
 
+    def test_alpha_one_near_zero_matches_its_series(self) -> None:
+        # gamma_E + ln w + E1(w) cancels for small w = z: the sum
+        # sum_k (-1)^(k+1) w^k / (k k!) to rounding
+        nu = StableLike(c=1.0, alpha=1.0, y_max=1.0)
+        z = np.geomspace(1e-10, 1e-3, 71)
+        series = [math.fsum((-1.0) ** (k + 1) * w ** k / (k * math.factorial(k))
+                            for k in range(1, 8)) for w in z]
+        np.testing.assert_allclose(nu.derivative_measure_part(z, 1), series,
+                                   rtol=1e-15, atol=0.0)
+
     def test_inverse_tail_sampling_distribution(self) -> None:
         nu = StableLike(c=1.0, alpha=1.5, y_max=1.0)
         rng = np.random.default_rng(11)
@@ -410,6 +420,17 @@ class TestUserDensity:
                                 for k in range(20)])
         assert sizes.size > 0
         assert np.all(np.isfinite(sizes)) and np.all(sizes > 0.0)
+
+    def test_divergent_tail_moment_is_refused(self) -> None:
+        # (1+y)^-1.5: J'(0) = -inf; a rule cut short would give the tail
+        # mass nu([100, inf)) = 0.69 against the exact 2/sqrt(101) = 0.199
+        nu = UserDensity(density_fn=lambda y: (1.0 + y) ** -1.5)
+        with pytest.raises(NonIntegrable, match="first moment"):
+            nu.tail_mass(100.0)
+        with pytest.raises(NonIntegrable, match="first moment"):
+            fast_derivative(LevyModelSpec(0.0, 0.0, nu), 1)
+        with pytest.raises(NonIntegrable, match="first moment"):
+            simulate_path(LevyModelSpec(0.0, 0.0, nu), 1.0, 1, eps=1e-3)
 
     def test_tail_mass_of_a_draw_does_not_depend_on_its_batch(self) -> None:
         # each row of the sampler's tail is summed on its own

@@ -585,6 +585,22 @@ class TestStackedSolve:
         assert _bits(applied.values) == _bits(expected)
 
 
+def test_block_evaluates_lambda_once(monkeypatch) -> None:
+    # one lambda on the grid serves the factor fields and the iteration
+    calls = []
+    on_grid = VolatilitySpec.on_grid
+
+    def counted(vol, grid):
+        calls.append(grid)
+        return on_grid(vol, grid)
+
+    monkeypatch.setattr(VolatilitySpec, "on_grid", counted)
+    vol, f0, seeds, solver = _BLOCKS["mixed"]
+    solve_paths(_STABLE, vol, constant_curve(f0), _grid(), seeds[:6], 1e-2,
+                **solver)
+    assert len(calls) == 1
+
+
 class TestDebugLog:
     """Under DEBUG, solve_paths logs every iteration of every path."""
 
