@@ -10,9 +10,10 @@ verify     run the invariant suites
 mc         Monte Carlo martingale test of discounted bond prices
 
 Every subcommand takes --config and --out.  Only the subcommands that
-read a flag accept it: --seed (override mc.master_seed) on solve, verify
-and mc; --allow-explosive on solve; --threads (worker threads, at
-least 1) on mc.
+read a flag accept it: --seed (override mc.master_seed, at least 0) on
+solve, verify and mc; --allow-explosive on solve; --threads (worker
+threads, at least 1; at most one per block of paths and one per CPU
+starts) on mc.
 
 Exit codes: 0 success (existence / converged / suites pass / test pass),
 1 invalid configuration or command-line usage, 2 explosion verdict,
@@ -224,11 +225,14 @@ def cmd_mc(args, config: RunConfig) -> int:
     return EXIT_OK if report.passed else EXIT_MC_FAILED
 
 
-def _worker_count(text: str) -> int:
-    if not text.strip().isdigit() or int(text) < 1:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive integer, got {text!r}")
-    return int(text)
+def _integer_from(low: int):
+    """An argparse type: a decimal integer of at least ``low``."""
+    def parse(text: str) -> int:
+        if not text.strip().isdigit() or int(text) < low:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer of at least {low}, got {text!r}")
+        return int(text)
+    return parse
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -249,13 +253,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="output directory (default from config)")
         parsers[name] = p
     for name in ("solve", "verify", "mc"):
-        parsers[name].add_argument("--seed", type=int, default=None,
+        parsers[name].add_argument("--seed", type=_integer_from(0),
                                    help="override mc.master_seed")
     parsers["solve"].add_argument(
         "--allow-explosive", action="store_true",
         help="run solve even when the classifier does not report existence")
-    parsers["mc"].add_argument("--threads", type=_worker_count, default=1,
-                               help="worker threads")
+    parsers["mc"].add_argument(
+        "--threads", type=_integer_from(1), default=1,
+        help="worker threads, at most one per block of paths and per CPU")
     return parser
 
 

@@ -478,12 +478,12 @@ class StableLike(MeasureFamily):
     y_max: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.c <= 0.0:
-            raise DomainError(f"c must be positive, got {self.c}")
+        if not 0.0 < self.c < math.inf:
+            raise DomainError(f"c must be positive and finite, got {self.c}")
         if not 0.0 < self.alpha < 2.0:
             raise DomainError(f"alpha must lie in (0, 2), got {self.alpha}")
-        if self.y_max <= 0.0:
-            raise DomainError(f"y_max must be positive, got {self.y_max}")
+        if not 0.0 < self.y_max < math.inf:
+            raise DomainError(f"y_max must be positive and finite, got {self.y_max}")
 
     def density(self, y: float) -> float:
         if 0.0 < y <= self.y_max:
@@ -585,10 +585,10 @@ class GammaLike(MeasureFamily):
     beta: float
 
     def __post_init__(self) -> None:
-        if self.c <= 0.0:
-            raise DomainError(f"c must be positive, got {self.c}")
-        if self.beta <= 0.0:
-            raise DomainError(f"beta must be positive, got {self.beta}")
+        if not 0.0 < self.c < math.inf:
+            raise DomainError(f"c must be positive and finite, got {self.c}")
+        if not 0.0 < self.beta < math.inf:
+            raise DomainError(f"beta must be positive and finite, got {self.beta}")
 
     def density(self, y: float) -> float:
         return self.c * math.exp(-self.beta * y) / y if y > 0.0 else 0.0

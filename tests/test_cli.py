@@ -335,6 +335,17 @@ class TestUsage:
         assert "--threads" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command", ["solve", "verify", "mc"])
+    @pytest.mark.parametrize("seed", ["-1", "1.5"])
+    def test_seed_must_be_a_nonnegative_integer(self, tmp_path, capsys,
+                                                command, seed) -> None:
+        cfg = _write(tmp_path, _existence_doc())
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--seed", seed]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "--seed" in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     def test_flags_only_where_read(self, tmp_path) -> None:
         cfg = _write(tmp_path, _existence_doc())
         for argv in (["classify", "--seed", "1"],

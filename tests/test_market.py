@@ -33,6 +33,24 @@ def _grid(delta=1.0 / 16.0) -> GridSpec:
     return GridSpec(delta, 1.0, 2.0, 1.0)
 
 
+def _paths_per_block(monkeypatch, paths: int, grid: GridSpec) -> None:
+    """Blocks of ``paths`` paths on ``grid``, so that a small run has
+    several blocks and a pool to start."""
+    monkeypatch.setattr(market, "BLOCK_CELLS", paths * math.prod(grid.shape))
+
+
+def _block_threads(monkeypatch) -> set:
+    """The idents of the threads that solve a block from now on."""
+    solve_paths, threads = market.solve_paths, set()
+
+    def recording_solve_paths(*args, **kwargs):
+        threads.add(threading.get_ident())
+        return solve_paths(*args, **kwargs)
+
+    monkeypatch.setattr(market, "solve_paths", recording_solve_paths)
+    return threads
+
+
 def _solved_field(grid: GridSpec, seed=(21, 0)) -> RateField:
     spec = gamma_subordinator(0.5, 2.0)
     vol = constant_volatility(0.2)
@@ -178,8 +196,9 @@ class TestMartingale:
             assert a.mean_discounted == b.mean_discounted
             assert a.z_score == b.z_score
 
-    def test_worker_count_does_not_change_results(self) -> None:
+    def test_worker_count_does_not_change_results(self, monkeypatch) -> None:
         grid = GridSpec(1.0 / 8.0, 1.0, 2.0, 1.0)
+        _paths_per_block(monkeypatch, 5, grid)
         spec = gamma_subordinator(0.5, 2.0)
         vol = constant_volatility(0.2)
         serial = martingale_test(spec, vol, exp_decay_curve(0.08, 0.4), grid,
@@ -190,10 +209,11 @@ class TestMartingale:
             assert a.mean_discounted == b.mean_discounted
             assert a.std == b.std
 
-    def test_worker_count_keeps_partial_exclusions(self) -> None:
+    def test_worker_count_keeps_partial_exclusions(self, monkeypatch) -> None:
         # a stable-like driver in the explosion regime: with f0 = 26 some,
         # but not all, of the 24 paths explode and are excluded
         grid = GridSpec(1.0 / 8.0, 1.0, 2.0, 1.0)
+        _paths_per_block(monkeypatch, 5, grid)
         spec = LevyModelSpec(drift_a=0.0, gaussian_q=0.0,
                              measure=StableLike(c=1.0, alpha=1.5, y_max=1.0))
         kwargs = dict(n_paths=24, master_seed=7, eps=1e-2, max_iter=50,
@@ -242,13 +262,27 @@ class TestMartingale:
                 assert a.mean_discounted == b.mean_discounted
                 assert a.std == b.std
 
-    def test_block_size_follows_cells_and_workers(self) -> None:
-        # 32768 cells: 15 fields at delta = 1/32, one at 1/128
-        assert market._block_size(100, 1, 33 * 65) == 15
-        assert market._block_size(100, 1, 129 * 257) == 1
-        # at least four blocks per worker
-        assert market._block_size(50, 2, 33 * 65) == 6
-        assert market._block_size(3, 3, 33 * 65) == 1
+    def test_block_size_follows_cells_alone(self, monkeypatch) -> None:
+        monkeypatch.setattr(market, "_cpu_count", lambda: 2)
+
+        def block_sizes(n_paths, threads, cells):
+            blocks = []
+
+            def rows(block):
+                blocks.append(block)
+                return list(block)
+
+            outcomes = list(market._rows(rows, n_paths, threads, cells))
+            assert outcomes == list(range(n_paths))
+            return [len(b) for b in sorted(blocks, key=lambda b: b.start)]
+
+        # 32768 cells: 15 fields at delta = 1/32, one at 1/128, for any
+        # thread count
+        for threads in (1, 2, 64):
+            assert block_sizes(50, threads, 33 * 65) == [15, 15, 15, 5]
+            assert block_sizes(100, threads, 33 * 65) == [15] * 6 + [10]
+            assert block_sizes(3, threads, 129 * 257) == [1, 1, 1]
+            assert block_sizes(3, threads, 33 * 65) == [3]
 
     def test_threads_below_one_rejected(self) -> None:
         for threads in (0, -1):
@@ -257,7 +291,7 @@ class TestMartingale:
                                 exp_decay_curve(0.08, 0.4), _grid(),
                                 n_paths=4, master_seed=0, threads=threads)
 
-    def test_pool_asks_for_at_most_one_thread_per_path_and_cpu(
+    def test_pool_asks_for_at_most_one_thread_per_block_and_cpu(
             self, monkeypatch) -> None:
         # a stand-in for the thread pool records the worker count it is
         # asked for and maps in the calling thread; no thread is started
@@ -278,19 +312,21 @@ class TestMartingale:
 
         monkeypatch.setattr(market, "ThreadPoolExecutor", RecordingExecutor)
         grid = GridSpec(1.0 / 8.0, 1.0, 2.0, 1.0)
+        # five paths in three blocks of at most two
+        _paths_per_block(monkeypatch, 2, grid)
 
         def run(threads):
             return martingale_test(gamma_subordinator(0.5, 2.0),
                                    constant_volatility(0.2),
                                    exp_decay_curve(0.08, 0.4), grid,
-                                   n_paths=3, master_seed=7, threads=threads)
+                                   n_paths=5, master_seed=7, threads=threads)
 
         serial = run(1)
-        for cpus, workers in ((8, 3), (2, 2)):
+        for cpus, workers in ((8, [3]), (2, [2]), (1, [])):
             monkeypatch.setattr(market, "_cpu_count", lambda: cpus)
             requested.clear()
             pooled = run(64)
-            assert requested == [workers]
+            assert requested == workers
             for a, b in zip(pooled.results, serial.results):
                 assert a.mean_discounted == b.mean_discounted
                 assert a.std == b.std
@@ -299,6 +335,8 @@ class TestMartingale:
                                                        monkeypatch) -> None:
         # two CPUs patched in, so that a one-CPU machine runs a pool too
         monkeypatch.setattr(market, "_cpu_count", lambda: 2)
+        grid = GridSpec(1.0 / 8.0, 1.0, 2.0, 1.0)
+        _paths_per_block(monkeypatch, 4, grid)
         solve_paths = market.solve_paths
         callers, children = set(), []
 
@@ -310,13 +348,12 @@ class TestMartingale:
         monkeypatch.setattr(market, "solve_paths", recording_solve_paths)
         report = martingale_test(gamma_subordinator(0.5, 2.0),
                                  constant_volatility(0.2),
-                                 exp_decay_curve(0.08, 0.4),
-                                 GridSpec(1.0 / 8.0, 1.0, 2.0, 1.0),
+                                 exp_decay_curve(0.08, 0.4), grid,
                                  n_paths=16, master_seed=7, threads=2)
         assert report.valid
-        assert children and all(c == [] for c in children)
+        assert len(children) == 4 and all(c == [] for c in children)
         assert multiprocessing.active_children() == []
-        assert threading.get_ident() not in callers
+        assert callers and threading.get_ident() not in callers
 
     def test_threads_fill_a_user_density_cache_together(self,
                                                         monkeypatch) -> None:
@@ -325,6 +362,7 @@ class TestMartingale:
         # race may only compute the same bits twice
         monkeypatch.setattr(market, "_cpu_count", lambda: 8)
         grid = GridSpec(1.0 / 8.0, 1.0, 2.0, 1.0)
+        _paths_per_block(monkeypatch, 2, grid)
 
         def run(threads):
             spec = LevyModelSpec(0.0, 0.0, UserDensity(
@@ -335,12 +373,14 @@ class TestMartingale:
                                    threads=threads)
 
         serial = run(1)
+        workers = _block_threads(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             threaded = run(8)
         finally:
             sys.setswitchinterval(interval)
+        assert workers and threading.get_ident() not in workers
         assert threaded.n_excluded == serial.n_excluded == 0
         for a, b in zip(serial.results, threaded.results):
             assert a.mean_discounted == b.mean_discounted
@@ -350,6 +390,8 @@ class TestMartingale:
         # two calls on two threads each, switching often: the first block
         # of the first call builds the J' table and every later one reads it
         monkeypatch.setattr(market, "_cpu_count", lambda: 2)
+        _paths_per_block(monkeypatch, 2, _grid(1.0 / 8.0))
+        workers = _block_threads(monkeypatch)
         spec = LevyModelSpec(0.0, 0.0, StableLike(c=1.0, alpha=1.5))
         levy._derivative_table.cache_clear()
         interval = sys.getswitchinterval()
@@ -362,6 +404,7 @@ class TestMartingale:
                        for seed in (1, 2)]
         finally:
             sys.setswitchinterval(interval)
+        assert workers and threading.get_ident() not in workers
         assert all(r.n_paths == 12 for r in reports)
         info = levy._derivative_table.cache_info()
         assert (info.misses, info.currsize) == (1, 1) and info.hits >= 3

@@ -342,6 +342,23 @@ class TestGammaLike:
         assert abs(np.mean(draws > 0.5) - p_half) < 0.02
 
 
+@pytest.mark.parametrize("family, kwargs", [
+    (StableLike, dict(c=math.nan, alpha=1.5)),
+    (StableLike, dict(c=math.inf, alpha=1.5)),
+    (StableLike, dict(c=1.0, alpha=1.5, y_max=math.nan)),
+    (StableLike, dict(c=1.0, alpha=1.5, y_max=math.inf)),
+    (GammaLike, dict(c=math.nan, beta=2.0)),
+    (GammaLike, dict(c=math.inf, beta=2.0)),
+    (GammaLike, dict(c=0.5, beta=math.nan)),
+    (GammaLike, dict(c=0.5, beta=math.inf)),
+], ids=lambda v: v.__name__ if isinstance(v, type) else
+    "-".join(f"{k}={x}" for k, x in v.items()))
+def test_parameters_must_be_positive_and_finite(family, kwargs) -> None:
+    name = next(k for k, x in kwargs.items() if not math.isfinite(x))
+    with pytest.raises(DomainError, match=f"^{name} must be positive and finite"):
+        family(**kwargs)
+
+
 class TestUserDensity:
     def test_wraps_callable_density(self) -> None:
         nu = UserDensity(density_fn=lambda y: np.exp(-y), a4_certified=True)
