@@ -265,8 +265,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("HJMM_LOG", "WARNING").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+    # a name of the logging module that is not a level reads as WARNING
+    level = getattr(logging, os.environ.get("HJMM_LOG", "").upper(), None)
+    logging.basicConfig(level=level if isinstance(level, int)
+                        else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     parser = _build_parser()
     try:

@@ -57,15 +57,14 @@ class GridSpec:
     gamma: float
 
     def __post_init__(self) -> None:
-        if self.delta <= 0.0 or not math.isfinite(self.delta):
-            raise DomainError(f"delta must be positive, got {self.delta}")
-        if self.t_star <= 0.0:
-            raise DomainError(f"t_star must be positive, got {self.t_star}")
+        for name in ("delta", "t_star", "t_max", "gamma"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise DomainError(
+                    f"{name} must be positive and finite, got {value}")
         if self.t_max < self.t_star:
             raise DomainError(
                 f"t_max ({self.t_max}) must be >= t_star ({self.t_star})")
-        if self.gamma <= 0.0:
-            raise DomainError(f"gamma must be positive, got {self.gamma}")
         _divisible(self.t_star, self.delta)
         _divisible(self.t_max, self.delta)
 

@@ -40,16 +40,17 @@ nu([y, inf)) (the rule's mass beyond y's panel plus 16 nodes from y to its
 end), and ``StableLike`` its y > 1 piece.  Jump sizes above eps solve
 nu([y, inf)) = (1 - u) nu([eps, inf)) by one safeguarded Newton iteration
 in ln y, on the rule for ``UserDensity`` and on E1 for ``GammaLike``;
-``StableLike`` and ``PointMasses`` draw exactly.  ``sample_block`` draws
-the sizes of a block of paths, each from its own generator; the Newton
-iteration runs once over all of a block's draws, and each path's draws
-stop together, as they would alone.
+``StableLike`` and ``PointMasses`` draw exactly.  Every family draws
+through one method, ``jump_sizes(u, eps)``: the size that each uniform in
+u selects, a function of that uniform alone.  A Newton draw keeps its
+value from its first settled step on, so a size is bitwise the same
+whatever draws are inverted with it, and a block of paths can draw all
+its sizes in one call.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -190,22 +191,21 @@ def _rule_sums(z: np.ndarray, y: np.ndarray, weight: np.ndarray,
     return out.reshape(z.shape)
 
 
-def _invert_log_tail(tail: Callable, target: np.ndarray, lo, hi,
-                     group: np.ndarray) -> np.ndarray:
+def _invert_log_tail(tail: Callable, target: np.ndarray, lo: np.ndarray,
+                     hi: np.ndarray) -> np.ndarray:
     """Per draw, s = ln y in [lo, hi] with T(e^s) = target, where ``tail(s)``
     gives a tail mass T(e^s) <= target at hi, >= at lo, and -dT/ds = y f(y):
     Newton from lo, bisecting when a step leaves the narrowing bracket.
 
-    ``group`` labels each draw with its path, in ascending order (0, 0,
-    1, ...).  A path's draws stop together, once each of their steps is at
-    most 1e-9 (Newton's error after it is of its square), and leave the
-    iteration, so a path's result is bitwise the one of its draws
-    inverted alone."""
-    out = np.empty(target.shape)
-    idx = np.arange(target.size)
+    A draw keeps its value from its first step of at most 1e-9 on (Newton's
+    error after it is of its square), so its result is bitwise the one it
+    has inverted alone, whatever draws are inverted with it."""
     s = lo
+    done = np.zeros(target.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(100):
+            if done.all():
+                break
             mass, slope = tail(s)
             gap = mass - target
             lo = np.where(gap >= 0.0, s, lo)
@@ -214,42 +214,9 @@ def _invert_log_tail(tail: Callable, target: np.ndarray, lo, hi,
             new = np.where((new >= lo) & (new <= hi), new, 0.5 * (lo + hi))
             # a NaN step counts as unsettled, as a large one does
             settled = np.abs(new - s) <= 1e-9
-            n_settled = np.count_nonzero(settled)
-            s = new
-            if n_settled == idx.size:
-                out[idx] = new
-                return out
-            # with one path left, its draws are all going
-            if n_settled and group[0] != group[-1]:
-                going = np.bincount(group[~settled], minlength=group[-1] + 1)
-                going = going[group] > 0
-                if not going.all():
-                    out[idx[~going]] = new[~going]
-                    idx, group, target, lo, hi, s = (
-                        v[going] for v in (idx, group, target, lo, hi, new))
-    out[idx] = s
-    return out
-
-
-def _invert_block(rngs, counts, total: float, tail: Callable,
-                  bracket: Callable) -> list[np.ndarray]:
-    """Jump sizes of a block of paths by one grouped tail inversion.
-
-    Path p draws ``counts[p]`` uniforms u from ``rngs[p]``; each size y
-    solves nu([y, inf)) = (1 - u) * total, from the bracket in ln y that
-    ``bracket(target)`` gives, by :func:`_invert_log_tail` with one group
-    per path.  Returns one array of sizes per path.
-    """
-    drawn = [n for n in counts if n]
-    if not drawn:
-        return [np.empty(0) for _ in counts]
-    target = np.concatenate([(1.0 - rng.uniform(size=n)) * total
-                             for rng, n in zip(rngs, counts) if n])
-    group = np.repeat(np.arange(len(drawn)), drawn)
-    lo, hi = bracket(target)
-    sizes = np.exp(_invert_log_tail(tail, target, lo, hi, group))
-    ends = itertools.accumulate(counts)
-    return [sizes[end - n:end] for n, end in zip(counts, ends)]
+            s = np.where(done, s, new)
+            done |= settled
+    return s
 
 
 @dataclass(frozen=True)
@@ -358,16 +325,15 @@ class MeasureFamily(ABC):
         """nu([y, inf)) for y > 0."""
 
     @abstractmethod
+    def jump_sizes(self, u: np.ndarray, eps: float) -> np.ndarray:
+        """The jump size that each uniform in ``u`` selects; infinite-activity
+        families condition on y >= eps.  Each size depends on its own
+        uniform alone."""
+
     def sample_sizes(self, rng: np.random.Generator, n: int,
                      eps: float) -> np.ndarray:
-        """Draw n jump sizes; infinite-activity families condition on y >= eps."""
-
-    def sample_block(self, rngs, counts, eps: float) -> list[np.ndarray]:
-        """The sizes of a block of paths: path p draws ``counts[p]`` sizes
-        from its own generator ``rngs[p]``, as :meth:`sample_sizes` would
-        (a path without jumps draws nothing).  One array per path."""
-        return [self.sample_sizes(rng, n, eps) if n else np.empty(0)
-                for rng, n in zip(rngs, counts)]
+        """Draw n jump sizes from n uniforms of ``rng``."""
+        return self.jump_sizes(rng.uniform(size=n), eps)
 
     @property
     def is_finite_activity(self) -> bool:
@@ -456,15 +422,15 @@ class PointMasses(MeasureFamily):
     def tail_mass(self, y: float) -> float:
         return sum(c for yk, c in self.atoms if yk >= y)
 
-    def sample_sizes(self, rng: np.random.Generator, n: int,
-                     eps: float) -> np.ndarray:
-        # Finite activity: sampled exactly, the truncation level is ignored.
+    def jump_sizes(self, u: np.ndarray, eps: float) -> np.ndarray:
+        """The atom whose share of the mass holds u, as
+        ``Generator.choice`` picks it; the truncation level is ignored."""
         ys, cs = self._arrays()
         if ys.size == 0:
             return np.empty(0)
-        probs = cs / cs.sum()
-        idx = rng.choice(ys.size, size=n, p=probs)
-        return ys[idx]
+        cdf = np.cumsum(cs / cs.sum())
+        cdf /= cdf[-1]
+        return ys[np.searchsorted(cdf, u, side="right")]
 
 
 @dataclass(frozen=True)
@@ -567,11 +533,10 @@ class StableLike(MeasureFamily):
         y = max(y, 1e-300)
         return self.c * (y ** (-self.alpha) - self.y_max ** (-self.alpha)) / self.alpha
 
-    def sample_sizes(self, rng: np.random.Generator, n: int,
-                     eps: float) -> np.ndarray:
+    def jump_sizes(self, u: np.ndarray, eps: float) -> np.ndarray:
+        """The exact inverse of the tail mass."""
         if eps <= 0.0 or eps >= self.y_max:
             raise DomainError(f"truncation level must lie in (0, y_max), got {eps}")
-        u = rng.uniform(size=n)
         lo_pow = eps ** (-self.alpha)
         hi_pow = self.y_max ** (-self.alpha)
         return (lo_pow - u * (lo_pow - hi_pow)) ** (-1.0 / self.alpha)
@@ -634,12 +599,8 @@ class GammaLike(MeasureFamily):
             return math.inf
         return self.c * float(sc.exp1(self.beta * y))
 
-    def sample_sizes(self, rng: np.random.Generator, n: int,
-                     eps: float) -> np.ndarray:
-        return self.sample_block([rng], [n], eps)[0]
-
-    def sample_block(self, rngs, counts, eps: float) -> list[np.ndarray]:
-        """Every path's sizes by one grouped Newton inversion of c E1."""
+    def jump_sizes(self, u: np.ndarray, eps: float) -> np.ndarray:
+        """The Newton inverse of c E1(beta y)."""
         if eps <= 0.0:
             raise DomainError(f"truncation level must be positive, got {eps}")
 
@@ -647,13 +608,11 @@ class GammaLike(MeasureFamily):
             x = self.beta * np.exp(s)
             return sc.exp1(x), np.exp(-x)
 
-        def bracket(target):
-            # E1(x) < e^-x from x = 1 on, so the root lies below this y
-            return (math.log(eps),
-                    np.log(np.maximum(1.0, -np.log(target)) / self.beta))
-
-        return _invert_block(rngs, counts, float(sc.exp1(self.beta * eps)),
-                             tail, bracket)
+        target = (1.0 - u) * float(sc.exp1(self.beta * eps))
+        # E1(x) < e^-x from x = 1 on, so the root lies below this y
+        hi = np.log(np.maximum(1.0, -np.log(target)) / self.beta)
+        return np.exp(_invert_log_tail(
+            tail, target, np.full(target.shape, math.log(eps)), hi))
 
 
 @dataclass(frozen=True)
@@ -787,24 +746,17 @@ class UserDensity(MeasureFamily):
             raise DomainError(f"truncation level must be at least e^-40, got {y}")
         return float(self._tail(np.array([math.log(y)]))[0][0])
 
-    def sample_sizes(self, rng: np.random.Generator, n: int,
-                     eps: float) -> np.ndarray:
-        return self.sample_block([rng], [n], eps)[0]
-
-    def sample_block(self, rngs, counts, eps: float) -> list[np.ndarray]:
-        """Every path's sizes by one grouped Newton inversion of the rule's
-        tail mass."""
+    def jump_sizes(self, u: np.ndarray, eps: float) -> np.ndarray:
+        """The Newton inverse of the rule's tail mass."""
         if eps <= 0.0 and self.is_finite_activity:
             eps = math.exp(_RULE_S_MIN)  # the whole measure the rule covers
         total = self.tail_mass(eps)
         if not total > 0.0:
             raise DomainError(f"no mass above the truncation level {eps}")
-
-        def bracket(target):
-            # the last panel whose start carries the target, from eps on
-            start = _RULE_S_MIN + _RULE_PANEL * (
-                np.searchsorted(-self._rule()[2], -target, side="right") - 1)
-            lo = np.maximum(start, math.log(eps))
-            return lo, np.maximum(start + _RULE_PANEL, lo)
-
-        return _invert_block(rngs, counts, total, self._tail, bracket)
+        target = (1.0 - u) * total
+        # the last panel whose start carries the target, from eps on
+        start = _RULE_S_MIN + _RULE_PANEL * (
+            np.searchsorted(-self._rule()[2], -target, side="right") - 1)
+        lo = np.maximum(start, math.log(eps))
+        return np.exp(_invert_log_tail(
+            self._tail, target, lo, np.maximum(start + _RULE_PANEL, lo)))

@@ -17,8 +17,10 @@ model, so no quadratic correction appears), and a(t, T) = f0(T) * b(t, T)
 seeds the fixed-point solver.
 
 Both stages work on a block of paths: :func:`simulate_paths` draws every
-path of a block and :func:`factor_fields` builds their fields, each
-doing its per-model and per-grid work once for the block.
+path of a block, each from its own generator, and maps all of the
+block's uniforms to jump sizes in one call of the measure family; and
+:func:`factor_fields` builds their fields.  Each does its per-model and
+per-grid work once for the block.
 :func:`simulate_path` and :func:`field_b` are these on one path.
 """
 
@@ -112,11 +114,12 @@ def simulate_paths(spec: LevyModelSpec, t_star: float, seeds,
 
     The spec is checked and the intensity and drift computed once for
     the block.  Each seed keeps its own generator and its draw order
-    (count, times, sizes), so a seed yields a bitwise-reproducible path
-    in any block; the sizes of all paths come from one
-    :meth:`~hjmm.measures.MeasureFamily.sample_block` call.  Seeds may be
-    integers or sequences, e.g. (master_seed, path_index) for Monte Carlo
-    ensembles.
+    (count, times, one uniform per size); the sizes of all paths come
+    from one :meth:`~hjmm.measures.MeasureFamily.jump_sizes` call, made
+    for a block without jumps too, so the family checks eps every time.
+    A size depends on its own uniform alone, so a seed yields a
+    bitwise-reproducible path in any block.  Seeds may be integers or
+    sequences, e.g. (master_seed, path_index) for Monte Carlo ensembles.
     """
     if t_star <= 0.0 or not math.isfinite(t_star):
         raise DomainError(f"t_star must be positive, got {t_star}")
@@ -138,9 +141,10 @@ def simulate_paths(spec: LevyModelSpec, t_star: float, seeds,
         intensity = measure.tail_mass(eps)
         eps_used = eps
 
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    counts, times = [], []
-    for rng in rngs:
+    # uniforms starts empty, so that a block of no seeds concatenates
+    counts, times, uniforms = [], [], [np.empty(0)]
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
         n = int(rng.poisson(intensity * t_star)) if intensity > 0.0 else 0
         t = np.sort(rng.uniform(0.0, t_star, size=n)) if n else np.empty(0)
         # Break exact ties (measure zero, but floats can collide).
@@ -150,17 +154,18 @@ def simulate_paths(spec: LevyModelSpec, t_star: float, seeds,
                     t[k] = np.nextafter(t[k - 1], np.inf)
         counts.append(n)
         times.append(t)
-    # a block without jumps draws no sizes, so no family is asked for any
-    sizes = (measure.sample_block(rngs, counts, eps_used) if any(counts)
-             else [np.empty(0) for _ in rngs])
+        uniforms.append(rng.uniform(size=n))
+    sizes = measure.jump_sizes(np.concatenate(uniforms), eps_used)
 
     drift = spec.drift_a - measure.first_moment(eps_used, 1.0)
     if not math.isfinite(drift):
         raise UnsupportedSpec(
             "small-jump compensator diverges; increase the truncation level")
 
-    return [JumpPath(horizon=t_star, drift_rate=drift, times=t, sizes=y,
-                     truncation_eps=eps_used) for t, y in zip(times, sizes)]
+    ends = itertools.accumulate(counts)
+    return [JumpPath(horizon=t_star, drift_rate=drift, times=t,
+                     sizes=sizes[end - n:end], truncation_eps=eps_used)
+            for t, n, end in zip(times, counts, ends)]
 
 
 def simulate_path(spec: LevyModelSpec, t_star: float, seed,

@@ -4,10 +4,14 @@ import json
 import logging
 import math
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import hjmm
 from hjmm.cli import (
     EXIT_CONFIG,
     EXIT_DIVERGED,
@@ -265,6 +269,17 @@ class TestMc:
         assert causes["Exploded"] > 0 and causes["MaxIterations"] > 0
         assert sum(causes.values()) == summary["n_excluded"]
 
+    def test_truncation_above_the_support_is_refused(self, tmp_path,
+                                                     capsys) -> None:
+        # no stable-like jump lies above y_max = 1, so every path would
+        # be drawn without jumps
+        doc = _explosive_doc()
+        doc["mc"] = {"n_paths": 4, "master_seed": 3, "eps": 2.0}
+        cfg = _write(tmp_path, doc)
+        assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert ("truncation level must lie in (0, y_max), got 2.0"
+                in capsys.readouterr().err)
+
     def test_seed_flag_overrides_config(self, tmp_path) -> None:
         doc = _existence_doc()
         cfg = _write(tmp_path, doc)
@@ -359,6 +374,22 @@ class TestUsage:
     def test_help_exits_zero(self, capsys) -> None:
         assert main(["mc", "--help"]) == EXIT_OK
         assert "--threads" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("value", ["basic_format", "_styles"])
+    def test_log_name_that_is_no_level_reads_as_warning(self, tmp_path,
+                                                        value) -> None:
+        # in a fresh process, where the root logger has no handler yet
+        env = dict(os.environ, HJMM_LOG=value, PYTHONPATH=os.pathsep.join(
+            [str(pathlib.Path(hjmm.__file__).parents[1])]
+            + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH")
+               else [])))
+        cfg = _write(tmp_path, _existence_doc())
+        done = subprocess.run(
+            [sys.executable, "-m", "hjmm.cli", "classify", "--config", cfg,
+             "--out", str(tmp_path)], env=env, capture_output=True, text=True,
+            timeout=120)
+        assert done.returncode == EXIT_OK, done.stderr[-2000:]
+        assert done.stderr == ""
 
 
 def test_float_format_in_csv(tmp_path) -> None:

@@ -47,6 +47,18 @@ def test_step_must_divide_horizons() -> None:
         GridSpec(0.25, 1.0, 0.5, 1.0)
 
 
+@pytest.mark.parametrize("field", ["delta", "t_star", "t_max", "gamma"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+def test_each_parameter_must_be_positive_and_finite(field, value) -> None:
+    # t_star and t_max move together, so an infinite pair fails here too
+    bad = {"t_star": value, "t_max": value} if field == "t_star" else {
+        field: value}
+    with pytest.raises(DomainError, match=f"^{field} must be positive and "
+                                          "finite"):
+        GridSpec(**{"delta": 1 / 32, "t_star": 1.0, "t_max": 2.0,
+                    "gamma": 1.0, **bad})
+
+
 def test_refine_preserves_horizons() -> None:
     g = _grid()
     fine = g.refine(2)

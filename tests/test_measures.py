@@ -90,8 +90,8 @@ class _ExpDensity(MeasureFamily):
     def tail_mass(self, y):
         return 0.5 * math.exp(-2.0 * y)
 
-    def sample_sizes(self, rng, n, eps):
-        return rng.exponential(0.5, size=n)
+    def jump_sizes(self, u, eps):
+        return -0.5 * np.log1p(-u)
 
 
 def test_family_outside_the_library_is_classified_and_integrated() -> None:
@@ -129,6 +129,15 @@ def test_compensated_exp_matches_reference() -> None:
 
 
 class TestPointMasses:
+    def test_draws_are_those_of_generator_choice(self) -> None:
+        ys, cs = np.array([0.4, 2.0, 0.1]), np.array([1.0, 0.5, 3.0])
+        nu = PointMasses(zip(ys, cs))
+        for seed in range(8):
+            want = ys[np.random.default_rng(seed).choice(len(ys), 100,
+                                                         p=cs / cs.sum())]
+            got = nu.sample_sizes(np.random.default_rng(seed), 100, 0.0)
+            assert got.tobytes() == want.tobytes()
+
     def test_piece_derivatives_at_zero(self) -> None:
         # single atom of size 2, mass 1: J'(0) = -y*c = -2, J''(0) = y^2*c = 4
         nu = PointMasses([(2.0, 1.0)])
@@ -591,14 +600,17 @@ class TestBlocks:
     @pytest.mark.parametrize("measure", _BLOCK_FAMILIES,
                              ids=lambda m: type(m).__name__)
     def test_block_sizes_are_each_paths_own(self, measure, size) -> None:
+        # the sizes of concatenated uniforms are those of each part
         counts = [(3 * k) % 5 for k in range(size)]  # zeros among them
-        block = measure.sample_block(
-            [np.random.default_rng([11, k]) for k in range(size)], counts, 1e-2)
-        assert [sizes.size for sizes in block] == counts
-        for k, n in enumerate(counts):
-            alone = (measure.sample_sizes(np.random.default_rng([11, k]), n, 1e-2)
-                     if n else np.empty(0))
-            assert block[k].tobytes() == alone.tobytes()
+        parts = [np.random.default_rng([11, k]).uniform(size=n)
+                 for k, n in enumerate(counts)]
+        block = measure.jump_sizes(np.concatenate(parts), 1e-2)
+        assert block.size == sum(counts)
+        end = 0
+        for part in parts:
+            alone = measure.jump_sizes(part, 1e-2)
+            assert block[end:end + part.size].tobytes() == alone.tobytes()
+            end += part.size
 
     @pytest.mark.parametrize("size", [1, 7, 15])
     @pytest.mark.parametrize("measure", _BLOCK_FAMILIES,
@@ -613,28 +625,24 @@ class TestBlocks:
             assert (path.drift_rate, path.truncation_eps) == (
                 alone.drift_rate, alone.truncation_eps)
 
-    def test_grouped_inversion_gives_each_group_its_own_result(self) -> None:
-        # six groups of 1 to 3 draws; inverted alone, some need more
-        # Newton steps than others, and in the group each stops with
-        # its own last step
-        sizes = [2, 1, 3, 1, 2, 3]
-        group = np.repeat(np.arange(len(sizes)), sizes)
-        u = np.random.default_rng(1).uniform(size=group.size)
+    def test_inversion_gives_each_draw_its_own_result(self) -> None:
+        # inverted alone, some draws need more Newton steps than others;
+        # inverted together, each keeps the value of its own last step
+        u = np.random.default_rng(1).uniform(size=12)
         target = (1.0 - u) * sc.exp1(2e-3)
         lo = np.full(target.size, math.log(1e-3))
         hi = np.log(np.maximum(1.0, -np.log(target)) / 2.0)
-        grouped = _invert_log_tail(_gamma_tail, target, lo, hi, group)
+        together = _invert_log_tail(_gamma_tail, target, lo, hi)
         steps = []
-        for g in range(len(sizes)):
-            draws = group == g
+        for k in range(target.size):
             calls = []
 
             def counted(s):
                 calls.append(s.size)
                 return _gamma_tail(s)
 
-            alone = _invert_log_tail(counted, target[draws], lo[draws],
-                                     hi[draws], np.zeros(draws.sum(), int))
+            draw = slice(k, k + 1)
+            alone = _invert_log_tail(counted, target[draw], lo[draw], hi[draw])
             steps.append(len(calls))
-            assert grouped[draws].tobytes() == alone.tobytes()
+            assert together[draw].tobytes() == alone.tobytes()
         assert min(steps) < max(steps)
