@@ -94,17 +94,19 @@ class GridSpec:
     def T_nodes(self) -> np.ndarray:
         return self.delta * np.arange(self.n_cols + 1)
 
+    def _node_index(self, value: float, last: int, what: str) -> int:
+        """The index k in [0, last] of the node k delta at ``value``."""
+        steps = value / self.delta
+        k = round(steps) if math.isfinite(steps) else -1
+        if not 0 <= k <= last or abs(k * self.delta - value) > 1e-9:
+            raise DomainError(f"{what} {value} is not a grid node")
+        return k
+
     def index_of_time(self, t: float) -> int:
-        i = round(t / self.delta)
-        if not 0 <= i <= self.n_t or abs(i * self.delta - t) > 1e-9:
-            raise DomainError(f"time {t} is not a grid node")
-        return i
+        return self._node_index(t, self.n_t, "time")
 
     def index_of_maturity(self, T: float) -> int:
-        j = round(T / self.delta)
-        if not 0 <= j <= self.n_cols or abs(j * self.delta - T) > 1e-9:
-            raise DomainError(f"maturity {T} is not a grid node")
-        return j
+        return self._node_index(T, self.n_cols, "maturity")
 
     def refine(self, factor: int = 2) -> "GridSpec":
         return GridSpec(self.delta / factor, self.t_star, self.t_max, self.gamma)

@@ -21,9 +21,7 @@ its tail index rho are methods of :class:`hjmm.measures.MeasureFamily`.
 
 from __future__ import annotations
 
-import functools
 import math
-import threading
 from dataclasses import dataclass
 from enum import Enum
 
@@ -147,125 +145,32 @@ def exponent_derivative(spec: LevyModelSpec, z: float, order: int = 1) -> float:
     return spec.gaussian_q + measure_part
 
 
-# The J' table of a tabulating family: cubic Hermite in u = log1p(z) on
-# _TABLE_INTERVALS uniform intervals of [0, log1p(_TABLE_Z_MAX)], kept for
-# the most recent measures; a table that misses the family's J' by more
-# than _TABLE_RTOL * max(1, |J'|) at the middle of an interval is not used.
-_TABLE_Z_MAX = 3e4
-_TABLE_INTERVALS = 1 << 14
-_TABLE_STEP = math.log1p(_TABLE_Z_MAX) / _TABLE_INTERVALS
-_TABLE_RTOL = 1e-10
-# the table is built and checked this many intervals at a time, so that
-# its build holds little more memory than the table itself
-_TABLE_CHUNK = 1 << 11
-_TABLE_LOCK = threading.Lock()
-
-
-def _read_table(coef: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The cubic of each z's interval, from its power coefficients in the
-    interval's own coordinate t in [0, 1]; z must lie in [0, z_max)."""
-    t = np.log1p(z, out=np.empty_like(z))  # an array also for 0-d z
-    t *= 1.0 / _TABLE_STEP
-    k = t.astype(np.intp)
-    np.minimum(k, _TABLE_INTERVALS - 1, out=k)
-    t -= k
-    out = coef[3].take(k)
-    for c in coef[2::-1]:
-        out *= t
-        out += c.take(k)
-    return out
-
-
-@functools.lru_cache(maxsize=16)
-def _derivative_table(measure: MeasureFamily) -> np.ndarray | None:
-    """The J' table of a measure, as power coefficients of each interval's
-    cubic (shape (4, intervals), constant term first), or None where it
-    misses the tolerance.
-
-    Node values and slopes come from the family itself: J'(z) and
-    dJ'/du = J''(z) (1 + z).  The check reads the table as the solver
-    does, through :func:`_read_table`.
-    """
-    coef = np.empty((4, _TABLE_INTERVALS))
-    for lo in range(0, _TABLE_INTERVALS, _TABLE_CHUNK):
-        u = np.arange(lo, lo + _TABLE_CHUNK + 1) * _TABLE_STEP
-        z = np.expm1(u)
-        f = measure.derivative_measure_part(z, 1)
-        d = measure.derivative_measure_part(z, 2) * (1.0 + z) * _TABLE_STEP
-        f0, f1, d0, d1 = f[:-1], f[1:], d[:-1], d[1:]
-        coef[:, lo:lo + _TABLE_CHUNK] = [
-            f0, d0, 3.0 * (f1 - f0) - 2.0 * d0 - d1, 2.0 * (f0 - f1) + d0 + d1]
-        middle = np.expm1(u[:-1] + 0.5 * _TABLE_STEP)
-        want = measure.derivative_measure_part(middle, 1)
-        miss = np.abs(_read_table(coef, middle) - want)
-        if not np.all(miss <= _TABLE_RTOL * np.maximum(1.0, np.abs(want))):
-            return None
-    return coef
-
-
-def _measure_derivative(measure: MeasureFamily):
-    """The measure's part of J' on arrays: from its table, built once per
-    measure, where the family tabulates and the table holds, on cells with
-    z in [0, _TABLE_Z_MAX); from the family on every other cell."""
-    def part(z):
-        return measure.derivative_measure_part(z, 1)
-
-    if not measure.tabulate_derivative:
-        return part
-    try:
-        hash(measure)
-    except TypeError:  # e.g. a density that is an unhashable callable
-        return part
-    with _TABLE_LOCK:
-        coef = _derivative_table(measure)
-    if coef is None:
-        return part
-
-    def evaluate(z: np.ndarray) -> np.ndarray:
-        if z.size and z.min() >= 0.0 and z.max() < _TABLE_Z_MAX:
-            return _read_table(coef, z)
-        # NaN, inf and z >= z_max (the cells of exploding paths)
-        inside = (z >= 0.0) & (z < _TABLE_Z_MAX)
-        out = np.array(_read_table(coef, np.where(inside, z, 0.0)))
-        out[~inside] = part(z[~inside])
-        return out
-
-    return evaluate
-
-
 def fast_derivative(spec: LevyModelSpec, order: int = 1):
     """Vectorized evaluator of J' or J'' on whole arrays of z.
 
-    Returns a callable mapping a nonnegative float array to the derivative
-    values; the solver and every checker read J' and J'' through it.
-    Built from the measure family's closed form (exact sums for atoms,
-    incomplete gamma and exponential-integral forms for the built-in
-    densities, with a stable-like density's jumps above 1 on a fixed
-    Gauss-Legendre rule in ln y); a :class:`UserDensity` has none and uses
-    the same rule, built once per measure from one array call of its
-    density.  The closed forms agree with :func:`exponent_derivative` to
-    1e-8 relative and the rule to 1e-9, for z up to 1e6 (tested).
-
-    The measure's part of J' of a family that tabulates it
-    (``MeasureFamily.tabulate_derivative``: the stable-like and user
-    densities; the gamma-like and atomic closed forms are cheaper) is read,
-    for z in [0, 3e4), from a cubic Hermite table in u = log1p(z) on
-    16 384 uniform intervals.  The table is built once per measure from the
-    family's own J' and J'' and kept for later calls, in any thread.  It is
-    used only if it agrees with the family's J' at the middle of every
-    interval to 1e-10 relative, absolute where |J'| < 1 (the tested
-    families agree to about 1e-12).  Cells with z >= 3e4, inf or NaN, and
-    J'', come from the family; -a + q z is exact.
+    Returns a callable mapping a nonnegative float array to
+    -a + q z + J'_nu(z) (order 1) or q + J''_nu(z) (order 2), where the
+    measure's part comes from ``MeasureFamily.derivative_measure_part``;
+    the solver and every checker read J' and J'' through it.  That part is
+    a closed form for gamma-like densities, exact sums for atoms, and for
+    stable-like and user densities one fixed Gauss-Legendre rule in ln y,
+    built once per measure, whose J' on z in [0, 3e4) is read from a cubic
+    Hermite table in log1p(z) built once per measure from the rule's own
+    J' and J''.  The closed forms agree with :func:`exponent_derivative`
+    to 1e-8 relative and the rule to 1e-9, for z up to 1e6 (tested); the
+    table is used only where it agrees with the rule at the middle of
+    every interval to 1e-10 relative, absolute where |J'| < 1.
     """
     if order not in (1, 2):
         raise DomainError(f"order must be 1 or 2, got {order}")
     a, q, measure = spec.drift_a, spec.gaussian_q, spec.measure
-    part = (_measure_derivative(measure) if order == 1
-            else lambda z: measure.derivative_measure_part(z, 2))
+    # builds the rule and the table now, so that a measure without a rule
+    # (a user density whose tail has no first moment) fails here
+    measure.derivative_measure_part(np.empty(0), order)
 
     def evaluate(z):
         z = np.asarray(z, dtype=float)
-        measure_part = part(z)
+        measure_part = measure.derivative_measure_part(z, order)
         if order == 1:
             return -a + q * z + measure_part
         return q + measure_part

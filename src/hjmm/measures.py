@@ -28,16 +28,19 @@ derivatives by two routes:
   tested against; ``PointMasses`` answers it with its exact sums; and
 * a vectorized route (``derivative_measure_part``) used by the
   fixed-point solver, where thousands of evaluations per iteration are
-  needed: a closed form (incomplete gamma, exponential integral, one loop
-  of exact sums over the atoms) or the fixed rule below.  For a family
-  that sets ``tabulate_derivative`` the solver reads J' from a table that
-  :func:`hjmm.levy.fast_derivative` builds from this route once per
-  measure.
+  needed: a closed form for ``GammaLike``, one loop of exact sums over
+  the atoms for ``PointMasses``, and the fixed rule below for the
+  stable-like and user densities.
 
 One fixed rule, composite Gauss-Legendre in s = ln y with 16 nodes on
-each panel of width 2, gives ``UserDensity`` its J', J'' and tail mass
-nu([y, inf)) (the rule's mass beyond y's panel plus 16 nodes from y to its
-end), and ``StableLike`` its y > 1 piece.  Jump sizes above eps solve
+each panel of width 2 from y = e^-40 on, gives ``StableLike`` and
+``UserDensity`` their J' and J''; its last panel is cut at ln y_max for
+a stable-like density and ends where the first moment of the tail
+vanishes for a user density.  Their J' on z in [0, 3e4) is read from a
+cubic Hermite table of the rule's own J' and J'', built once per measure
+and kept with the rule.  The same rule gives ``UserDensity`` its tail
+mass nu([y, inf)) (the rule's mass beyond y's panel plus 16 nodes from y
+to its end).  Jump sizes above eps solve
 nu([y, inf)) = (1 - u) nu([eps, inf)) by one safeguarded Newton iteration
 in ln y, on the rule for ``UserDensity`` and on E1 for ``GammaLike``;
 ``StableLike`` and ``PointMasses`` draw exactly.  Every family draws
@@ -52,6 +55,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Callable
@@ -77,9 +81,9 @@ QUAD_RTOL = 1e-10
 # Below this value of |z*y| the compensated integrand switches to its series.
 SERIES_THRESHOLD = 1e-4
 
-# The fixed rule: panels of this width in s = ln y, a user density's from
-# this lower end, 16 nodes each; the (points x nodes) temporaries of its
-# J' and J'' hold this many points at a time.
+# The fixed rule: panels of this width in s = ln y from this lower end,
+# 16 nodes each, the nodes below y = 1 first; the (points x nodes)
+# temporaries of its J' and J'' hold this many points at a time.
 _RULE_PANEL = 2.0
 _RULE_S_MIN = -40.0
 _RULE_NODES, _RULE_WEIGHTS = np.polynomial.legendre.leggauss(16)
@@ -88,13 +92,17 @@ _RULE_BLOCK = 128
 # A sub-panel's 16 nodes, then its start, in half-widths from the start.
 _TAIL_NODES = np.append(_RULE_NODES + 1.0, 0.0)
 
-# gamma_E + ln w + E1(w) = sum_k (-1)^(k+1) w^k / (k k!): the coefficients
-# up to w^14, and the end of the range where the stable-like J' at
-# alpha = 1 takes the series (its first omitted term is below 2e-18 there,
-# 4e-18 of the sum)
-_EIN_SERIES = [0.0] + [(-1.0) ** (k + 1) / (k * math.factorial(k))
-                       for k in range(1, 15)]
-_EIN_SERIES_END = 0.5
+# The J' table of a rule density: cubic Hermite in u = log1p(z) on
+# _TABLE_INTERVALS uniform intervals of [0, log1p(_TABLE_Z_MAX)]; a table
+# that misses the rule's J' by more than _TABLE_RTOL * max(1, |J'|) at the
+# middle of an interval is not used.  It is built and checked this many
+# intervals at a time, so that its build holds little more memory than
+# the table itself.
+_TABLE_Z_MAX = 3e4
+_TABLE_INTERVALS = 1 << 14
+_TABLE_STEP = math.log1p(_TABLE_Z_MAX) / _TABLE_INTERVALS
+_TABLE_RTOL = 1e-10
+_TABLE_CHUNK = 1 << 11
 
 # The tail-index regression of U: its range, and the band around its slope
 # within which rho is taken as known.
@@ -113,13 +121,21 @@ def compensated_exp(w: float) -> float:
 _compensated_exps = np.vectorize(compensated_exp, otypes=[float])
 
 
+# A missing memoized value is computed under this lock, so threads that
+# ask for it at once compute it once; reentrant, as one memoized method
+# may call another.
+_CACHE_LOCK = threading.RLock()
+
+
 def _memoized(method: Callable) -> Callable:
     """Keep a method's value in the instance's ``_cache``, per argument."""
     @functools.wraps(method)
     def cached(self, *args):
         key = (method.__name__, args)
         if key not in self._cache:
-            self._cache[key] = method(self, *args)
+            with _CACHE_LOCK:
+                if key not in self._cache:
+                    self._cache[key] = method(self, *args)
         return self._cache[key]
     return cached
 
@@ -191,6 +207,21 @@ def _rule_sums(z: np.ndarray, y: np.ndarray, weight: np.ndarray,
     return out.reshape(z.shape)
 
 
+def _read_table(coef: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """The cubic of each z's interval, from its power coefficients in the
+    interval's own coordinate t in [0, 1]; z must lie in [0, z_max)."""
+    t = np.log1p(z, out=np.empty_like(z))  # an array also for 0-d z
+    t *= 1.0 / _TABLE_STEP
+    k = t.astype(np.intp)
+    np.minimum(k, _TABLE_INTERVALS - 1, out=k)
+    t -= k
+    out = coef[3].take(k)
+    for c in coef[2::-1]:
+        out *= t
+        out += c.take(k)
+    return out
+
+
 def _invert_log_tail(tail: Callable, target: np.ndarray, lo: np.ndarray,
                      hi: np.ndarray) -> np.ndarray:
     """Per draw, s = ln y in [lo, hi] with T(e^s) = target, where ``tail(s)``
@@ -239,13 +270,7 @@ class MeasureFamily(ABC):
     defines on floats y > 0, over a support inside [0, inf), a density has
     no atoms, its (A4) small-jump integral is U(1), and its tail index is
     read off U.  ``PointMasses`` overrides them with exact sums.
-
-    ``tabulate_derivative`` marks a family whose J' costs more than
-    reading it from a table; :func:`hjmm.levy.fast_derivative` builds one
-    table per measure for such a family.
     """
-
-    tabulate_derivative = False
 
     @abstractmethod
     def support(self) -> tuple[float, float]:
@@ -433,15 +458,81 @@ class PointMasses(MeasureFamily):
         return ys[np.searchsorted(cdf, u, side="right")]
 
 
-@dataclass(frozen=True)
-class StableLike(MeasureFamily):
-    """Density c * y**(-1-alpha) on (0, y_max], alpha in (0, 2)."""
+class _RuleDensity(MeasureFamily):
+    """A density whose J' and J'' come from the fixed rule: nodes y_k and
+    weights g_k = w_k y_k f(y_k) from e^-40 to the rule's end, and U(e^-40)
+    for the mass below, where J' and J'' are linear in it:
 
-    tabulate_derivative = True
+        J'(z) = sum_{y_k<1} g_k (1 - e^{-z y_k}) - sum_{y_k>=1} g_k e^{-z y_k}
+                + z U(e^-40),
+        J''(z) = sum_k g_k y_k e^{-z y_k} + U(e^-40).
+
+    J' on z in [0, 3e4) is read from a table of the rule (see
+    ``_derivative_table``).  The rule and the table are kept in the
+    instance's ``_cache``, each built once.
+    """
+
+    @abstractmethod
+    def _rule(self) -> tuple:
+        """y_k, g_k and U(e^-40), then anything else the family keeps."""
+
+    def _rule_part(self, z: np.ndarray, order: int) -> np.ndarray:
+        """J' or J'' by the rule, summed per point."""
+        y, g, u_min = self._rule()[:3]
+        if order == 1:
+            return _rule_sums(z, y, -g, _RULE_N_LOW) + z * u_min
+        return _rule_sums(z, y, g * y, 0) + u_min
+
+    @_memoized
+    def _derivative_table(self) -> np.ndarray | None:
+        """The J' table, as power coefficients of each interval's cubic
+        (shape (4, intervals), constant term first), or None where it
+        misses the tolerance.
+
+        Node values and slopes come from the rule: J'(z) and
+        dJ'/du = J''(z) (1 + z).  The check reads the table as
+        ``derivative_measure_part`` does, through :func:`_read_table`.
+        """
+        coef = np.empty((4, _TABLE_INTERVALS))
+        for lo in range(0, _TABLE_INTERVALS, _TABLE_CHUNK):
+            u = np.arange(lo, lo + _TABLE_CHUNK + 1) * _TABLE_STEP
+            z = np.expm1(u)
+            f = self._rule_part(z, 1)
+            d = self._rule_part(z, 2) * (1.0 + z) * _TABLE_STEP
+            f0, f1, d0, d1 = f[:-1], f[1:], d[:-1], d[1:]
+            coef[:, lo:lo + _TABLE_CHUNK] = [
+                f0, d0, 3.0 * (f1 - f0) - 2.0 * d0 - d1, 2.0 * (f0 - f1) + d0 + d1]
+            middle = np.expm1(u[:-1] + 0.5 * _TABLE_STEP)
+            want = self._rule_part(middle, 1)
+            miss = np.abs(_read_table(coef, middle) - want)
+            if not np.all(miss <= _TABLE_RTOL * np.maximum(1.0, np.abs(want))):
+                return None
+        return coef
+
+    def derivative_measure_part(self, z: np.ndarray, order: int) -> np.ndarray:
+        """J'' by the rule; J' from the table where it holds, on points
+        with z in [0, 3e4), and by the rule on every other point."""
+        z = np.asarray(z, dtype=float)
+        coef = self._derivative_table() if order == 1 else None
+        if coef is None:
+            return self._rule_part(z, order)
+        if z.size and z.min() >= 0.0 and z.max() < _TABLE_Z_MAX:
+            return _read_table(coef, z)
+        # NaN, inf and z >= z_max (the cells of exploding paths)
+        inside = (z >= 0.0) & (z < _TABLE_Z_MAX)
+        out = np.array(_read_table(coef, np.where(inside, z, 0.0)))
+        out[~inside] = self._rule_part(z[~inside], 1)
+        return out
+
+
+@dataclass(frozen=True)
+class StableLike(_RuleDensity):
+    """Density c * y**(-1-alpha) on (0, y_max], alpha in (0, 2)."""
 
     c: float
     alpha: float
     y_max: float = 1.0
+    _cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.c < math.inf:
@@ -459,45 +550,13 @@ class StableLike(MeasureFamily):
     def support(self) -> tuple[float, float]:
         return (0.0, self.y_max)
 
-    def derivative_measure_part(self, z: np.ndarray, order: int) -> np.ndarray:
-        z = np.asarray(z, dtype=float)
-        b1 = min(1.0, self.y_max)
-        alpha, c = self.alpha, self.c
-        w, s = z * b1, 2.0 - alpha
-        safe_z = np.where(z > 0, z, 1.0)
-        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-            if order == 1:
-                if abs(alpha - 1.0) < 1e-8:
-                    # int_0^b (1-e^{-zy})/y dy = gamma_E + ln(zb) + E1(zb),
-                    # which cancels below w = zb = _EIN_SERIES_END: there
-                    # its power series
-                    safe_w = np.where(w < _EIN_SERIES_END, 1.0, w)
-                    out = c * np.where(
-                        w < _EIN_SERIES_END,
-                        np.polynomial.polynomial.polyval(w, _EIN_SERIES),
-                        np.euler_gamma + np.log(safe_w) + sc.exp1(safe_w))
-                else:
-                    t1 = -np.expm1(-w) * b1 ** (1.0 - alpha) / (1.0 - alpha)
-                    t2 = np.where(
-                        w > 0,
-                        safe_z ** (alpha - 1.0) * sc.gamma(s) * sc.gammainc(s, w)
-                        / (1.0 - alpha),
-                        0.0,
-                    )
-                    out = c * (t1 - t2)
-            else:
-                small = np.where(
-                    w > 0,
-                    safe_z ** (alpha - 2.0) * sc.gamma(s) * sc.gammainc(s, w),
-                    b1 ** s / s,
-                )
-                out = c * small
-            if self.y_max > 1.0:
-                # -int_1^y_max e^{-zy} y^-alpha dy, +int y^(1-alpha) e^{-zy} dy
-                y, w = _log_rule(0.0, math.log(self.y_max))
-                out = out + (-1) ** order * c * _rule_sums(
-                    z, y, w * y ** (order - 1.0 - alpha), 0)
-        return out
+    @_memoized
+    def _rule(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """The fixed rule cut at y_max: y_k, g_k = c w_k y_k^-alpha and
+        U(e^-40)."""
+        y, w = _log_rule(_RULE_S_MIN, math.log(self.y_max))
+        return (y, self.c * w * y ** -self.alpha,
+                self.squared_integral(math.exp(_RULE_S_MIN)))
 
     def tail_index(self) -> TailIndex:
         rho = 2.0 - self.alpha
@@ -616,7 +675,7 @@ class GammaLike(MeasureFamily):
 
 
 @dataclass(frozen=True)
-class UserDensity(MeasureFamily):
+class UserDensity(_RuleDensity):
     """Arbitrary density on (0, inf) supplied as a callable.
 
     The callable is evaluated on floats by the quadrature route and on numpy
@@ -634,8 +693,6 @@ class UserDensity(MeasureFamily):
     tail-exponent regression of the growth classifier.
     """
 
-    tabulate_derivative = True
-
     density_fn: Callable
     a4_certified: bool = False
     _cache: dict = field(default_factory=dict, compare=False, repr=False)
@@ -649,10 +706,10 @@ class UserDensity(MeasureFamily):
         return (0.0, math.inf)
 
     @_memoized
-    def _rule(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """Nodes y_k and weights g_k = w_k y_k f(y_k) of the fixed rule, its
-        mass from each panel's start on (then beyond its end), and
-        U(e^-40)."""
+    def _rule(self) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+        """Nodes y_k and weights g_k = w_k y_k f(y_k) of the fixed rule,
+        U(e^-40), and its mass from each panel's start on (then beyond its
+        end)."""
         hi, total = 2.0, self.first_moment(1.0, math.inf)
         if not math.isfinite(total):
             raise NonIntegrable(
@@ -675,25 +732,13 @@ class UserDensity(MeasureFamily):
         beyond = _quad(lambda t: float(self.density_fn(end / t)) * end / t**2,
                        0.0, 1.0, "UserDensity tail mass", epsabs=0.0)
         mass = (w * f).reshape(-1, _RULE_NODES.size).sum(axis=1)
-        return (y, w * y * f, np.cumsum(np.append(mass, beyond)[::-1])[::-1],
-                self.squared_integral(math.exp(_RULE_S_MIN)))
-
-    def derivative_measure_part(self, z: np.ndarray, order: int) -> np.ndarray:
-        """J' or J'' by the fixed rule, summed per point.
-
-        J'(z) = sum_{y_k<1} g_k (1 - e^{-z y_k}) - sum_{y_k>=1} g_k e^{-z y_k}
-        + z U(e^-40) and J''(z) = sum_k g_k y_k e^{-z y_k} + U(e^-40).
-        """
-        z = np.asarray(z, dtype=float)
-        y, g, _, u_min = self._rule()
-        if order == 1:
-            return _rule_sums(z, y, -g, _RULE_N_LOW) + z * u_min
-        return _rule_sums(z, y, g * y, 0) + u_min
+        return (y, w * y * f, self.squared_integral(math.exp(_RULE_S_MIN)),
+                np.cumsum(np.append(mass, beyond)[::-1])[::-1])
 
     def _tail(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """nu([e^s, inf)) and y f(y) at y = e^s <= the rule's end: its mass
         beyond the panel holding s plus 16 nodes from s to the panel's end."""
-        tails = self._rule()[2]
+        tails = self._rule()[3]
         s = np.minimum(s, _RULE_S_MIN + _RULE_PANEL * (tails.size - 1))
         p = np.minimum((s - _RULE_S_MIN) // _RULE_PANEL, tails.size - 2).astype(int)
         half = 0.5 * (_RULE_S_MIN + _RULE_PANEL * (p + 1) - s)
@@ -756,7 +801,7 @@ class UserDensity(MeasureFamily):
         target = (1.0 - u) * total
         # the last panel whose start carries the target, from eps on
         start = _RULE_S_MIN + _RULE_PANEL * (
-            np.searchsorted(-self._rule()[2], -target, side="right") - 1)
+            np.searchsorted(-self._rule()[3], -target, side="right") - 1)
         lo = np.maximum(start, math.log(eps))
         return np.exp(_invert_log_tail(
             self._tail, target, lo, np.maximum(start + _RULE_PANEL, lo)))

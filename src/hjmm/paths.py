@@ -84,13 +84,13 @@ class JumpPath:
             raise DomainError("drift rate must be finite")
         if times.shape != sizes.shape or times.ndim != 1:
             raise DomainError("times and sizes must be 1-d arrays of equal length")
-        if times.size:
-            if times[0] <= 0.0 or times[-1] > self.horizon:
-                raise DomainError("jump times must lie in (0, horizon]")
-            if np.any(np.diff(times) <= 0.0):
-                raise DomainError("jump times must be strictly increasing")
-            if not np.all(np.isfinite(sizes)) or np.any(sizes == 0.0):
-                raise DomainError("jump sizes must be finite and nonzero")
+        # NaN times fail the first test too
+        if not np.all((times > 0.0) & (times <= self.horizon)):
+            raise DomainError("jump times must lie in (0, horizon]")
+        if np.any(np.diff(times) <= 0.0):
+            raise DomainError("jump times must be strictly increasing")
+        if not np.all(np.isfinite(sizes)) or np.any(sizes == 0.0):
+            raise DomainError("jump sizes must be finite and nonzero")
 
     @property
     def n_jumps(self) -> int:

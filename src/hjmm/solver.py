@@ -13,9 +13,10 @@ minimal solution or blows up; both outcomes are reported.
 
 All quadratures are composite trapezoid on the uniform grid; J' is
 evaluated through the vectorized route of the measure family, which for
-the stable-like and user densities reads the measure's part from one
-cubic Hermite table per measure (within 1e-10 of the family's own J',
-relative, absolute below |J'| = 1; see :func:`hjmm.levy.fast_derivative`).
+the stable-like and user densities is one fixed rule in ln y whose J' is
+read from one cubic Hermite table per measure (within 1e-10 of the
+rule's J', relative, absolute below |J'| = 1; see
+:func:`hjmm.levy.fast_derivative`).
 The grid owns its triangle: the below-diagonal cells and the slice L2
 weights come from :mod:`hjmm.grids`, built once per grid shape.  One
 iteration loop works on a stack of a-fields, shape

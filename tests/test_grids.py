@@ -40,6 +40,18 @@ def test_index_lookup_roundtrip() -> None:
         g.index_of_time(0.1)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, 1e308])
+def test_lookup_of_a_non_finite_node_is_a_domain_error(value) -> None:
+    # round() of value / delta raised ValueError or OverflowError here
+    g = _grid()
+    for lookup, what in ((g.index_of_time, "time"),
+                         (g.index_of_maturity, "maturity")):
+        with pytest.raises(DomainError, match=f"^{what} .* is not a grid node"):
+            lookup(value)
+    with pytest.raises(DomainError, match="^time .* is not a grid node"):
+        weighted_norms(np.zeros(g.shape), g, value)
+
+
 def test_step_must_divide_horizons() -> None:
     with pytest.raises(DomainError):
         GridSpec(0.3, 1.0, 2.0, 1.0)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from hjmm import levy
+from hjmm import measures
 from hjmm.errors import DomainError, UnsupportedSpec
 from hjmm.levy import (
     GrowthClassification,
@@ -99,7 +99,7 @@ def test_fast_route_agrees_with_quadrature_route() -> None:
                     f"{type(spec.measure).__name__} order={order} z={z}")
 
 
-# J' tables: their stated tolerance against the family's own J', relative,
+# J' tables: their stated tolerance against the rule's own J', relative,
 # absolute below |J'| = 1, where J' changes sign
 TABLE_TOL = 1e-10
 _TABLE_Z = np.concatenate(([0.0], np.geomspace(1e-8, 2.9e4, 20001)))
@@ -112,9 +112,8 @@ _TABLED = {
 }
 
 
-def _family_route(spec: LevyModelSpec, z: np.ndarray) -> np.ndarray:
-    return -spec.drift_a + spec.gaussian_q * z + (
-        spec.measure.derivative_measure_part(z, 1))
+def _rule_route(spec: LevyModelSpec, z: np.ndarray) -> np.ndarray:
+    return -spec.drift_a + spec.gaussian_q * z + spec.measure._rule_part(z, 1)
 
 
 @pytest.mark.parametrize("a, q", [(0.0, 0.0), (0.4, 0.0), (-0.3, 0.2)])
@@ -124,8 +123,8 @@ def test_table_holds_its_tolerance(name, a, q) -> None:
     # the measure's part; J' stays nondecreasing, as the iteration needs
     spec = LevyModelSpec(a, q, _TABLED[name])
     got = fast_derivative(spec, 1)(_TABLE_Z)
-    want = _family_route(spec, _TABLE_Z)
-    assert levy._derivative_table(spec.measure) is not None
+    want = _rule_route(spec, _TABLE_Z)
+    assert spec.measure._derivative_table() is not None
     assert np.all(np.abs(got - want)
                   <= TABLE_TOL * np.maximum(1.0, np.abs(want)))
     assert np.all(np.diff(got) >= 0.0)
@@ -143,14 +142,15 @@ def test_table_keeps_the_shape_of_its_input() -> None:
 @pytest.mark.parametrize("name", ["stable_1.5", "user_gamma"])
 def test_cells_off_the_table_take_the_family_route(name) -> None:
     # the cells of exploding paths: z >= z_max, inf and NaN, among cells
-    # on the table, which keep their own values
+    # on the table, which keep their own values; the rule serves them
     spec = LevyModelSpec(0.1, 0.2, _TABLED[name])
     dj = fast_derivative(spec, 1)
-    z = np.array([0.5, levy._TABLE_Z_MAX, np.nextafter(levy._TABLE_Z_MAX, 0.0),
-                  1e6, np.inf, 3.0, np.nan])
+    z_max = measures._TABLE_Z_MAX
+    z = np.array([0.5, z_max, np.nextafter(z_max, 0.0), 1e6, np.inf, 3.0,
+                  np.nan])
     off = np.array([False, True, False, True, True, False, True])
     got = dj(z)
-    assert got[off].tobytes() == _family_route(spec, z[off]).tobytes()
+    assert got[off].tobytes() == _rule_route(spec, z[off]).tobytes()
     assert got[~off].tobytes() == dj(z[~off]).tobytes()
 
 
@@ -159,10 +159,10 @@ def test_cells_off_the_table_take_the_family_route(name) -> None:
     PointMasses([(-0.3, 2.0)])], ids=lambda m: type(m).__name__)
 def test_closed_forms_are_not_tabled(measure) -> None:
     spec = LevyModelSpec(0.2, 0.1, measure)
-    levy._derivative_table.cache_clear()
     got = fast_derivative(spec, 1)(_TABLE_Z)
-    assert got.tobytes() == _family_route(spec, _TABLE_Z).tobytes()
-    assert levy._derivative_table.cache_info().misses == 0
+    assert not hasattr(measure, "_derivative_table")
+    assert got.tobytes() == (-0.2 + 0.1 * _TABLE_Z + (
+        measure.derivative_measure_part(_TABLE_Z, 1))).tobytes()
 
 
 @pytest.mark.parametrize("measure", [
@@ -173,14 +173,14 @@ def test_closed_forms_are_not_tabled(measure) -> None:
 ], ids=["heavy_tail", "stable_y_max_1e4"])
 def test_table_that_misses_its_tolerance_is_not_used(measure) -> None:
     spec = LevyModelSpec(0.0, 0.0, measure)
-    assert levy._derivative_table(measure) is None
+    assert measure._derivative_table() is None
     got = fast_derivative(spec, 1)(_TABLE_Z)
-    assert got.tobytes() == _family_route(spec, _TABLE_Z).tobytes()
+    assert got.tobytes() == _rule_route(spec, _TABLE_Z).tobytes()
 
 
-def test_unhashable_density_takes_the_family_route() -> None:
-    # a density that is an unhashable callable (a dataclass instance here)
-    # has no key for the kept tables; its J' is the rule's
+def test_unhashable_density_is_tabled() -> None:
+    # the table is kept with the measure, so a density that is an
+    # unhashable callable (a dataclass instance here) is tabled too
     @dataclass
     class Density:
         c: float
@@ -188,9 +188,13 @@ def test_unhashable_density_takes_the_family_route() -> None:
         def __call__(self, y):
             return self.c * np.exp(-2.0 * y) / y
 
-    spec = LevyModelSpec(0.0, 0.0, UserDensity(density_fn=Density(0.5)))
-    got = fast_derivative(spec, 1)(_TABLE_Z)
-    assert got.tobytes() == _family_route(spec, _TABLE_Z).tobytes()
+    nu = UserDensity(density_fn=Density(0.5))
+    with pytest.raises(TypeError):
+        hash(nu)
+    got = fast_derivative(LevyModelSpec(0.0, 0.0, nu), 1)(_TABLE_Z)
+    assert nu._derivative_table() is not None
+    assert got.tobytes() == fast_derivative(
+        LevyModelSpec(0.0, 0.0, _TABLED["user_gamma"]), 1)(_TABLE_Z).tobytes()
 
 
 def test_exponent_first_derivative_nondecreasing() -> None:

@@ -1,5 +1,6 @@
 """Bond surfaces, the discounted-price identity, and the martingale check."""
 
+import functools
 import math
 import multiprocessing
 import sys
@@ -8,7 +9,7 @@ import threading
 import numpy as np
 import pytest
 
-from hjmm import levy, market
+from hjmm import market, measures
 from hjmm.curves import affine_curve, constant_curve, exp_decay_curve
 from hjmm.errors import DomainError
 from hjmm.grids import GridSpec, RateField, flat_extend
@@ -392,8 +393,23 @@ class TestMartingale:
         monkeypatch.setattr(market, "_cpu_count", lambda: 2)
         _paths_per_block(monkeypatch, 2, _grid(1.0 / 8.0))
         workers = _block_threads(monkeypatch)
+        # every read of the kept table, and every build behind it
+        family = measures._RuleDensity
+        build = family._derivative_table.__wrapped__
+        reads, builds = [], []
+
+        def counted_build(self):
+            builds.append(self)
+            return build(self)
+
+        kept = measures._memoized(functools.wraps(build)(counted_build))
+
+        def counted_read(self):
+            reads.append(self)
+            return kept(self)
+
+        monkeypatch.setattr(family, "_derivative_table", counted_read)
         spec = LevyModelSpec(0.0, 0.0, StableLike(c=1.0, alpha=1.5))
-        levy._derivative_table.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -406,8 +422,8 @@ class TestMartingale:
             sys.setswitchinterval(interval)
         assert workers and threading.get_ident() not in workers
         assert all(r.n_paths == 12 for r in reports)
-        info = levy._derivative_table.cache_info()
-        assert (info.misses, info.currsize) == (1, 1) and info.hits >= 3
+        assert len(builds) == 1 and builds[0] is spec.measure
+        assert len(reads) >= 4
 
     def test_explicit_checkpoints_respected(self) -> None:
         grid = _grid()
@@ -417,6 +433,16 @@ class TestMartingale:
                                  n_paths=8, master_seed=5,
                                  t_checkpoints=(0.5,), T_checkpoints=(1.0, 2.0))
         assert [(r.t, r.T) for r in report.results] == [(0.5, 1.0), (0.5, 2.0)]
+
+    @pytest.mark.parametrize("t_pts, T_pts", [((math.nan,), None),
+                                              (None, (math.inf,)),
+                                              ((0.5,), (-math.inf,))])
+    def test_non_finite_checkpoints_rejected(self, t_pts, T_pts) -> None:
+        with pytest.raises(DomainError, match="is not a grid node"):
+            martingale_test(drift_only(1.0), constant_volatility(0.2),
+                            affine_curve(1.0, 1.0), _grid(), n_paths=4,
+                            master_seed=5, t_checkpoints=t_pts,
+                            T_checkpoints=T_pts)
 
     @pytest.mark.parametrize("t_pts, T_pts", [((), None), (None, []),
                                               ((), ())])

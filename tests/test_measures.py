@@ -17,6 +17,8 @@ from hjmm.measures import (
     StableLike,
     UserDensity,
     _invert_log_tail,
+    _log_rule,
+    _rule_sums,
     compensated_exp,
 )
 from hjmm.paths import simulate_path, simulate_paths
@@ -41,11 +43,48 @@ def _exp_density_derivative(z, order):
     return 2.0 / (2.0 + z) ** 3
 
 
+# 1/(k k!) (-1)^(k+1), k <= 14: the series of gamma_E + ln w + E1(w), which
+# the closed form below takes where w < 0.5 (its first omitted term is
+# below 2e-18 there)
+_EIN_SERIES = [0.0] + [(-1.0) ** (k + 1) / (k * math.factorial(k))
+                       for k in range(1, 15)]
+
+
+def _stable_closed_form(nu, z, order):
+    """J' or J'' of a stable-like density in closed form: incomplete gamma,
+    and at alpha = 1 the exponential integral, on (0, min(1, y_max)), and
+    the fixed rule on [1, y_max)."""
+    z = np.asarray(z, dtype=float)
+    b1 = min(1.0, nu.y_max)
+    alpha, c = nu.alpha, nu.c
+    w, s = z * b1, 2.0 - alpha
+    safe_z = np.where(z > 0, z, 1.0)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        if order == 1 and abs(alpha - 1.0) < 1e-8:
+            safe_w = np.where(w < 0.5, 1.0, w)
+            out = c * np.where(
+                w < 0.5, np.polynomial.polynomial.polyval(w, _EIN_SERIES),
+                np.euler_gamma + np.log(safe_w) + sc.exp1(safe_w))
+        elif order == 1:
+            t1 = -np.expm1(-w) * b1 ** (1.0 - alpha) / (1.0 - alpha)
+            t2 = np.where(w > 0, safe_z ** (alpha - 1.0) * sc.gamma(s)
+                          * sc.gammainc(s, w) / (1.0 - alpha), 0.0)
+            out = c * (t1 - t2)
+        else:
+            out = c * np.where(w > 0, safe_z ** (alpha - 2.0) * sc.gamma(s)
+                               * sc.gammainc(s, w), b1 ** s / s)
+        if nu.y_max > 1.0:
+            y, wts = _log_rule(0.0, math.log(nu.y_max))
+            out = out + (-1) ** order * c * _rule_sums(
+                z, y, wts * y ** (order - 1.0 - alpha), 0)
+    return out
+
+
 def _stable_shaped(alpha):
     return (lambda y: np.where(y <= 1.0, y ** (-1.0 - alpha), 0.0),
             (1e-12, 1e-12),
-            lambda z, order: StableLike(1.0, alpha, 1.0).derivative_measure_part(
-                z, order))
+            lambda z, order: _stable_closed_form(StableLike(1.0, alpha, 1.0),
+                                                 z, order))
 
 
 # density, rtol against the quadrature route for orders 1 and 2, closed form;
@@ -57,6 +96,14 @@ _RULE_CASES = {
     "heavy_tail": (lambda y: 1.0 / (1.0 + y) ** 3, (1e-9, 1e-12), None),
     "stable_0.5": _stable_shaped(0.5),
     "stable_1.5": _stable_shaped(1.5),
+}
+
+
+# stable-like densities, whose J' and J'' come from the same rule
+_STABLE_RULES = {
+    f"stable_like_{alpha}_{y_max:g}": StableLike(1.0, alpha, y_max)
+    for alpha, y_max in [(0.2, 0.5), (0.9, 1.0), (1.0, 1.0), (1.5, 1.0),
+                         (1.9, 4.0), (1.3, 1e4)]
 }
 
 
@@ -284,14 +331,28 @@ class TestStableLike:
             assert abs(fast - slow) / max(abs(slow), 1e-12) < QUAD_AGREEMENT_RTOL
 
     def test_alpha_one_near_zero_matches_its_series(self) -> None:
-        # gamma_E + ln w + E1(w) cancels for small w = z: the sum
-        # sum_k (-1)^(k+1) w^k / (k k!) to rounding
+        # J'(z) = gamma_E + ln z + E1(z), which cancels for small z: the
+        # rule gives the sum sum_k (-1)^(k+1) z^k / (k k!) to rounding
         nu = StableLike(c=1.0, alpha=1.0, y_max=1.0)
         z = np.geomspace(1e-10, 1e-3, 71)
         series = [math.fsum((-1.0) ** (k + 1) * w ** k / (k * math.factorial(k))
                             for k in range(1, 8)) for w in z]
-        np.testing.assert_allclose(nu.derivative_measure_part(z, 1), series,
+        np.testing.assert_allclose(nu._rule_part(z, 1), series,
                                    rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("y_max", [0.5, 1.0, 4.0, 1e4])
+    @pytest.mark.parametrize("alpha", [0.2, 0.5, 0.9, 1.0, 1.1, 1.5, 1.9])
+    def test_rule_matches_the_closed_forms(self, alpha, y_max) -> None:
+        # relative, absolute where |J'| < 1; the rule, and J' as the solver
+        # reads it (from the table where it holds)
+        nu = StableLike(c=1.0, alpha=alpha, y_max=y_max)
+        z = np.concatenate(([0.0], np.geomspace(1e-8, 1e6, 4001)))
+        for order in (1, 2):
+            want = _stable_closed_form(nu, z, order)
+            tol = 5e-14 * np.maximum(1.0, np.abs(want))
+            for got in (nu._rule_part(z, order),
+                        nu.derivative_measure_part(z, order)):
+                assert np.all(np.abs(got - want) <= tol), order
 
     def test_inverse_tail_sampling_distribution(self) -> None:
         nu = StableLike(c=1.0, alpha=1.5, y_max=1.0)
@@ -484,20 +545,23 @@ class TestUserDensity:
             if name == "heavy_tail" and order == 2:
                 zs = zs[1:]  # J''(0) is infinite: y^2 f ~ 1/y at infinity
             expected = [nu.exponent_part(float(z), order) for z in zs]
-            np.testing.assert_allclose(nu.derivative_measure_part(zs, order),
+            np.testing.assert_allclose(nu._rule_part(zs, order),
                                        expected, rtol=rtol, atol=0.0)
             if closed is not None:
                 np.testing.assert_allclose(
-                    nu.derivative_measure_part(_RULE_Z, order),
+                    nu._rule_part(_RULE_Z, order),
                     closed(_RULE_Z, order), rtol=1e-13, atol=0.0)
 
-    @pytest.mark.parametrize("name", sorted(_RULE_CASES))
+    @pytest.mark.parametrize("name", sorted(_RULE_CASES) + sorted(_STABLE_RULES))
     def test_fixed_rule_is_monotone(self, name) -> None:
-        # J' nondecreasing and J'' >= 0, as the monotone iteration needs
-        nu = UserDensity(density_fn=_RULE_CASES[name][0])
+        # J' nondecreasing and J'' >= 0, as the monotone iteration needs:
+        # by the rule, and as the solver reads them (J' from the table)
+        nu = _STABLE_RULES.get(name) or UserDensity(
+            density_fn=_RULE_CASES[name][0])
         z = np.concatenate(([0.0], np.geomspace(1e-10, 1e8, 20001)))
-        assert np.all(np.diff(nu.derivative_measure_part(z, 1)) >= 0.0)
-        assert np.all(nu.derivative_measure_part(z, 2) >= 0.0)
+        for part in (nu._rule_part, nu.derivative_measure_part):
+            assert np.all(np.diff(part(z, 1)) >= 0.0)
+            assert np.all(part(z, 2) >= 0.0)
 
     @pytest.mark.parametrize("bad", [-1.0, np.nan])
     def test_bad_density_at_a_node_raises(self, bad) -> None:

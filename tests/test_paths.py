@@ -98,6 +98,15 @@ class TestJumpPath:
             JumpPath(horizon=1.0, drift_rate=0.0,
                      times=np.array([0.5]), sizes=np.array([0.0]))
 
+    @pytest.mark.parametrize("times", [[0.5, np.nan], [np.nan, 0.5], [np.nan],
+                                       [-np.inf, 0.5], [0.5, np.inf]])
+    def test_non_finite_times_are_refused(self, times) -> None:
+        # [0.5, nan] passed every check, and value_at and field_b then
+        # left out the jump at nan
+        with pytest.raises(DomainError, match=r"lie in \(0, horizon\]"):
+            JumpPath(horizon=1.0, drift_rate=0.0, times=np.array(times),
+                     sizes=np.ones(len(times)))
+
 
 class TestSimulatePath:
     def test_bitwise_deterministic(self) -> None:
