@@ -71,7 +71,7 @@ class BondSurface:
 
 
 def bond_surface(rate_field: RateField, grid: GridSpec) -> BondSurface:
-    """Price surfaces from a nonnegative rate field.
+    """Price surfaces from a finite nonnegative rate field.
 
     ``prices[i, j]`` is NaN for maturities before the observation time
     (j < i); ``discounted[i, j]`` is defined everywhere because the flat
@@ -80,8 +80,9 @@ def bond_surface(rate_field: RateField, grid: GridSpec) -> BondSurface:
     if rate_field.grid != grid:
         raise DomainError("field and grid do not match")
     values = rate_field.values
-    if np.min(values) < 0.0:
-        raise DomainError("bond prices need a nonnegative rate field")
+    # NaN fails both comparisons
+    if not (np.min(values) >= 0.0 and np.max(values) < math.inf):
+        raise DomainError("bond prices need a finite nonnegative rate field")
     ct = cumtrapz(values, grid.delta, axis=1)
     discounted = np.exp(-ct)
     prices = np.exp(-(ct - np.diagonal(ct)[:, None]))

@@ -14,13 +14,16 @@ From a path, the multiplicative jump factor field
 
 is assembled on the grid (the Gaussian part is zero for every simulable
 model, so no quadratic correction appears), and a(t, T) = f0(T) * b(t, T)
-seeds the fixed-point solver.
+seeds the fixed-point solver.  The jump parts of the two exponentials
+cancel, so ln b is c * Lambda(t, T), c the path's drift rate and Lambda
+the time integral of lambda, plus one sum of ln(1 + lambda(s_k, T) dL_k)
+over the jumps up to t.
 
 Both stages work on a block of paths: :func:`simulate_paths` draws every
 path of a block, each from its own generator, and maps all of the
 block's uniforms to jump sizes in one call of the measure family; and
-:func:`factor_fields` builds their fields.  Each does its per-model and
-per-grid work once for the block.
+:func:`factor_fields` builds their fields, one log sum per path.  Each
+does its per-model and per-grid work once for the block.
 :func:`simulate_path` and :func:`field_b` are these on one path.
 """
 
@@ -45,17 +48,8 @@ __all__ = [
     "factor_fields",
     "field_b",
     "field_a",
+    "jump_factor_error",
 ]
-
-
-# Most jump rows times maturity nodes that one lambda*dL array of
-# factor_fields holds (512 KiB): consecutive paths with few jumps share
-# one evaluation, and a path with more jumps is evaluated alone, so a
-# block of paths with many jumps holds about the memory of one path.  A
-# stable-like path with eps = 1e-3 has ~21 000 jumps, 1.4 million cells
-# at delta = 1/32; taken together, 15 such paths raised the peak RSS of a
-# Monte Carlo run from 171 to 441 MB.
-JUMP_CELLS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -176,47 +170,25 @@ def simulate_path(spec: LevyModelSpec, t_star: float, seed,
     return path
 
 
-def _jump_terms(vol: VolatilitySpec, times: np.ndarray, sizes: np.ndarray,
-                T: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a = lambda(s_k, T_j) dL_k and ln(1 + a) - a for every jump (rows)
-    and maturity node (columns); ln(1 + a) is NaN where 1 + a <= 0."""
-    a = vol.matrix(times, T)
-    a *= sizes[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        corr = np.log1p(a)
-    corr -= a
-    return a, corr
+def _log_jump_sums(vol: VolatilitySpec, path: JumpPath,
+                   T: np.ndarray) -> np.ndarray:
+    """Row m holds the sum of ln(1 + lambda(s_k, T) dL_k) over the path's
+    first m jumps, on the maturity nodes ``T``; row 0 is 0.
 
-
-def _fault(path: JumpPath, nonpositive: np.ndarray) -> NonPositiveFactor | None:
-    """The NonPositiveFactor of the path's first jump flagged in
-    ``nonpositive`` (one flag per jump), or None."""
-    if not nonpositive.any():
-        return None
-    return NonPositiveFactor(
-        f"jump at t={path.times[int(np.argmax(nonpositive))]:.6g} drives a "
-        "factor 1+lambda*dL to zero or below")
-
-
-def _prefix_sums(terms: np.ndarray) -> np.ndarray:
-    """Row m holds the sum of the first m rows of ``terms``; row 0 is 0."""
-    out = np.zeros((terms.shape[0] + 1, terms.shape[1]))
-    np.cumsum(terms, axis=0, out=out[1:])
-    return out
-
-
-def _jump_chunks(paths, cols: int):
-    """Runs of consecutive paths whose jumps times ``cols`` add up to at
-    most JUMP_CELLS; a path with more jumps forms a run of its own."""
-    chunk, cells = [], 0
-    for path in paths:
-        cells += path.n_jumps * cols
-        if chunk and cells > JUMP_CELLS:
-            yield chunk
-            chunk, cells = [], path.n_jumps * cols
-        chunk.append(path)
-    if chunk:
-        yield chunk
+    Raises the NonPositiveFactor of the first jump whose factor
+    1 + lambda*dL is zero or below at some node, before any logarithm is
+    taken.
+    """
+    terms = vol.matrix(path.times, T)
+    terms *= path.sizes[:, None]
+    nonpositive = (terms <= -1.0).any(axis=1)
+    if nonpositive.any():
+        raise NonPositiveFactor(
+            f"jump at t={path.times[int(np.argmax(nonpositive))]:.6g} drives "
+            "a factor 1+lambda*dL to zero or below")
+    sums = np.zeros((path.n_jumps + 1, T.size))
+    np.cumsum(np.log1p(terms, out=terms), axis=0, out=sums[1:])
+    return sums
 
 
 def factor_fields(vol: VolatilitySpec, paths, grid: GridSpec,
@@ -228,14 +200,12 @@ def factor_fields(vol: VolatilitySpec, paths, grid: GridSpec,
     path None or the NonPositiveFactor of its first jump whose factor is
     zero or below.
 
-    Each b is assembled as exp(stochastic integral) times the compensated
-    jump product; the two jump exponentials are mathematically inverse
-    and are kept separate here (the cancellation is exercised by tests,
-    not assumed).  lambda on the grid (``lam``, if the caller has it
-    already) and its time integral are built once for the block, and
-    lambda*dL and its log1p once for each run of paths of
-    :func:`_jump_chunks`; the prefix sums over jumps run on each path's
-    own rows, so a path's b is bitwise the same in any block.
+    ln b is the path's drift rate c times Lambda(t, T), the time
+    integral of lambda, plus one prefix sum over the path's jumps of
+    ln(1 + lambda(s_k, T) dL_k), read at the time nodes.  lambda on the
+    grid (``lam``, if the caller has it already) and Lambda are built
+    once for the block; the jump sum is built path by path, so a path's
+    b is bitwise the same in any block.
     """
     T, t_nodes = grid.T_nodes(), grid.t_nodes()
     if lam is None:
@@ -244,25 +214,41 @@ def factor_fields(vol: VolatilitySpec, paths, grid: GridSpec,
     stack = np.empty((len(paths), *grid.shape))
     faults = []
     kept = 0
-    for chunk in _jump_chunks(paths, T.size):
-        a, corr = _jump_terms(vol, np.concatenate([p.times for p in chunk]),
-                              np.concatenate([p.sizes for p in chunk]), T)
-        nonpositive = (a <= -1.0).any(axis=1)
-        ends = itertools.accumulate(p.n_jumps for p in chunk)
-        for path, end in zip(chunk, ends):
-            rows = slice(end - path.n_jumps, end)
-            faults.append(_fault(path, nonpositive[rows]))
-            if faults[-1] is not None:
-                continue
-            out = stack[kept]
-            kept += 1
-            counts = np.searchsorted(path.times, t_nodes, side="right")
-            np.multiply(drift_cum, path.drift_rate, out=out)
-            out += _prefix_sums(a[rows])[counts]
-            out += _prefix_sums(corr[rows])[counts]
+    for path in paths:
+        try:
+            sums = _log_jump_sums(vol, path, T)
+        except NonPositiveFactor as fault:
+            faults.append(fault)
+            continue
+        faults.append(None)
+        out = stack[kept]
+        kept += 1
+        np.multiply(drift_cum, path.drift_rate, out=out)
+        out += sums[np.searchsorted(path.times, t_nodes, side="right")]
     stack = stack[:kept]
     with np.errstate(over="ignore"):
         return np.exp(stack, out=stack), faults
+
+
+def jump_factor_error(vol: VolatilitySpec, path: JumpPath,
+                      grid: GridSpec) -> float:
+    """Largest relative error of the jump factors that the factor field
+    carries.
+
+    Across the k-th jump the log sum of :func:`factor_fields` grows by
+    ln(1 + a_k), a_k = lambda(s_k, T) dL_k; the exponential of that step
+    is compared with 1 + a_k on every maturity node.  Only the path and
+    the volatility are read, so the error is the rounding of the
+    log1p/cumsum/exp round trip.  Raises NonPositiveFactor as
+    :func:`field_b` does.
+    """
+    T = grid.T_nodes()
+    sums = _log_jump_sums(vol, path, T)
+    expected = vol.matrix(path.times, T) * path.sizes[:, None] + 1.0
+    with np.errstate(over="ignore"):
+        ratio = np.exp(np.diff(sums, axis=0))
+    return float(np.max(np.abs(ratio - expected) / np.abs(expected),
+                        initial=0.0))
 
 
 def field_b(vol: VolatilitySpec, path: JumpPath, grid: GridSpec) -> np.ndarray:

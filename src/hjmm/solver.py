@@ -48,8 +48,8 @@ from .errors import (DomainError, NonPositiveFactor, NotTimeOnly,
 from .grids import (GridSpec, RateField, below_diagonal, cumtrapz,
                     flat_extend, gap_integral, slice_weights)
 from .levy import LevyModelSpec, fast_derivative
-from .paths import (JumpPath, _fault, _jump_terms, _prefix_sums,
-                    factor_fields, field_a, simulate_paths)
+from .paths import (JumpPath, factor_fields, field_a, jump_factor_error,
+                    simulate_paths)
 from .volatility import VolatilitySpec
 
 __all__ = [
@@ -496,11 +496,12 @@ def strong_residual(field: RateField, vol: VolatilitySpec, spec: LevyModelSpec,
     d_x r + J'(int_0^x lambda r dv) lambda r + lambda c r (c the path
     drift rate, d_x r by second-order differences along the slice), all
     panels in one array; across each jump the factor 1 + lambda(s) dL that
-    the path's prefix sums carry into the factor field is compared with
-    its direct value (a check of the path data at rounding level, which
-    does not read the solved field); and the analytic identity for d_x r
-    in terms of J'' is checked on the interior cells of every slice with
-    at least 4 nodes.  Volatility must be time-only.
+    the factor field carries is compared with its direct value
+    (:func:`~hjmm.paths.jump_factor_error`, a check of the path data at
+    rounding level, which does not read the solved field); and the
+    analytic identity for d_x r in terms of J'' is checked on the interior
+    cells of every slice with at least 4 nodes.  Volatility must be
+    time-only.
     """
     if not vol.time_only:
         raise NotTimeOnly("the strong form needs maturity-independent volatility")
@@ -528,34 +529,10 @@ def strong_residual(field: RateField, vol: VolatilitySpec, spec: LevyModelSpec,
         time_residual_max=float(np.max(res)) if res.size else math.nan,
         time_residual_mean=float(np.mean(res)) if res.size else math.nan,
         panels_checked=int(np.count_nonzero(jump_free)),
-        jump_relation_max_error=_jump_relation_error(vol, path, grid),
+        jump_relation_max_error=jump_factor_error(vol, path, grid),
         dx_identity_max=float(np.max(dx_res)) if dx_res.size else math.nan,
         dx_identity_mean=float(np.mean(dx_res)) if dx_res.size else math.nan,
     )
-
-
-def _jump_relation_error(vol: VolatilitySpec, path: JumpPath,
-                         grid: GridSpec) -> float:
-    """Largest relative error of the jump factor carried by the prefix sums.
-
-    Across the k-th jump the exponent sum(a) + sum(log1p(a) - a) of the
-    factor field, a = lambda(s, T) dL, grows by log1p(a_k); the exponential
-    of that growth (consecutive rows of the prefix sums that
-    :func:`~hjmm.paths.factor_fields` reads) is compared with 1 + a_k on
-    every maturity node.
-    Only the path and the volatility are read, so the error is the
-    rounding of the log1p/exp round trip.
-    """
-    a, corr = _jump_terms(vol, path.times, path.sizes, grid.T_nodes())
-    fault = _fault(path, (a <= -1.0).any(axis=1))
-    if fault is not None:
-        raise fault
-    log_b = _prefix_sums(a) + _prefix_sums(corr)
-    with np.errstate(over="ignore"):
-        ratio = np.exp(log_b[1:] - log_b[:-1])
-    expected = 1.0 + a
-    return float(np.max(np.abs(ratio - expected) / np.abs(expected),
-                        initial=0.0))
 
 
 def _dx_identity_residual(values: np.ndarray, lam: np.ndarray, ddj,

@@ -7,7 +7,9 @@ model a run configuration describes.  The suites that solve a path run
 :func:`~hjmm.solver.solve_path`, the pipeline ``hjmm solve`` and the
 Monte Carlo run.  A suite that needs a simulated jump path raises
 UnsupportedSpec for a model the path simulator does not cover, and
-:func:`run_all` turns that into a passed result with a "skipped" note.
+:func:`run_all` turns that into a passed result with a "skipped" note; a
+jump factor at or below zero (NonPositiveFactor) becomes a failed result
+that names the jump.
 """
 
 from __future__ import annotations
@@ -18,10 +20,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import RunConfig
-from .errors import UnsupportedSpec
+from .errors import NonPositiveFactor, UnsupportedSpec
 from .grids import RateField
 from .levy import exponent_derivative, fast_derivative
-from .paths import field_b, simulate_path
+from .paths import factor_fields, simulate_paths
 from .solver import (solve_fixed_point, solve_path, strong_residual,
                      uniqueness_contraction_check)
 
@@ -130,16 +132,22 @@ def suite_exponent_monotone(config: RunConfig) -> SuiteResult:
 
 
 def suite_jump_factor_positive(config: RunConfig, seed: int) -> SuiteResult:
-    """The realized jump factor must stay finite and strictly positive."""
-    worst = math.inf
-    for k in range(5):
-        path = simulate_path(config.levy, config.grid.t_star,
-                             [seed, 1000 + k], eps=config.mc["eps"])
-        b_vals = field_b(config.volatility, path, config.grid)
-        if not np.all(np.isfinite(b_vals)):
-            return SuiteResult("jump_factor_positive", False,
-                               details={"reason": "non-finite b values"})
-        worst = min(worst, float(np.min(b_vals)))
+    """The realized jump factor must stay finite and strictly positive.
+
+    Five paths, seeds (seed, 1000 + k), are drawn as one block; a jump
+    factor 1 + lambda*dL at or below zero fails the suite.
+    """
+    paths = simulate_paths(config.levy, config.grid.t_star,
+                           [[seed, 1000 + k] for k in range(5)],
+                           eps=config.mc["eps"])
+    b_vals, faults = factor_fields(config.volatility, paths, config.grid)
+    fault = next((f for f in faults if f is not None), None)
+    if fault is not None:
+        return SuiteResult("jump_factor_positive", False, note=str(fault))
+    if not np.all(np.isfinite(b_vals)):
+        return SuiteResult("jump_factor_positive", False,
+                           details={"reason": "non-finite b values"})
+    worst = float(np.min(b_vals))
     return SuiteResult("jump_factor_positive", worst > 0.0,
                        details={"min_b": worst})
 
@@ -211,7 +219,9 @@ def run_all(config: RunConfig, seed: int = 0) -> VerificationReport:
     """Run every invariant suite on the configured model.
 
     A suite that raises UnsupportedSpec (no path simulator for the model)
-    passes with the note "skipped: <reason>".
+    passes with the note "skipped: <reason>"; one that meets a jump factor
+    1 + lambda*dL at or below zero (NonPositiveFactor) fails, the jump
+    named in its note.
     """
     suites = []
     for name, suite, args in (
@@ -226,4 +236,6 @@ def run_all(config: RunConfig, seed: int = 0) -> VerificationReport:
             suites.append(suite(*args))
         except UnsupportedSpec as exc:
             suites.append(SuiteResult(name, True, note=f"skipped: {exc}"))
+        except NonPositiveFactor as exc:
+            suites.append(SuiteResult(name, False, note=str(exc)))
     return VerificationReport(suites=suites)

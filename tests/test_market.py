@@ -140,6 +140,14 @@ class TestBondSurface:
         with pytest.raises(DomainError):
             bond_surface(RateField(flat_extend(vals), grid), grid)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_field_rejected(self, bad) -> None:
+        grid = GridSpec(0.25, 1.0, 2.0, 1.0)
+        vals = np.full(grid.shape, 0.05)
+        vals[1, 4] = bad
+        with pytest.raises(DomainError, match="finite nonnegative"):
+            bond_surface(RateField(flat_extend(vals), grid), grid)
+
 
 def test_default_checkpoints_inside_grid() -> None:
     grid = _grid()

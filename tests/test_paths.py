@@ -13,7 +13,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import hjmm.paths
 from hjmm.curves import InitialCurve, exp_decay_curve
 from hjmm.errors import DomainError, NonPositiveFactor, UnsupportedSpec
 from hjmm.grids import GridSpec, cumtrapz
@@ -299,6 +298,26 @@ class TestFieldB:
                 worst = max(worst, abs(log_b[i, j] - expected))
         assert worst <= 1e-12
 
+    def test_many_jump_field_matches_exact_sums(self) -> None:
+        # ~660 jumps: each cell against c * Lambda plus an exactly rounded
+        # sum of its ln(1 + lambda dL) terms
+        g = GridSpec(1.0 / 16.0, 1.0, 2.0, 1.0)
+        vol = VolatilitySpec(
+            terms=(constant_term(0.25), exp_decay_term(0.5, 2.0)),
+            lambda_lower=0.25, lambda_upper=0.75)
+        spec = LevyModelSpec(0.0, 0.0, StableLike(c=1.0, alpha=1.5, y_max=1.0))
+        path = simulate_path(spec, g.t_star, 7, eps=1e-2)
+        assert path.n_jumps > 500
+        b = field_b(vol, path, g)
+        drift = cumtrapz(vol.on_grid(g), g.delta, axis=0) * path.drift_rate
+        logs = np.log1p(vol.matrix(path.times, g.T_nodes())
+                        * path.sizes[:, None])
+        counts = np.searchsorted(path.times, g.t_nodes(), side="right")
+        expected = np.exp([[drift[i, j] + math.fsum(logs[:k, j])
+                            for j in range(g.n_cols + 1)]
+                           for i, k in enumerate(counts)])
+        np.testing.assert_allclose(b, expected, rtol=1e-13, atol=0.0)
+
     def test_factor_at_minus_one_rejected(self) -> None:
         g = _grid()
         vol = constant_volatility(0.5)
@@ -353,14 +372,12 @@ def _reference_field_b(vol, path, grid):
     """b of one path as a whole-path expression, the oracle of the block."""
     T = grid.T_nodes()
     drift_cum = cumtrapz(vol.on_grid(grid), grid.delta, axis=0) * path.drift_rate
-    stoch = np.zeros((path.n_jumps + 1, T.size))
-    corr = np.zeros((path.n_jumps + 1, T.size))
+    logs = np.zeros((path.n_jumps + 1, T.size))
     if path.n_jumps:
         a = vol.matrix(path.times, T) * path.sizes[:, None]
-        stoch[1:] = np.cumsum(a, axis=0)
-        corr[1:] = np.cumsum(np.log1p(a) - a, axis=0)
+        logs[1:] = np.cumsum(np.log1p(a), axis=0)
     counts = np.searchsorted(path.times, grid.t_nodes(), side="right")
-    return np.exp(drift_cum + stoch[counts] + corr[counts])
+    return np.exp(drift_cum + logs[counts])
 
 
 def _mixed_paths():
@@ -379,12 +396,7 @@ class TestFactorFieldBlocks:
     """A block's factor fields are each path's own, bitwise."""
 
     @pytest.mark.parametrize("size", [1, 4, 9])
-    @pytest.mark.parametrize("jump_cells", [1, 50_000, 1 << 16])
-    def test_block_gives_each_path_its_own_field(self, size, jump_cells,
-                                                 monkeypatch) -> None:
-        # jump_cells = 1: every path with jumps takes its own lambda*dL
-        # array; 50 000: two simulated paths share one
-        monkeypatch.setattr(hjmm.paths, "JUMP_CELLS", jump_cells)
+    def test_block_gives_each_path_its_own_field(self, size) -> None:
         grid = GridSpec(1.0 / 16.0, 1.0, 2.0, 1.0)
         paths = _mixed_paths()
         faults = []

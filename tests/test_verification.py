@@ -1,8 +1,12 @@
 """Invariant suites bundled behind the verify command."""
 
+import dataclasses
+
 import pytest
 
 from hjmm.config import parse_config
+from hjmm.levy import LevyModelSpec
+from hjmm.measures import PointMasses
 from hjmm.verification import (
     run_all,
     suite_exponent_monotone,
@@ -12,6 +16,7 @@ from hjmm.verification import (
     suite_strong_residual,
     suite_two_start,
 )
+from hjmm.volatility import VolatilitySpec, constant_term, exp_decay_term
 
 
 def _config(vol_terms=None, levy=None):
@@ -104,3 +109,23 @@ def test_run_all_skips_path_suites_for_a_gaussian_part() -> None:
                  "strong_residual", "two_start"):
         assert notes[name] == skipped
     assert notes["norm_embeddings"] == notes["exponent_monotone"] == ""
+
+
+def test_run_all_fails_a_non_positive_jump_factor() -> None:
+    # lambda(t, 0) = 0.25 - 1.35 = -1.1 (bounds not checked on a hand-built
+    # config), so every jump of size 3 drives 1 + lambda*dL below zero
+    config = dataclasses.replace(
+        _config(),
+        levy=LevyModelSpec(0.0, 0.0, PointMasses([(3.0, 5.0)])),
+        volatility=VolatilitySpec(
+            terms=(constant_term(0.25), exp_decay_term(-1.35, 40.0)),
+            lambda_lower=0.01, lambda_upper=0.25))
+    result = suite_jump_factor_positive(config, seed=0)
+    assert not result.passed
+    assert result.note.startswith("jump at t=")
+    report = run_all(config, seed=0)
+    assert not report.all_passed
+    results = {s.name: s for s in report.suites}
+    for name in ("monotone_iterates", "jump_factor_positive", "two_start"):
+        assert not results[name].passed
+        assert "drives a factor 1+lambda*dL to zero or below" in results[name].note
