@@ -396,9 +396,15 @@ class TestFactorFieldBlocks:
     """A block's factor fields are each path's own, bitwise."""
 
     @pytest.mark.parametrize("size", [1, 4, 9])
-    def test_block_gives_each_path_its_own_field(self, size) -> None:
+    @pytest.mark.parametrize("order_seed", [1, 50_000, 1 << 16])
+    def test_block_gives_each_path_its_own_field(self, size,
+                                                 order_seed) -> None:
+        # the paths are blocked in a shuffled order, so each path meets
+        # other neighbours in its block
         grid = GridSpec(1.0 / 16.0, 1.0, 2.0, 1.0)
-        paths = _mixed_paths()
+        order = np.random.default_rng(order_seed).permutation(9)
+        mixed = _mixed_paths()
+        paths = [mixed[k] for k in order]
         faults = []
         fields = []
         for i in range(0, len(paths), size):
@@ -406,9 +412,10 @@ class TestFactorFieldBlocks:
             assert b.shape == (block_faults.count(None), *grid.shape)
             faults += block_faults
             fields += list(b)
-        assert isinstance(faults[3], NonPositiveFactor)
-        assert "t=0.5 " in str(faults[3])
-        assert faults[:3] == [None] * 3
+        fault_of = dict(zip(order.tolist(), faults))
+        assert isinstance(fault_of[3], NonPositiveFactor)
+        assert "t=0.5 " in str(fault_of[3])
+        assert [fault_of[k] for k in range(3)] == [None] * 3
         fields = iter(fields)
         for path, fault in zip(paths, faults):
             if fault is not None:
