@@ -91,11 +91,40 @@ def bond_surface(rate_field: RateField, grid: GridSpec) -> BondSurface:
                        short_rates=rate_field.short_rates(), grid=grid)
 
 
+def _near_nodes(fractions, horizon: float, delta: float,
+                index_of) -> tuple[float, ...]:
+    """f * horizon for each fraction f where that is a node (``index_of``
+    accepts it); else the nearest positive node that no other point
+    takes, or no point once every positive node is taken."""
+    points, taken = {}, set()
+    for f in fractions:
+        try:
+            taken.add(index_of(f * horizon))
+            points[f] = f * horizon
+        except DomainError:
+            pass
+    for f in fractions:
+        free = [n for n in range(1, round(horizon / delta) + 1)
+                if n not in taken]
+        if f not in points and free:
+            k = min(free, key=lambda n: abs(n * delta - f * horizon))
+            taken.add(k)
+            points[f] = k * delta
+    return tuple(sorted(points.values()))
+
+
 def default_checkpoints(grid: GridSpec) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Default checkpoint tensor: fractions of the horizon and of max maturity."""
-    t_points = tuple(f * grid.t_star for f in (0.25, 0.5, 0.75))
-    T_points = tuple(f * grid.t_max for f in (0.5, 0.75, 1.0))
-    return t_points, T_points
+    """Default checkpoint tensor: 0.25, 0.5 and 0.75 of the horizon and
+    0.5, 0.75 and 1 of max maturity, each on a distinct grid node.
+
+    A fraction keeps its value where that is a grid node and otherwise
+    moves to the nearest positive node that no other checkpoint on its
+    axis holds; it is dropped on a grid too coarse to leave one.
+    """
+    return (_near_nodes((0.25, 0.5, 0.75), grid.t_star, grid.delta,
+                        grid.index_of_time),
+            _near_nodes((0.5, 0.75, 1.0), grid.t_max, grid.delta,
+                        grid.index_of_maturity))
 
 
 @dataclass

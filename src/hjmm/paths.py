@@ -17,7 +17,9 @@ model, so no quadratic correction appears), and a(t, T) = f0(T) * b(t, T)
 seeds the fixed-point solver.  The jump parts of the two exponentials
 cancel, so ln b is c * Lambda(t, T), c the path's drift rate and Lambda
 the time integral of lambda, plus one sum of ln(1 + lambda(s_k, T) dL_k)
-over the jumps up to t.
+over the jumps up to t.  When lambda depends on time alone, every
+maturity carries the same jump factors, so that sum is built on one
+maturity column and broadcast.
 
 Both stages work on a block of paths: :func:`simulate_paths` draws every
 path of a block, each from its own generator, and maps all of the
@@ -175,18 +177,20 @@ def _log_jump_sums(vol: VolatilitySpec, path: JumpPath,
     """Row m holds the sum of ln(1 + lambda(s_k, T) dL_k) over the path's
     first m jumps, on the maturity nodes ``T``; row 0 is 0.
 
+    A time-only lambda gives every maturity the same factors, so its
+    sums are one column, on ``T[:1]``, that broadcasts over ``T``.
     Raises the NonPositiveFactor of the first jump whose factor
     1 + lambda*dL is zero or below at some node, before any logarithm is
     taken.
     """
-    terms = vol.matrix(path.times, T)
+    terms = vol.matrix(path.times, T[:1] if vol.time_only else T)
     terms *= path.sizes[:, None]
     nonpositive = (terms <= -1.0).any(axis=1)
     if nonpositive.any():
         raise NonPositiveFactor(
             f"jump at t={path.times[int(np.argmax(nonpositive))]:.6g} drives "
             "a factor 1+lambda*dL to zero or below")
-    sums = np.zeros((path.n_jumps + 1, T.size))
+    sums = np.zeros((path.n_jumps + 1, terms.shape[1]))
     np.cumsum(np.log1p(terms, out=terms), axis=0, out=sums[1:])
     return sums
 
@@ -205,7 +209,10 @@ def factor_fields(vol: VolatilitySpec, paths, grid: GridSpec,
     ln(1 + lambda(s_k, T) dL_k), read at the time nodes.  lambda on the
     grid (``lam``, if the caller has it already) and Lambda are built
     once for the block; the jump sum is built path by path, so a path's
-    b is bitwise the same in any block.
+    b is bitwise the same in any block.  For a time-only ``vol`` the jump
+    sum is one maturity column, added to every column of the drift part
+    by broadcasting; each column of the full-width sum would be that
+    same column, bitwise.
     """
     T, t_nodes = grid.T_nodes(), grid.t_nodes()
     if lam is None:
@@ -237,13 +244,16 @@ def jump_factor_error(vol: VolatilitySpec, path: JumpPath,
 
     Across the k-th jump the log sum of :func:`factor_fields` grows by
     ln(1 + a_k), a_k = lambda(s_k, T) dL_k; the exponential of that step
-    is compared with 1 + a_k on every maturity node.  Only the path and
-    the volatility are read, so the error is the rounding of the
-    log1p/cumsum/exp round trip.  Raises NonPositiveFactor as
+    is compared with 1 + a_k on every maturity node that the sum is built
+    on: the one column of a time-only lambda, else all of them.  Only
+    the path and the volatility are read, so the error is the rounding
+    of the log1p/cumsum/exp round trip.  Raises NonPositiveFactor as
     :func:`field_b` does.
     """
     T = grid.T_nodes()
     sums = _log_jump_sums(vol, path, T)
+    # on the maturities of the sums: one column for a time-only lambda
+    T = T[:sums.shape[1]]
     expected = vol.matrix(path.times, T) * path.sizes[:, None] + 1.0
     with np.errstate(over="ignore"):
         ratio = np.exp(np.diff(sums, axis=0))

@@ -105,8 +105,10 @@ class VolatilitySpec:
         b_n takes maturities.
     lambda_lower, lambda_upper : declared positive bounds of the values.
     x_derivative_bound : declared bound of |d lambda / dx|.
-    time_only : the volatility depends on time alone (all b_n constant);
-        required by the strong-form residual check.
+    time_only : the volatility depends on time alone: every b_n is
+        ``unit_factor`` (DomainError otherwise).  The strong-form
+        residual check requires it, and the factor fields then build
+        their jump terms on one maturity column.
     """
 
     terms: tuple[Term, ...]
@@ -128,6 +130,10 @@ class VolatilitySpec:
             raise DomainError(
                 f"x_derivative_bound must be finite and >= 0, got "
                 f"{self.x_derivative_bound}")
+        if self.time_only and any(b_fn is not unit_factor
+                                  for _, b_fn in self.terms):
+            raise DomainError(
+                "time_only needs unit_factor as every maturity factor")
 
     def standard(self, t, T):
         """lambda(t, T), broadcasting over array arguments."""
@@ -171,12 +177,6 @@ def grid_violations(vol: VolatilitySpec, grid: GridSpec) -> list[str]:
         problems.append(
             f"gap derivative reaches {dbound:.6g}, above the declared bound "
             f"{vol.x_derivative_bound:.6g}")
-    if vol.time_only:
-        values = vol.matrix(t, T)
-        spread = float(np.max(values.max(axis=1) - values.min(axis=1)))
-        if spread > 1e-12 * max(1.0, vol.lambda_upper):
-            problems.append(
-                f"time_only is set but values vary by {spread:.3g} across maturities")
     return problems
 
 

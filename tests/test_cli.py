@@ -245,6 +245,15 @@ class TestMc:
         code = main(["mc", "--config", cfg, "--out", str(tmp_path)])
         assert code == EXIT_MC_FAILED
 
+    def test_default_checkpoints_on_a_tenth_grid(self, tmp_path) -> None:
+        # 0.25 and 0.75 of t_star are no nodes at delta = 0.1
+        doc = _existence_doc()
+        doc["grid"]["delta"] = 0.1
+        cfg = _write(tmp_path, doc)
+        assert main(["mc", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        summary = json.loads((tmp_path / "martingale.json").read_text())
+        assert summary["valid"]
+
     def test_worker_count_keeps_bytes_identical(self, tmp_path) -> None:
         _assert_worker_count_keeps_bytes(tmp_path, _existence_doc())
 

@@ -156,6 +156,22 @@ def test_default_checkpoints_inside_grid() -> None:
     assert T_pts == (1.0, 1.5, 2.0)
 
 
+def test_default_checkpoints_are_distinct_nodes_of_a_tenth_grid() -> None:
+    # 0.25 and 0.75 of t_star fall between nodes of delta = 0.1; they move
+    # to the nearest nodes, and the fractions that are nodes keep their value
+    grid = _grid(0.1)
+    t_pts, T_pts = default_checkpoints(grid)
+    t_idx = [grid.index_of_time(t) for t in t_pts]
+    # 2.5 and 7.5 steps: either neighbour is nearest
+    assert t_idx[0] in (2, 3) and t_idx[2] in (7, 8)
+    assert t_idx[1] == 5 and t_pts[1] == 0.5
+    assert T_pts == (1.0, 1.5, 2.0)
+    report = martingale_test(drift_only(1.0), constant_volatility(0.2),
+                             affine_curve(1.0, 1.0), grid, n_paths=4,
+                             master_seed=5)
+    assert [r.t for r in report.results][::3] == list(t_pts)
+
+
 class TestMartingale:
     def test_deterministic_model_all_z_scores_zero(self) -> None:
         # drift-only prices are exact up to quadrature error; the

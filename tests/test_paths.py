@@ -23,12 +23,13 @@ from hjmm.paths import (
     factor_fields,
     field_a,
     field_b,
+    jump_factor_error,
     simulate_path,
     simulate_paths,
 )
 from hjmm.volatility import (VolatilitySpec, constant_term,
                              constant_volatility, exp_decay_term,
-                             time_affine_volatility)
+                             time_affine_term, time_affine_volatility)
 
 PRODUCT_IDENTITY_RTOL = 1e-12
 # absolute step of the drift part of the pathwise integral oracle
@@ -300,23 +301,56 @@ class TestFieldB:
 
     def test_many_jump_field_matches_exact_sums(self) -> None:
         # ~660 jumps: each cell against c * Lambda plus an exactly rounded
-        # sum of its ln(1 + lambda dL) terms
+        # sum of its ln(1 + lambda dL) terms, for a maturity-dependent
+        # lambda and for a time-only one (one column of jump terms)
         g = GridSpec(1.0 / 16.0, 1.0, 2.0, 1.0)
-        vol = VolatilitySpec(
-            terms=(constant_term(0.25), exp_decay_term(0.5, 2.0)),
-            lambda_lower=0.25, lambda_upper=0.75)
         spec = LevyModelSpec(0.0, 0.0, StableLike(c=1.0, alpha=1.5, y_max=1.0))
         path = simulate_path(spec, g.t_star, 7, eps=1e-2)
         assert path.n_jumps > 500
-        b = field_b(vol, path, g)
-        drift = cumtrapz(vol.on_grid(g), g.delta, axis=0) * path.drift_rate
-        logs = np.log1p(vol.matrix(path.times, g.T_nodes())
-                        * path.sizes[:, None])
         counts = np.searchsorted(path.times, g.t_nodes(), side="right")
-        expected = np.exp([[drift[i, j] + math.fsum(logs[:k, j])
-                            for j in range(g.n_cols + 1)]
-                           for i, k in enumerate(counts)])
-        np.testing.assert_allclose(b, expected, rtol=1e-13, atol=0.0)
+        for vol in (VolatilitySpec(
+                        terms=(constant_term(0.25), exp_decay_term(0.5, 2.0)),
+                        lambda_lower=0.25, lambda_upper=0.75),
+                    time_affine_volatility(0.25, 0.5, g.t_star)):
+            b = field_b(vol, path, g)
+            drift = cumtrapz(vol.on_grid(g), g.delta, axis=0) * path.drift_rate
+            logs = np.log1p(vol.matrix(path.times, g.T_nodes())
+                            * path.sizes[:, None])
+            expected = np.exp([[drift[i, j] + math.fsum(logs[:k, j])
+                                for j in range(g.n_cols + 1)]
+                               for i, k in enumerate(counts)])
+            np.testing.assert_allclose(b, expected, rtol=1e-13, atol=0.0)
+
+    def test_time_only_column_matches_the_full_width_route(self) -> None:
+        # the same terms, declared time-only or not: the one-column jump
+        # sum and the full-width one give the same field, bitwise
+        g = GridSpec(1.0 / 16.0, 1.0, 2.0, 1.0)
+        terms = (constant_term(0.25), time_affine_term(0.1, 0.2))
+        column, full = (VolatilitySpec(terms=terms, lambda_lower=0.35,
+                                       lambda_upper=0.55, time_only=flag)
+                        for flag in (True, False))
+        spec = LevyModelSpec(0.0, 0.0, StableLike(c=1.0, alpha=1.5, y_max=1.0))
+        path = simulate_path(spec, g.t_star, 11, eps=1e-2)
+        assert path.n_jumps > 500
+        assert (field_b(column, path, g).tobytes()
+                == field_b(full, path, g).tobytes())
+        assert jump_factor_error(column, path, g) == jump_factor_error(full, path, g)
+
+    def test_both_routes_name_the_same_non_positive_factor(self) -> None:
+        # dL = -5 at lambda = 0.25 gives the factor 1 - 1.25 < 0
+        g = _grid()
+        path = JumpPath(horizon=g.t_star, drift_rate=0.0,
+                        times=np.array([0.2, 0.4, 0.6]),
+                        sizes=np.array([1.0, -5.0, 2.0]))
+        messages = []
+        for flag in (True, False):
+            vol = VolatilitySpec(terms=(constant_term(0.25),),
+                                 lambda_lower=0.25, lambda_upper=0.25,
+                                 time_only=flag)
+            with pytest.raises(NonPositiveFactor, match="t=0.4 ") as caught:
+                field_b(vol, path, g)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
 
     def test_factor_at_minus_one_rejected(self) -> None:
         g = _grid()

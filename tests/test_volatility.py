@@ -7,6 +7,7 @@ from hjmm.errors import DomainError
 from hjmm.grids import GridSpec
 from hjmm.volatility import (
     VolatilitySpec,
+    constant_term,
     constant_volatility,
     exp_decay_term,
     grid_violations,
@@ -79,6 +80,22 @@ def test_bounds_must_be_positive_and_ordered() -> None:
         VolatilitySpec(terms=((unit, unit),), lambda_lower=2.0,
                        lambda_upper=1.0, x_derivative_bound=0.0,
                        time_only=True)
+
+
+def test_time_only_needs_unit_maturity_factors() -> None:
+    # an exp_decay term varies with maturity, and a hand-written constant
+    # factor is not the unit_factor that marks the time-only kinds
+    def one(T):
+        return np.ones_like(np.asarray(T, dtype=float))
+
+    for terms in ((constant_term(0.25), exp_decay_term(0.5, 2.0)),
+                  ((constant_term(0.25)[0], one),)):
+        with pytest.raises(DomainError, match="unit_factor"):
+            VolatilitySpec(terms=terms, lambda_lower=0.25, lambda_upper=0.75,
+                           x_derivative_bound=1.0, time_only=True)
+        assert not VolatilitySpec(terms=terms, lambda_lower=0.25,
+                                  lambda_upper=0.75,
+                                  x_derivative_bound=1.0).time_only
 
 
 def test_time_affine_rejects_sign_change() -> None:
