@@ -56,6 +56,10 @@ EXIT_DIVERGED = 4
 EXIT_VERIFY_FAILED = 5
 EXIT_MC_FAILED = 6
 
+# the exit code of each classifier verdict, for classify and solve
+_VERDICT_EXIT = {Verdict.EXISTENCE: EXIT_OK, Verdict.EXPLOSION: EXIT_EXPLOSION,
+                 Verdict.INDETERMINATE: EXIT_INDETERMINATE}
+
 
 def _jsonable(obj):
     """Make a report JSON-safe and deterministic (no NaN/inf literals)."""
@@ -121,11 +125,7 @@ def cmd_classify(args, config: RunConfig) -> int:
     _write_json(os.path.join(out, "classification.json"), payload)
     print(f"classification: {result.verdict.value} "
           f"(rule {result.rule_fired.value})")
-    if result.verdict == Verdict.EXISTENCE:
-        return EXIT_OK
-    if result.verdict == Verdict.EXPLOSION:
-        return EXIT_EXPLOSION
-    return EXIT_INDETERMINATE
+    return _VERDICT_EXIT[result.verdict]
 
 
 def cmd_solve(args, config: RunConfig) -> int:
@@ -134,8 +134,7 @@ def cmd_solve(args, config: RunConfig) -> int:
     if result.verdict != Verdict.EXISTENCE and not args.allow_explosive:
         print(f"refusing to solve: classifier says {result.verdict.value} "
               "(use --allow-explosive to force)", file=sys.stderr)
-        return (EXIT_EXPLOSION if result.verdict == Verdict.EXPLOSION
-                else EXIT_INDETERMINATE)
+        return _VERDICT_EXIT[result.verdict]
     seed = _seed(args, config)
     grid = config.grid
     path, b_vals, a_vals, report = solve_path(
@@ -169,13 +168,11 @@ def _write_field_csvs(out: str, rate_field: RateField) -> None:
     t, T = np.meshgrid(grid.t_nodes(), grid.T_nodes(), indexing="ij")
     rows, cols = np.nonzero(~below_diagonal(values.shape)[2])
     for name, header, columns in (
-            ("field_standard.csv", "t,T,f", (t, T, values)),
-            ("field_musiela.csv", "t,x,r",
+            ("field_standard.csv", ["t", "T", "f"], (t, T, values)),
+            ("field_musiela.csv", ["t", "x", "r"],
              (t[rows, cols], (cols - rows) * grid.delta, values[rows, cols]))):
-        with open(os.path.join(out, name), "w", encoding="utf-8",
-                  newline="\n") as fh:
-            np.savetxt(fh, np.column_stack([c.ravel() for c in columns]),
-                       fmt="%.10e", delimiter=",", header=header, comments="")
+        _write_csv(os.path.join(out, name), header,
+                   np.column_stack([c.ravel() for c in columns]))
 
 
 def cmd_verify(args, config: RunConfig) -> int:

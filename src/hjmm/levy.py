@@ -27,8 +27,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, NonIntegrable, UnsupportedSpec
-from .measures import GammaLike, MeasureFamily, PointMasses
+from .errors import DomainError, UnsupportedSpec
+from .measures import GammaLike, MeasureFamily, PointMasses, integral_or_inf
 
 __all__ = [
     "LevyModelSpec",
@@ -250,14 +250,6 @@ class AssumptionReport:
         return self.a2_pass and self.a3_pass and self.a4_pass
 
 
-def _integral_or_inf(integral, *bounds) -> float:
-    """The integral over ``bounds``, inf where the quadrature diverges."""
-    try:
-        return integral(*bounds)
-    except NonIntegrable:
-        return math.inf
-
-
 def check_assumptions(spec: LevyModelSpec, vol) -> AssumptionReport:
     """Verify the structural assumptions linking the driver and volatility.
 
@@ -265,10 +257,11 @@ def check_assumptions(spec: LevyModelSpec, vol) -> AssumptionReport:
     (-inf, -1/lambda_upper]), the two integrability conditions (square
     integrability near zero over (-1/lambda_upper, 1) and a finite first
     moment of the tail [1, inf); an integral whose quadrature diverges
-    counts as infinite), and reports the positive second moment
-    needed by the uniqueness bound.  The volatility's structural properties
-    (separable terms, declared positive bounds) are validated at
-    construction; they are reported here as the third assumption.
+    counts as infinite, see :func:`~hjmm.measures.integral_or_inf`), and
+    reports the positive second moment needed by the uniqueness bound.
+    The volatility's structural properties (separable terms, declared
+    positive bounds) are validated at construction; they are reported here
+    as the third assumption.
     """
     measure = spec.measure
     lambda_bar = vol.lambda_upper
@@ -278,8 +271,8 @@ def check_assumptions(spec: LevyModelSpec, vol) -> AssumptionReport:
     a2_pass = support_inf > threshold
 
     notes = []
-    a4_square = _integral_or_inf(measure.small_jump_square, threshold)
-    a4_tail = _integral_or_inf(measure.first_moment, 1.0, math.inf)
+    a4_square = integral_or_inf(measure.small_jump_square, threshold)
+    a4_tail = integral_or_inf(measure.first_moment, 1.0, math.inf)
     a4_pass = math.isfinite(a4_square) and math.isfinite(a4_tail)
     if not a4_pass:
         notes.append("(A4) integrability fails")

@@ -33,7 +33,7 @@ from scipy import integrate
 
 from .curves import InitialCurve
 from .errors import DomainError, NonPositiveFactor
-from .grids import GridSpec, RateField, below_diagonal, cumtrapz
+from .grids import GridSpec, RateField, below_diagonal, cumtrapz, gap_integral
 from .levy import LevyModelSpec, exponent, fast_derivative
 from .solver import (STATUS_CONVERGED, STATUS_EXPLODED, STATUS_MAX_ITER,
                      solve_paths)
@@ -222,15 +222,16 @@ def martingale_test(spec: LevyModelSpec, vol: VolatilitySpec,
                     curve: InitialCurve, grid: GridSpec, *,
                     n_paths: int, master_seed: int, eps: float = 1e-3,
                     t_checkpoints=None, T_checkpoints=None,
-                    tol: float = 1e-9, max_iter: int = 200,
-                    explosion_threshold: float = 1e8,
-                    threads: int = 1) -> MartingaleReport:
+                    threads: int = 1, **solver) -> MartingaleReport:
     """Monte Carlo check that discounted bond prices are constant in mean.
 
     Path i runs the pipeline of :func:`solve_paths` with the seed
-    (master_seed, i); blocks of consecutive paths, of at most BLOCK_CELLS
-    field cells each, are solved stacked, in the calling thread or on
-    ``threads`` >= 1 worker threads (at most one per block and per CPU).
+    (master_seed, i); ``solver`` holds the fixed-point keywords of
+    :func:`~hjmm.solver.solve_fixed_point` (``tol``, ``max_iter``,
+    ``explosion_threshold``), whose defaults the solver sets.  Blocks of
+    consecutive paths, of at most BLOCK_CELLS field cells each, are solved
+    stacked, in the calling thread or on ``threads`` >= 1 worker threads
+    (at most one per block and per CPU).
     A path's outcome is bitwise the same in any block, so results are
     identical for any worker count.  The reference price P(0,T)
     integrates the initial curve by adaptive quadrature, so the
@@ -259,8 +260,7 @@ def martingale_test(spec: LevyModelSpec, vol: VolatilitySpec,
         """Per path of the block: its checkpoint row, or its exclusion cause."""
         entries = solve_paths(
             spec, vol, curve, grid, [[master_seed, i] for i in block], eps,
-            tol=tol, max_iter=max_iter,
-            explosion_threshold=explosion_threshold)
+            **solver)
         outcomes = ["NonPositiveFactor" if isinstance(entry, NonPositiveFactor)
                     else entry[3].status for entry in entries]
         converged = [k for k, status in enumerate(outcomes)
@@ -343,9 +343,12 @@ def drift_identity_check(spec: LevyModelSpec, vol: VolatilitySpec,
         int_t^T J'(int_s^u sigma(s, v) dv) sigma(s, u) du
 
     with the antiderivative form J(int_s^T sigma) - J(int_s^t sigma).
-    J' comes from the vectorized :func:`fast_derivative` on all maturity
-    nodes at once and J from the adaptive-quadrature :func:`exponent`; the
-    discrepancy is pure maturity-grid discretization, O(delta^2).
+    sigma is ``vol.on_grid(grid)`` times the field and the inner integral
+    is row s of its :func:`~hjmm.grids.gap_integral`, as in the solver's
+    operator.  J' comes from the vectorized :func:`fast_derivative` on all
+    maturity nodes at once and J from the adaptive-quadrature
+    :func:`exponent`; the discrepancy is pure maturity-grid
+    discretization, O(delta^2).
     """
     if not (0.0 <= s <= t <= T <= grid.t_max):
         raise DomainError("need 0 <= s <= t <= T <= t_max")
@@ -356,14 +359,11 @@ def drift_identity_check(spec: LevyModelSpec, vol: VolatilitySpec,
     j_T = grid.index_of_maturity(T)
     if j_t < i_s:
         raise DomainError("t must not precede s")
-    T_nodes = grid.T_nodes()
-    lam_row = np.asarray(vol.standard(grid.t_nodes()[i_s], T_nodes), dtype=float)
-    sigma = lam_row * rate_field.values[i_s]
-    ct = cumtrapz(sigma, grid.delta, axis=0)
-    inner = np.maximum(ct - ct[i_s], 0.0)
+    sigma = vol.on_grid(grid) * rate_field.values
+    inner = gap_integral(sigma, grid.delta)[i_s]
 
     cols = slice(j_t, j_T + 1)
     dj_vals = fast_derivative(spec, 1)(inner[cols])
-    left = float(np.trapezoid(dj_vals * sigma[cols], dx=grid.delta))
+    left = float(np.trapezoid(dj_vals * sigma[i_s, cols], dx=grid.delta))
     right = exponent(spec, inner[j_T]) - exponent(spec, inner[j_t])
     return abs(left - right)

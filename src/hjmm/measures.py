@@ -158,6 +158,15 @@ def _quad(f: Callable[[float], float], a: float, b: float, what: str,
     return value
 
 
+def integral_or_inf(integral: Callable[..., float], *args) -> float:
+    """``integral(*args)``, or +inf where it raises NonIntegrable: a measure
+    integral whose quadrature diverges reads as infinite."""
+    try:
+        return integral(*args)
+    except NonIntegrable:
+        return math.inf
+
+
 def _layered_quad(f: Callable[[float], float], z: float, a: float, b: float,
                   what: str) -> float:
     """``_quad`` of f over (a, b), cut, if b is finite, at a + 4^k/z
@@ -764,26 +773,18 @@ class UserDensity(_RuleDensity):
         lo = max(lo, 0.0)
         if hi <= lo:
             return 0.0
-        try:
-            return _quad(lambda y: y * float(self.density_fn(y)), lo, hi,
-                         "UserDensity first moment")
-        except NonIntegrable:
-            return math.inf
+        return integral_or_inf(_quad, lambda y: y * float(self.density_fn(y)),
+                               lo, hi, "UserDensity first moment")
 
     def second_moment(self, positive_only: bool = False) -> float:
-        try:
-            return _quad(lambda y: y * y * float(self.density_fn(y)),
-                         0.0, math.inf, "UserDensity second moment")
-        except NonIntegrable:
-            return math.inf
+        return integral_or_inf(
+            _quad, lambda y: y * y * float(self.density_fn(y)), 0.0, math.inf,
+            "UserDensity second moment")
 
     @_memoized
     def total_mass(self) -> float:
-        try:
-            return _quad(lambda y: float(self.density_fn(y)), 0.0, math.inf,
-                         "UserDensity total mass")
-        except NonIntegrable:
-            return math.inf
+        return integral_or_inf(_quad, lambda y: float(self.density_fn(y)),
+                               0.0, math.inf, "UserDensity total mass")
 
     @_memoized
     def tail_mass(self, y: float) -> float:

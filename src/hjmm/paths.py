@@ -54,6 +54,12 @@ __all__ = [
 ]
 
 
+# The most jumps a path may expect (its Poisson mean).  A jump holds a
+# time, a uniform and a size, 24 bytes, so a path at this mean draws
+# about 400 MB; the heaviest benchmark model expects about 660 jumps.
+MAX_MEAN_JUMPS = 1 << 24
+
+
 @dataclass(frozen=True, eq=False)
 class JumpPath:
     """One realized driver path: drift plus finitely many jumps.
@@ -106,7 +112,9 @@ def simulate_paths(spec: LevyModelSpec, t_star: float, seeds,
     are restricted to jumps >= eps, with the drift adjusted by the removed
     mean so the truncated exponent error is at most z^2 * U(eps) / 2.
     Only drivers with no Gaussian part and positive-only jumps are
-    simulable; anything else raises UnsupportedSpec.
+    simulable; anything else raises UnsupportedSpec.  A model that
+    expects more than MAX_MEAN_JUMPS jumps per path raises DomainError
+    (a larger eps draws fewer).
 
     The spec is checked and the intensity and drift computed once for
     the block.  Each seed keeps its own generator and its draw order
@@ -136,6 +144,10 @@ def simulate_paths(spec: LevyModelSpec, t_star: float, seeds,
                 "infinite-activity measures need a truncation level eps > 0")
         intensity = measure.tail_mass(eps)
         eps_used = eps
+    if intensity * t_star > MAX_MEAN_JUMPS:
+        raise DomainError(
+            f"{intensity * t_star:.6g} jumps per path expected, more than "
+            f"{MAX_MEAN_JUMPS}; use a larger truncation level eps")
 
     # uniforms starts empty, so that a block of no seeds concatenates
     counts, times, uniforms = [], [], [np.empty(0)]

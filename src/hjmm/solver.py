@@ -362,11 +362,13 @@ def _timeline_norms(values: np.ndarray, grid: GridSpec,
 def timeline_norm(values: np.ndarray, grid: GridSpec) -> float:
     """sup over grid times of the slice L2 norms (the timeline norm).
 
+    ``values`` must have the grid's field shape (DomainError otherwise).
     Infinite when a cell on or above the diagonal is not finite, or when
     a weighted sum of finite cells overflows; cells below the diagonal
     are not read.
     """
-    upper = np.where(below_diagonal(values.shape)[2], 0.0, values)
+    upper = np.where(below_diagonal(grid.shape)[2], 0.0,
+                     grid.check_field(values))
     return _timeline_norms(upper[None], grid)[0]
 
 
@@ -448,10 +450,9 @@ def uniqueness_contraction_check(field1: RateField, field2: RateField,
     dj = fast_derivative(spec, 1)
     ddj = fast_derivative(spec, 2)
     j2_at_zero = float(ddj(np.zeros(1))[0])
-    norm1 = timeline_norm(field1.values, grid)
-    norm2 = timeline_norm(field2.values, grid)
-    max_dj = max(abs(float(dj(np.array([lam_bar * norm1 / root_gamma]))[0])),
-                 abs(float(dj(np.array([lam_bar * norm2 / root_gamma]))[0])))
+    norms = np.array([timeline_norm(field1.values, grid),
+                      timeline_norm(field2.values, grid)])
+    max_dj = max(np.abs(dj(lam_bar * norms / root_gamma)).tolist())
     r0_sup = float(np.max(field1.values[0]))
     k_const = (r0_sup * b_sup * math.exp(lam_bar * grid.t_star * max_dj)
                * j2_at_zero * lam_bar ** 2)
@@ -507,8 +508,7 @@ def strong_residual(field: RateField, vol: VolatilitySpec, spec: LevyModelSpec,
         raise NotTimeOnly("the strong form needs maturity-independent volatility")
     values = field.values
     dx = grid.delta
-    t_nodes = grid.t_nodes()
-    lam = np.asarray(vol.standard(t_nodes, 0.0), dtype=float)[:, None]
+    lam = vol.on_grid(grid)[:, :1]
     inner = gap_integral(values * lam, dx)
     d_x = _row_gradient(values, dx)
 
@@ -516,7 +516,7 @@ def strong_residual(field: RateField, vol: VolatilitySpec, spec: LevyModelSpec,
              + lam * path.drift_rate * values)
     # same gap coordinate x on both rows: column shifts by one with the row
     fwd = (values[1:, 1:] - values[:-1, :-1]) / dx
-    counts = np.searchsorted(path.times, t_nodes, side="right")
+    counts = np.searchsorted(path.times, grid.t_nodes(), side="right")
     jump_free = counts[1:] == counts[:-1]
     i, j = np.indices(fwd.shape, sparse=True)
     checked = jump_free[:, None] & (i <= grid.n_cols - 2) & (i <= j)

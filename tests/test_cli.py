@@ -125,6 +125,18 @@ class TestSolve:
         report = json.loads((tmp_path / "solve_report.json").read_text())
         assert report["status"] == "Exploded"
 
+    def test_huge_expected_jump_count_exits_one_without_traceback(
+            self, tmp_path, capsys) -> None:
+        # classified existence, but 1e13 jumps per path expected
+        doc = _existence_doc()
+        doc["levy"]["measure"] = {"family": "point_masses",
+                                  "atoms": [[0.1, 1e13]]}
+        cfg = _write(tmp_path, doc)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "jumps per path expected" in err
+        assert "Traceback" not in err
+
     def test_report_records_apriori_bound(self, tmp_path) -> None:
         # the README model: c1_bound is the bound for r0_norm = weighted L2
         # norm of f0 on the maturity nodes and b_sup = max of the factor field

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hjmm import measures
-from hjmm.errors import DomainError, UnsupportedSpec
+from hjmm.errors import DomainError, NonIntegrable, UnsupportedSpec
 from hjmm.levy import (
     GrowthClassification,
     LevyModelSpec,
@@ -331,6 +331,18 @@ class TestAssumptions:
                                    constant_volatility(0.2))
         assert not report.a4_pass
         assert report.a4_tail_integral == math.inf
+
+    def test_divergent_small_jump_square_reads_infinite(self) -> None:
+        # y^-3.5 on (0, 1]: U(x) diverges, so (A4) reads infinite while the
+        # rule, which needs U(e^-40), cannot be built
+        nu = UserDensity(density_fn=lambda y: np.where(
+            np.asarray(y) <= 1.0, np.asarray(y, dtype=float) ** -3.5, 0.0))
+        spec = LevyModelSpec(0.0, 0.0, nu)
+        report = check_assumptions(spec, constant_volatility(0.2))
+        assert report.a4_square_integral == math.inf
+        assert not report.a4_pass
+        with pytest.raises(NonIntegrable):
+            fast_derivative(spec, 1)
 
     def test_infinite_second_moment_reported_but_not_fatal(self) -> None:
         # StableLike truncated at y_max always has a finite second moment;

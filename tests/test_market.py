@@ -12,8 +12,9 @@ import pytest
 from hjmm import market, measures
 from hjmm.curves import affine_curve, constant_curve, exp_decay_curve
 from hjmm.errors import DomainError
-from hjmm.grids import GridSpec, RateField, flat_extend
-from hjmm.levy import LevyModelSpec, drift_only, gamma_subordinator
+from hjmm.grids import GridSpec, RateField, cumtrapz, flat_extend
+from hjmm.levy import (LevyModelSpec, drift_only, exponent, fast_derivative,
+                       gamma_subordinator)
 from hjmm.market import (
     bond_surface,
     default_checkpoints,
@@ -503,6 +504,32 @@ class TestDriftIdentity:
             errs.append(err)
         assert errs[0] < 1e-3
         assert errs[1] < errs[0]
+
+    def test_identity_matches_the_row_formula(self) -> None:
+        # the formula drift_identity_check used to evaluate on row s alone,
+        # kept as the oracle; a maturity-dependent volatility
+        grid = _grid()
+        spec = gamma_subordinator(0.5, 2.0)
+        vol = VolatilitySpec((constant_term(0.1), exp_decay_term(0.2, 0.5)),
+                             lambda_lower=0.1, lambda_upper=0.31,
+                             x_derivative_bound=0.11)
+        path = simulate_path(spec, grid.t_star, [33, 0], eps=1e-3)
+        a = field_a(exp_decay_curve(0.08, 0.4), field_b(vol, path, grid), grid)
+        field = solve_fixed_point(a, vol, spec, grid).final_field
+        dj = fast_derivative(spec, 1)
+        for s, t, T in ((0.0, 0.0, 2.0), (0.25, 0.5, 1.5), (1.0, 1.0, 2.0)):
+            i_s = grid.index_of_time(s)
+            j_t, j_T = grid.index_of_maturity(t), grid.index_of_maturity(T)
+            sigma = (vol.standard(grid.t_nodes()[i_s], grid.T_nodes())
+                     * field.values[i_s])
+            ct = cumtrapz(sigma, grid.delta, axis=0)
+            inner = np.maximum(ct - ct[i_s], 0.0)
+            cols = slice(j_t, j_T + 1)
+            left = float(np.trapezoid(dj(inner[cols]) * sigma[cols],
+                                      dx=grid.delta))
+            right = exponent(spec, inner[j_T]) - exponent(spec, inner[j_t])
+            assert (drift_identity_check(spec, vol, field, grid, s, t, T)
+                    == abs(left - right))
 
     def test_identity_tight_on_deterministic_field(self) -> None:
         grid = _grid()

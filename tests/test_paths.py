@@ -169,6 +169,17 @@ class TestSimulatePath:
         assert np.all(path.times[1::2] == np.nextafter(
             path.times[:path.n_jumps - path.n_jumps % 2:2], np.inf))
 
+    @pytest.mark.parametrize("spec, eps", [
+        # 1e13 jumps per path: their draws alone would take 72 TiB
+        (LevyModelSpec(0.0, 0.0, PointMasses([(0.1, 1e13)])), 1e-3),
+        # the benchmark's explosive model truncated far too low
+        (LevyModelSpec(0.0, 0.0, StableLike(c=1.0, alpha=1.5, y_max=1.0)),
+         1e-9),
+    ])
+    def test_huge_expected_jump_count_refused(self, spec, eps) -> None:
+        with pytest.raises(DomainError, match="jumps per path expected"):
+            simulate_paths(spec, 1.0, [[0, 0]], eps)
+
     def test_unsupported_specs_rejected(self) -> None:
         with pytest.raises(UnsupportedSpec):
             simulate_path(LevyModelSpec(0.0, 1.0, PointMasses(())), 1.0, 0)

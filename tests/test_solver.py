@@ -202,6 +202,14 @@ class TestNorms:
         vals[4, 4] = math.inf
         assert timeline_norm(vals, grid) == math.inf
 
+    @pytest.mark.parametrize("shape", [(1, 17), (9, 9)])
+    def test_timeline_norm_refuses_another_shape(self, shape) -> None:
+        # the grid's fields are (9, 17); one row used to broadcast over
+        # all nine times
+        grid = GridSpec(0.125, 1.0, 2.0, 1.0)
+        with pytest.raises(DomainError, match="does not match grid"):
+            timeline_norm(np.ones(shape), grid)
+
     @pytest.mark.parametrize("t_max", [2.0, 1.0])
     def test_timeline_norm_is_max_of_weighted_norms(self, t_max) -> None:
         grid = GridSpec(0.125, 1.0, t_max, 1.3)
