@@ -166,7 +166,7 @@ def _write_field_csvs(out: str, rate_field: RateField) -> None:
     grid = rate_field.grid
     values = rate_field.values
     t, T = np.meshgrid(grid.t_nodes(), grid.T_nodes(), indexing="ij")
-    rows, cols = np.nonzero(~below_diagonal(values.shape)[2])
+    rows, cols = np.nonzero(~below_diagonal(values.shape))
     for name, header, columns in (
             ("field_standard.csv", ["t", "T", "f"], (t, T, values)),
             ("field_musiela.csv", ["t", "x", "r"],

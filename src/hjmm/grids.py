@@ -8,10 +8,12 @@ diagonal (t > T) fields carry the flat extension f(t, T) = f(T, T), which
 is what the discounted-bond identity uses.
 
 The grid owns its triangle.  The field shape is checked by
-:meth:`GridSpec.check_field` alone; the below-diagonal cells of a field
-shape (:func:`below_diagonal`) and the slice L2 weights of a grid
-(:func:`slice_weights`) are built once per shape and grid, cached and
-read-only, and no other module builds a triangle index or mask.
+:meth:`GridSpec.check_field` alone; the mask of the below-diagonal cells
+of a field shape (:func:`below_diagonal`) and the slice L2 weights of a
+grid (:func:`slice_weights`) are built once per shape and grid, cached
+and read-only, and no other module builds a triangle index or mask.
+:func:`flat_extend` and the bond prices fill the masked cells with one
+masked copy.
 """
 
 from __future__ import annotations
@@ -150,17 +152,12 @@ def gap_integral(values: np.ndarray, dx: float,
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def below_diagonal(shape: tuple[int, int]) -> tuple[np.ndarray, ...]:
-    """``(rows, cols, mask)`` of the cells (i, j) with i > j, read-only.
-
-    ``rows`` and ``cols`` list the cells in row-major order; ``mask`` is
-    true on them and false on and above the diagonal.
-    """
+def below_diagonal(shape: tuple[int, int]) -> np.ndarray:
+    """The mask of the cells (i, j) with i > j, read-only: true on them
+    and false on and above the diagonal."""
     mask = np.tri(*shape, -1, dtype=bool)
-    cells = (*np.nonzero(mask), mask)
-    for arr in cells:
-        arr.flags.writeable = False
-    return cells
+    mask.flags.writeable = False
+    return mask
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
@@ -184,14 +181,20 @@ def flat_extend(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray
     """Copy values and overwrite the below-diagonal cells with f(T, T).
 
     Works on the last two axes, so on a stack of fields too.  The copy is
-    ``out`` if given, which may be ``values`` itself.
+    ``out`` if given, which may be ``values`` itself.  A below-diagonal
+    cell (i, j) lies in the leading square block, columns j < n_rows, so
+    one masked copy of that block's diagonal, broadcast down the rows,
+    fills them all.
     """
     if out is None:
         out = np.array(values, dtype=float, copy=True)
     elif out is not values:
         out[...] = values
-    rows, cols, _ = below_diagonal(out.shape[-2:])
-    out[..., rows, cols] = out[..., cols, cols]
+    square = out[..., :out.shape[-2]]
+    # a copy, so that the source does not overlap the cells written
+    diagonal = np.diagonal(square, axis1=-2, axis2=-1).copy()
+    np.copyto(square, diagonal[..., None, :],
+              where=below_diagonal(out.shape[-2:])[:, :square.shape[-1]])
     return out
 
 
@@ -225,11 +228,9 @@ class RateField:
         """r(t_i) = f(t_i, t_i) along the diagonal."""
         return np.diagonal(self.values).copy()
 
-    def sup_distance(self, other: "RateField") -> float:
-        return float(np.max(np.abs(self.values - other.values)))
-
     def extension_defect(self) -> float:
         """Max deviation of below-diagonal cells from their diagonal value, or NaN."""
-        rows, cols, _ = below_diagonal(self.values.shape)
-        return float(np.max(np.abs(self.values[rows, cols]
-                                   - self.values[cols, cols]), initial=0.0))
+        mask = below_diagonal(self.values.shape)
+        return float(np.max(np.abs(self.values[mask]
+                                   - flat_extend(self.values)[mask]),
+                            initial=0.0))

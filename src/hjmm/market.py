@@ -86,7 +86,7 @@ def bond_surface(rate_field: RateField, grid: GridSpec) -> BondSurface:
     ct = cumtrapz(values, grid.delta, axis=1)
     discounted = np.exp(-ct)
     prices = np.exp(-(ct - np.diagonal(ct)[:, None]))
-    prices[below_diagonal(values.shape)[:2]] = np.nan
+    np.copyto(prices, np.nan, where=below_diagonal(values.shape))
     return BondSurface(prices=prices, discounted=discounted,
                        short_rates=rate_field.short_rates(), grid=grid)
 

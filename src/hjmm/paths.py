@@ -18,8 +18,8 @@ seeds the fixed-point solver.  The jump parts of the two exponentials
 cancel, so ln b is c * Lambda(t, T), c the path's drift rate and Lambda
 the time integral of lambda, plus one sum of ln(1 + lambda(s_k, T) dL_k)
 over the jumps up to t.  When lambda depends on time alone, every
-maturity carries the same jump factors, so that sum is built on one
-maturity column and broadcast.
+maturity carries the same b, so the whole of ln b, its exponential
+included, is built on one maturity column and broadcast.
 
 Both stages work on a block of paths: :func:`simulate_paths` draws every
 path of a block, each from its own generator, and maps all of the
@@ -221,16 +221,17 @@ def factor_fields(vol: VolatilitySpec, paths, grid: GridSpec,
     ln(1 + lambda(s_k, T) dL_k), read at the time nodes.  lambda on the
     grid (``lam``, if the caller has it already) and Lambda are built
     once for the block; the jump sum is built path by path, so a path's
-    b is bitwise the same in any block.  For a time-only ``vol`` the jump
-    sum is one maturity column, added to every column of the drift part
-    by broadcasting; each column of the full-width sum would be that
-    same column, bitwise.
+    b is bitwise the same in any block.  For a time-only ``vol`` every
+    column of b is the same column, so lambda, ln b and its exponential
+    are built on one maturity column and broadcast into the stack; each
+    column built at full width would be that same column, bitwise.
     """
     T, t_nodes = grid.T_nodes(), grid.t_nodes()
-    if lam is None:
-        lam = vol.on_grid(grid)
+    columns = T[:1] if vol.time_only else T
+    lam = (vol.matrix(t_nodes, columns) if lam is None
+           else lam[:, :columns.size])
     drift_cum = cumtrapz(lam, grid.delta, axis=0)
-    stack = np.empty((len(paths), *grid.shape))
+    logs = np.empty((len(paths), *drift_cum.shape))
     faults = []
     kept = 0
     for path in paths:
@@ -240,13 +241,16 @@ def factor_fields(vol: VolatilitySpec, paths, grid: GridSpec,
             faults.append(fault)
             continue
         faults.append(None)
-        out = stack[kept]
+        out = logs[kept]
         kept += 1
         np.multiply(drift_cum, path.drift_rate, out=out)
         out += sums[np.searchsorted(path.times, t_nodes, side="right")]
-    stack = stack[:kept]
+    logs = logs[:kept]
     with np.errstate(over="ignore"):
-        return np.exp(stack, out=stack), faults
+        np.exp(logs, out=logs)
+    if not vol.time_only:
+        return logs, faults
+    return np.broadcast_to(logs, (kept, *grid.shape)).copy(), faults
 
 
 def jump_factor_error(vol: VolatilitySpec, path: JumpPath,

@@ -21,7 +21,10 @@ The grid owns its triangle: the below-diagonal cells and the slice L2
 weights come from :mod:`hjmm.grids`, built once per grid shape.  One
 iteration loop works on a stack of a-fields, shape
 ``(P, n_t+1, n_cols+1)``, with lambda on the grid and J' set up once per
-stack; a path leaves the stack when it converges or explodes.  Every
+stack; a path leaves the stack when it converges or explodes.  The first
+iterate from the zero start, K(0) = a * exp(int_0^t J'(0) lambda ds),
+multiplies each a-field by one exponential that the whole stack shares,
+built on one maturity column when lambda depends on time alone.  Every
 step acts on each path's cells alone, so a path's report is bitwise the
 same in any stack: :func:`solve_fixed_point` is the loop on a stack of
 one and :func:`apply_K` one step of it.
@@ -80,10 +83,15 @@ def _operator(vol: VolatilitySpec, spec: LevyModelSpec, grid: GridSpec,
     """The operator f -> a * exp(...) on a stack of fields and their a-fields.
 
     lambda on the grid (``lam``, if the caller has it already) and J' are
-    set up once, for every iteration of every path of the stack.
-    ``apply(values, a_fields, out, work)`` writes K of each field into
-    ``out``, using ``work`` (same shape) as scratch; each path's cells
-    depend on that path alone.
+    set up once, for every iteration of every path of the stack.  Returns
+    ``(apply, apply_zero)``.  ``apply(values, a_fields, out, work)``
+    writes K of each field into ``out``, using ``work`` (same shape) as
+    scratch; each path's cells depend on that path alone.
+    ``apply_zero(a_fields, out)`` writes K(0) of each a-field: the gap
+    integral of the zero field is zero in every cell, so its exponential
+    is one field that every path shares, built once, on one maturity
+    column when lambda is time-only.  Cell by cell it evaluates what
+    ``apply`` does on zeros, so K(0) is bitwise the same by either route.
     """
     if lam is None:
         lam = vol.on_grid(grid)
@@ -103,7 +111,26 @@ def _operator(vol: VolatilitySpec, spec: LevyModelSpec, grid: GridSpec,
             np.multiply(a_fields, np.exp(outer, out=outer), out=out)
         return flat_extend(out, out=out)
 
-    return apply
+    def apply_zero(a_fields, out) -> np.ndarray:
+        # every column of a time-only lambda is the same column
+        column = lam[:, :1] if vol.time_only else lam
+        # as in apply: exp can overflow, and an overflowed a-field times
+        # an underflowed factor is NaN
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            slopes = dj(np.zeros(column.shape))
+            outer = cumtrapz(np.multiply(slopes, column, out=slopes),
+                             grid.delta, axis=-2)
+            np.multiply(a_fields, np.exp(outer, out=outer), out=out)
+        return flat_extend(out, out=out)
+
+    return apply, apply_zero
+
+
+def _require_on_grid(field, grid: GridSpec, name: str) -> RateField:
+    """``field``, if it is a RateField on ``grid``; else DomainError."""
+    if not isinstance(field, RateField) or field.grid != grid:
+        raise DomainError(f"{name} must be a RateField on the supplied grid")
+    return field
 
 
 def apply_K(field: RateField, a_field: np.ndarray, vol: VolatilitySpec,
@@ -112,12 +139,14 @@ def apply_K(field: RateField, a_field: np.ndarray, vol: VolatilitySpec,
 
     Monotone: pointwise larger inputs give pointwise larger outputs (J' is
     nondecreasing).  Output values below the diagonal carry the flat
-    extension, like every :class:`RateField`.
+    extension, like every :class:`RateField`.  ``field`` must be a
+    RateField on ``grid`` (DomainError otherwise).
     """
+    field = _require_on_grid(field, grid, "field")
     a_field = np.asarray(grid.check_field(a_field), dtype=float)[None]
-    new = _operator(vol, spec, grid)(field.values[None], a_field,
-                                     np.empty_like(a_field),
-                                     np.empty_like(a_field))
+    apply, _ = _operator(vol, spec, grid)
+    new = apply(field.values[None], a_field, np.empty_like(a_field),
+                np.empty_like(a_field))
     return RateField(new[0], grid)
 
 
@@ -146,10 +175,10 @@ def solve_fixed_point(a_field: np.ndarray, vol: VolatilitySpec,
     below ``tol`` (default 1e-9); stops Exploded as soon as the timeline
     weighted norm exceeds ``explosion_threshold`` (default 1e8) or turns
     non-finite; reports MaxIterations after ``max_iter`` (default 200)
-    iterations otherwise.  ``initial`` (a RateField) replaces the zero
-    start.  This is the stacked iteration of :func:`solve_paths` on a
-    stack of one field.  The a-priori norm bound is a separate
-    computation, :func:`apriori_bound`.
+    iterations otherwise.  ``initial`` (a RateField on ``grid``, else
+    DomainError) replaces the zero start.  This is the stacked iteration
+    of :func:`solve_paths` on a stack of one field.  The a-priori norm
+    bound is a separate computation, :func:`apriori_bound`.
     """
     a_field = np.asarray(grid.check_field(a_field), dtype=float)
     return _solve_stack(a_field[None], vol, spec, grid, **solver)[0]
@@ -163,18 +192,19 @@ def _solve_stack(a_fields: np.ndarray, vol: VolatilitySpec,
     """The fixed-point iteration on a stack of a-fields, one report each.
 
     ``lam`` is lambda on the grid, if the caller has it already.  Every
-    path iterates from ``initial`` (zero if None) until it stops; a
-    Converged or Exploded path leaves the stack and the others run on
-    without it, in the leading part of the same buffers.  Each report is
-    bitwise the report of that path's field solved alone.
+    path iterates from ``initial`` (zero if None) until it stops; from
+    zero, iteration 1 is K(0), built from the exponential that every path
+    shares.  A Converged or Exploded path leaves the stack and the others
+    run on without it, in the leading part of the same buffers.  Each
+    report is bitwise the report of that path's field solved alone.
     """
     if tol <= 0.0 or max_iter < 1 or explosion_threshold <= 0.0:
         raise DomainError("tol, max_iter and explosion_threshold must be positive")
-    apply = _operator(vol, spec, grid, lam)
+    apply, apply_zero = _operator(vol, spec, grid, lam)
     a_fields = np.array(a_fields, dtype=float)
     current = np.zeros_like(a_fields)
     if initial is not None:
-        current[...] = initial.values
+        current[...] = _require_on_grid(initial, grid, "initial").values
     new, work = np.empty_like(a_fields), np.empty_like(a_fields)
     # per path: sup_diffs, norm_trace, increment_mins
     traces = [([], [], []) for _ in range(len(a_fields))]
@@ -191,7 +221,10 @@ def _solve_stack(a_fields: np.ndarray, vol: VolatilitySpec,
 
     for iterations in range(1, max_iter + 1):
         m = active.size
-        apply(current[:m], a_fields[:m], new[:m], work[:m])
+        if iterations == 1 and initial is None:
+            apply_zero(a_fields[:m], new[:m])
+        else:
+            apply(current[:m], a_fields[:m], new[:m], work[:m])
         current, new = new, current
         diff = np.subtract(current[:m], new[:m], out=work[:m]).reshape(m, -1)
         # an exploding iterate can hold inf and NaN cells (see _operator);
@@ -367,7 +400,7 @@ def timeline_norm(values: np.ndarray, grid: GridSpec) -> float:
     a weighted sum of finite cells overflows; cells below the diagonal
     are not read.
     """
-    upper = np.where(below_diagonal(grid.shape)[2], 0.0,
+    upper = np.where(below_diagonal(grid.shape), 0.0,
                      grid.check_field(values))
     return _timeline_norms(upper[None], grid)[0]
 
@@ -439,8 +472,8 @@ def uniqueness_contraction_check(field1: RateField, field2: RateField,
     K^n (t_star * t_max)^n / (n!)^2.  Requires a finite second moment of the
     jump measure (J''(0) < inf), else SecondMomentInfinite is raised.
     """
-    if field1.grid != grid or field2.grid != grid:
-        raise DomainError("both fields must live on the supplied grid")
+    _require_on_grid(field1, grid, "field1")
+    _require_on_grid(field2, grid, "field2")
     second = spec.measure.second_moment()
     if not math.isfinite(second) or not math.isfinite(spec.gaussian_q):
         raise SecondMomentInfinite(

@@ -112,14 +112,6 @@ class TestRateField:
         field = RateField(flat_extend(vals), g)
         np.testing.assert_allclose(field.short_rates(), 10.0 + np.arange(5.0))
 
-    def test_sup_distance_symmetry(self) -> None:
-        g = _grid()
-        rng = np.random.default_rng(3)
-        a = RateField(rng.uniform(size=(5, 9)), g)
-        b = RateField(rng.uniform(size=(5, 9)), g)
-        assert a.sup_distance(b) == b.sup_distance(a)
-        assert a.sup_distance(a) == 0.0
-
     def test_from_triangle_applies_extension(self) -> None:
         g = _grid()
         rng = np.random.default_rng(5)
@@ -201,7 +193,7 @@ def _grid_id(grid):
 
 
 def _cached(grid):
-    return (*below_diagonal(grid.shape), slice_weights(grid))
+    return (below_diagonal(grid.shape), slice_weights(grid))
 
 
 def _random_field(grid, seed=3):
@@ -215,18 +207,21 @@ def test_cached_arrays_are_read_only(grid) -> None:
     for arr in _cached(grid):
         with pytest.raises(ValueError):
             arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
-    assert below_diagonal(grid.shape)[0] is below_diagonal(grid.shape)[0]
+    assert below_diagonal(grid.shape) is below_diagonal(grid.shape)
     equal = GridSpec(*dataclasses.astuple(grid))
     assert slice_weights(grid) is slice_weights(equal)
 
 
 @pytest.mark.parametrize("grid", CACHE_GRIDS, ids=_grid_id)
 def test_cached_layout_matches_per_call_formulas(grid) -> None:
-    rows, cols, mask = below_diagonal(grid.shape)
+    mask = below_diagonal(grid.shape)
+    assert mask.dtype == bool
+    assert np.array_equal(mask, np.tri(*grid.shape, -1, dtype=bool))
+    # its cells, in row-major order, are the strict lower triangle
+    rows, cols = np.nonzero(mask)
     expected = np.tril_indices(grid.n_t + 1, -1, grid.n_cols + 1)
     assert rows.tobytes() == expected[0].tobytes()
     assert cols.tobytes() == expected[1].tobytes()
-    assert np.array_equal(mask, np.tri(*grid.shape, -1, dtype=bool))
     assert slice_weights(grid).tobytes() == _oracle_weights(grid).tobytes()
 
 
@@ -248,6 +243,23 @@ def test_triangle_sites_bitwise_equal_to_per_call_formulas(grid) -> None:
         got = weighted_norms(field, grid, float(t))
         assert ((got.l2_gamma, got.h1_gamma, got.sup)
                 == _oracle_weighted_norms(field.values, grid, float(t)))
+
+
+@pytest.mark.parametrize("grid", CACHE_GRIDS, ids=_grid_id)
+def test_flat_extend_of_a_stack_is_each_fields_own(grid) -> None:
+    # the masked copy on a (P, n_t+1, n_cols+1) stack, in place and not,
+    # against the index formula on each field alone; t_max = t_star makes
+    # the field square
+    stack = np.random.default_rng(6).uniform(0.1, 2.0, size=(3, *grid.shape))
+    stack[1, grid.n_t, 0] = math.nan
+    stack[2, 0, 0] = math.inf
+    extended = flat_extend(stack)
+    in_place = stack.copy()
+    assert flat_extend(in_place, out=in_place) is in_place
+    for k, field in enumerate(stack):
+        expected = _oracle_flat_extend(field).tobytes()
+        assert extended[k].tobytes() == expected
+        assert in_place[k].tobytes() == expected
 
 
 @pytest.mark.parametrize("grid", CACHE_GRIDS, ids=_grid_id)

@@ -486,6 +486,23 @@ class TestFactorFieldBlocks:
         with pytest.raises(DomainError, match="does not match grid"):
             field_a(curve, b[None], grid)
 
+    @pytest.mark.parametrize("vol", [
+        constant_volatility(0.25), time_affine_volatility(0.2, 0.3, 1.0)],
+        ids=["constant", "time_affine"])
+    def test_time_only_block_matches_the_full_width_oracle(self, vol) -> None:
+        # ln b and its exponential are built on one maturity column and
+        # broadcast; the oracle builds every column
+        grid = GridSpec(1.0 / 16.0, 1.0, 2.0, 1.0)
+        assert vol.time_only
+        paths = _mixed_paths()
+        b, faults = factor_fields(vol, paths, grid)
+        assert faults == [None] * len(paths)
+        assert b.shape == (len(paths), *grid.shape)
+        assert b.flags.c_contiguous and b.flags.writeable
+        for path, field in zip(paths, b):
+            assert field.tobytes() == _reference_field_b(vol, path,
+                                                         grid).tobytes()
+
     def test_block_without_jumps_or_paths(self) -> None:
         grid = _grid()
         vol = constant_volatility(0.2)

@@ -275,7 +275,8 @@ class TestUniqueness:
     def test_two_starts_converge_to_same_field(self) -> None:
         grid, spec, vol, first, second = self._solve_pair()
         assert first.converged and second.converged
-        dist = first.final_field.sup_distance(second.final_field)
+        dist = np.max(np.abs(first.final_field.values
+                             - second.final_field.values))
         assert dist < 1e-6
 
     def test_contraction_report_passes(self) -> None:
@@ -607,6 +608,90 @@ def test_block_evaluates_lambda_once(monkeypatch) -> None:
     solve_paths(_STABLE, vol, constant_curve(f0), _grid(), seeds[:6], 1e-2,
                 **solver)
     assert len(calls) == 1
+
+
+# one spec per J' route, each with J'(0) != 0 so that the shared
+# exponential of K(0) is not identically one: the gamma closed form, the
+# stable-like and user-density tables, and the exact sums of atoms
+_ZERO_START_SPECS = {
+    "gamma": gamma_subordinator(0.5, 2.0),
+    "stable_like": LevyModelSpec(-0.1, 0.0,
+                                 StableLike(c=1.0, alpha=1.5, y_max=1.0)),
+    "user_density": LevyModelSpec(-0.3, 0.0, UserDensity(
+        density_fn=lambda y: 0.5 * np.exp(-2.0 * y) / y)),
+    "point_masses": LevyModelSpec(-0.2, 0.0,
+                                  PointMasses([(0.4, 1.0), (1.5, 0.5)])),
+}
+_ZERO_START_VOLS = {
+    "constant": constant_volatility(0.2),
+    "time_affine": time_affine_volatility(0.2, 0.1, 1.0),
+    "exp_decay": VolatilitySpec(terms=(exp_decay_term(0.25, 0.5),),
+                                lambda_lower=0.25 * math.exp(-1.0),
+                                lambda_upper=0.25),
+}
+
+
+@pytest.mark.parametrize("vol_name", list(_ZERO_START_VOLS))
+@pytest.mark.parametrize("family", list(_ZERO_START_SPECS))
+def test_zero_start_iterate_is_the_full_application(family, vol_name) -> None:
+    # iteration 1 multiplies each a-field by the exponential that the
+    # stack shares; it must be K(0) from the full operator, bitwise, in a
+    # stack of 15 and alone
+    spec, vol = _ZERO_START_SPECS[family], _ZERO_START_VOLS[vol_name]
+    grid = _grid()
+    assert float(fast_derivative(spec, 1)(np.zeros(1))[0]) != 0.0
+    zero = RateField(np.zeros(grid.shape), grid)
+    entries = solve_paths(spec, vol, exp_decay_curve(0.08, 0.4), grid,
+                          [[k, 3] for k in range(15)], 1e-2, max_iter=1)
+    assert len(entries) == 15
+    for _, _, a, report in entries:
+        expected = apply_K(zero, a, vol, spec, grid).values
+        assert report.iterations == 1
+        assert _bits(report.final_field.values) == _bits(expected)
+        alone = solve_fixed_point(a, vol, spec, grid, max_iter=1)
+        assert _report_bits(alone) == _report_bits(report)
+
+
+class TestFieldOnAnotherGrid:
+    """The solver and apply_K take only a RateField on their own grid."""
+
+    # delta 0.25 on [0, 1] x [0, 2] and delta 0.5 on [0, 2] x [0, 4]
+    # give fields of the same shape, (5, 9)
+    GRID = GridSpec(0.25, 1.0, 2.0, 1.0)
+    STARTS = {
+        "same_shape": RateField(np.zeros((5, 9)), GridSpec(0.5, 2.0, 4.0, 1.0)),
+        "other_shape": RateField(np.zeros((9, 17)),
+                                 GridSpec(0.125, 1.0, 2.0, 1.0)),
+        "ndarray": np.zeros((5, 9)),
+    }
+
+    def _model(self):
+        return (np.full(self.GRID.shape, 0.08), constant_volatility(0.2),
+                gamma_subordinator(0.5, 2.0))
+
+    @pytest.mark.parametrize("start", list(STARTS))
+    def test_solver_refuses_the_initial_field(self, start) -> None:
+        a, vol, spec = self._model()
+        with pytest.raises(DomainError, match="^initial must be a RateField "
+                                              "on the supplied grid"):
+            solve_fixed_point(a, vol, spec, self.GRID,
+                              initial=self.STARTS[start])
+
+    @pytest.mark.parametrize("start", list(STARTS))
+    def test_apply_K_refuses_the_field(self, start) -> None:
+        a, vol, spec = self._model()
+        with pytest.raises(DomainError, match="^field must be a RateField "
+                                              "on the supplied grid"):
+            apply_K(self.STARTS[start], a, vol, spec, self.GRID)
+
+    def test_a_field_on_the_grid_is_taken(self) -> None:
+        a, vol, spec = self._model()
+        start = RateField(np.zeros(self.GRID.shape),
+                          GridSpec(0.25, 1.0, 2.0, 1.0))
+        restarted = solve_fixed_point(a, vol, spec, self.GRID, initial=start)
+        assert _report_bits(restarted) == _report_bits(
+            solve_fixed_point(a, vol, spec, self.GRID))
+        assert apply_K(start, a, vol, spec, self.GRID).grid == self.GRID
 
 
 class TestDebugLog:

@@ -1,0 +1,93 @@
+"""Print one SHA-256 digest of the solver's outputs per benchmark config.
+
+For each config document in ``bench/workloads/*.json`` (read, never
+written), and for the ``mc-gamma`` config with a maturity-dependent
+``exp_decay`` volatility, it solves the paths with seeds [7, i],
+i < 45, through ``hjmm.solver.solve_paths``: once in one block and once in
+blocks of 15.  It adds one solve of the first converged path restarted
+from twice its solution.  Every jump path, b and a field, solver report
+and NonPositiveFactor message goes into the digest of that config.
+
+    PYTHONPATH=src python tools/output_digest.py
+
+Two checkouts that print the same digests give bitwise the same outputs
+on these configs.  The digests hold only on one platform: the libm of
+another operating system rounds exp and log differently.
+"""
+
+from __future__ import annotations
+
+import copy
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import hjmm
+from hjmm.errors import NonPositiveFactor
+from hjmm.solver import solve_paths
+
+ROOT = Path(__file__).resolve().parent.parent
+N_PATHS = 45
+BLOCK = 15
+SEED = 7
+
+
+def _configs() -> dict:
+    """Config documents by name: the workloads and one exp_decay variant."""
+    docs = {path.stem: json.loads(path.read_text(encoding="utf-8"))["config"]
+            for path in sorted((ROOT / "bench" / "workloads").glob("*.json"))}
+    variant = copy.deepcopy(docs["mc-gamma"])
+    variant["volatility"] = {"terms": [
+        {"kind": "exp_decay", "level": 0.2, "rate": 0.5}]}
+    docs["mc-gamma-exp-decay"] = variant
+    return docs
+
+
+def _add_report(digest, report) -> None:
+    digest.update(f"{report.status} {report.iterations}".encode())
+    for trace in (report.sup_diffs, report.norm_trace, report.increment_mins,
+                  report.final_field.values):
+        digest.update(np.asarray(trace, dtype=float).tobytes())
+
+
+def config_digest(doc: dict) -> str:
+    """The SHA-256 of the outputs of one config document."""
+    cfg = hjmm.parse_config(doc)
+    solver = {k: cfg.solver[k] for k in ("tol", "max_iter",
+                                         "explosion_threshold")}
+    seeds = [[SEED, i] for i in range(N_PATHS)]
+    digest = hashlib.sha256()
+    restart = None
+    for size in (N_PATHS, BLOCK):
+        for lo in range(0, N_PATHS, size):
+            for entry in solve_paths(cfg.levy, cfg.volatility, cfg.curve,
+                                     cfg.grid, seeds[lo:lo + size],
+                                     cfg.mc["eps"], **solver):
+                if isinstance(entry, NonPositiveFactor):
+                    digest.update(str(entry).encode())
+                    continue
+                path, b, a, report = entry
+                for arr in (path.times, path.sizes, b, a):
+                    digest.update(arr.tobytes())
+                _add_report(digest, report)
+                if restart is None and report.converged:
+                    restart = (a, report.final_field)
+    if restart is not None:
+        a, field = restart
+        initial = hjmm.RateField(2.0 * field.values, cfg.grid)
+        _add_report(digest, hjmm.solve_fixed_point(
+            a, cfg.volatility, cfg.levy, cfg.grid, initial=initial, **solver))
+    return digest.hexdigest()
+
+
+def main() -> int:
+    for name, doc in _configs().items():
+        print(f"{name}: {config_digest(doc)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
