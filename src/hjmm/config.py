@@ -37,7 +37,7 @@ from .grids import GridSpec
 from .levy import LevyModelSpec, check_assumptions
 from .measures import GammaLike, PointMasses, StableLike, UserDensity
 from .volatility import (VolatilitySpec, constant_term, exp_decay_term,
-                         sample_bounds, time_affine_term, unit_factor)
+                         sample_bounds, time_affine_term)
 
 __all__ = ["RunConfig", "load_config", "parse_config"]
 
@@ -352,9 +352,8 @@ def _parse_volatility(sec, grid: GridSpec) -> VolatilitySpec:
             f"(A3) declared bounds [{lo_cfg:g}, {hi_cfg:g}] must enclose the "
             f"sampled volatility range [{lo:g}, {hi:g}]")
     try:
-        return VolatilitySpec(
-            terms=tuple(terms), lambda_lower=lo_cfg, lambda_upper=hi_cfg,
-            x_derivative_bound=deriv_bound,
-            time_only=all(b_fn is unit_factor for _, b_fn in terms))
+        return VolatilitySpec(terms=tuple(terms), lambda_lower=lo_cfg,
+                              lambda_upper=hi_cfg,
+                              x_derivative_bound=deriv_bound)
     except ValueError as exc:
         raise ConfigError(f"(A3) volatility bounds invalid: {exc}") from exc

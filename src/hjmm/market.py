@@ -240,7 +240,11 @@ def martingale_test(spec: LevyModelSpec, vol: VolatilitySpec,
     ``max_iter``, or whose jump factor turns non-positive, is excluded
     and counted by cause; more than 1% exclusions invalidates the test.
     Checkpoints must be grid nodes, at least one time and one maturity.
+    ``n_paths`` and ``threads`` must be integers (Python or numpy).
     """
+    for name, value in (("n_paths", n_paths), ("threads", threads)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise DomainError(f"{name} must be an integer, got {value!r}")
     if n_paths < 1:
         raise DomainError("n_paths must be at least 1")
     if threads < 1:

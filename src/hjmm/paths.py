@@ -17,9 +17,11 @@ model, so no quadratic correction appears), and a(t, T) = f0(T) * b(t, T)
 seeds the fixed-point solver.  The jump parts of the two exponentials
 cancel, so ln b is c * Lambda(t, T), c the path's drift rate and Lambda
 the time integral of lambda, plus one sum of ln(1 + lambda(s_k, T) dL_k)
-over the jumps up to t.  When lambda depends on time alone, every
-maturity carries the same b, so the whole of ln b, its exponential
-included, is built on one maturity column and broadcast.
+over the jumps up to t.  Every term is built on lambda's own maturity
+width (:meth:`~hjmm.volatility.VolatilitySpec.matrix`): a time-only
+lambda is one column, so every maturity carries the same b and the
+whole of ln b, its exponential included, is that one column, broadcast
+into the stack at the end.
 
 Both stages work on a block of paths: :func:`simulate_paths` draws every
 path of a block, each from its own generator, and maps all of the
@@ -189,13 +191,12 @@ def _log_jump_sums(vol: VolatilitySpec, path: JumpPath,
     """Row m holds the sum of ln(1 + lambda(s_k, T) dL_k) over the path's
     first m jumps, on the maturity nodes ``T``; row 0 is 0.
 
-    A time-only lambda gives every maturity the same factors, so its
-    sums are one column, on ``T[:1]``, that broadcasts over ``T``.
-    Raises the NonPositiveFactor of the first jump whose factor
-    1 + lambda*dL is zero or below at some node, before any logarithm is
-    taken.
+    The sums have the width of ``vol.matrix``: one column, on ``T[:1]``,
+    for a time-only lambda, broadcasting over ``T``.  Raises the
+    NonPositiveFactor of the first jump whose factor 1 + lambda*dL is
+    zero or below at some node, before any logarithm is taken.
     """
-    terms = vol.matrix(path.times, T[:1] if vol.time_only else T)
+    terms = vol.matrix(path.times, T)
     terms *= path.sizes[:, None]
     nonpositive = (terms <= -1.0).any(axis=1)
     if nonpositive.any():
@@ -207,8 +208,8 @@ def _log_jump_sums(vol: VolatilitySpec, path: JumpPath,
     return sums
 
 
-def factor_fields(vol: VolatilitySpec, paths, grid: GridSpec,
-                  lam: np.ndarray | None = None) -> tuple[np.ndarray, list]:
+def factor_fields(vol: VolatilitySpec, paths,
+                  grid: GridSpec) -> tuple[np.ndarray, list]:
     """The factor fields b(t_i, T_j) of a block of paths.
 
     Returns the stack of b, shape ``(P, n_t+1, n_cols+1)``, of the paths
@@ -218,19 +219,16 @@ def factor_fields(vol: VolatilitySpec, paths, grid: GridSpec,
 
     ln b is the path's drift rate c times Lambda(t, T), the time
     integral of lambda, plus one prefix sum over the path's jumps of
-    ln(1 + lambda(s_k, T) dL_k), read at the time nodes.  lambda on the
-    grid (``lam``, if the caller has it already) and Lambda are built
-    once for the block; the jump sum is built path by path, so a path's
-    b is bitwise the same in any block.  For a time-only ``vol`` every
-    column of b is the same column, so lambda, ln b and its exponential
-    are built on one maturity column and broadcast into the stack; each
-    column built at full width would be that same column, bitwise.
+    ln(1 + lambda(s_k, T) dL_k), read at the time nodes.  Lambda is
+    built once for the block, from the cached lambda on the grid; the
+    jump sum is built path by path, so a path's b is bitwise the same in
+    any block.  ln b and its exponential have lambda's width, one
+    maturity column for a time-only ``vol``, and are broadcast into the
+    stack at the end; each column built at full width would be that
+    same column, bitwise.
     """
     T, t_nodes = grid.T_nodes(), grid.t_nodes()
-    columns = T[:1] if vol.time_only else T
-    lam = (vol.matrix(t_nodes, columns) if lam is None
-           else lam[:, :columns.size])
-    drift_cum = cumtrapz(lam, grid.delta, axis=0)
+    drift_cum = cumtrapz(vol.on_grid(grid), grid.delta, axis=0)
     logs = np.empty((len(paths), *drift_cum.shape))
     faults = []
     kept = 0
@@ -248,8 +246,6 @@ def factor_fields(vol: VolatilitySpec, paths, grid: GridSpec,
     logs = logs[:kept]
     with np.errstate(over="ignore"):
         np.exp(logs, out=logs)
-    if not vol.time_only:
-        return logs, faults
     return np.broadcast_to(logs, (kept, *grid.shape)).copy(), faults
 
 
@@ -261,15 +257,13 @@ def jump_factor_error(vol: VolatilitySpec, path: JumpPath,
     Across the k-th jump the log sum of :func:`factor_fields` grows by
     ln(1 + a_k), a_k = lambda(s_k, T) dL_k; the exponential of that step
     is compared with 1 + a_k on every maturity node that the sum is built
-    on: the one column of a time-only lambda, else all of them.  Only
-    the path and the volatility are read, so the error is the rounding
-    of the log1p/cumsum/exp round trip.  Raises NonPositiveFactor as
+    on, at lambda's width: the one column of a time-only lambda, else
+    all of them.  Only the path and the volatility are read, so the
+    error is the rounding of the log1p/cumsum/exp round trip.  Raises NonPositiveFactor as
     :func:`field_b` does.
     """
     T = grid.T_nodes()
     sums = _log_jump_sums(vol, path, T)
-    # on the maturities of the sums: one column for a time-only lambda
-    T = T[:sums.shape[1]]
     expected = vol.matrix(path.times, T) * path.sizes[:, None] + 1.0
     with np.errstate(over="ignore"):
         ratio = np.exp(np.diff(sums, axis=0))

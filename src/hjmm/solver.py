@@ -20,14 +20,16 @@ rule's J', relative, absolute below |J'| = 1; see
 The grid owns its triangle: the below-diagonal cells and the slice L2
 weights come from :mod:`hjmm.grids`, built once per grid shape.  One
 iteration loop works on a stack of a-fields, shape
-``(P, n_t+1, n_cols+1)``, with lambda on the grid and J' set up once per
-stack; a path leaves the stack when it converges or explodes.  The first
-iterate from the zero start, K(0) = a * exp(int_0^t J'(0) lambda ds),
-multiplies each a-field by one exponential that the whole stack shares,
-built on one maturity column when lambda depends on time alone.  Every
-step acts on each path's cells alone, so a path's report is bitwise the
-same in any stack: :func:`solve_fixed_point` is the loop on a stack of
-one and :func:`apply_K` one step of it.
+``(P, n_t+1, n_cols+1)``, with lambda on the grid (cached by
+:meth:`~hjmm.volatility.VolatilitySpec.on_grid`, at its own width) and
+J' set up once per stack; a path leaves the stack when it converges or
+explodes.  The first iterate from the zero start,
+K(0) = a * exp(int_0^t J'(0) lambda ds), multiplies each a-field by one
+exponential that the whole stack shares, built at lambda's width: one
+maturity column when lambda depends on time alone.  Every step acts on
+each path's cells alone, so a path's report is bitwise the same in any
+stack: :func:`solve_fixed_point` is the loop on a stack of one and
+:func:`apply_K` one step of it.
 
 :func:`solve_paths` is the pipeline that ``hjmm solve``, ``hjmm verify``
 and the martingale Monte Carlo share: simulate a block of jump paths,
@@ -78,23 +80,25 @@ STATUS_MAX_ITER = "MaxIterations"
 log = logging.getLogger(__name__)
 
 
-def _operator(vol: VolatilitySpec, spec: LevyModelSpec, grid: GridSpec,
-              lam: np.ndarray | None = None):
+def _operator(vol: VolatilitySpec, spec: LevyModelSpec, grid: GridSpec):
     """The operator f -> a * exp(...) on a stack of fields and their a-fields.
 
-    lambda on the grid (``lam``, if the caller has it already) and J' are
-    set up once, for every iteration of every path of the stack.  Returns
+    lambda on the grid, at full width and contiguous, and J' are set up
+    once, for every iteration of every path of the stack.  Returns
     ``(apply, apply_zero)``.  ``apply(values, a_fields, out, work)``
     writes K of each field into ``out``, using ``work`` (same shape) as
     scratch; each path's cells depend on that path alone.
     ``apply_zero(a_fields, out)`` writes K(0) of each a-field: the gap
     integral of the zero field is zero in every cell, so its exponential
-    is one field that every path shares, built once, on one maturity
-    column when lambda is time-only.  Cell by cell it evaluates what
-    ``apply`` does on zeros, so K(0) is bitwise the same by either route.
+    is one field that every path shares, built once at lambda's width,
+    one maturity column when lambda is time-only.  Cell by cell it
+    evaluates what ``apply`` does on zeros, so K(0) is bitwise the same
+    by either route.
     """
-    if lam is None:
-        lam = vol.on_grid(grid)
+    lam = vol.on_grid(grid)
+    # the products over the stack run faster on a contiguous full-width
+    # lambda than on a broadcast column
+    full = np.ascontiguousarray(np.broadcast_to(lam, grid.shape))
     dj = fast_derivative(spec, 1)
 
     def apply(values, a_fields, out, work) -> np.ndarray:
@@ -103,22 +107,20 @@ def _operator(vol: VolatilitySpec, spec: LevyModelSpec, grid: GridSpec,
         # _timeline_norms reads such a field as having an infinite norm,
         # so the solve stops that path as Exploded
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            inner = gap_integral(np.multiply(lam, values, out=work),
+            inner = gap_integral(np.multiply(full, values, out=work),
                                  grid.delta, out=out)
             slopes = dj(inner)
-            outer = cumtrapz(np.multiply(slopes, lam, out=slopes), grid.delta,
+            outer = cumtrapz(np.multiply(slopes, full, out=slopes), grid.delta,
                              axis=-2, out=work)
             np.multiply(a_fields, np.exp(outer, out=outer), out=out)
         return flat_extend(out, out=out)
 
     def apply_zero(a_fields, out) -> np.ndarray:
-        # every column of a time-only lambda is the same column
-        column = lam[:, :1] if vol.time_only else lam
         # as in apply: exp can overflow, and an overflowed a-field times
         # an underflowed factor is NaN
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-            slopes = dj(np.zeros(column.shape))
-            outer = cumtrapz(np.multiply(slopes, column, out=slopes),
+            slopes = dj(np.zeros(lam.shape))
+            outer = cumtrapz(np.multiply(slopes, lam, out=slopes),
                              grid.delta, axis=-2)
             np.multiply(a_fields, np.exp(outer, out=outer), out=out)
         return flat_extend(out, out=out)
@@ -185,22 +187,20 @@ def solve_fixed_point(a_field: np.ndarray, vol: VolatilitySpec,
 
 
 def _solve_stack(a_fields: np.ndarray, vol: VolatilitySpec,
-                 spec: LevyModelSpec, grid: GridSpec,
-                 lam: np.ndarray | None = None, *, tol: float = 1e-9,
+                 spec: LevyModelSpec, grid: GridSpec, *, tol: float = 1e-9,
                  max_iter: int = 200, explosion_threshold: float = 1e8,
                  initial: RateField | None = None) -> list[SolverReport]:
     """The fixed-point iteration on a stack of a-fields, one report each.
 
-    ``lam`` is lambda on the grid, if the caller has it already.  Every
-    path iterates from ``initial`` (zero if None) until it stops; from
-    zero, iteration 1 is K(0), built from the exponential that every path
-    shares.  A Converged or Exploded path leaves the stack and the others
+    Every path iterates from ``initial`` (zero if None) until it stops;
+    from zero, iteration 1 is K(0), built from the exponential that every
+    path shares.  A Converged or Exploded path leaves the stack and the others
     run on without it, in the leading part of the same buffers.  Each
     report is bitwise the report of that path's field solved alone.
     """
     if tol <= 0.0 or max_iter < 1 or explosion_threshold <= 0.0:
         raise DomainError("tol, max_iter and explosion_threshold must be positive")
-    apply, apply_zero = _operator(vol, spec, grid, lam)
+    apply, apply_zero = _operator(vol, spec, grid)
     a_fields = np.array(a_fields, dtype=float)
     current = np.zeros_like(a_fields)
     if initial is not None:
@@ -265,8 +265,10 @@ def solve_paths(spec: LevyModelSpec, vol: VolatilitySpec, curve: InitialCurve,
     over [0, t_star] (so every grid with the same horizon sees the same
     jumps), :func:`~hjmm.paths.factor_fields`, :func:`~hjmm.paths.field_a`
     on the stack of positive factor fields, and one stacked fixed-point
-    iteration; lambda on the grid is evaluated once, for the factor
-    fields and the iteration; ``solver`` holds the keyword arguments of
+    iteration; lambda on the grid is built once per specification and
+    grid and cached (:meth:`~hjmm.volatility.VolatilitySpec.on_grid`), so
+    the factor fields, the iteration and every later block read the same
+    array; ``solver`` holds the keyword arguments of
     :func:`solve_fixed_point`.  Returns one entry per seed, in order:
     ``(path, b, a, report)``, or the NonPositiveFactor that a jump of the
     path raised.  Each entry is bitwise the one of that seed alone, so
@@ -278,13 +280,12 @@ def solve_paths(spec: LevyModelSpec, vol: VolatilitySpec, curve: InitialCurve,
     """
     seeds = list(seeds)
     paths = simulate_paths(spec, grid.t_star, seeds, eps)
-    lam = vol.on_grid(grid)
-    b_stack, faults = factor_fields(vol, paths, grid, lam)
+    b_stack, faults = factor_fields(vol, paths, grid)
     solved = iter(())
     if len(b_stack):
         a_stack = field_a(curve, b_stack, grid)
         solved = zip(b_stack, a_stack,
-                     _solve_stack(a_stack, vol, spec, grid, lam, **solver))
+                     _solve_stack(a_stack, vol, spec, grid, **solver))
     debug = log.isEnabledFor(logging.DEBUG)
     out = []
     for seed, path, fault in zip(seeds, paths, faults):
@@ -337,10 +338,16 @@ def weighted_norms(field: RateField | np.ndarray, grid: GridSpec,
     that :func:`timeline_norm` uses; the H1 norm adds the same sum over the
     derivative of the slice (second-order differences, first-order on a
     two-node slice); sup is the plain maximum of |r| on the slice.  Norms
-    are over the truncated range.
+    are over the truncated range.  An array needs one column per maturity
+    node and a row at ``t``, so the leading rows of a field will do
+    (DomainError otherwise).
     """
     values = field.values if isinstance(field, RateField) else np.asarray(field)
     i = grid.index_of_time(t)
+    if (values.ndim != 2 or values.shape[1] != grid.n_cols + 1
+            or i >= len(values)):
+        raise DomainError(f"an array of shape {values.shape} holds no slice "
+                          f"at t = {t} on grid {grid.shape}")
     slice_vals = values[i, i:]
     n = slice_vals.size
     sup = float(np.max(np.abs(slice_vals))) if n else 0.0
@@ -411,10 +418,11 @@ def apriori_bound(spec: LevyModelSpec, vol: VolatilitySpec, grid: GridSpec,
 
     Scans a log grid over [b_sup * r0_norm, 1e12] and bisects the first
     sign change; returns None when no admissible c exists in range (the
-    growth of J' defeats the bound).
+    growth of J' defeats the bound).  ``r0_norm`` and ``b_sup`` must be
+    positive and finite (DomainError otherwise, NaN included).
     """
-    if r0_norm <= 0.0 or b_sup <= 0.0:
-        raise DomainError("r0_norm and b_sup must be positive")
+    if not (0.0 < r0_norm < math.inf and 0.0 < b_sup < math.inf):
+        raise DomainError("r0_norm and b_sup must be positive and finite")
     lam_bar = vol.lambda_upper
     t_star = grid.t_star
     root_gamma = math.sqrt(grid.gamma)
@@ -541,7 +549,8 @@ def strong_residual(field: RateField, vol: VolatilitySpec, spec: LevyModelSpec,
         raise NotTimeOnly("the strong form needs maturity-independent volatility")
     values = field.values
     dx = grid.delta
-    lam = vol.on_grid(grid)[:, :1]
+    # one column, broadcast over the maturities
+    lam = vol.on_grid(grid)
     inner = gap_integral(values * lam, dx)
     d_x = _row_gradient(values, dx)
 
@@ -555,7 +564,7 @@ def strong_residual(field: RateField, vol: VolatilitySpec, spec: LevyModelSpec,
     checked = jump_free[:, None] & (i <= grid.n_cols - 2) & (i <= j)
     res = np.abs(fwd - drift[:-1, :-1])[checked]
 
-    dx_res = _dx_identity_residual(values, lam, fast_derivative(spec, 2),
+    dx_res = _dx_identity_residual(values, vol, fast_derivative(spec, 2),
                                    inner, d_x, grid)
     return StrongResidualReport(
         delta=dx,
@@ -568,12 +577,12 @@ def strong_residual(field: RateField, vol: VolatilitySpec, spec: LevyModelSpec,
     )
 
 
-def _dx_identity_residual(values: np.ndarray, lam: np.ndarray, ddj,
+def _dx_identity_residual(values: np.ndarray, vol: VolatilitySpec, ddj,
                           inner: np.ndarray, d_x: np.ndarray,
                           grid: GridSpec) -> np.ndarray:
     """|d_x r - r (f0'/f0 + int_0^t J''(...) lambda^2 r ds)| on the interior
     cells of every slice with at least 4 nodes."""
-    kern = ddj(inner) * (lam ** 2) * values
+    kern = ddj(inner) * (vol.on_grid(grid) ** 2) * values
     integral = cumtrapz(kern, grid.delta, axis=0)
     res = np.abs(d_x - values * (d_x[0] / values[0] + integral))
     i, j = np.indices(grid.shape, sparse=True)

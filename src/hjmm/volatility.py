@@ -17,10 +17,19 @@ and ``sample_bounds``, the one estimate of the (A3) constants: the
 sampled minimum and maximum and the sup of |d lambda / dT| by centred
 differences.  The config parser derives its bounds with it and
 ``grid_violations`` checks declared bounds with it.
+
+A specification whose maturity factors are all ``unit_factor`` is
+time-only (:attr:`VolatilitySpec.time_only`, read from the terms), and
+it alone decides the width of lambda on a mesh: its ``matrix`` and
+``on_grid`` hold one maturity column, on the first maturity, that
+broadcasts over every maturity, bitwise the values of each column a
+full-width mesh would hold.  ``on_grid`` is built once per
+specification and grid, cached and read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -28,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError
-from .grids import GridSpec
+from .grids import _CACHE_SIZE, GridSpec
 
 __all__ = ["VolatilitySpec", "constant_volatility", "time_affine_volatility",
            "grid_violations", "constant_term", "time_affine_term",
@@ -105,19 +114,16 @@ class VolatilitySpec:
         b_n takes maturities.
     lambda_lower, lambda_upper : declared positive bounds of the values.
     x_derivative_bound : declared bound of |d lambda / dx|.
-    time_only : the volatility depends on time alone: every b_n is
-        ``unit_factor`` (DomainError otherwise).  The strong-form
-        residual check requires it, and the factor fields then build
-        their jump terms on one maturity column.
     """
 
     terms: tuple[Term, ...]
     lambda_lower: float
     lambda_upper: float
     x_derivative_bound: float = 0.0
-    time_only: bool = False
 
     def __post_init__(self) -> None:
+        # tuples, so that the specification hashes as the key of on_grid
+        object.__setattr__(self, "terms", tuple(map(tuple, self.terms)))
         if not self.terms:
             raise DomainError("at least one separable term is required")
         if not (0.0 < self.lambda_lower <= self.lambda_upper):
@@ -130,10 +136,14 @@ class VolatilitySpec:
             raise DomainError(
                 f"x_derivative_bound must be finite and >= 0, got "
                 f"{self.x_derivative_bound}")
-        if self.time_only and any(b_fn is not unit_factor
-                                  for _, b_fn in self.terms):
-            raise DomainError(
-                "time_only needs unit_factor as every maturity factor")
+
+    @property
+    def time_only(self) -> bool:
+        """lambda depends on time alone: every b_n is ``unit_factor``.
+
+        The strong-form residual check requires it.
+        """
+        return all(b_fn is unit_factor for _, b_fn in self.terms)
 
     def standard(self, t, T):
         """lambda(t, T), broadcasting over array arguments."""
@@ -145,11 +155,22 @@ class VolatilitySpec:
         return total if total.shape else float(total)
 
     def matrix(self, t_values: np.ndarray, T_values: np.ndarray) -> np.ndarray:
-        """Tensor-grid values lambda(t_i, T_j) of shape (len(t), len(T))."""
+        """Tensor-grid values lambda(t_i, T_j) of shape (len(t), len(T)).
+
+        A time-only lambda gives one column, on ``T_values[:1]``, of shape
+        (len(t), 1), that broadcasts over ``T_values``.
+        """
+        if self.time_only:
+            T_values = np.ravel(T_values)[:1]
         return _tensor_sum(self.terms, t_values, T_values)
 
+    @functools.lru_cache(maxsize=_CACHE_SIZE)
     def on_grid(self, grid: GridSpec) -> np.ndarray:
-        return self.matrix(grid.t_nodes(), grid.T_nodes())
+        """lambda on the grid nodes, :meth:`matrix` of the time and
+        maturity nodes: built once per specification and grid, read-only."""
+        lam = self.matrix(grid.t_nodes(), grid.T_nodes())
+        lam.flags.writeable = False
+        return lam
 
 
 def grid_violations(vol: VolatilitySpec, grid: GridSpec) -> list[str]:
@@ -185,8 +206,7 @@ def constant_volatility(level: float) -> VolatilitySpec:
     if level <= 0.0:
         raise DomainError(f"volatility level must be positive, got {level}")
     return VolatilitySpec(terms=(constant_term(level),), lambda_lower=level,
-                          lambda_upper=level, x_derivative_bound=0.0,
-                          time_only=True)
+                          lambda_upper=level, x_derivative_bound=0.0)
 
 
 def time_affine_volatility(intercept: float, slope: float,
@@ -200,4 +220,4 @@ def time_affine_volatility(intercept: float, slope: float,
             f"reaches {lo:.6g}")
     return VolatilitySpec(terms=(time_affine_term(intercept, slope),),
                           lambda_lower=lo, lambda_upper=hi,
-                          x_derivative_bound=0.0, time_only=True)
+                          x_derivative_bound=0.0)

@@ -72,8 +72,7 @@ def _separable_volatility() -> VolatilitySpec:
         return np.ones_like(np.asarray(T, dtype=float))
 
     return VolatilitySpec(terms=((a1, b1), (a2, b2)), lambda_lower=0.05,
-                          lambda_upper=0.35, x_derivative_bound=0.05,
-                          time_only=False)
+                          lambda_upper=0.35, x_derivative_bound=0.05)
 
 
 def _drift_path(grid: GridSpec, rate: float) -> JumpPath:

@@ -156,6 +156,19 @@ class TestSolve:
         assert math.isfinite(report["c1_bound"])
         assert report["c1_bound"] == expected
 
+    def test_overflowed_factor_field_records_no_apriori_bound(
+            self, tmp_path) -> None:
+        # drift 2e4 times Lambda = 0.2 t overflows b: the solve explodes
+        # and the report carries no bound
+        doc = _existence_doc()
+        doc["levy"]["drift_a"] = 2e4
+        cfg = _write(tmp_path, doc)
+        code = main(["solve", "--config", cfg, "--out", str(tmp_path)])
+        assert code == EXIT_DIVERGED
+        report = json.loads((tmp_path / "solve_report.json").read_text())
+        assert report["status"] == "Exploded"
+        assert report["c1_bound"] is None
+
     def test_user_density_matches_gamma_twin(self, tmp_path) -> None:
         # the README model and its user-density twin draw the same path
         # from the same seed and solve it to the same field

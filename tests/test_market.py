@@ -485,6 +485,29 @@ class TestMartingale:
                             affine_curve(1.0, 1.0), grid, n_paths=0,
                             master_seed=5)
 
+    @pytest.mark.parametrize("counts", [
+        dict(n_paths=2.5), dict(n_paths=4.0), dict(n_paths=True),
+        dict(n_paths="4"), dict(threads=2.0), dict(threads=1.5),
+        dict(threads=np.float64(1.0))])
+    def test_path_and_thread_counts_must_be_integers(self, counts) -> None:
+        name, value = next(iter(counts.items()))
+        kwargs = dict(n_paths=4, threads=1) | counts
+        with pytest.raises(DomainError,
+                           match=f"^{name} must be an integer, got "):
+            martingale_test(drift_only(1.0), constant_volatility(0.2),
+                            affine_curve(1.0, 1.0), _grid(), master_seed=5,
+                            **kwargs)
+
+    def test_numpy_integer_counts_are_accepted(self) -> None:
+        args = (drift_only(1.0), constant_volatility(0.2),
+                affine_curve(1.0, 1.0), _grid())
+        plain = martingale_test(*args, n_paths=4, master_seed=5)
+        numpy = martingale_test(*args, n_paths=np.int64(4), master_seed=5,
+                                threads=np.int32(1))
+        assert numpy.n_paths == 4
+        assert ([r.mean_discounted for r in numpy.results]
+                == [r.mean_discounted for r in plain.results])
+
 
 class TestDriftIdentity:
     def test_identity_error_shrinks_with_grid(self) -> None:

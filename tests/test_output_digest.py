@@ -16,7 +16,8 @@ def test_one_digest_per_config(capsys) -> None:
     names = [path.stem for path in sorted(
         (_PATH.parents[1] / "bench" / "workloads").glob("*.json"))]
     assert [line.split(":")[0] for line in lines] == [
-        *names, "mc-gamma-exp-decay"]
+        *names, "mc-gamma-exp-decay", "mc-gamma-time-affine",
+        "mc-gamma-constant-exp-decay"]
     assert all(re.fullmatch(r"[\w-]+: [0-9a-f]{64}", line) for line in lines)
     assert len({line.split()[1] for line in lines}) == len(lines)
 

@@ -324,22 +324,28 @@ class TestFieldB:
                         lambda_lower=0.25, lambda_upper=0.75),
                     time_affine_volatility(0.25, 0.5, g.t_star)):
             b = field_b(vol, path, g)
-            drift = cumtrapz(vol.on_grid(g), g.delta, axis=0) * path.drift_rate
-            logs = np.log1p(vol.matrix(path.times, g.T_nodes())
-                            * path.sizes[:, None])
+            # a time-only lambda gives one column: broadcast it
+            drift = np.broadcast_to(cumtrapz(vol.on_grid(g), g.delta, axis=0)
+                                    * path.drift_rate, g.shape)
+            logs = np.broadcast_to(np.log1p(
+                vol.matrix(path.times, g.T_nodes()) * path.sizes[:, None]),
+                (path.n_jumps, g.n_cols + 1))
             expected = np.exp([[drift[i, j] + math.fsum(logs[:k, j])
                                 for j in range(g.n_cols + 1)]
                                for i, k in enumerate(counts)])
             np.testing.assert_allclose(b, expected, rtol=1e-13, atol=0.0)
 
     def test_time_only_column_matches_the_full_width_route(self) -> None:
-        # the same terms, declared time-only or not: the one-column jump
-        # sum and the full-width one give the same field, bitwise
+        # the same values, time-only or not: an exp_decay term of rate 0
+        # has the maturity factor exp(-0 T) = 1 exactly but is not
+        # unit_factor, so its jump sum is full width; the one-column sum
+        # and the full-width one give the same field, bitwise
         g = GridSpec(1.0 / 16.0, 1.0, 2.0, 1.0)
-        terms = (constant_term(0.25), time_affine_term(0.1, 0.2))
-        column, full = (VolatilitySpec(terms=terms, lambda_lower=0.35,
-                                       lambda_upper=0.55, time_only=flag)
-                        for flag in (True, False))
+        column, full = (
+            VolatilitySpec(terms=(first, time_affine_term(0.1, 0.2)),
+                           lambda_lower=0.35, lambda_upper=0.55)
+            for first in (constant_term(0.25), exp_decay_term(0.25, 0.0)))
+        assert column.time_only and not full.time_only
         spec = LevyModelSpec(0.0, 0.0, StableLike(c=1.0, alpha=1.5, y_max=1.0))
         path = simulate_path(spec, g.t_star, 11, eps=1e-2)
         assert path.n_jumps > 500
@@ -354,10 +360,9 @@ class TestFieldB:
                         times=np.array([0.2, 0.4, 0.6]),
                         sizes=np.array([1.0, -5.0, 2.0]))
         messages = []
-        for flag in (True, False):
-            vol = VolatilitySpec(terms=(constant_term(0.25),),
-                                 lambda_lower=0.25, lambda_upper=0.25,
-                                 time_only=flag)
+        for term in (constant_term(0.25), exp_decay_term(0.25, 0.0)):
+            vol = VolatilitySpec(terms=(term,), lambda_lower=0.25,
+                                 lambda_upper=0.25)
             with pytest.raises(NonPositiveFactor, match="t=0.4 ") as caught:
                 field_b(vol, path, g)
             messages.append(str(caught.value))

@@ -145,6 +145,24 @@ def test_grid_refinement_second_order() -> None:
 
 
 class TestNorms:
+    @pytest.mark.parametrize("shape, t", [
+        ((3, 3), 0.0), ((1, 17), 0.5), ((1, 17), 0.125), ((17,), 0.0),
+        ((2, 9, 17), 0.0), ((9, 18), 0.0)])
+    def test_array_without_the_slice_rejected(self, shape, t) -> None:
+        # on the (9, 17) grid a (3, 3) array broadcast against the weights
+        # (ValueError) and a (1, 17) one had no row for t = 0.5 (IndexError)
+        with pytest.raises(DomainError, match="holds no slice"):
+            weighted_norms(np.ones(shape), _grid(0.125), t)
+
+    def test_leading_rows_of_a_field_are_accepted(self) -> None:
+        # the one-row curve arrays of ``hjmm solve`` and the demos
+        grid = _grid()
+        values = np.random.default_rng(3).uniform(0.5, 2.0, grid.shape)
+        full = weighted_norms(RateField(values, grid), grid, 0.0625)
+        assert weighted_norms(values[:2], grid, 0.0625) == full
+        assert (weighted_norms(values[:1], grid, 0.0)
+                == weighted_norms(RateField(values, grid), grid, 0.0))
+
     def test_constant_slice_oracle(self) -> None:
         grid = GridSpec(1.0 / 32.0, 1.0, 2.0, 1.0)
         field = RateField(np.ones((grid.n_t + 1, grid.n_cols + 1)), grid)
@@ -257,6 +275,17 @@ class TestAprioriBound:
         spec = LevyModelSpec(0.0, 100.0, PointMasses(()))
         vol = constant_volatility(1.0)
         assert apriori_bound(spec, vol, grid, r0_norm=1.0, b_sup=1.0) is None
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("arg", ["r0_norm", "b_sup"])
+    def test_non_finite_or_non_positive_inputs_rejected(self, arg,
+                                                        bad) -> None:
+        # a NaN used to read as "no bound in range" (None), an inf ran
+        # the scan from inf
+        kwargs = dict(r0_norm=1.0, b_sup=1.0) | {arg: bad}
+        with pytest.raises(DomainError, match="positive and finite"):
+            apriori_bound(gamma_subordinator(0.5, 2.0),
+                          constant_volatility(0.2), _grid(), **kwargs)
 
 
 class TestUniqueness:
@@ -403,6 +432,26 @@ class TestStrongResidual:
         rep = strong_residual(field, vol, spec, path, grid)
         assert rep.jump_relation_max_error < 1e-10
 
+    def test_hand_built_constant_volatility_is_time_only(self) -> None:
+        # constant terms given no flag: the strong form applies, and gives
+        # bitwise the report of the constant_volatility builder
+        grid = _grid()
+        path = JumpPath(horizon=grid.t_star, drift_rate=0.5,
+                        times=np.array([0.3, 0.7]),
+                        sizes=np.array([0.8, 0.3]))
+        spec = gamma_subordinator(0.5, 2.0)
+        reports = []
+        for vol in (VolatilitySpec(terms=(constant_term(0.2),),
+                                   lambda_lower=0.2, lambda_upper=0.2),
+                    constant_volatility(0.2)):
+            a = _solve_setup(spec, vol, exp_decay_curve(0.08, 0.4), grid, path)
+            report = solve_fixed_point(a, vol, spec, grid, tol=1e-12)
+            reports.append(strong_residual(report.final_field, vol, spec,
+                                           path, grid))
+        assert reports[0] == reports[1]
+        assert reports[0].panels_checked > 0
+        assert reports[0].jump_relation_max_error < 1e-10
+
     def test_maturity_dependent_volatility_rejected(self) -> None:
         grid = _grid()
         path = _drift_path(grid, 1.0)
@@ -419,7 +468,7 @@ class TestStrongResidual:
 
         vol = VolatilitySpec(terms=((a_fn, b_fn),),
                              lambda_lower=math.exp(-0.2), lambda_upper=1.0,
-                             x_derivative_bound=0.1, time_only=False)
+                             x_derivative_bound=0.1)
         a = _solve_setup(spec, vol, exp_decay_curve(0.08, 0.4), grid, path)
         report = solve_fixed_point(a, vol, spec, grid)
         with pytest.raises(NotTimeOnly):
@@ -594,20 +643,27 @@ class TestStackedSolve:
         assert _bits(applied.values) == _bits(expected)
 
 
-def test_block_evaluates_lambda_once(monkeypatch) -> None:
-    # one lambda on the grid serves the factor fields and the iteration
-    calls = []
-    on_grid = VolatilitySpec.on_grid
+def test_lambda_is_evaluated_once_per_vol_and_grid_across_blocks(
+        monkeypatch) -> None:
+    # lambda on the grid is built on the first call and cached, so the
+    # factor fields and the iteration of every block read one array
+    grid = _grid()
+    on_nodes = []
+    matrix = VolatilitySpec.matrix
 
-    def counted(vol, grid):
-        calls.append(grid)
-        return on_grid(vol, grid)
+    def counted(vol, t_values, T_values):
+        on_nodes.append(np.array_equal(t_values, grid.t_nodes()))
+        return matrix(vol, t_values, T_values)
 
-    monkeypatch.setattr(VolatilitySpec, "on_grid", counted)
+    monkeypatch.setattr(VolatilitySpec, "matrix", counted)
+    VolatilitySpec.on_grid.cache_clear()
     vol, f0, seeds, solver = _BLOCKS["mixed"]
-    solve_paths(_STABLE, vol, constant_curve(f0), _grid(), seeds[:6], 1e-2,
-                **solver)
-    assert len(calls) == 1
+    for lo in range(0, 12, 4):
+        solve_paths(_STABLE, vol, constant_curve(f0), grid, seeds[lo:lo + 4],
+                    1e-2, **solver)
+    assert on_nodes.count(True) == 1
+    info = VolatilitySpec.on_grid.cache_info()
+    assert info.misses == 1 and info.hits >= 2
 
 
 # one spec per J' route, each with J'(0) != 0 so that the shared

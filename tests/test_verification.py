@@ -82,6 +82,21 @@ def test_strong_residual_skips_maturity_dependent_volatility() -> None:
     assert "skipped" in (result.note or "")
 
 
+def test_hand_built_constant_volatility_gets_the_strong_suite() -> None:
+    # built from constant terms, with no word about time-only: its
+    # maturity factors are unit_factor, so the strong form applies
+    config = dataclasses.replace(_config(), volatility=VolatilitySpec(
+        terms=(constant_term(0.2),), lambda_lower=0.2, lambda_upper=0.2))
+    assert config.volatility.time_only
+    result = suite_strong_residual(config, seed=0)
+    assert result.passed and not result.note
+    assert result.details["ratio"] >= 1.5
+    report = run_all(config, seed=0)
+    assert report.all_passed
+    strong, = (s for s in report.suites if s.name == "strong_residual")
+    assert not strong.note
+
+
 def test_two_start_suite(base_config) -> None:
     result = suite_two_start(base_config, seed=0)
     assert result.passed

@@ -12,7 +12,9 @@ from hjmm.volatility import (
     exp_decay_term,
     grid_violations,
     sample_bounds,
+    time_affine_term,
     time_affine_volatility,
+    unit_factor,
 )
 
 
@@ -37,8 +39,9 @@ def test_matrix_is_outer_product_of_factors() -> None:
     vol = time_affine_volatility(0.2, 0.1, 1.0)
     t = np.array([0.0, 0.5, 1.0])
     T = np.array([0.0, 1.0, 2.0])
-    m = vol.matrix(t, T)
-    assert m.shape == (3, 3)
+    # a time-only lambda is one column, broadcast over the maturities
+    assert vol.matrix(t, T).shape == (3, 1)
+    m = np.broadcast_to(vol.matrix(t, T), (3, 3))
     for i, ti in enumerate(t):
         for j, Tj in enumerate(T):
             assert m[i, j] == pytest.approx(vol.standard(float(ti), float(Tj)))
@@ -51,6 +54,34 @@ def test_on_grid_matches_matrix() -> None:
                                vol.matrix(g.t_nodes(), g.T_nodes()))
 
 
+@pytest.mark.parametrize("vol", [
+    time_affine_volatility(0.1, 0.05, 1.0),
+    VolatilitySpec(terms=(constant_term(0.2), exp_decay_term(0.1, 0.5)),
+                   lambda_lower=0.2, lambda_upper=0.3,
+                   x_derivative_bound=0.05),
+], ids=["time_affine", "exp_decay"])
+def test_on_grid_is_cached_and_read_only(vol) -> None:
+    g = _grid()
+    lam = vol.on_grid(g)
+    assert vol.on_grid(g) is lam
+    assert vol.on_grid(g.refine(2)) is not lam
+    assert not lam.flags.writeable
+    with pytest.raises(ValueError):
+        lam[0, 0] = 1.0
+    # a time-only lambda is one column, on the first maturity
+    width = 1 if vol.time_only else g.n_cols + 1
+    assert lam.shape == (g.n_t + 1, width)
+    full = vol.standard(g.t_nodes()[:, None], g.T_nodes()[None, :])
+    np.testing.assert_allclose(np.broadcast_to(lam, g.shape), full,
+                               rtol=1e-15)
+    # terms given as lists are kept as tuples, so the cache can hash them
+    listed = VolatilitySpec(terms=[list(term) for term in vol.terms],
+                            lambda_lower=vol.lambda_lower,
+                            lambda_upper=vol.lambda_upper)
+    assert listed.terms == vol.terms
+    assert listed.on_grid(g).tobytes() == lam.tobytes()
+
+
 def test_separable_maturity_factor() -> None:
     def a_fn(t):
         t = np.asarray(t, dtype=float)
@@ -61,8 +92,7 @@ def test_separable_maturity_factor() -> None:
 
     vol = VolatilitySpec(terms=((a_fn, b_fn),),
                          lambda_lower=0.3 * np.exp(-1.5),
-                         lambda_upper=0.3, x_derivative_bound=0.15,
-                         time_only=False)
+                         lambda_upper=0.3, x_derivative_bound=0.15)
     assert vol.standard(0.2, 2.0) == pytest.approx(0.3 * np.exp(-1.0))
     assert not vol.time_only
 
@@ -74,28 +104,38 @@ def test_bounds_must_be_positive_and_ordered() -> None:
 
     with pytest.raises(ValueError):
         VolatilitySpec(terms=((unit, unit),), lambda_lower=0.0,
-                       lambda_upper=1.0, x_derivative_bound=0.0,
-                       time_only=True)
+                       lambda_upper=1.0, x_derivative_bound=0.0)
     with pytest.raises(ValueError):
         VolatilitySpec(terms=((unit, unit),), lambda_lower=2.0,
-                       lambda_upper=1.0, x_derivative_bound=0.0,
-                       time_only=True)
+                       lambda_upper=1.0, x_derivative_bound=0.0)
 
 
-def test_time_only_needs_unit_maturity_factors() -> None:
-    # an exp_decay term varies with maturity, and a hand-written constant
-    # factor is not the unit_factor that marks the time-only kinds
-    def one(T):
-        return np.ones_like(np.asarray(T, dtype=float))
+def _one(T):
+    return np.ones_like(np.asarray(T, dtype=float))
 
-    for terms in ((constant_term(0.25), exp_decay_term(0.5, 2.0)),
-                  ((constant_term(0.25)[0], one),)):
-        with pytest.raises(DomainError, match="unit_factor"):
-            VolatilitySpec(terms=terms, lambda_lower=0.25, lambda_upper=0.75,
-                           x_derivative_bound=1.0, time_only=True)
-        assert not VolatilitySpec(terms=terms, lambda_lower=0.25,
-                                  lambda_upper=0.75,
-                                  x_derivative_bound=1.0).time_only
+
+@pytest.mark.parametrize("terms, time_only", [
+    ((constant_term(0.25),), True),
+    ((constant_term(0.25), time_affine_term(0.1, 0.2)), True),
+    ((time_affine_term(0.1, 0.2), constant_term(0.25)), True),
+    ((exp_decay_term(0.5, 2.0),), False),
+    ((constant_term(0.25), exp_decay_term(0.5, 2.0)), False),
+    ((exp_decay_term(0.5, 2.0), constant_term(0.25)), False),
+    # rate 0 gives the factor 1 everywhere, but not the unit_factor
+    ((exp_decay_term(0.25, 0.0),), False),
+    # a hand-written unit factor is not the unit_factor either
+    (((constant_term(0.25)[0], _one),), False),
+    (((constant_term(0.25)[0], unit_factor),), True),
+], ids=["constant", "constant+affine", "affine+constant", "exp_decay",
+        "constant+exp_decay", "exp_decay+constant", "rate_0", "hand_written",
+        "hand_built_unit"])
+def test_time_only_exactly_when_every_factor_is_unit(terms, time_only) -> None:
+    vol = VolatilitySpec(terms=terms, lambda_lower=0.25, lambda_upper=0.75,
+                         x_derivative_bound=1.0)
+    assert vol.time_only is time_only
+    assert vol.time_only == all(b is unit_factor for _, b in vol.terms)
+    with pytest.raises(AttributeError):
+        vol.time_only = not time_only
 
 
 def test_time_affine_rejects_sign_change() -> None:
@@ -122,8 +162,7 @@ def test_grid_violations_flags_out_of_band_values() -> None:
 
     # declared upper bound 1.0 is exceeded for every T > 0
     vol = VolatilitySpec(terms=((a_fn, b_fn),), lambda_lower=0.5,
-                         lambda_upper=1.0, x_derivative_bound=10.0,
-                         time_only=False)
+                         lambda_upper=1.0, x_derivative_bound=10.0)
     assert grid_violations(vol, g)
 
 

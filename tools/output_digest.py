@@ -1,12 +1,15 @@
 """Print one SHA-256 digest of the solver's outputs per benchmark config.
 
 For each config document in ``bench/workloads/*.json`` (read, never
-written), and for the ``mc-gamma`` config with a maturity-dependent
-``exp_decay`` volatility, it solves the paths with seeds [7, i],
-i < 45, through ``hjmm.solver.solve_paths``: once in one block and once in
-blocks of 15.  It adds one solve of the first converged path restarted
-from twice its solution.  Every jump path, b and a field, solver report
-and NonPositiveFactor message goes into the digest of that config.
+written), and for three variants of the ``mc-gamma`` config that change
+only its volatility (a maturity-dependent ``exp_decay`` term, a
+``time_affine`` term that is time-only but not constant, and the sum of
+a ``constant`` and an ``exp_decay`` term), it solves the paths with
+seeds [7, i], i < 45, through ``hjmm.solver.solve_paths``: once in one
+block and once in blocks of 15.  It adds one solve of the first
+converged path restarted from twice its solution.  Every jump path, b
+and a field, solver report and NonPositiveFactor message goes into the
+digest of that config.
 
     PYTHONPATH=src python tools/output_digest.py
 
@@ -35,14 +38,23 @@ BLOCK = 15
 SEED = 7
 
 
+# the volatility terms of the mc-gamma variants, by name suffix
+VARIANTS = {
+    "exp-decay": [{"kind": "exp_decay", "level": 0.2, "rate": 0.5}],
+    "time-affine": [{"kind": "time_affine", "intercept": 0.15, "slope": 0.1}],
+    "constant-exp-decay": [{"kind": "constant", "level": 0.1},
+                           {"kind": "exp_decay", "level": 0.15, "rate": 0.5}],
+}
+
+
 def _configs() -> dict:
-    """Config documents by name: the workloads and one exp_decay variant."""
+    """Config documents by name: the workloads and the mc-gamma variants."""
     docs = {path.stem: json.loads(path.read_text(encoding="utf-8"))["config"]
             for path in sorted((ROOT / "bench" / "workloads").glob("*.json"))}
-    variant = copy.deepcopy(docs["mc-gamma"])
-    variant["volatility"] = {"terms": [
-        {"kind": "exp_decay", "level": 0.2, "rate": 0.5}]}
-    docs["mc-gamma-exp-decay"] = variant
+    for suffix, terms in VARIANTS.items():
+        variant = copy.deepcopy(docs["mc-gamma"])
+        variant["volatility"] = {"terms": terms}
+        docs[f"mc-gamma-{suffix}"] = variant
     return docs
 
 
