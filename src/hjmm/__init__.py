@@ -11,8 +11,7 @@ from .curves import (InitialCurve, affine_curve, constant_curve,
                      exp_decay_curve, table_curve)
 from .errors import (ConfigError, DomainError, HjmmError, NonIntegrable,
                      NonPositiveFactor, NonPositiveInitialCurve,
-                     NotTimeOnly, SecondMomentInfinite,
-                     UnsupportedSpec)
+                     SecondMomentInfinite, UnsupportedSpec)
 from .grids import GridSpec, RateField, flat_extend
 from .levy import (AssumptionReport, GrowthClassification, LevyModelSpec,
                    Rule, Verdict, check_assumptions, classify_growth,
@@ -40,8 +39,8 @@ __all__ = [
     "DomainError", "GammaLike", "GridSpec", "GrowthClassification",
     "HjmmError", "InitialCurve", "JumpPath", "LevyModelSpec",
     "MartingaleReport", "MeasureFamily", "NonIntegrable",
-    "NonPositiveFactor", "NonPositiveInitialCurve", "NotTimeOnly",
-    "PointMasses", "RateField", "Rule", "RunConfig",
+    "NonPositiveFactor", "NonPositiveInitialCurve", "PointMasses",
+    "RateField", "Rule", "RunConfig",
     "SecondMomentInfinite", "SolverReport", "StableLike",
     "StrongResidualReport", "UnsupportedSpec", "UserDensity",
     "VerificationReport", "Verdict", "VolatilitySpec", "affine_curve",

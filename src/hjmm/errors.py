@@ -29,9 +29,5 @@ class SecondMomentInfinite(HjmmError, ArithmeticError):
     """The second moment of the jump measure diverges."""
 
 
-class NotTimeOnly(HjmmError, ValueError):
-    """An operation requiring time-only volatility got a maturity-dependent one."""
-
-
 class ConfigError(HjmmError, ValueError):
     """A run configuration document is invalid."""

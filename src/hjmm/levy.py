@@ -186,12 +186,14 @@ def classify_growth(spec: LevyModelSpec, lambda_bar: float,
     log-growth (no Gaussian part, no atom in (-1/lambda_bar, 0)), then the
     subordinator rule, then the Tauberian comparison of the measure's tail
     index rho, U(x) ~ x^rho near zero, with 1: indeterminate within the
-    band the measure knows rho to.  The verdict itself is horizon-free;
+    band the measure knows rho to.  ``lambda_bar`` must be positive and
+    finite (DomainError otherwise).  The verdict itself is horizon-free;
     ``lambda_bar`` enters only through the threshold -1/lambda_bar and
     ``t_star`` is accepted for interface symmetry with the solver.
     """
-    if lambda_bar <= 0.0:
-        raise DomainError(f"lambda_bar must be positive, got {lambda_bar}")
+    if not 0.0 < lambda_bar < math.inf:
+        raise DomainError(
+            f"lambda_bar must be positive and finite, got {lambda_bar}")
     threshold = -1.0 / lambda_bar
 
     if spec.gaussian_q > 0.0:
@@ -308,7 +310,11 @@ def log_growth_profile(spec: LevyModelSpec, lambda_bar: float, t_star: float,
 
     A profile bounded below signals the log-growth regime; a profile
     diverging to -inf signals explosion.  Purely informational.
+    ``lambda_bar`` must be positive and finite (DomainError otherwise).
     """
+    if not 0.0 < lambda_bar < math.inf:
+        raise DomainError(
+            f"lambda_bar must be positive and finite, got {lambda_bar}")
     z = np.asarray(z_grid, dtype=float)
     if np.any(z <= 0.0):
         raise DomainError("z grid must be strictly positive")

@@ -111,8 +111,11 @@ def simulate_paths(spec: LevyModelSpec, t_star: float, seeds,
     """Simulate a block of driver paths over [0, t_star], one per seed.
 
     Finite-activity measures are sampled exactly; infinite-activity ones
-    are restricted to jumps >= eps, with the drift adjusted by the removed
-    mean so the truncated exponent error is at most z^2 * U(eps) / 2.
+    are restricted to jumps >= eps, a finite eps > 0 (DomainError
+    otherwise), with the drift a - int_eps^1 y nu + int_1^eps y nu (one
+    of the two is zero): the jumps below eps are replaced by their mean,
+    compensated below 1, so the mean of L(t) is exact at every eps and
+    the truncated exponent error is at most z^2 * U(eps) / 2.
     Only drivers with no Gaussian part and positive-only jumps are
     simulable; anything else raises UnsupportedSpec.  A model that
     expects more than MAX_MEAN_JUMPS jumps per path raises DomainError
@@ -141,9 +144,9 @@ def simulate_paths(spec: LevyModelSpec, t_star: float, seeds,
         intensity = measure.total_mass()
         eps_used = 0.0
     else:
-        if eps <= 0.0:
-            raise DomainError(
-                "infinite-activity measures need a truncation level eps > 0")
+        if not 0.0 < eps < math.inf:
+            raise DomainError("infinite-activity measures need a finite "
+                              f"truncation level eps > 0, got {eps}")
         intensity = measure.tail_mass(eps)
         eps_used = eps
     if intensity * t_star > MAX_MEAN_JUMPS:
@@ -167,7 +170,8 @@ def simulate_paths(spec: LevyModelSpec, t_star: float, seeds,
         uniforms.append(rng.uniform(size=n))
     sizes = measure.jump_sizes(np.concatenate(uniforms), eps_used)
 
-    drift = spec.drift_a - measure.first_moment(eps_used, 1.0)
+    drift = (spec.drift_a - measure.first_moment(eps_used, 1.0)
+             + measure.first_moment(1.0, eps_used))
     if not math.isfinite(drift):
         raise UnsupportedSpec(
             "small-jump compensator diverges; increase the truncation level")

@@ -48,8 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import InitialCurve
-from .errors import (DomainError, NonPositiveFactor, NotTimeOnly,
-                     SecondMomentInfinite)
+from .errors import DomainError, NonPositiveFactor, SecondMomentInfinite
 from .grids import (GridSpec, RateField, below_diagonal, cumtrapz,
                     flat_extend, gap_integral, slice_weights)
 from .levy import LevyModelSpec, fast_derivative
@@ -479,9 +478,13 @@ def uniqueness_contraction_check(field1: RateField, field2: RateField,
     iterating the double integral n times multiplies the bound by
     K^n (t_star * t_max)^n / (n!)^2.  Requires a finite second moment of the
     jump measure (J''(0) < inf), else SecondMomentInfinite is raised.
+    ``b_sup``, the sup of the path's jump factor field, must be positive
+    and finite (DomainError otherwise, NaN included).
     """
     _require_on_grid(field1, grid, "field1")
     _require_on_grid(field2, grid, "field2")
+    if not 0.0 < b_sup < math.inf:
+        raise DomainError(f"b_sup must be positive and finite, got {b_sup}")
     second = spec.measure.second_moment()
     if not math.isfinite(second) or not math.isfinite(spec.gaussian_q):
         raise SecondMomentInfinite(
@@ -517,7 +520,12 @@ def uniqueness_contraction_check(field1: RateField, field2: RateField,
 
 @dataclass
 class StrongResidualReport:
-    """Discrete residuals of the strong form for time-only volatility."""
+    """Discrete residuals of the strong form.
+
+    A field reads NaN when it checked no cells: the time residual on a
+    path with no jump-free panel, the d_x identity on a slice too short
+    or for a volatility that depends on maturity.
+    """
 
     delta: float
     time_residual_max: float
@@ -542,14 +550,15 @@ def strong_residual(field: RateField, vol: VolatilitySpec, spec: LevyModelSpec,
     (:func:`~hjmm.paths.jump_factor_error`, a check of the path data at
     rounding level, which does not read the solved field); and the
     analytic identity for d_x r in terms of J'' is checked on the interior
-    cells of every slice with at least 4 nodes.  Volatility must be
-    time-only.
+    cells of every slice with at least 4 nodes.  The time residual and
+    the jump relation read lambda on the grid at its own width, so they
+    hold for every volatility; the d_x identity, d_x r = r (f0'/f0 +
+    int J'' lambda^2 r ds), holds for a time-only lambda alone (any other
+    adds d_T lambda terms), so for a maturity-dependent one it checks no
+    cells and its fields read NaN.
     """
-    if not vol.time_only:
-        raise NotTimeOnly("the strong form needs maturity-independent volatility")
     values = field.values
     dx = grid.delta
-    # one column, broadcast over the maturities
     lam = vol.on_grid(grid)
     inner = gap_integral(values * lam, dx)
     d_x = _row_gradient(values, dx)
@@ -564,8 +573,9 @@ def strong_residual(field: RateField, vol: VolatilitySpec, spec: LevyModelSpec,
     checked = jump_free[:, None] & (i <= grid.n_cols - 2) & (i <= j)
     res = np.abs(fwd - drift[:-1, :-1])[checked]
 
-    dx_res = _dx_identity_residual(values, vol, fast_derivative(spec, 2),
-                                   inner, d_x, grid)
+    dx_res = (_dx_identity_residual(values, vol, fast_derivative(spec, 2),
+                                    inner, d_x, grid)
+              if vol.time_only else np.empty(0))
     return StrongResidualReport(
         delta=dx,
         time_residual_max=float(np.max(res)) if res.size else math.nan,

@@ -3,7 +3,8 @@
 Each suite exercises one qualitative property of the machinery (monotone
 iteration, norm embeddings, exponent monotonicity, positivity of the
 jump factor, the strong differential form, two-start uniqueness) on the
-model a run configuration describes.  The suites that solve a path run
+model a run configuration describes, for every linear volatility,
+time-only or maturity-dependent.  The suites that solve a path run
 :func:`~hjmm.solver.solve_path`, the pipeline ``hjmm solve`` and the
 Monte Carlo run.  A suite that needs a simulated jump path raises
 UnsupportedSpec for a model the path simulator does not cover, and
@@ -155,13 +156,11 @@ def suite_jump_factor_positive(config: RunConfig, seed: int) -> SuiteResult:
 def suite_strong_residual(config: RunConfig, seed: int) -> SuiteResult:
     """Inter-jump residual must shrink under grid refinement.
 
-    Only meaningful for maturity-independent volatility; skipped
-    otherwise.  Both grids solve the path of seed (seed, 2000): a path
-    depends only on its seed and the horizon, so they see the same jumps.
+    Runs for every linear volatility, time-only or maturity-dependent:
+    the time residual and the jump relation read lambda on the grid.
+    Both grids solve the path of seed (seed, 2000): a path depends only
+    on its seed and the horizon, so they see the same jumps.
     """
-    if not config.volatility.time_only:
-        return SuiteResult("strong_residual", True,
-                           note="skipped: volatility depends on maturity")
     maxima = []
     jump_err = 0.0
     for g in (config.grid, config.grid.refine(2)):
@@ -192,10 +191,15 @@ def suite_strong_residual(config: RunConfig, seed: int) -> SuiteResult:
 
 
 def suite_two_start(config: RunConfig, seed: int) -> SuiteResult:
-    """Restarting from twice the fixed point must land on the same field."""
-    _, _, a_vals, first = solve_path(config.levy, config.volatility,
-                                     config.curve, config.grid, [seed, 3000],
-                                     config.mc["eps"], **config.solver)
+    """Restarting from twice the fixed point must land on the same field.
+
+    The Gronwall constant it reports takes the sup of the path's jump
+    factor field.
+    """
+    _, b_vals, a_vals, first = solve_path(config.levy, config.volatility,
+                                          config.curve, config.grid,
+                                          [seed, 3000], config.mc["eps"],
+                                          **config.solver)
     if not first.converged:
         return SuiteResult("two_start", False,
                            details={"status": first.status})
@@ -207,7 +211,7 @@ def suite_two_start(config: RunConfig, seed: int) -> SuiteResult:
                            details={"status": second.status})
     check = uniqueness_contraction_check(
         first.final_field, second.final_field, config.levy,
-        config.volatility, config.grid)
+        config.volatility, config.grid, b_sup=float(b_vals.max()))
     # strict, where check.passed also takes a distance at the tolerance
     return SuiteResult("two_start", check.initial_sup < TWO_START_TOL,
                        details={"sup_distance": check.initial_sup,

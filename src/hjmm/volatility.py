@@ -141,7 +141,9 @@ class VolatilitySpec:
     def time_only(self) -> bool:
         """lambda depends on time alone: every b_n is ``unit_factor``.
 
-        The strong-form residual check requires it.
+        It sets the width of :meth:`matrix` and :meth:`on_grid`, and the
+        d_x identity of the strong-form check holds for such a lambda
+        alone.
         """
         return all(b_fn is unit_factor for _, b_fn in self.terms)
 

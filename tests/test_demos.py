@@ -18,6 +18,8 @@ def test_demo_exits_zero(script, tmp_path) -> None:
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     # demos that write files put them under the temporary directory
     env["TMPDIR"] = str(tmp_path)
+    # a warning fails a demo, as filterwarnings fails a test
+    env["PYTHONWARNINGS"] = "error"
     done = subprocess.run([sys.executable, str(script)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr[-2000:]

@@ -306,6 +306,16 @@ class TestClassifier:
         with pytest.raises(DomainError):
             classify_growth(gamma_subordinator(1.0, 1.0), 0.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_lambda_bar_must_be_positive_and_finite(self, bad) -> None:
+        # a NaN used to classify as ExistenceLogGrowth and give an
+        # all-NaN profile
+        spec = gamma_subordinator(1.0, 1.0)
+        with pytest.raises(DomainError, match="positive and finite"):
+            classify_growth(spec, bad, 1.0)
+        with pytest.raises(DomainError, match="positive and finite"):
+            log_growth_profile(spec, bad, 1.0, np.array([1.0, 2.0]))
+
 
 class TestAssumptions:
     def test_all_pass_for_gamma_subordinator(self) -> None:

@@ -141,6 +141,21 @@ class TestSimulatePath:
         expected = 1.0 * (1.0 - math.exp(-2.0 * eps)) / 2.0
         assert path.drift_rate == pytest.approx(expected, rel=1e-12)
 
+    def test_truncation_above_one_keeps_the_mean(self) -> None:
+        # eps = 2: the jumps in [1, 2) are dropped, so the drift carries
+        # their mean int_1^2 y nu (0.0293 here) and E L(1) = c / beta
+        spec = gamma_subordinator(0.5, 2.0)
+        n = 4000
+        paths = simulate_paths(spec, 1.0, [[0, k] for k in range(n)], eps=2.0)
+        values = np.array([p.value_at(1.0) for p in paths])
+        stderr = values.std() / math.sqrt(n)
+        assert abs(values.mean() - 0.25) < 4.0 * stderr
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_non_finite_truncation_level_refused(self, eps) -> None:
+        with pytest.raises(DomainError, match="truncation level"):
+            simulate_path(gamma_subordinator(0.5, 2.0), 1.0, 0, eps=eps)
+
     def test_poisson_count_scale(self) -> None:
         # intensity = tail mass above eps; check the ensemble mean roughly
         spec = gamma_subordinator(1.0, 1.0)

@@ -13,8 +13,7 @@ import pytest
 
 import hjmm.solver
 from hjmm.curves import affine_curve, constant_curve, exp_decay_curve
-from hjmm.errors import (DomainError, NonPositiveFactor, NotTimeOnly,
-                         SecondMomentInfinite)
+from hjmm.errors import DomainError, NonPositiveFactor, SecondMomentInfinite
 from hjmm.grids import (GridSpec, RateField, cumtrapz, flat_extend,
                         gap_integral)
 from hjmm.levy import (LevyModelSpec, drift_only, fast_derivative,
@@ -338,6 +337,23 @@ class TestUniqueness:
         for obs, bound in zip(report.observed_sups, report.analytic_bounds):
             assert obs <= bound * (1.0 + 1e-9)
 
+    def test_constant_scales_with_the_jump_factor_sup(self) -> None:
+        grid, spec, vol, first, second = self._solve_pair()
+        unit, scaled = (uniqueness_contraction_check(
+            first.final_field, second.final_field, spec, vol, grid,
+            b_sup=b_sup) for b_sup in (1.0, 1.25))
+        assert scaled.k_constant == pytest.approx(1.25 * unit.k_constant,
+                                                  rel=1e-14)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
+    def test_non_finite_or_non_positive_b_sup_rejected(self, bad) -> None:
+        # -1 used to give a negative constant, NaN a NaN one
+        grid, spec, vol, first, second = self._solve_pair()
+        with pytest.raises(DomainError, match="positive and finite"):
+            uniqueness_contraction_check(first.final_field,
+                                         second.final_field, spec, vol,
+                                         grid, b_sup=bad)
+
     def test_infinite_second_moment_rejected(self) -> None:
         grid = _grid()
         nu = UserDensity(density_fn=lambda y: 1.0 / (1.0 + y) ** 3)
@@ -452,11 +468,24 @@ class TestStrongResidual:
         assert reports[0].panels_checked > 0
         assert reports[0].jump_relation_max_error < 1e-10
 
-    def test_maturity_dependent_volatility_rejected(self) -> None:
-        grid = _grid()
-        path = _drift_path(grid, 1.0)
+    @staticmethod
+    def _maturity_dependent_residual(vol, grid, path) -> float:
+        """The time residual max of the solved field; the jump relation
+        holds, and the time-only d_x identity checks no cells (NaN)."""
         spec = gamma_subordinator(0.5, 2.0)
+        a = _solve_setup(spec, vol, exp_decay_curve(0.08, 0.4), grid, path)
+        report = solve_fixed_point(a, vol, spec, grid, tol=1e-12)
+        assert report.converged
+        rep = strong_residual(report.final_field, vol, spec, path, grid)
+        assert rep.panels_checked > 0
+        assert rep.jump_relation_max_error < 1e-10
+        assert math.isnan(rep.dx_identity_max)
+        assert math.isnan(rep.dx_identity_mean)
+        return rep.time_residual_max
 
+    def test_maturity_dependent_volatility_time_residual_shrinks(
+            self) -> None:
+        # lambda = e^{-0.1 T} on a path without jumps
         def a_fn(t):
             t = np.asarray(t, dtype=float)
             return np.ones(t.shape) if t.ndim else 1.0
@@ -464,15 +493,28 @@ class TestStrongResidual:
         def b_fn(T):
             return np.exp(-0.1 * np.asarray(T, dtype=float))
 
-        from hjmm.volatility import VolatilitySpec
-
         vol = VolatilitySpec(terms=((a_fn, b_fn),),
                              lambda_lower=math.exp(-0.2), lambda_upper=1.0,
                              x_derivative_bound=0.1)
-        a = _solve_setup(spec, vol, exp_decay_curve(0.08, 0.4), grid, path)
-        report = solve_fixed_point(a, vol, spec, grid)
-        with pytest.raises(NotTimeOnly):
-            strong_residual(report.final_field, vol, spec, path, grid)
+        maxima = [self._maturity_dependent_residual(
+            vol, _grid(delta), _drift_path(_grid(delta), 1.0))
+            for delta in (1.0 / 8.0, 1.0 / 16.0, 1.0 / 32.0)]
+        assert maxima[0] / maxima[1] >= 1.5
+        assert maxima[1] / maxima[2] >= 1.5
+
+    @pytest.mark.parametrize("terms", [
+        (exp_decay_term(0.2, 0.5),),
+        (constant_term(0.1), exp_decay_term(0.15, 0.5)),
+    ], ids=["exp_decay", "constant+exp_decay"])
+    def test_exp_decay_volatility_on_a_jump_path(self, terms) -> None:
+        path = simulate_path(gamma_subordinator(0.5, 2.0), 1.0, [31, 0])
+        vol = VolatilitySpec(terms=terms, lambda_lower=0.05,
+                             lambda_upper=0.25, x_derivative_bound=0.1)
+        assert not vol.time_only and path.n_jumps
+        coarse, fine = (self._maturity_dependent_residual(vol, _grid(delta),
+                                                          path)
+                        for delta in (1.0 / 8.0, 1.0 / 16.0))
+        assert coarse / fine >= 1.5
 
 
 class TestExplosion:

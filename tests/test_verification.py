@@ -7,6 +7,7 @@ import pytest
 from hjmm.config import parse_config
 from hjmm.levy import LevyModelSpec
 from hjmm.measures import PointMasses
+from hjmm.solver import solve_path, uniqueness_contraction_check
 from hjmm.verification import (
     run_all,
     suite_exponent_monotone,
@@ -74,12 +75,21 @@ def test_strong_residual_suite(base_config) -> None:
     assert result.details["ratio"] >= 1.5
 
 
-def test_strong_residual_skips_maturity_dependent_volatility() -> None:
-    config = _config(vol_terms=[{"kind": "exp_decay", "level": 0.2,
-                                 "rate": 0.3}])
+@pytest.mark.parametrize("terms", [
+    [{"kind": "exp_decay", "level": 0.2, "rate": 0.3}],
+    [{"kind": "constant", "level": 0.1},
+     {"kind": "exp_decay", "level": 0.15, "rate": 0.5}],
+], ids=["exp_decay", "constant+exp_decay"])
+def test_strong_residual_runs_for_maturity_dependent_volatility(terms) -> None:
+    config = _config(vol_terms=terms)
+    assert not config.volatility.time_only
     result = suite_strong_residual(config, seed=0)
-    assert result.passed
-    assert "skipped" in (result.note or "")
+    assert result.passed and not result.note
+    assert result.details["ratio"] >= 1.5
+    assert result.details["jump_relation_max_error"] < 1e-10
+    report = run_all(config, seed=0)
+    assert report.all_passed
+    assert not any(s.note for s in report.suites)
 
 
 def test_hand_built_constant_volatility_gets_the_strong_suite() -> None:
@@ -101,6 +111,21 @@ def test_two_start_suite(base_config) -> None:
     result = suite_two_start(base_config, seed=0)
     assert result.passed
     assert result.details["sup_distance"] < 1e-6
+
+
+def test_two_start_gronwall_constant_takes_the_path_b_sup(base_config) -> None:
+    _, b, _, report = solve_path(base_config.levy, base_config.volatility,
+                                 base_config.curve, base_config.grid,
+                                 [0, 3000], base_config.mc["eps"],
+                                 **base_config.solver)
+    b_sup = float(b.max())
+    assert b_sup > 1.0
+    check = uniqueness_contraction_check(
+        report.final_field, report.final_field, base_config.levy,
+        base_config.volatility, base_config.grid, b_sup=b_sup)
+    result = suite_two_start(base_config, seed=0)
+    assert result.details["gronwall_constant"] == pytest.approx(
+        check.k_constant, rel=1e-12)
 
 
 def test_run_all_aggregates(base_config) -> None:
