@@ -8,10 +8,12 @@ diagonal (t > T) fields carry the flat extension f(t, T) = f(T, T), which
 is what the discounted-bond identity uses.
 
 The grid owns its triangle.  The field shape is checked by
-:meth:`GridSpec.check_field` alone; the mask of the below-diagonal cells
-of a field shape (:func:`below_diagonal`) and the slice L2 weights of a
-grid (:func:`slice_weights`) are built once per shape and grid, cached
-and read-only, and no other module builds a triangle index or mask.
+:meth:`GridSpec.check_field` alone, and that a field is a
+:class:`RateField` on a given grid by ``_require_on_grid`` alone.  The
+mask of the below-diagonal cells of a field shape (:func:`below_diagonal`)
+and the slice L2 weights of a grid (:func:`slice_weights`) are built
+once per shape and grid, cached and read-only, and no other module
+builds a triangle index or mask.
 :func:`flat_extend` and the bond prices fill the masked cells with one
 masked copy.
 """
@@ -212,11 +214,6 @@ class RateField:
     def __post_init__(self) -> None:
         self.grid.check_field(self.values)
 
-    @classmethod
-    def from_triangle(cls, values: np.ndarray, grid: GridSpec) -> "RateField":
-        """Build a field from upper-triangle values, applying the extension."""
-        return cls(flat_extend(values), grid)
-
     def musiela_slice(self, i: int) -> np.ndarray:
         """r(t_i, x) over the truncated gap range x in [0, t_max - t_i]."""
         return self.values[i, i:]
@@ -228,9 +225,9 @@ class RateField:
         """r(t_i) = f(t_i, t_i) along the diagonal."""
         return np.diagonal(self.values).copy()
 
-    def extension_defect(self) -> float:
-        """Max deviation of below-diagonal cells from their diagonal value, or NaN."""
-        mask = below_diagonal(self.values.shape)
-        return float(np.max(np.abs(self.values[mask]
-                                   - flat_extend(self.values)[mask]),
-                            initial=0.0))
+
+def _require_on_grid(field, grid: GridSpec, name: str) -> RateField:
+    """``field``, if it is a RateField on ``grid``; else DomainError."""
+    if not isinstance(field, RateField) or field.grid != grid:
+        raise DomainError(f"{name} must be a RateField on the supplied grid")
+    return field

@@ -33,7 +33,8 @@ from scipy import integrate
 
 from .curves import InitialCurve
 from .errors import DomainError, NonPositiveFactor
-from .grids import GridSpec, RateField, below_diagonal, cumtrapz, gap_integral
+from .grids import (GridSpec, RateField, _require_on_grid, below_diagonal,
+                    cumtrapz, gap_integral)
 from .levy import LevyModelSpec, exponent, fast_derivative
 from .solver import (STATUS_CONVERGED, STATUS_EXPLODED, STATUS_MAX_ITER,
                      solve_paths)
@@ -52,22 +53,16 @@ __all__ = [
 
 @dataclass(eq=False)
 class BondSurface:
-    """Grid of bond prices derived from one forward-rate field."""
+    """Grid of bond prices derived from one forward-rate field.
+
+    ``prices[i, j]`` is P(t_i, T_j) and ``discounted[i, j]`` is
+    P_hat(t_i, T_j) at time node i and maturity node j.
+    """
 
     prices: np.ndarray
     discounted: np.ndarray
     short_rates: np.ndarray
     grid: GridSpec
-
-    def price(self, t: float, T: float) -> float:
-        i = self.grid.index_of_time(t)
-        j = self.grid.index_of_maturity(T)
-        return float(self.prices[i, j])
-
-    def discounted_price(self, t: float, T: float) -> float:
-        i = self.grid.index_of_time(t)
-        j = self.grid.index_of_maturity(T)
-        return float(self.discounted[i, j])
 
 
 def bond_surface(rate_field: RateField, grid: GridSpec) -> BondSurface:
@@ -76,10 +71,9 @@ def bond_surface(rate_field: RateField, grid: GridSpec) -> BondSurface:
     ``prices[i, j]`` is NaN for maturities before the observation time
     (j < i); ``discounted[i, j]`` is defined everywhere because the flat
     extension turns the discount factor into the same row integral.
+    ``rate_field`` must be a RateField on ``grid`` (DomainError otherwise).
     """
-    if rate_field.grid != grid:
-        raise DomainError("field and grid do not match")
-    values = rate_field.values
+    values = _require_on_grid(rate_field, grid, "rate_field").values
     # NaN fails both comparisons
     if not (np.min(values) >= 0.0 and np.max(values) < math.inf):
         raise DomainError("bond prices need a finite nonnegative rate field")
@@ -352,8 +346,10 @@ def drift_identity_check(spec: LevyModelSpec, vol: VolatilitySpec,
     operator.  J' comes from the vectorized :func:`fast_derivative` on all
     maturity nodes at once and J from the adaptive-quadrature
     :func:`exponent`; the discrepancy is pure maturity-grid
-    discretization, O(delta^2).
+    discretization, O(delta^2).  ``rate_field`` must be a RateField on
+    ``grid`` (DomainError otherwise).
     """
+    _require_on_grid(rate_field, grid, "rate_field")
     if not (0.0 <= s <= t <= T <= grid.t_max):
         raise DomainError("need 0 <= s <= t <= T <= t_max")
     if s > grid.t_star:

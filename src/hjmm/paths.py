@@ -100,11 +100,6 @@ class JumpPath:
     def n_jumps(self) -> int:
         return int(self.times.size)
 
-    def value_at(self, t: float) -> float:
-        """L(t) = drift_rate * t + sum of jumps up to and including t."""
-        k = int(np.searchsorted(self.times, t, side="right"))
-        return self.drift_rate * t + float(self.sizes[:k].sum())
-
 
 def simulate_paths(spec: LevyModelSpec, t_star: float, seeds,
                    eps: float = 1e-3) -> list[JumpPath]:

@@ -49,8 +49,8 @@ import numpy as np
 
 from .curves import InitialCurve
 from .errors import DomainError, NonPositiveFactor, SecondMomentInfinite
-from .grids import (GridSpec, RateField, below_diagonal, cumtrapz,
-                    flat_extend, gap_integral, slice_weights)
+from .grids import (GridSpec, RateField, _require_on_grid, below_diagonal,
+                    cumtrapz, flat_extend, gap_integral, slice_weights)
 from .levy import LevyModelSpec, fast_derivative
 from .paths import (JumpPath, factor_fields, field_a, jump_factor_error,
                     simulate_paths)
@@ -125,13 +125,6 @@ def _operator(vol: VolatilitySpec, spec: LevyModelSpec, grid: GridSpec):
         return flat_extend(out, out=out)
 
     return apply, apply_zero
-
-
-def _require_on_grid(field, grid: GridSpec, name: str) -> RateField:
-    """``field``, if it is a RateField on ``grid``; else DomainError."""
-    if not isinstance(field, RateField) or field.grid != grid:
-        raise DomainError(f"{name} must be a RateField on the supplied grid")
-    return field
 
 
 def apply_K(field: RateField, a_field: np.ndarray, vol: VolatilitySpec,
@@ -337,11 +330,12 @@ def weighted_norms(field: RateField | np.ndarray, grid: GridSpec,
     that :func:`timeline_norm` uses; the H1 norm adds the same sum over the
     derivative of the slice (second-order differences, first-order on a
     two-node slice); sup is the plain maximum of |r| on the slice.  Norms
-    are over the truncated range.  An array needs one column per maturity
-    node and a row at ``t``, so the leading rows of a field will do
-    (DomainError otherwise).
+    are over the truncated range.  A RateField must lie on ``grid``; an
+    array needs one column per maturity node and a row at ``t``, so the
+    leading rows of a field will do (DomainError otherwise).
     """
-    values = field.values if isinstance(field, RateField) else np.asarray(field)
+    values = (_require_on_grid(field, grid, "field").values
+              if isinstance(field, RateField) else np.asarray(field))
     i = grid.index_of_time(t)
     if (values.ndim != 2 or values.shape[1] != grid.n_cols + 1
             or i >= len(values)):
@@ -467,7 +461,7 @@ class ContractionReport:
 
 def uniqueness_contraction_check(field1: RateField, field2: RateField,
                                  spec: LevyModelSpec, vol: VolatilitySpec,
-                                 grid: GridSpec, *, b_sup: float = 1.0,
+                                 grid: GridSpec, *, b_sup: float,
                                  n_iter: int = 5,
                                  tolerance: float = 1e-6) -> ContractionReport:
     """Drive the distance of two candidate solutions through the Gronwall loop.
@@ -478,8 +472,8 @@ def uniqueness_contraction_check(field1: RateField, field2: RateField,
     iterating the double integral n times multiplies the bound by
     K^n (t_star * t_max)^n / (n!)^2.  Requires a finite second moment of the
     jump measure (J''(0) < inf), else SecondMomentInfinite is raised.
-    ``b_sup``, the sup of the path's jump factor field, must be positive
-    and finite (DomainError otherwise, NaN included).
+    ``b_sup``, the sup of the path's jump factor field, is required and
+    must be positive and finite (DomainError otherwise, NaN included).
     """
     _require_on_grid(field1, grid, "field1")
     _require_on_grid(field2, grid, "field2")
@@ -555,9 +549,10 @@ def strong_residual(field: RateField, vol: VolatilitySpec, spec: LevyModelSpec,
     hold for every volatility; the d_x identity, d_x r = r (f0'/f0 +
     int J'' lambda^2 r ds), holds for a time-only lambda alone (any other
     adds d_T lambda terms), so for a maturity-dependent one it checks no
-    cells and its fields read NaN.
+    cells and its fields read NaN.  ``field`` must be a RateField on
+    ``grid`` (DomainError otherwise).
     """
-    values = field.values
+    values = _require_on_grid(field, grid, "field").values
     dx = grid.delta
     lam = vol.on_grid(grid)
     inner = gap_integral(values * lam, dx)

@@ -147,15 +147,6 @@ class VolatilitySpec:
         """
         return all(b_fn is unit_factor for _, b_fn in self.terms)
 
-    def standard(self, t, T):
-        """lambda(t, T), broadcasting over array arguments."""
-        t = np.asarray(t, dtype=float)
-        T = np.asarray(T, dtype=float)
-        total = np.zeros(np.broadcast_shapes(t.shape, T.shape))
-        for a_fn, b_fn in self.terms:
-            total = total + np.asarray(a_fn(t)) * np.asarray(b_fn(T))
-        return total if total.shape else float(total)
-
     def matrix(self, t_values: np.ndarray, T_values: np.ndarray) -> np.ndarray:
         """Tensor-grid values lambda(t_i, T_j) of shape (len(t), len(T)).
 

@@ -39,6 +39,8 @@ from hjmm import (
 )
 from hjmm.curves import InitialCurve
 
+from _lambda_oracle import lambda_standard
+
 CLOSED_FORM_BUDGET_S = 10.0
 CLASSIFIER_BUDGET_S = 1.0
 MC_BUDGET_S = 300.0
@@ -223,7 +225,8 @@ def test_two_start_agreement_and_iterated_bound(capsys) -> None:
     level = 0.25
     low = RateField(np.full_like(a, 0.10), grid)
     high = RateField(np.full_like(a, 0.10 + level), grid)
-    rep = uniqueness_contraction_check(low, high, spec, vol, grid, n_iter=5)
+    rep = uniqueness_contraction_check(low, high, spec, vol, grid,
+                                       b_sup=1.0, n_iter=5)
     uw = grid.t_star * grid.t_max
     closed_form_ok = True
     observed_ok = True
@@ -343,7 +346,7 @@ def test_jump_factor_equals_explicit_product(capsys) -> None:
         b = field_b(vol, path, grid)
         manual = np.ones_like(b)
         for s, y in zip(times, sizes):
-            factor = 1.0 + vol.standard(s, T_nodes) * y
+            factor = 1.0 + lambda_standard(vol, s, T_nodes) * y
             manual[t_nodes >= s, :] *= factor[None, :]
         rel = np.max(np.abs(b - manual) / manual)
         worst = max(worst, float(rel))

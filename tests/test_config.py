@@ -22,6 +22,8 @@ from hjmm.measures import GammaLike, PointMasses, StableLike, UserDensity
 from hjmm.volatility import (constant_volatility, grid_violations,
                              time_affine_volatility)
 
+from _lambda_oracle import lambda_standard
+
 
 def _base_doc() -> dict:
     return {
@@ -220,7 +222,7 @@ def test_volatility_term_sum() -> None:
     ]}
     cfg = parse_config(doc)
     assert not cfg.volatility.time_only
-    got = cfg.volatility.standard(0.3, 1.0)
+    got = lambda_standard(cfg.volatility, 0.3, 1.0)
     assert got == pytest.approx(0.1 + 0.2 * math.exp(-0.5))
 
 

@@ -28,6 +28,8 @@ from hjmm.volatility import (VolatilitySpec, constant_term,
                              constant_volatility, exp_decay_term,
                              time_affine_volatility)
 
+from _lambda_oracle import lambda_standard
+
 PRODUCT_IDENTITY_RTOL = 1e-12
 
 
@@ -78,10 +80,11 @@ class TestBondSurface:
         field = RateField(np.full((grid.n_t + 1, grid.n_cols + 1), r0), grid)
         surf = bond_surface(field, grid)
         t, T = 0.5, 1.5
-        assert surf.price(t, T) == pytest.approx(math.exp(-r0 * (T - t)),
-                                                 rel=1e-13)
-        assert surf.discounted_price(t, T) == pytest.approx(
-            math.exp(-r0 * T), rel=1e-13)
+        i, j = grid.index_of_time(t), grid.index_of_maturity(T)
+        assert surf.prices[i, j] == pytest.approx(math.exp(-r0 * (T - t)),
+                                                  rel=1e-13)
+        assert surf.discounted[i, j] == pytest.approx(math.exp(-r0 * T),
+                                                      rel=1e-13)
 
     def test_drift_only_initial_price_closed_form(self) -> None:
         # r0(u) = 1 + u: P(0, T) = exp(-T - T^2/2), exact under trapezoid
@@ -94,7 +97,8 @@ class TestBondSurface:
         surf = bond_surface(report.final_field, grid)
         for T in (0.5, 1.0, 2.0):
             expected = math.exp(-T - T * T / 2.0)
-            assert surf.price(0.0, T) == pytest.approx(expected, rel=1e-12)
+            j = grid.index_of_maturity(T)
+            assert surf.prices[0, j] == pytest.approx(expected, rel=1e-12)
 
     def test_prices_unit_on_diagonal_and_nan_before(self) -> None:
         grid = _grid()
@@ -543,8 +547,8 @@ class TestDriftIdentity:
         for s, t, T in ((0.0, 0.0, 2.0), (0.25, 0.5, 1.5), (1.0, 1.0, 2.0)):
             i_s = grid.index_of_time(s)
             j_t, j_T = grid.index_of_maturity(t), grid.index_of_maturity(T)
-            sigma = (vol.standard(grid.t_nodes()[i_s], grid.T_nodes())
-                     * field.values[i_s])
+            sigma = (lambda_standard(vol, grid.t_nodes()[i_s],
+                                     grid.T_nodes()) * field.values[i_s])
             ct = cumtrapz(sigma, grid.delta, axis=0)
             inner = np.maximum(ct - ct[i_s], 0.0)
             cols = slice(j_t, j_T + 1)

@@ -31,6 +31,8 @@ from hjmm.volatility import (VolatilitySpec, constant_term,
                              constant_volatility, exp_decay_term,
                              time_affine_term, time_affine_volatility)
 
+from _lambda_oracle import lambda_standard
+
 PRODUCT_IDENTITY_RTOL = 1e-12
 # absolute step of the drift part of the pathwise integral oracle
 _ORACLE_STEP = 1.0 / 512.0
@@ -65,26 +67,26 @@ def _integrate_against_path(vol: VolatilitySpec, path: JumpPath, t: float,
         interior = step * np.arange(first, last + 1)
         inside = (interior > t_lower + 1e-15) & (interior < t - 1e-15)
         nodes = np.concatenate(([t_lower], interior[inside], [t]))
-        values = vol.standard(nodes, T)
+        values = lambda_standard(vol, nodes, T)
         drift_term = path.drift_rate * float(np.trapezoid(values, nodes))
 
     lo = int(np.searchsorted(path.times, t_lower, side="right"))
     hi = int(np.searchsorted(path.times, t, side="right"))
     jump_term = 0.0
     if hi > lo:
-        lam = np.asarray(vol.standard(path.times[lo:hi], T), dtype=float)
+        lam = np.asarray(lambda_standard(vol, path.times[lo:hi], T),
+                         dtype=float)
         jump_term = float(np.dot(lam, path.sizes[lo:hi]))
     return drift_term + jump_term
 
 
 class TestJumpPath:
-    def test_value_at_accumulates_jumps(self) -> None:
-        path = JumpPath(horizon=1.0, drift_rate=2.0,
-                        times=np.array([0.25, 0.75]),
-                        sizes=np.array([1.0, -0.5]))
-        assert path.value_at(0.1) == pytest.approx(0.2)
-        assert path.value_at(0.25) == pytest.approx(0.5 + 1.0)
-        assert path.value_at(1.0) == pytest.approx(2.0 + 0.5)
+    def test_keeps_its_jumps_as_float_arrays(self) -> None:
+        path = JumpPath(horizon=1.0, drift_rate=2.0, times=[0.25, 0.75],
+                        sizes=[1, -0.5])
+        assert path.times.dtype == path.sizes.dtype == np.float64
+        assert path.times.tolist() == [0.25, 0.75]
+        assert path.sizes.tolist() == [1.0, -0.5]
         assert path.n_jumps == 2
 
     def test_validation(self) -> None:
@@ -101,8 +103,8 @@ class TestJumpPath:
     @pytest.mark.parametrize("times", [[0.5, np.nan], [np.nan, 0.5], [np.nan],
                                        [-np.inf, 0.5], [0.5, np.inf]])
     def test_non_finite_times_are_refused(self, times) -> None:
-        # [0.5, nan] passed every check, and value_at and field_b then
-        # left out the jump at nan
+        # [0.5, nan] passed every check, and field_b then left out the
+        # jump at nan
         with pytest.raises(DomainError, match=r"lie in \(0, horizon\]"):
             JumpPath(horizon=1.0, drift_rate=0.0, times=np.array(times),
                      sizes=np.ones(len(times)))
@@ -147,7 +149,8 @@ class TestSimulatePath:
         spec = gamma_subordinator(0.5, 2.0)
         n = 4000
         paths = simulate_paths(spec, 1.0, [[0, k] for k in range(n)], eps=2.0)
-        values = np.array([p.value_at(1.0) for p in paths])
+        # L(1): every jump lies in (0, 1]
+        values = np.array([p.drift_rate + p.sizes.sum() for p in paths])
         stderr = values.std() / math.sqrt(n)
         assert abs(values.mean() - 0.25) < 4.0 * stderr
 
@@ -276,7 +279,7 @@ class TestFieldB:
             expected = np.ones(T.size)
             for s, dl in zip(path.times, path.sizes):
                 if s <= t:
-                    expected *= 1.0 + vol.standard(s, T) * dl
+                    expected *= 1.0 + lambda_standard(vol, s, T) * dl
             np.testing.assert_allclose(b[i], expected,
                                        rtol=PRODUCT_IDENTITY_RTOL)
 
@@ -295,7 +298,7 @@ class TestFieldB:
             expected = np.ones(T.size)
             for s, dl in zip(path.times, path.sizes):
                 if s <= t:
-                    expected *= 1.0 + vol.standard(s, T) * dl
+                    expected *= 1.0 + lambda_standard(vol, s, T) * dl
             np.testing.assert_allclose(b[i], expected,
                                        rtol=PRODUCT_IDENTITY_RTOL)
 
@@ -318,7 +321,7 @@ class TestFieldB:
             for j, T in enumerate(g.T_nodes()):
                 if T < t:
                     continue
-                a = np.array([vol.standard(s, T) * dl for s, dl
+                a = np.array([lambda_standard(vol, s, T) * dl for s, dl
                               in zip(path.times, path.sizes) if s <= t])
                 expected = (_integrate_against_path(vol, path, t, T - t)
                             + float(np.sum(np.log1p(a) - a)))

@@ -1,4 +1,12 @@
-"""The public names of hjmm: exactly these, each resolving and documented."""
+"""The public names of hjmm: exactly these, each resolving and documented.
+
+The classes that carry a run's data keep exactly the public methods and
+properties listed here, so a helper cannot come back unnoticed.
+"""
+
+import dataclasses
+
+import pytest
 
 import hjmm
 
@@ -24,6 +32,14 @@ PUBLIC_NAMES = {
     "uniqueness_contraction_check", "weighted_norms",
 }
 
+# public methods and properties, dataclass fields aside
+PUBLIC_MEMBERS = {
+    "BondSurface": set(),
+    "JumpPath": {"n_jumps"},
+    "RateField": {"musiela_slice", "short_rates", "x_nodes"},
+    "VolatilitySpec": {"matrix", "on_grid", "time_only"},
+}
+
 
 def test_all_lists_exactly_the_public_names() -> None:
     assert len(hjmm.__all__) == len(set(hjmm.__all__)) == 63
@@ -38,3 +54,12 @@ def test_every_public_name_resolves_and_has_a_docstring() -> None:
         if not doc or not doc.strip() or doc.startswith(name + "("):
             undocumented.append(name)
     assert not undocumented
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC_MEMBERS))
+def test_data_classes_keep_exactly_their_public_members(name) -> None:
+    cls = getattr(hjmm, name)
+    fields = {field.name for field in dataclasses.fields(cls)}
+    members = {member for member in dir(cls)
+               if not member.startswith("_") and member not in fields}
+    assert members == PUBLIC_MEMBERS[name]

@@ -18,6 +18,7 @@ from hjmm.grids import (GridSpec, RateField, cumtrapz, flat_extend,
                         gap_integral)
 from hjmm.levy import (LevyModelSpec, drift_only, fast_derivative,
                        gamma_subordinator)
+from hjmm.market import bond_surface, drift_identity_check
 from hjmm.measures import PointMasses, StableLike, UserDensity
 from hjmm.paths import JumpPath, field_a, field_b, simulate_path
 from hjmm.solver import (
@@ -38,6 +39,8 @@ from hjmm.solver import (
 from hjmm.volatility import (VolatilitySpec, constant_term,
                              constant_volatility, exp_decay_term,
                              time_affine_volatility)
+
+from _lambda_oracle import lambda_standard
 
 MONOTONE_TOL = 1e-12
 NORM_ORACLE_RTOL = 2e-3
@@ -116,8 +119,8 @@ class TestMonotoneIteration:
         vol = constant_volatility(0.2)
         path = simulate_path(spec, grid.t_star, [13, 0], eps=1e-3)
         a = _solve_setup(spec, vol, exp_decay_curve(0.08, 0.4), grid, path)
-        report = solve_fixed_point(a, vol, spec, grid)
-        assert report.final_field.extension_defect() == 0.0
+        values = solve_fixed_point(a, vol, spec, grid).final_field.values
+        assert values.tobytes() == flat_extend(values).tobytes()
 
 
 def test_grid_refinement_second_order() -> None:
@@ -231,8 +234,8 @@ class TestNorms:
     def test_timeline_norm_is_max_of_weighted_norms(self, t_max) -> None:
         grid = GridSpec(0.125, 1.0, t_max, 1.3)
         rng = np.random.default_rng(17)
-        field = RateField.from_triangle(
-            rng.uniform(0.1, 2.0, size=(grid.n_t + 1, grid.n_cols + 1)), grid)
+        field = RateField(flat_extend(
+            rng.uniform(0.1, 2.0, size=(grid.n_t + 1, grid.n_cols + 1))), grid)
         expected = max(weighted_norms(field, grid, t).l2_gamma
                        for t in grid.t_nodes())
         assert timeline_norm(field.values, grid) == pytest.approx(
@@ -293,27 +296,35 @@ class TestUniqueness:
         spec = gamma_subordinator(0.5, 2.0)
         vol = constant_volatility(0.2)
         path = simulate_path(spec, grid.t_star, [15, 0], eps=1e-3)
-        a = _solve_setup(spec, vol, exp_decay_curve(0.08, 0.4), grid, path)
+        b = field_b(vol, path, grid)
+        a = field_a(exp_decay_curve(0.08, 0.4), b, grid)
         first = solve_fixed_point(a, vol, spec, grid, tol=1e-11)
         restart = RateField(2.0 * first.final_field.values, grid)
         second = solve_fixed_point(a, vol, spec, grid, tol=1e-11,
                                    initial=restart)
-        return grid, spec, vol, first, second
+        return grid, spec, vol, first, second, float(b.max())
 
     def test_two_starts_converge_to_same_field(self) -> None:
-        grid, spec, vol, first, second = self._solve_pair()
+        grid, spec, vol, first, second, _ = self._solve_pair()
         assert first.converged and second.converged
         dist = np.max(np.abs(first.final_field.values
                              - second.final_field.values))
         assert dist < 1e-6
 
     def test_contraction_report_passes(self) -> None:
-        grid, spec, vol, first, second = self._solve_pair()
+        grid, spec, vol, first, second, b_sup = self._solve_pair()
         report = uniqueness_contraction_check(first.final_field,
                                               second.final_field,
-                                              spec, vol, grid)
+                                              spec, vol, grid, b_sup=b_sup)
         assert report.passed
         assert report.initial_sup < 1e-6
+
+    def test_b_sup_is_required(self) -> None:
+        # K must carry the jump-factor sup of the caller's path
+        grid, spec, vol, first, second, _ = self._solve_pair()
+        with pytest.raises(TypeError, match="b_sup"):
+            uniqueness_contraction_check(first.final_field,
+                                         second.final_field, spec, vol, grid)
 
     def test_synthetic_constant_distance_follows_factorial_decay(self) -> None:
         # constant d: the closed-form bound M K^m (t* T_max)^m / (m!)^2
@@ -325,7 +336,8 @@ class TestUniqueness:
         f1 = RateField(np.full(shape, 0.10), grid)
         f2 = RateField(np.full(shape, 0.35), grid)
         report = uniqueness_contraction_check(f1, f2, spec, vol, grid,
-                                              n_iter=6, tolerance=1.0)
+                                              b_sup=1.0, n_iter=6,
+                                              tolerance=1.0)
         M = report.initial_sup
         K = report.k_constant
         uw = grid.t_star * grid.t_max
@@ -338,7 +350,7 @@ class TestUniqueness:
             assert obs <= bound * (1.0 + 1e-9)
 
     def test_constant_scales_with_the_jump_factor_sup(self) -> None:
-        grid, spec, vol, first, second = self._solve_pair()
+        grid, spec, vol, first, second, _ = self._solve_pair()
         unit, scaled = (uniqueness_contraction_check(
             first.final_field, second.final_field, spec, vol, grid,
             b_sup=b_sup) for b_sup in (1.0, 1.25))
@@ -348,7 +360,7 @@ class TestUniqueness:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
     def test_non_finite_or_non_positive_b_sup_rejected(self, bad) -> None:
         # -1 used to give a negative constant, NaN a NaN one
-        grid, spec, vol, first, second = self._solve_pair()
+        grid, spec, vol, first, second, _ = self._solve_pair()
         with pytest.raises(DomainError, match="positive and finite"):
             uniqueness_contraction_check(first.final_field,
                                          second.final_field, spec, vol,
@@ -362,7 +374,7 @@ class TestUniqueness:
         shape = (grid.n_t + 1, grid.n_cols + 1)
         f = RateField(np.ones(shape), grid)
         with pytest.raises(SecondMomentInfinite):
-            uniqueness_contraction_check(f, f, spec, vol, grid)
+            uniqueness_contraction_check(f, f, spec, vol, grid, b_sup=1.0)
 
 
 class TestStrongResidual:
@@ -412,7 +424,7 @@ class TestStrongResidual:
         rep = strong_residual(field, vol, spec, path, grid)
 
         r, dx, t = field.values, grid.delta, grid.t_nodes()
-        lam = np.asarray(vol.standard(t, 0.0), dtype=float)
+        lam = np.asarray(lambda_standard(vol, t, 0.0), dtype=float)
         inner = gap_integral(r * lam[:, None], dx)
         dj, ddj = fast_derivative(spec, 1), fast_derivative(spec, 2)
         integral = cumtrapz(ddj(inner) * (lam ** 2)[:, None] * r, dx, axis=0)
@@ -751,7 +763,8 @@ def test_zero_start_iterate_is_the_full_application(family, vol_name) -> None:
 
 
 class TestFieldOnAnotherGrid:
-    """The solver and apply_K take only a RateField on their own grid."""
+    """The solver and every function that reads a field with a grid take
+    only a RateField on that grid."""
 
     # delta 0.25 on [0, 1] x [0, 2] and delta 0.5 on [0, 2] x [0, 4]
     # give fields of the same shape, (5, 9)
@@ -790,6 +803,33 @@ class TestFieldOnAnotherGrid:
         assert _report_bits(restarted) == _report_bits(
             solve_fixed_point(a, vol, spec, self.GRID))
         assert apply_K(start, a, vol, spec, self.GRID).grid == self.GRID
+
+    @pytest.mark.parametrize("call", [
+        "apply_K", "bond_surface", "strong_residual", "drift_identity_check",
+        "weighted_norms"])
+    def test_a_field_solved_on_another_grid_is_refused(self, call) -> None:
+        # the two grids give fields of one shape, (5, 9): a shape check
+        # passes the field, and read with the other grid's delta it gives
+        # wrong numbers
+        solved_on, other = self.GRID, GridSpec(0.125, 0.5, 1.0, 1.0)
+        assert solved_on.shape == other.shape
+        vol, spec = constant_volatility(0.2), gamma_subordinator(0.5, 2.0)
+        path = simulate_path(spec, solved_on.t_star, [15, 0])
+        a = _solve_setup(spec, vol, exp_decay_curve(0.08, 0.4), solved_on,
+                         path)
+        field = solve_fixed_point(a, vol, spec, solved_on).final_field
+        calls = {
+            "apply_K": lambda: apply_K(field, a, vol, spec, other),
+            "bond_surface": lambda: bond_surface(field, other),
+            "strong_residual": lambda: strong_residual(field, vol, spec,
+                                                       path, other),
+            "drift_identity_check": lambda: drift_identity_check(
+                spec, vol, field, other, 0.0, 0.25, 1.0),
+            "weighted_norms": lambda: weighted_norms(field, other, 0.25),
+        }
+        with pytest.raises(DomainError, match="must be a RateField on the "
+                                              "supplied grid"):
+            calls[call]()
 
 
 class TestDebugLog:
