@@ -28,7 +28,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, UnsupportedSpec
-from .measures import GammaLike, MeasureFamily, PointMasses, integral_or_inf
+from .measures import (GammaLike, MeasureFamily, PointMasses, Scratch,
+                       integral_or_inf)
 
 __all__ = [
     "LevyModelSpec",
@@ -148,10 +149,14 @@ def exponent_derivative(spec: LevyModelSpec, z: float, order: int = 1) -> float:
 def fast_derivative(spec: LevyModelSpec, order: int = 1):
     """Vectorized evaluator of J' or J'' on whole arrays of z.
 
-    Returns a callable mapping a nonnegative float array to
-    -a + q z + J'_nu(z) (order 1) or q + J''_nu(z) (order 2), where the
-    measure's part comes from ``MeasureFamily.derivative_measure_part``;
-    the solver and every checker read J' and J'' through it.  That part is
+    Returns a callable ``evaluate(z, out=None, scratch=None)`` mapping a
+    nonnegative float array to -a + q z + J'_nu(z) (order 1) or
+    q + J''_nu(z) (order 2), where the measure's part comes from
+    ``MeasureFamily.derivative_measure_part``; the solver and every checker
+    read J' and J'' through it.  The values go into ``out`` (z's shape, not
+    z itself) and the work into ``scratch`` (a
+    :class:`~hjmm.measures.Scratch` of z's shape), each allocated if None,
+    so that a caller that owns both allocates nothing per call.  That part is
     a closed form for gamma-like densities, exact sums for atoms, and for
     stable-like and user densities one fixed Gauss-Legendre rule in ln y,
     built once per measure, whose J' on z in [0, 3e4) is read from a cubic
@@ -168,12 +173,17 @@ def fast_derivative(spec: LevyModelSpec, order: int = 1):
     # (a user density whose tail has no first moment) fails here
     measure.derivative_measure_part(np.empty(0), order)
 
-    def evaluate(z):
+    def evaluate(z, out=None, scratch=None):
         z = np.asarray(z, dtype=float)
-        measure_part = measure.derivative_measure_part(z, order)
+        out = np.empty_like(z) if out is None else out
+        scratch = Scratch.empty(z.shape) if scratch is None else scratch
+        measure.derivative_measure_part(z, order, out, scratch)
         if order == 1:
-            return -a + q * z + measure_part
-        return q + measure_part
+            # (-a + q z) + part, in that order: 0 * inf is NaN on the
+            # cells of an exploding path
+            drift = np.multiply(q, z, out=scratch.t)
+            return np.add(np.add(-a, drift, out=drift), out, out=out)
+        return np.add(q, out, out=out)
 
     return evaluate
 

@@ -77,9 +77,12 @@ def bond_surface(rate_field: RateField, grid: GridSpec) -> BondSurface:
     # NaN fails both comparisons
     if not (np.min(values) >= 0.0 and np.max(values) < math.inf):
         raise DomainError("bond prices need a finite nonnegative rate field")
-    ct = cumtrapz(values, grid.delta, axis=1)
-    discounted = np.exp(-ct)
-    prices = np.exp(-(ct - np.diagonal(ct)[:, None]))
+    # the row integrals, then P(t, T) in place of them
+    prices = cumtrapz(values, grid.delta, axis=1)
+    discounted = np.negative(prices, out=np.empty_like(prices))
+    np.exp(discounted, out=discounted)
+    np.subtract(prices, np.diagonal(prices).copy()[:, None], out=prices)
+    np.exp(np.negative(prices, out=prices), out=prices)
     np.copyto(prices, np.nan, where=below_diagonal(values.shape))
     return BondSurface(prices=prices, discounted=discounted,
                        short_rates=rate_field.short_rates(), grid=grid)
@@ -204,9 +207,9 @@ def _rows(rows, n_paths: int, threads: int, cells: int):
         for block in blocks:
             yield from rows(block)
         return
-    # the pool pays on larger runs: two threads ran 200 paths of the
-    # explosive benchmark model at delta = 1/32 at 434 paths/s against
-    # 339 on one (2-vCPU VM)
+    # on a 2-vCPU VM two threads ran the explosive benchmark model at
+    # delta = 1/32 no faster than one, on 1.4-1.5 CPUs: 403 against 410
+    # paths/s at 200 paths and 353 against 413 at 50 (medians of 5)
     with ThreadPoolExecutor(workers) as pool:
         for block_rows in pool.map(rows, blocks):
             yield from block_rows

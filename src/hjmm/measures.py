@@ -58,12 +58,11 @@ import math
 import threading
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy import integrate
 from scipy import special as sc
-from scipy import stats
 
 from .errors import DomainError, NonIntegrable
 
@@ -216,18 +215,47 @@ def _rule_sums(z: np.ndarray, y: np.ndarray, weight: np.ndarray,
     return out.reshape(z.shape)
 
 
-def _read_table(coef: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """The cubic of each z's interval, from its power coefficients in the
-    interval's own coordinate t in [0, 1]; z must lie in [0, z_max)."""
-    t = np.log1p(z, out=np.empty_like(z))  # an array also for 0-d z
+class Scratch(NamedTuple):
+    """Work buffers of one J' evaluation, each of the shape of its points:
+    two float arrays ``t`` and ``g`` and an index array ``k``.  A caller
+    that evaluates J' again and again builds them once and passes them in,
+    so that an evaluation allocates nothing the size of its points."""
+
+    t: np.ndarray
+    k: np.ndarray
+    g: np.ndarray
+
+    @classmethod
+    def empty(cls, shape) -> "Scratch":
+        return cls(np.empty(shape), np.empty(shape, dtype=np.intp),
+                   np.empty(shape))
+
+    def head(self, m: int) -> "Scratch":
+        """The buffers of the leading m entries of the first axis."""
+        return Scratch(*(b[:m] for b in self))
+
+
+def _read_table(coef: np.ndarray, z: np.ndarray, out: np.ndarray,
+                scratch: Scratch) -> np.ndarray:
+    """The cubic of each z's interval into ``out``, from its power
+    coefficients in the interval's own coordinate t in [0, 1]; z must lie
+    in [0, z_max).  t, the interval k and the gathered coefficients live
+    in ``scratch``."""
+    t, k, g = scratch
+    np.log1p(z, out=t)
     t *= 1.0 / _TABLE_STEP
-    k = t.astype(np.intp)
-    np.minimum(k, _TABLE_INTERVALS - 1, out=k)
-    t -= k
-    out = coef[3].take(k)
+    # floor is truncation on t >= 0; kept as floats, the subtraction
+    # casts nothing
+    np.floor(t, out=g)
+    np.minimum(g, _TABLE_INTERVALS - 1, out=g)
+    t -= g
+    np.copyto(k, g, casting="unsafe")
+    # the indices lie in range, and only a clipping take writes into out
+    # without a buffer
+    coef[3].take(k, out=out, mode="clip")
     for c in coef[2::-1]:
         out *= t
-        out += c.take(k)
+        out += c.take(k, out=g, mode="clip")
     return out
 
 
@@ -309,8 +337,12 @@ class MeasureFamily(ABC):
         return total
 
     @abstractmethod
-    def derivative_measure_part(self, z: np.ndarray, order: int) -> np.ndarray:
-        """Vectorized J1'+J2'+J3' (order 1) or J1''+J2''+J3'' (order 2)."""
+    def derivative_measure_part(self, z: np.ndarray, order: int, out=None,
+                                scratch=None) -> np.ndarray:
+        """Vectorized J1'+J2'+J3' (order 1) or J1''+J2''+J3'' (order 2),
+        written into ``out`` (z's shape; allocated if None) and returned.
+        ``scratch`` (a :class:`Scratch` of z's shape; allocated if None
+        where needed) holds the work buffers of the family's route."""
 
     def negative_atoms(self, lo: float) -> int:
         """The number of atoms in (lo, 0)."""
@@ -329,11 +361,17 @@ class MeasureFamily(ABC):
         if np.all(us <= 0.0):
             return TailIndex(math.inf, 0.0, "U vanishes on the regression "
                                             "range (rho treated as +inf)")
-        fit = stats.linregress(np.log(xs), np.log(us))
-        rho = float(fit.slope)
+        # least squares of ln U on ln x, its slope's standard error on
+        # n - 2 degrees of freedom
+        x, y = np.log(xs), np.log(us)
+        dx, dy = x - x.mean(), y - y.mean()
+        sxx = float(dx @ dx)
+        rho = float(dx @ dy) / sxx
+        resid = dy - rho * dx
+        stderr = math.sqrt(float(resid @ resid) / (xs.size - 2) / sxx)
         return TailIndex(rho, _RHO_BAND,
                          f"log-log regression of U over [{lo:g}, {hi:g}]: "
-                         f"rho_hat = {rho:.4f} +/- {2.0 * fit.stderr:.4f} (2 se)")
+                         f"rho_hat = {rho:.4f} +/- {2.0 * stderr:.4f} (2 se)")
 
     @abstractmethod
     def squared_integral(self, x: float) -> float:
@@ -409,13 +447,16 @@ class PointMasses(MeasureFamily):
     def exponent_part(self, z: float, order: int) -> float:
         return float(self.derivative_measure_part(z, order))
 
-    def derivative_measure_part(self, z: np.ndarray, order: int) -> np.ndarray:
+    def derivative_measure_part(self, z: np.ndarray, order: int, out=None,
+                                scratch=None) -> np.ndarray:
         """Exact sums over the atoms; order 0 gives the part of J itself.
 
-        Every atom below 1, negative ones included, is compensated.
+        Every atom below 1, negative ones included, is compensated.  Each
+        atom's term is a temporary; ``scratch`` is not used.
         """
         z = np.asarray(z, dtype=float)
-        out = np.zeros_like(z)
+        out = np.empty_like(z) if out is None else out
+        out[...] = 0.0
         with np.errstate(over="ignore", under="ignore"):
             for y, c in self.atoms:
                 w = z * y
@@ -485,12 +526,15 @@ class _RuleDensity(MeasureFamily):
     def _rule(self) -> tuple:
         """y_k, g_k and U(e^-40), then anything else the family keeps."""
 
-    def _rule_part(self, z: np.ndarray, order: int) -> np.ndarray:
-        """J' or J'' by the rule, summed per point."""
+    def _rule_part(self, z: np.ndarray, order: int,
+                   out: np.ndarray | None = None) -> np.ndarray:
+        """J' or J'' by the rule, summed per point, into ``out``."""
         y, g, u_min = self._rule()[:3]
+        out = np.empty_like(z) if out is None else out
         if order == 1:
-            return _rule_sums(z, y, -g, _RULE_N_LOW) + z * u_min
-        return _rule_sums(z, y, g * y, 0) + u_min
+            sums = _rule_sums(z, y, -g, _RULE_N_LOW)
+            return np.add(sums, np.multiply(z, u_min, out=out), out=out)
+        return np.add(_rule_sums(z, y, g * y, 0), u_min, out=out)
 
     @_memoized
     def _derivative_table(self) -> np.ndarray | None:
@@ -513,23 +557,29 @@ class _RuleDensity(MeasureFamily):
                 f0, d0, 3.0 * (f1 - f0) - 2.0 * d0 - d1, 2.0 * (f0 - f1) + d0 + d1]
             middle = np.expm1(u[:-1] + 0.5 * _TABLE_STEP)
             want = self._rule_part(middle, 1)
-            miss = np.abs(_read_table(coef, middle) - want)
+            got = _read_table(coef, middle, np.empty_like(middle),
+                              Scratch.empty(middle.shape))
+            miss = np.abs(got - want)
             if not np.all(miss <= _TABLE_RTOL * np.maximum(1.0, np.abs(want))):
                 return None
         return coef
 
-    def derivative_measure_part(self, z: np.ndarray, order: int) -> np.ndarray:
+    def derivative_measure_part(self, z: np.ndarray, order: int, out=None,
+                                scratch=None) -> np.ndarray:
         """J'' by the rule; J' from the table where it holds, on points
-        with z in [0, 3e4), and by the rule on every other point."""
+        with z in [0, 3e4), and by the rule on every other point.  The
+        table is read in ``scratch``; the rule allocates its own."""
         z = np.asarray(z, dtype=float)
+        out = np.empty_like(z) if out is None else out
         coef = self._derivative_table() if order == 1 else None
         if coef is None:
-            return self._rule_part(z, order)
+            return self._rule_part(z, order, out)
+        scratch = Scratch.empty(z.shape) if scratch is None else scratch
         if z.size and z.min() >= 0.0 and z.max() < _TABLE_Z_MAX:
-            return _read_table(coef, z)
+            return _read_table(coef, z, out, scratch)
         # NaN, inf and z >= z_max (the cells of exploding paths)
         inside = (z >= 0.0) & (z < _TABLE_Z_MAX)
-        out = np.array(_read_table(coef, np.where(inside, z, 0.0)))
+        _read_table(coef, np.where(inside, z, 0.0), out, scratch)
         out[~inside] = self._rule_part(z[~inside], 1)
         return out
 
@@ -629,14 +679,19 @@ class GammaLike(MeasureFamily):
     def support(self) -> tuple[float, float]:
         return (0.0, math.inf)
 
-    def derivative_measure_part(self, z: np.ndarray, order: int) -> np.ndarray:
+    def derivative_measure_part(self, z: np.ndarray, order: int, out=None,
+                                scratch=None) -> np.ndarray:
+        """The closed form, built in ``out``; ``scratch`` is not used."""
         z = np.asarray(z, dtype=float)
-        sigma = self.beta + z
+        sigma = np.add(self.beta, z,
+                       out=np.empty_like(z) if out is None else out)
         with np.errstate(over="ignore", under="ignore"):
             if order == 1:
                 m1 = self.c * (-math.expm1(-self.beta)) / self.beta
-                return m1 - self.c / sigma
-            return self.c / (sigma * sigma)
+                return np.subtract(m1, np.divide(self.c, sigma, out=sigma),
+                                   out=sigma)
+            return np.divide(self.c, np.multiply(sigma, sigma, out=sigma),
+                             out=sigma)
 
     def tail_index(self) -> TailIndex:
         return TailIndex(2.0, 0.0, "U(x) ~ c*x^2/2 near zero")

@@ -52,6 +52,7 @@ from .errors import DomainError, NonPositiveFactor, SecondMomentInfinite
 from .grids import (GridSpec, RateField, _require_on_grid, below_diagonal,
                     cumtrapz, flat_extend, gap_integral, slice_weights)
 from .levy import LevyModelSpec, fast_derivative
+from .measures import Scratch
 from .paths import (JumpPath, factor_fields, field_a, jump_factor_error,
                     simulate_paths)
 from .volatility import VolatilitySpec
@@ -79,14 +80,19 @@ STATUS_MAX_ITER = "MaxIterations"
 log = logging.getLogger(__name__)
 
 
-def _operator(vol: VolatilitySpec, spec: LevyModelSpec, grid: GridSpec):
+def _operator(vol: VolatilitySpec, spec: LevyModelSpec, grid: GridSpec,
+              paths: int):
     """The operator f -> a * exp(...) on a stack of fields and their a-fields.
 
-    lambda on the grid, at full width and contiguous, and J' are set up
-    once, for every iteration of every path of the stack.  Returns
+    lambda on the grid, at full width and contiguous, J' and the work
+    buffers of J' for a stack of ``paths`` fields are set up once, for
+    every iteration of every path of the stack.  Returns
     ``(apply, apply_zero)``.  ``apply(values, a_fields, out, work)``
-    writes K of each field into ``out``, using ``work`` (same shape) as
-    scratch; each path's cells depend on that path alone.
+    writes K of each field of a stack of at most ``paths`` into ``out``,
+    using ``work`` (same shape) and the leading part of the J' buffers as
+    scratch, so that it allocates nothing the size of the stack (the
+    cells of an exploding path aside); each path's cells depend on that
+    path alone.
     ``apply_zero(a_fields, out)`` writes K(0) of each a-field: the gap
     integral of the zero field is zero in every cell, so its exponential
     is one field that every path shares, built once at lambda's width,
@@ -99,6 +105,7 @@ def _operator(vol: VolatilitySpec, spec: LevyModelSpec, grid: GridSpec):
     # lambda than on a broadcast column
     full = np.ascontiguousarray(np.broadcast_to(lam, grid.shape))
     dj = fast_derivative(spec, 1)
+    scratch = Scratch.empty((paths, *grid.shape))
 
     def apply(values, a_fields, out, work) -> np.ndarray:
         # once a path blows up, exp overflows to inf, and where a row
@@ -108,9 +115,10 @@ def _operator(vol: VolatilitySpec, spec: LevyModelSpec, grid: GridSpec):
         with np.errstate(over="ignore", invalid="ignore", under="ignore"):
             inner = gap_integral(np.multiply(full, values, out=work),
                                  grid.delta, out=out)
-            slopes = dj(inner)
+            # the slopes into work, free again once inner is in out
+            slopes = dj(inner, out=work, scratch=scratch.head(len(values)))
             outer = cumtrapz(np.multiply(slopes, full, out=slopes), grid.delta,
-                             axis=-2, out=work)
+                             axis=-2, out=out)
             np.multiply(a_fields, np.exp(outer, out=outer), out=out)
         return flat_extend(out, out=out)
 
@@ -138,7 +146,7 @@ def apply_K(field: RateField, a_field: np.ndarray, vol: VolatilitySpec,
     """
     field = _require_on_grid(field, grid, "field")
     a_field = np.asarray(grid.check_field(a_field), dtype=float)[None]
-    apply, _ = _operator(vol, spec, grid)
+    apply, _ = _operator(vol, spec, grid, 1)
     new = apply(field.values[None], a_field, np.empty_like(a_field),
                 np.empty_like(a_field))
     return RateField(new[0], grid)
@@ -192,7 +200,7 @@ def _solve_stack(a_fields: np.ndarray, vol: VolatilitySpec,
     """
     if tol <= 0.0 or max_iter < 1 or explosion_threshold <= 0.0:
         raise DomainError("tol, max_iter and explosion_threshold must be positive")
-    apply, apply_zero = _operator(vol, spec, grid)
+    apply, apply_zero = _operator(vol, spec, grid, len(a_fields))
     a_fields = np.array(a_fields, dtype=float)
     current = np.zeros_like(a_fields)
     if initial is not None:

@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +138,30 @@ class TestBondSurface:
         field = _solved_field(grid)
         surf = bond_surface(field, grid)
         np.testing.assert_array_equal(surf.short_rates, field.short_rates())
+
+    def test_surfaces_keep_one_field_besides_them(self) -> None:
+        # the row integrals become the prices in place, so the call holds
+        # its two surfaces and less than one field besides; at delta =
+        # 1/128 a field (265 KB) outweighs the fixed iterator buffers
+        # that numpy allocates for strided operands (up to 64 KiB each)
+        grid = GridSpec(1.0 / 128.0, 1.0, 2.0, 1.0)
+        rng = np.random.default_rng(5)
+        field = RateField(flat_extend(0.05 + 0.01 * rng.random(grid.shape)),
+                          grid)
+        bond_surface(field, grid)  # builds the grid's cached triangle
+        tracemalloc.start()
+        try:
+            surf = bond_surface(field, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * field.values.nbytes
+        # bitwise the surfaces of the plain expressions
+        ct = cumtrapz(field.values, grid.delta, axis=1)
+        prices = np.exp(-(ct - np.diagonal(ct)[:, None]))
+        prices[np.tri(*grid.shape, -1, dtype=bool)] = np.nan
+        assert surf.discounted.tobytes() == np.exp(-ct).tobytes()
+        assert surf.prices.tobytes() == prices.tobytes()
 
     def test_negative_field_rejected(self) -> None:
         grid = _grid()

@@ -1,11 +1,16 @@
 """Jump measure families: closed-form oracles, quadrature agreement, sampling."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy import special as sc
 
+import hjmm
 from hjmm.errors import DomainError, NonIntegrable
 from hjmm.levy import (LevyModelSpec, Rule, Verdict, check_assumptions,
                        classify_growth, exponent, exponent_derivative,
@@ -116,8 +121,11 @@ class _ExpDensity(MeasureFamily):
     def support(self):
         return (0.0, math.inf)
 
-    def derivative_measure_part(self, z, order):
-        return _exp_density_derivative(np.asarray(z, dtype=float), order)
+    def derivative_measure_part(self, z, order, out=None, scratch=None):
+        z = np.asarray(z, dtype=float)
+        out = np.empty_like(z) if out is None else out
+        out[...] = _exp_density_derivative(z, order)
+        return out
 
     def squared_integral(self, x):
         # int_0^x y^2 e^{-2y} dy = (1 - e^{-2x} (1 + 2x + 2x^2)) / 4
@@ -427,6 +435,49 @@ def test_parameters_must_be_positive_and_finite(family, kwargs) -> None:
     name = next(k for k, x in kwargs.items() if not math.isfinite(x))
     with pytest.raises(DomainError, match=f"^{name} must be positive and finite"):
         family(**kwargs)
+
+
+def _certified_gamma_density() -> UserDensity:
+    """The gamma measure of the README model as a certified user density."""
+    return UserDensity(density_fn=lambda y: 0.5 * np.exp(-2.0 * y) / y,
+                       a4_certified=True)
+
+
+class TestTailIndexFit:
+    """The regression of U by numpy least squares, scipy's as the oracle."""
+
+    def test_fit_matches_linregress(self) -> None:
+        from scipy import stats
+
+        nu = _certified_gamma_density()
+        got = nu.tail_index()
+        xs = np.geomspace(1e-6, 1e-2, 25)
+        us = np.array([nu.squared_integral(float(x)) for x in xs])
+        fit = stats.linregress(np.log(xs), np.log(us))
+        assert abs(got.rho - fit.slope) <= 1e-12
+        assert got.note == (
+            f"log-log regression of U over [1e-06, 0.01]: rho_hat = "
+            f"{fit.slope:.4f} +/- {2.0 * fit.stderr:.4f} (2 se)")
+
+    def test_classifying_imports_no_scipy_stats(self) -> None:
+        # in a fresh process: the package and the regression leave
+        # scipy.stats unimported
+        code = ("import sys\n"
+                "import numpy as np\n"
+                "import hjmm\n"
+                "nu = hjmm.UserDensity(density_fn=lambda y: "
+                "0.5 * np.exp(-2.0 * y) / y, a4_certified=True)\n"
+                "out = hjmm.classify_growth(hjmm.LevyModelSpec(0.0, 0.0, nu), "
+                "1.0, 1.0)\n"
+                "assert out.rho is not None\n"
+                "assert 'scipy.stats' not in sys.modules\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(pathlib.Path(hjmm.__file__).parents[1])]
+            + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH")
+               else [])))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
 
 
 class TestUserDensity:

@@ -7,6 +7,7 @@ machine precision; that oracle anchors everything else here.
 
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -873,3 +874,27 @@ class TestDebugLog:
         solve_paths(_STABLE, vol, constant_curve(f0), _grid(), seeds[15:19],
                     1e-2, **solver)
         assert not [r for r in caplog.records if r.name == "hjmm.solver"]
+
+
+@pytest.mark.parametrize("family", ["gamma", "stable_like", "user_density"])
+def test_steady_state_application_allocates_less_than_a_stack(family) -> None:
+    # J' writes into the operator's own buffers, so after warm-up one
+    # application to a 4-path stack allocates less than one stack; at
+    # delta = 1/64 a stack (268 KB) outweighs the fixed iterator buffers
+    # that numpy allocates for strided operands (up to 64 KiB each)
+    spec, vol = _ZERO_START_SPECS[family], constant_volatility(0.2)
+    grid = _grid(1.0 / 64.0)
+    entries = solve_paths(spec, vol, exp_decay_curve(0.08, 0.4), grid,
+                          [[k, 5] for k in range(4)], 1e-2, max_iter=2)
+    values = np.stack([entry[3].final_field.values for entry in entries])
+    a_fields = np.stack([entry[2] for entry in entries])
+    apply, _ = hjmm.solver._operator(vol, spec, grid, len(values))
+    out, work = np.empty_like(values), np.empty_like(values)
+    apply(values, a_fields, out, work)
+    tracemalloc.start()
+    try:
+        apply(values, a_fields, out, work)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < values.nbytes
