@@ -123,18 +123,39 @@ def cumtrapz(values: np.ndarray, dx: float, axis: int,
     ``axis`` is any axis of ``values``: 0 or -2 is the time axis of a
     field or of a stack of fields, 1 or -1 the maturity axis.  Each lane
     is summed on its own, so a field gives the same sums alone and
-    stacked.  The sums go into ``out`` if given (not ``values`` itself).
+    stacked.  The sums go into ``out`` if given (C-contiguous, not
+    ``values`` itself); a ``values`` that is not C-contiguous is copied.
+
+    The pairwise sums and their scaling run on the flat buffers, each
+    cell paired with the one a lane stride before it, where numpy's
+    ufuncs need no buffered iterator; the cells at index 0 of ``axis``,
+    which pair the ends of two lanes, are then overwritten with 0.
     """
     axis %= values.ndim
     lead = (slice(None),) * axis
+    values = np.ascontiguousarray(values)
     out = np.empty_like(values) if out is None else out
+    _half_pair_sums(values.reshape(-1), math.prod(values.shape[axis + 1:]),
+                    0.5 * dx, out.reshape(-1))
     steps = out[lead + (slice(1, None),)]
-    np.add(values[lead + (slice(1, None),)], values[lead + (slice(None, -1),)],
-           out=steps)
-    np.multiply(0.5 * dx, steps, out=steps)
     np.cumsum(steps, axis=axis, out=steps)
     out[lead + (0,)] = 0.0
     return out
+
+
+@np.errstate(all="ignore")
+def _half_pair_sums(flat: np.ndarray, stride: int, half_dx: float,
+                    out: np.ndarray) -> None:
+    """half_dx * (flat[k] + flat[k - stride]) into out[k], k >= stride.
+
+    Floating-point warnings are off: a pair that straddles two lanes,
+    which :func:`cumtrapz` overwrites, may overflow or give inf - inf
+    where no lane does.  A pair within a lane that overflows still reads
+    inf, unwarned.
+    """
+    steps = out[stride:]
+    np.add(flat[stride:], flat[:-stride], out=steps)
+    np.multiply(half_dx, steps, out=steps)
 
 
 def gap_integral(values: np.ndarray, dx: float,

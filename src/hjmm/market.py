@@ -12,12 +12,14 @@ u <= t.  On the grid the two P_hat routes sum the same trapezoid panels,
 so they agree to rounding; the discounted price should be a martingale
 in t under the risk-neutral dynamics, which the Monte Carlo test checks
 through z-scores against the time-zero price.  The Monte Carlo cuts
-the paths into consecutive blocks of at most BLOCK_CELLS field cells,
-whatever the thread count, solves each block with one
-:func:`~hjmm.solver.solve_paths` call and prices the checkpoints of
-every converged path of a block at once; the blocks' rows come back in
-path order through one loop, from the calling thread or from a pool of
-at most one thread per block and per CPU.
+the paths into the fewest consecutive blocks of at most BLOCK_CELLS
+field cells, rounded up to a multiple of the worker count, so that
+block sizes differ by at most one path and every worker gets the same
+share; it solves each block with one :func:`~hjmm.solver.solve_paths`
+call and prices the checkpoints of every converged path of a block at
+once.  The blocks' rows come back in path order through one loop, from
+the calling thread or from a pool of at most one thread per block and
+per CPU.
 """
 
 from __future__ import annotations
@@ -139,18 +141,28 @@ class CheckpointResult:
 # the causes for which martingale_test excludes a path
 EXCLUSION_CAUSES = (STATUS_EXPLODED, STATUS_MAX_ITER, "NonPositiveFactor")
 
-# Most field cells that one block of Monte Carlo paths stacks: 15 paths
-# at delta = 1/32 (2145 cells each), 3 at 1/64 and 1 at 1/128 on the
+# Most field cells that one block of Monte Carlo paths stacks: 30 paths
+# at delta = 1/32 (2145 cells each), 7 at 1/64 and 1 at 1/128 on the
 # t_star = 1, t_max = 2 grid.  A block saves per-call overhead, which
-# leads at 1/32 and fades as fields grow.  Measured on the gamma model of
-# README, 2-vCPU VM, with simulation, factor fields and solve each run
-# once per block (four sweeps, median of 11 serial 240-path calls per
-# size): at 1/32 blocks of 8 to 24 paths took 0.35-0.49 of the time per
-# path of single paths, 32 and 48 paths 0.41-0.57 and 4 paths 0.50-0.58.
-# At 1/64, measured with the solve alone stacked, blocks of 2 to 7 paths
-# took 0.90-0.97 of it and 12 paths 1.05; at 1/128 a stack only adds
-# memory.
-BLOCK_CELLS = 1 << 15
+# leads at 1/32 and fades as fields grow (at 1/128 a stack only adds
+# memory); on two threads a block must also be big enough for numpy to
+# drop the GIL in its prefix sums (see _rows).  Swept under the balanced
+# cut on a 2-vCPU VM: paths/s of the benchmark's explosive (50 paths)
+# and gamma (100 paths) models on one / two threads, medians of 25
+# alternating martingale_test calls (15 at 1/64):
+#
+#  budget         2^14      2^15      3*2^14    2^16      3*2^15    2^17
+#  1/32 explosive 575/356   591/515   607/523   571/686   647/682   599/561
+#  1/32 gamma     2562/1416 2003/2082 2665/2347 2801/2531 2631/2560 2191/2860
+#  1/64 explosive           204/174   210/263   218/268   208/303   200/318
+#  1/64 gamma               1023/704  878/990   884/1014  775/1183  883/1256
+#
+# One-thread figures spread by 20-30% between quartiles, so the budgets
+# from 2^15 to 3*2^15 tie on one thread; on two, 2^16 is the least that
+# cuts the explosive run at 1/32 into two blocks of 25.  At 1/64 larger
+# budgets still gain on two threads, as a 7-path block has 455 maturity
+# lanes, under numpy's 500.
+BLOCK_CELLS = 1 << 16
 
 
 @dataclass
@@ -195,21 +207,32 @@ def _cpu_count() -> int:
 
 
 def _rows(rows, n_paths: int, threads: int, cells: int):
-    """``rows(block)`` for consecutive blocks of ``max(1, BLOCK_CELLS //
-    cells)`` paths, in the calling thread or on a pool of at most one
-    thread per block and per CPU; yields each path's outcome in path
-    order."""
-    size = max(1, BLOCK_CELLS // cells)
-    blocks = [range(i, min(i + size, n_paths)) for i in range(0, n_paths, size)]
-    workers = min(threads, len(blocks), _cpu_count())
+    """``rows(block)`` for consecutive blocks of paths, in the calling
+    thread or on a pool of at most one thread per block and per CPU;
+    yields each path's outcome in path order.
+
+    The blocks are the fewest of at most ``max(1, BLOCK_CELLS // cells)``
+    paths, their count rounded up to a multiple of the worker count (but
+    to no more than one block per path), and block i starts at path
+    ``i * n_paths // count``: sizes differ by at most one path, so every
+    worker gets the same share."""
+    count = -(-n_paths // max(1, BLOCK_CELLS // cells))
+    workers = min(threads, count, _cpu_count())
+    count = min(-(-count // workers) * workers, n_paths)
+    cuts = [i * n_paths // count for i in range(count + 1)]
+    blocks = [range(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
     if workers <= 1:
         # in the calling thread, where a profiler sees the whole run
         for block in blocks:
             yield from rows(block)
         return
-    # on a 2-vCPU VM two threads ran the explosive benchmark model at
-    # delta = 1/32 no faster than one, on 1.4-1.5 CPUs: 403 against 410
-    # paths/s at 200 paths and 353 against 413 at 50 (medians of 5)
+    # numpy 2.4 drops the GIL in a prefix sum only over at least 500
+    # lanes: the maturity sum of a 15-path stack at delta = 1/32 has 495
+    # and holds it, one of 25 paths has 825.  On a 2-vCPU VM the
+    # explosive benchmark model ran 50 paths at delta = 1/32 at 747
+    # paths/s on two threads against 648 on one, in two blocks of 25
+    # (medians of 61 alternating calls); cut 15, 15, 15 and 5, it ran at
+    # 529 against 545
     with ThreadPoolExecutor(workers) as pool:
         for block_rows in pool.map(rows, blocks):
             yield from block_rows
@@ -228,9 +251,11 @@ def martingale_test(spec: LevyModelSpec, vol: VolatilitySpec,
     ``explosion_threshold``), whose defaults the solver sets.  Blocks of
     consecutive paths, of at most BLOCK_CELLS field cells each, are solved
     stacked, in the calling thread or on ``threads`` >= 1 worker threads
-    (at most one per block and per CPU).
-    A path's outcome is bitwise the same in any block, so results are
-    identical for any worker count.  The reference price P(0,T)
+    (at most one per block and per CPU); the paths are cut into the
+    fewest such blocks, rounded up to a multiple of the worker count
+    (while a block keeps at least one path), of sizes that differ by at
+    most one.  A path's outcome is bitwise the same in any block, so
+    results are identical for any worker count.  The reference price P(0,T)
     integrates the initial curve by adaptive quadrature, so the
     deviations carry the grid's own discretization bias and must shrink
     under refinement.  A path whose solve explodes or reaches

@@ -56,6 +56,58 @@ def _block_threads(monkeypatch) -> set:
     return threads
 
 
+def _record_pool(monkeypatch) -> list:
+    """The worker counts that the thread pools are asked for from now on.
+
+    A stand-in for the thread pool records them and maps in the calling
+    thread; no thread is started.
+    """
+    requested = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, iterable):
+            return map(fn, iterable)
+
+    monkeypatch.setattr(market, "ThreadPoolExecutor", RecordingExecutor)
+    return requested
+
+
+# a stable-like driver at f0 = 26 with a volatility that dips below zero
+# near T = 0 (its declared bounds are not checked here): some paths
+# explode, some reach max_iter, some jump factors turn non-positive, and
+# the rest converge
+_MIXED_GRID = GridSpec(1.0 / 8.0, 1.0, 2.0, 1.0)
+
+
+def _mixed_outcomes(n_paths: int, threads: int):
+    spec = LevyModelSpec(drift_a=0.0, gaussian_q=0.0,
+                         measure=StableLike(c=1.0, alpha=1.5, y_max=1.0))
+    vol = VolatilitySpec(
+        terms=(constant_term(0.25), exp_decay_term(-1.35, 40.0)),
+        lambda_lower=0.01, lambda_upper=0.25)
+    return martingale_test(spec, vol, constant_curve(26.0), _MIXED_GRID,
+                           n_paths=n_paths, master_seed=7, eps=1e-2,
+                           max_iter=20, explosion_threshold=1e300,
+                           threads=threads)
+
+
+def _assert_same_report(report, serial) -> None:
+    assert report.excluded_by_cause == serial.excluded_by_cause
+    assert report.n_excluded == serial.n_excluded
+    for a, b in zip(serial.results, report.results, strict=True):
+        assert a.mean_discounted == b.mean_discounted
+        assert a.std == b.std
+
+
 def _solved_field(grid: GridSpec, seed=(21, 0)) -> RateField:
     spec = gamma_subordinator(0.5, 2.0)
     vol = constant_volatility(0.2)
@@ -287,57 +339,66 @@ class TestMartingale:
 
     def test_outcomes_by_cause_do_not_depend_on_blocks_or_workers(
             self, monkeypatch) -> None:
-        # a stable-like driver at f0 = 26 with a volatility that dips below
-        # zero near T = 0 (its declared bounds are not checked here): some
-        # paths explode, some reach max_iter, one jump factor turns
-        # non-positive, and the rest converge
-        grid = GridSpec(1.0 / 8.0, 1.0, 2.0, 1.0)
-        spec = LevyModelSpec(drift_a=0.0, gaussian_q=0.0,
-                             measure=StableLike(c=1.0, alpha=1.5, y_max=1.0))
-        vol = VolatilitySpec(
-            terms=(constant_term(0.25), exp_decay_term(-1.35, 40.0)),
-            lambda_lower=0.01, lambda_upper=0.25)
-
-        def run(threads):
-            return martingale_test(spec, vol, constant_curve(26.0), grid,
-                                   n_paths=24, master_seed=7, eps=1e-2,
-                                   max_iter=20, explosion_threshold=1e300,
-                                   threads=threads)
-
-        serial, forked = run(1), run(2)
+        serial, forked = _mixed_outcomes(24, 1), _mixed_outcomes(24, 2)
         monkeypatch.setattr(market, "BLOCK_CELLS", 1)
-        one_path_blocks = [run(1), run(2)]
+        one_path_blocks = [_mixed_outcomes(24, 1), _mixed_outcomes(24, 2)]
         assert serial.excluded_by_cause == {
             "Exploded": 4, "MaxIterations": 6, "NonPositiveFactor": 1}
         assert serial.n_excluded == 11
         for other in [forked] + one_path_blocks:
-            assert other.excluded_by_cause == serial.excluded_by_cause
-            assert other.n_excluded == serial.n_excluded
-            for a, b in zip(serial.results, other.results):
-                assert a.mean_discounted == b.mean_discounted
-                assert a.std == b.std
+            _assert_same_report(other, serial)
 
-    def test_block_size_follows_cells_alone(self, monkeypatch) -> None:
-        monkeypatch.setattr(market, "_cpu_count", lambda: 2)
+    def test_uneven_cuts_give_the_one_path_blocks_results(
+            self, monkeypatch) -> None:
+        # blocks of at most 4 paths, cut unevenly among up to 3 workers
+        monkeypatch.setattr(market, "_cpu_count", lambda: 4)
+        for n_paths in (7, 50, 101):
+            monkeypatch.setattr(market, "BLOCK_CELLS", 1)
+            serial = _mixed_outcomes(n_paths, 1)
+            assert 0 < serial.n_excluded < n_paths
+            _paths_per_block(monkeypatch, 4, _MIXED_GRID)
+            for threads in (1, 2, 3):
+                _assert_same_report(_mixed_outcomes(n_paths, threads), serial)
 
-        def block_sizes(n_paths, threads, cells):
-            blocks = []
+    @pytest.mark.parametrize("n_paths, threads, cells, cpus", [
+        (50, 2, 33 * 65, 2),     # the mc-explosive workload
+        (50, 1, 33 * 65, 2),
+        (100, 2, 33 * 65, 2),
+        (100, 3, 33 * 65, 4),
+        (7, 3, 33 * 65, 4),
+        (101, 2, 65 * 129, 2),
+        (101, 3, 65 * 129, 8),
+        (3, 2, 129 * 257, 2),    # one path per block
+        (5, 64, 129 * 257, 2),
+        (3, 64, 33 * 65, 2),
+        (1, 2, 33 * 65, 2),
+    ])
+    def test_blocks_are_balanced_and_within_budget(
+            self, monkeypatch, n_paths, threads, cells, cpus) -> None:
+        # the fewest blocks within the budget, rounded up to a multiple
+        # of the worker count where a block keeps a path, cut evenly
+        monkeypatch.setattr(market, "_cpu_count", lambda: cpus)
+        requested = _record_pool(monkeypatch)
+        blocks = []
 
-            def rows(block):
-                blocks.append(block)
-                return list(block)
+        def rows(block):
+            blocks.append(block)
+            return list(block)
 
-            outcomes = list(market._rows(rows, n_paths, threads, cells))
-            assert outcomes == list(range(n_paths))
-            return [len(b) for b in sorted(blocks, key=lambda b: b.start)]
-
-        # 32768 cells: 15 fields at delta = 1/32, one at 1/128, for any
-        # thread count
-        for threads in (1, 2, 64):
-            assert block_sizes(50, threads, 33 * 65) == [15, 15, 15, 5]
-            assert block_sizes(100, threads, 33 * 65) == [15] * 6 + [10]
-            assert block_sizes(3, threads, 129 * 257) == [1, 1, 1]
-            assert block_sizes(3, threads, 33 * 65) == [3]
+        outcomes = list(market._rows(rows, n_paths, threads, cells))
+        assert outcomes == list(range(n_paths))
+        budget = max(1, market.BLOCK_CELLS // cells)
+        fewest = -(-n_paths // budget)
+        workers = min(threads, fewest, cpus)
+        assert requested == ([workers] if workers > 1 else [])
+        assert [b.step for b in blocks] == [1] * len(blocks)
+        assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+        assert blocks[-1].stop == n_paths
+        sizes = [len(b) for b in blocks]
+        assert max(sizes) - min(sizes) <= 1
+        assert max(sizes) <= budget
+        assert len(blocks) % workers == 0 or sizes == [1] * n_paths
+        assert len(blocks) == min(-(-fewest // workers) * workers, n_paths)
 
     def test_threads_below_one_rejected(self) -> None:
         for threads in (0, -1):
@@ -348,26 +409,10 @@ class TestMartingale:
 
     def test_pool_asks_for_at_most_one_thread_per_block_and_cpu(
             self, monkeypatch) -> None:
-        # a stand-in for the thread pool records the worker count it is
-        # asked for and maps in the calling thread; no thread is started
-        requested = []
-
-        class RecordingExecutor:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, iterable):
-                return map(fn, iterable)
-
-        monkeypatch.setattr(market, "ThreadPoolExecutor", RecordingExecutor)
+        requested = _record_pool(monkeypatch)
         grid = GridSpec(1.0 / 8.0, 1.0, 2.0, 1.0)
-        # five paths in three blocks of at most two
+        # five paths in blocks of at most two: three blocks, or four on
+        # two workers
         _paths_per_block(monkeypatch, 2, grid)
 
         def run(threads):

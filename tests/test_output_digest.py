@@ -17,7 +17,8 @@ def test_one_digest_per_config(capsys) -> None:
         (_PATH.parents[1] / "bench" / "workloads").glob("*.json"))]
     assert [line.split(":")[0] for line in lines] == [
         *names, "mc-gamma-exp-decay", "mc-gamma-time-affine",
-        "mc-gamma-constant-exp-decay"]
+        "mc-gamma-constant-exp-decay", "mc-explosive-martingale",
+        "mc-gamma-martingale"]
     assert all(re.fullmatch(r"[\w-]+: [0-9a-f]{64}", line) for line in lines)
     assert len({line.split()[1] for line in lines}) == len(lines)
 
@@ -29,3 +30,10 @@ def test_digest_is_reproducible_and_reads_the_outputs() -> None:
     moved = dict(doc, initial_curve={"family": "exponential_decay",
                                      "level": 0.081, "rate": 0.4})
     assert output_digest.config_digest(moved) != digest
+
+
+def test_martingale_digest_reads_the_report() -> None:
+    doc = output_digest._martingale_configs()["mc-gamma"]
+    digest = output_digest.martingale_digest(doc, 1)
+    moved = dict(doc, mc=dict(doc["mc"], n_paths=doc["mc"]["n_paths"] - 1))
+    assert output_digest.martingale_digest(moved, 1) != digest

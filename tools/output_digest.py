@@ -9,7 +9,13 @@ seeds [7, i], i < 45, through ``hjmm.solver.solve_paths``: once in one
 block and once in blocks of 15.  It adds one solve of the first
 converged path restarted from twice its solution.  Every jump path, b
 and a field, solver report and NonPositiveFactor message goes into the
-digest of that config.
+digest of that config.  For each ``martingale_test`` workload it also
+runs ``hjmm.martingale_test`` with master seed 7 on the workload's paths,
+once on one thread and once on two (where two CPUs are free), and prints
+one digest of the report (checkpoint means, stds and z-scores, and the
+exclusions by cause) under the name ``<workload>-martingale``; it exits
+with status 1, and prints no digest for that workload, if the two runs
+differ.
 
     PYTHONPATH=src python tools/output_digest.py
 
@@ -47,10 +53,15 @@ VARIANTS = {
 }
 
 
+def _workloads() -> dict:
+    """The workload documents of bench/workloads by name."""
+    return {path.stem: json.loads(path.read_text(encoding="utf-8"))
+            for path in sorted((ROOT / "bench" / "workloads").glob("*.json"))}
+
+
 def _configs() -> dict:
     """Config documents by name: the workloads and the mc-gamma variants."""
-    docs = {path.stem: json.loads(path.read_text(encoding="utf-8"))["config"]
-            for path in sorted((ROOT / "bench" / "workloads").glob("*.json"))}
+    docs = {name: doc["config"] for name, doc in _workloads().items()}
     for suffix, terms in VARIANTS.items():
         variant = copy.deepcopy(docs["mc-gamma"])
         variant["volatility"] = {"terms": terms}
@@ -95,10 +106,40 @@ def config_digest(doc: dict) -> str:
     return digest.hexdigest()
 
 
+def _martingale_configs() -> dict:
+    """Config documents by name of the workloads that run martingale_test."""
+    return {name: doc["config"] for name, doc in _workloads().items()
+            if doc["operation"] == "martingale_test"}
+
+
+def martingale_digest(doc: dict, threads: int) -> str:
+    """The SHA-256 of the martingale_test report of one config document."""
+    cfg = hjmm.parse_config(doc)
+    report = hjmm.martingale_test(
+        cfg.levy, cfg.volatility, cfg.curve, cfg.grid,
+        n_paths=cfg.mc["n_paths"], master_seed=SEED, eps=cfg.mc["eps"],
+        t_checkpoints=cfg.mc["t_checkpoints"],
+        T_checkpoints=cfg.mc["T_checkpoints"], threads=threads, **cfg.solver)
+    digest = hashlib.sha256()
+    digest.update(np.array([(r.mean_discounted, r.std, r.z_score)
+                            for r in report.results], dtype=float).tobytes())
+    for cause, count in report.excluded_by_cause.items():
+        digest.update(f"{cause} {count}".encode())
+    return digest.hexdigest()
+
+
 def main() -> int:
     for name, doc in _configs().items():
         print(f"{name}: {config_digest(doc)}")
-    return 0
+    status = 0
+    for name, doc in _martingale_configs().items():
+        serial, threaded = (martingale_digest(doc, threads) for threads in (1, 2))
+        if serial != threaded:
+            print(f"{name}-martingale: threads 1 and 2 differ", file=sys.stderr)
+            status = 1
+            continue
+        print(f"{name}-martingale: {serial}")
+    return status
 
 
 if __name__ == "__main__":
