@@ -7,11 +7,10 @@ inspected in both parametrizations and checked against the strong form
 of the dynamics.
 """
 
-import numpy as np
-
-from hjmm import (GridSpec, apriori_bound, exp_decay_curve, field_a, field_b,
-                  gamma_subordinator, simulate_path, solve_fixed_point,
-                  strong_residual, time_affine_volatility, weighted_norms)
+from hjmm import (GridSpec, RateField, apriori_bound, exp_decay_curve,
+                  field_a, field_b, gamma_subordinator, simulate_path,
+                  solve_fixed_point, strong_residual, time_affine_volatility,
+                  weighted_norms)
 
 
 def main():
@@ -29,8 +28,8 @@ def main():
     a = field_a(curve, b, grid)
     report = solve_fixed_point(a, vol, spec, grid, tol=1e-11)
     print(f"solver: {report.status} after {report.iterations} iterations")
-    r0_norm = weighted_norms(np.asarray(curve(grid.T_nodes()))[None, :],
-                             grid, 0.0).l2_gamma
+    # b = 1 at t = 0, so row 0 of a = f0 * b is f0 on the maturity nodes
+    r0_norm = weighted_norms(RateField(a, grid), grid, 0.0).l2_gamma
     c1_bound = apriori_bound(spec, vol, grid, r0_norm, float(b.max()))
     if c1_bound is not None:
         print(f"a-priori norm bound: {c1_bound:.4f}")

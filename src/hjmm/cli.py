@@ -141,7 +141,7 @@ def cmd_solve(args, config: RunConfig) -> int:
         config.levy, config.volatility, config.curve, grid, [seed, 0],
         config.mc["eps"], **config.solver)
     # b = 1 at t = 0, so row 0 of a = f0 * b is f0 on the maturity nodes
-    r0_norm = weighted_norms(a_vals[:1], grid, 0.0).l2_gamma
+    r0_norm = weighted_norms(RateField(a_vals, grid), grid, 0.0).l2_gamma
     b_sup = float(b_vals.max())
     # a factor field that overflowed has no a-priori bound
     c1_bound = (apriori_bound(config.levy, config.volatility, grid, r0_norm,

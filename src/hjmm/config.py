@@ -17,7 +17,9 @@ its default and its value kind; ``_read`` checks a JSON object against
 its table and ``_build`` hands the checked values to the object's
 builder.  A bad value is reported as ``<context>.<key> must be <kind>``.
 The volatility's term builders and its (A3) constants come from
-``volatility``.
+``volatility``; the defaults of the ``solver`` section come from
+``solver`` and that of ``mc.eps`` from ``paths``, the modules that act
+on them.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ from .errors import ConfigError, DomainError, NonPositiveInitialCurve
 from .grids import GridSpec
 from .levy import LevyModelSpec, check_assumptions
 from .measures import GammaLike, PointMasses, StableLike, UserDensity
+from .paths import TRUNCATION_EPS
+from .solver import EXPLOSION_THRESHOLD, MAX_ITER, TOL
 from .volatility import (VolatilitySpec, constant_term, exp_decay_term,
                          sample_bounds, time_affine_term)
 
@@ -149,10 +153,11 @@ _LEVY = {"drift_a": (0.0, _OWN), "gaussian_q": (0.0, _NONNEGATIVE),
          "measure": (None, _OWN), "subordinator": (False, _FLAG)}
 _VOLATILITY = {"terms": (_REQUIRED, _OWN), "lambda_lower": (None, _NUMBER),
                "lambda_upper": (None, _NUMBER)}
-_SOLVER = {"tol": (1e-9, _POSITIVE), "max_iter": (200, _COUNT),
-           "explosion_threshold": (1e8, _POSITIVE)}
+_SOLVER = {"tol": (TOL, _POSITIVE), "max_iter": (MAX_ITER, _COUNT),
+           "explosion_threshold": (EXPLOSION_THRESHOLD, _POSITIVE)}
 _MC = {"n_paths": (100, _COUNT), "master_seed": (0, _SEED),
-       "eps": (1e-3, _POSITIVE), "t_checkpoints": (None, _CHECKPOINTS),
+       "eps": (TRUNCATION_EPS, _POSITIVE),
+       "t_checkpoints": (None, _CHECKPOINTS),
        "T_checkpoints": (None, _CHECKPOINTS)}
 _OUTPUTS = {"directory": (".", _TEXT), "write_csv": (True, _FLAG)}
 _MEASURES = {"point_masses": (PointMasses, {"atoms": (_REQUIRED, _PAIRS)}),

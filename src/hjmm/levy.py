@@ -244,12 +244,18 @@ def classify_growth(spec: LevyModelSpec, lambda_bar: float,
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    """Per-assumption diagnostics for a model/volatility pair."""
+    """Per-assumption diagnostics for a model/volatility pair.
+
+    (A2) and (A4) are decided here; (A3) holds for every
+    :class:`~hjmm.volatility.VolatilitySpec`, whose constructor refuses
+    bounds that break it, so it has no field.  ``second_moment`` is the
+    integral of y^2 over the whole of nu, the measure's part of J''(0)
+    in the uniqueness bound.
+    """
 
     a2_pass: bool
     support_infimum: float
     a2_threshold: float
-    a3_pass: bool
     a4_pass: bool
     a4_square_integral: float
     a4_tail_integral: float
@@ -259,21 +265,23 @@ class AssumptionReport:
 
     @property
     def ok(self) -> bool:
-        return self.a2_pass and self.a3_pass and self.a4_pass
+        return self.a2_pass and self.a4_pass
 
 
 def check_assumptions(spec: LevyModelSpec, vol) -> AssumptionReport:
     """Verify the structural assumptions linking the driver and volatility.
 
-    Checks the support condition (the measure must not charge
-    (-inf, -1/lambda_upper]), the two integrability conditions (square
-    integrability near zero over (-1/lambda_upper, 1) and a finite first
-    moment of the tail [1, inf); an integral whose quadrature diverges
-    counts as infinite, see :func:`~hjmm.measures.integral_or_inf`), and
-    reports the positive second moment needed by the uniqueness bound.
-    The volatility's structural properties (separable terms, declared
-    positive bounds) are validated at construction; they are reported here
-    as the third assumption.
+    Checks the support condition (A2) (the measure must not charge
+    (-inf, -1/lambda_upper]) and the two integrability conditions (A4)
+    (square integrability near zero over (-1/lambda_upper, 1) and a finite
+    first moment of the tail [1, inf); an integral whose quadrature
+    diverges counts as infinite, see
+    :func:`~hjmm.measures.integral_or_inf`), and reports the second moment
+    of the measure, ``second_moment()``, that J''(0) in the uniqueness
+    bound of :func:`~hjmm.solver.uniqueness_contraction_check` needs.
+    The volatility's assumption (A3) is decided when the
+    :class:`~hjmm.volatility.VolatilitySpec` is built; only its upper
+    bound is read here.
     """
     measure = spec.measure
     lambda_bar = vol.lambda_upper
@@ -289,22 +297,15 @@ def check_assumptions(spec: LevyModelSpec, vol) -> AssumptionReport:
     if not a4_pass:
         notes.append("(A4) integrability fails")
 
-    second = measure.second_moment(positive_only=True)
+    second = measure.second_moment()
     second_finite = math.isfinite(second)
     if not second_finite:
         notes.append("second moment diverges: uniqueness bound unavailable")
-
-    a3_pass = (vol.lambda_lower > 0.0
-               and vol.lambda_upper >= vol.lambda_lower
-               and math.isfinite(vol.x_derivative_bound))
-    if not a3_pass:
-        notes.append("(A3) volatility bounds are not admissible")
 
     return AssumptionReport(
         a2_pass=a2_pass,
         support_infimum=support_inf,
         a2_threshold=threshold,
-        a3_pass=a3_pass,
         a4_pass=a4_pass,
         a4_square_integral=a4_square,
         a4_tail_integral=a4_tail,

@@ -38,8 +38,9 @@ from .errors import DomainError, NonPositiveFactor
 from .grids import (GridSpec, RateField, _require_on_grid, below_diagonal,
                     cumtrapz, gap_integral)
 from .levy import LevyModelSpec, exponent, fast_derivative
+from .paths import TRUNCATION_EPS
 from .solver import (STATUS_CONVERGED, STATUS_EXPLODED, STATUS_MAX_ITER,
-                     solve_paths)
+                     STATUS_NONPOSITIVE, solve_paths)
 from .volatility import VolatilitySpec
 
 __all__ = [
@@ -139,7 +140,7 @@ class CheckpointResult:
 
 
 # the causes for which martingale_test excludes a path
-EXCLUSION_CAUSES = (STATUS_EXPLODED, STATUS_MAX_ITER, "NonPositiveFactor")
+EXCLUSION_CAUSES = (STATUS_EXPLODED, STATUS_MAX_ITER, STATUS_NONPOSITIVE)
 
 # Most field cells that one block of Monte Carlo paths stacks: 30 paths
 # at delta = 1/32 (2145 cells each), 7 at 1/64 and 1 at 1/128 on the
@@ -240,7 +241,7 @@ def _rows(rows, n_paths: int, threads: int, cells: int):
 
 def martingale_test(spec: LevyModelSpec, vol: VolatilitySpec,
                     curve: InitialCurve, grid: GridSpec, *,
-                    n_paths: int, master_seed: int, eps: float = 1e-3,
+                    n_paths: int, master_seed: int, eps: float = TRUNCATION_EPS,
                     t_checkpoints=None, T_checkpoints=None,
                     threads: int = 1, **solver) -> MartingaleReport:
     """Monte Carlo check that discounted bond prices are constant in mean.
@@ -287,7 +288,7 @@ def martingale_test(spec: LevyModelSpec, vol: VolatilitySpec,
         entries = solve_paths(
             spec, vol, curve, grid, [[master_seed, i] for i in block], eps,
             **solver)
-        outcomes = ["NonPositiveFactor" if isinstance(entry, NonPositiveFactor)
+        outcomes = [STATUS_NONPOSITIVE if isinstance(entry, NonPositiveFactor)
                     else entry[3].status for entry in entries]
         converged = [k for k, status in enumerate(outcomes)
                      if status == STATUS_CONVERGED]

@@ -385,8 +385,9 @@ class MeasureFamily(ABC):
         """
 
     @abstractmethod
-    def second_moment(self, positive_only: bool = False) -> float:
-        """Integral of y**2 over the support (or its positive part)."""
+    def second_moment(self) -> float:
+        """Integral of y**2 over the whole support, negative jumps
+        included: the measure's part of J''(0)."""
 
     @abstractmethod
     def total_mass(self) -> float:
@@ -488,8 +489,8 @@ class PointMasses(MeasureFamily):
     def first_moment(self, lo: float, hi: float) -> float:
         return sum(c * y for y, c in self.atoms if lo <= y < hi)
 
-    def second_moment(self, positive_only: bool = False) -> float:
-        return sum(c * y * y for y, c in self.atoms if y > 0.0 or not positive_only)
+    def second_moment(self) -> float:
+        return sum(c * y * y for y, c in self.atoms)
 
     def total_mass(self) -> float:
         return sum(c for _, c in self.atoms)
@@ -591,7 +592,8 @@ class StableLike(_RuleDensity):
     c: float
     alpha: float
     y_max: float = 1.0
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, compare=False,
+                         repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.c < math.inf:
@@ -639,7 +641,7 @@ class StableLike(_RuleDensity):
         p = 1.0 - self.alpha
         return self.c * (hi ** p - lo ** p) / p
 
-    def second_moment(self, positive_only: bool = False) -> float:
+    def second_moment(self) -> float:
         return self.squared_integral(self.y_max)
 
     def total_mass(self) -> float:
@@ -710,7 +712,7 @@ class GammaLike(MeasureFamily):
         upper = math.exp(-self.beta * hi) if math.isfinite(hi) else 0.0
         return self.c * (math.exp(-self.beta * lo) - upper) / self.beta
 
-    def second_moment(self, positive_only: bool = False) -> float:
+    def second_moment(self) -> float:
         # int_0^inf y^2 * c y^{-1} e^{-beta y} dy = c / beta^2
         return self.c / self.beta ** 2
 
@@ -759,7 +761,8 @@ class UserDensity(_RuleDensity):
 
     density_fn: Callable
     a4_certified: bool = False
-    _cache: dict = field(default_factory=dict, compare=False, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, compare=False,
+                         repr=False)
 
     @property
     def density(self) -> Callable:
@@ -831,7 +834,7 @@ class UserDensity(_RuleDensity):
         return integral_or_inf(_quad, lambda y: y * float(self.density_fn(y)),
                                lo, hi, "UserDensity first moment")
 
-    def second_moment(self, positive_only: bool = False) -> float:
+    def second_moment(self) -> float:
         return integral_or_inf(
             _quad, lambda y: y * y * float(self.density_fn(y)), 0.0, math.inf,
             "UserDensity second moment")

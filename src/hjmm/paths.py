@@ -61,6 +61,10 @@ __all__ = [
 # about 400 MB; the heaviest benchmark model expects about 660 jumps.
 MAX_MEAN_JUMPS = 1 << 24
 
+# The default truncation level of infinite-activity measures, which a run
+# configuration fills in too.
+TRUNCATION_EPS = 1e-3
+
 
 @dataclass(frozen=True, eq=False)
 class JumpPath:
@@ -102,7 +106,7 @@ class JumpPath:
 
 
 def simulate_paths(spec: LevyModelSpec, t_star: float, seeds,
-                   eps: float = 1e-3) -> list[JumpPath]:
+                   eps: float = TRUNCATION_EPS) -> list[JumpPath]:
     """Simulate a block of driver paths over [0, t_star], one per seed.
 
     Finite-activity measures are sampled exactly; infinite-activity ones
@@ -178,7 +182,7 @@ def simulate_paths(spec: LevyModelSpec, t_star: float, seeds,
 
 
 def simulate_path(spec: LevyModelSpec, t_star: float, seed,
-                  eps: float = 1e-3) -> JumpPath:
+                  eps: float = TRUNCATION_EPS) -> JumpPath:
     """Simulate one driver path over [0, t_star]: :func:`simulate_paths`
     on one seed."""
     path, = simulate_paths(spec, t_star, [seed], eps)

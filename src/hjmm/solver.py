@@ -73,9 +73,21 @@ __all__ = [
     "strong_residual",
 ]
 
+# the outcomes of a path: the solver's three, and the jump factor that
+# :func:`solve_paths` reports before any solve
 STATUS_CONVERGED = "Converged"
 STATUS_EXPLODED = "Exploded"
 STATUS_MAX_ITER = "MaxIterations"
+STATUS_NONPOSITIVE = "NonPositiveFactor"
+
+# the defaults of the fixed-point keywords, which a run configuration
+# fills in too
+TOL = 1e-9
+MAX_ITER = 200
+EXPLOSION_THRESHOLD = 1e8
+
+# the sup distance below which two solutions count as one
+UNIQUENESS_TOL = 1e-6
 
 log = logging.getLogger(__name__)
 
@@ -174,9 +186,10 @@ def solve_fixed_point(a_field: np.ndarray, vol: VolatilitySpec,
     """Iterate the operator to a fixed point, starting from zero.
 
     Stops Converged when the sup difference of consecutive iterates falls
-    below ``tol`` (default 1e-9); stops Exploded as soon as the timeline
-    weighted norm exceeds ``explosion_threshold`` (default 1e8) or turns
-    non-finite; reports MaxIterations after ``max_iter`` (default 200)
+    below ``tol`` (default :data:`TOL`); stops Exploded as soon as the
+    timeline weighted norm exceeds ``explosion_threshold`` (default
+    :data:`EXPLOSION_THRESHOLD`) or turns non-finite; reports
+    MaxIterations after ``max_iter`` (default :data:`MAX_ITER`)
     iterations otherwise.  ``initial`` (a RateField on ``grid``, else
     DomainError) replaces the zero start.  This is the stacked iteration
     of :func:`solve_paths` on a stack of one field.  The a-priori norm
@@ -187,8 +200,9 @@ def solve_fixed_point(a_field: np.ndarray, vol: VolatilitySpec,
 
 
 def _solve_stack(a_fields: np.ndarray, vol: VolatilitySpec,
-                 spec: LevyModelSpec, grid: GridSpec, *, tol: float = 1e-9,
-                 max_iter: int = 200, explosion_threshold: float = 1e8,
+                 spec: LevyModelSpec, grid: GridSpec, *, tol: float = TOL,
+                 max_iter: int = MAX_ITER,
+                 explosion_threshold: float = EXPLOSION_THRESHOLD,
                  initial: RateField | None = None) -> list[SolverReport]:
     """The fixed-point iteration on a stack of a-fields, one report each.
 
@@ -271,8 +285,9 @@ def solve_paths(spec: LevyModelSpec, vol: VolatilitySpec, curve: InitialCurve,
     array; ``solver`` holds the keyword arguments of
     :func:`solve_fixed_point`.  Returns one entry per seed, in order:
     ``(path, b, a, report)``, or the NonPositiveFactor that a jump of the
-    path raised.  Each entry is bitwise the one of that seed alone, so
-    results do not depend on how seeds are grouped into blocks.
+    path raised (the outcome :data:`STATUS_NONPOSITIVE`).  Each entry is
+    bitwise the one of that seed alone, so results do not depend on how
+    seeds are grouped into blocks.
 
     At DEBUG level it logs, per path, one record per iteration (sup_diff,
     norm, min increment, read from the report's traces) and then one
@@ -299,7 +314,8 @@ def solve_paths(spec: LevyModelSpec, vol: VolatilitySpec, curve: InitialCurve,
 def _log_path(seed, path: JumpPath, entry) -> None:
     """The DEBUG records of one path of :func:`solve_paths`."""
     if isinstance(entry, NonPositiveFactor):
-        log.debug("path %s: %d jumps, NonPositiveFactor", seed, path.n_jumps)
+        log.debug("path %s: %d jumps, %s", seed, path.n_jumps,
+                  STATUS_NONPOSITIVE)
         return
     report = entry[3]
     for k, (sup, norm, low) in enumerate(zip(
@@ -330,25 +346,19 @@ class NormTriple:
     sup: float
 
 
-def weighted_norms(field: RateField | np.ndarray, grid: GridSpec,
-                   t: float) -> NormTriple:
+def weighted_norms(field: RateField, grid: GridSpec, t: float) -> NormTriple:
     """Weighted norms of the gap slice r(t, .) over x in [0, t_max - t].
 
     The L2 norm sums r^2 against the trapezoid-times-e^{gamma x} weights
     that :func:`timeline_norm` uses; the H1 norm adds the same sum over the
     derivative of the slice (second-order differences, first-order on a
     two-node slice); sup is the plain maximum of |r| on the slice.  Norms
-    are over the truncated range.  A RateField must lie on ``grid``; an
-    array needs one column per maturity node and a row at ``t``, so the
-    leading rows of a field will do (DomainError otherwise).
+    are over the truncated range.  ``field`` must be a RateField on
+    ``grid`` and ``t`` a time node (DomainError otherwise); the norm of
+    an initial curve is that of a field whose row 0 holds it.
     """
-    values = (_require_on_grid(field, grid, "field").values
-              if isinstance(field, RateField) else np.asarray(field))
+    values = _require_on_grid(field, grid, "field").values
     i = grid.index_of_time(t)
-    if (values.ndim != 2 or values.shape[1] != grid.n_cols + 1
-            or i >= len(values)):
-        raise DomainError(f"an array of shape {values.shape} holds no slice "
-                          f"at t = {t} on grid {grid.shape}")
     slice_vals = values[i, i:]
     n = slice_vals.size
     sup = float(np.max(np.abs(slice_vals))) if n else 0.0
@@ -365,17 +375,14 @@ def weighted_norms(field: RateField | np.ndarray, grid: GridSpec,
 def _row_gradient(values: np.ndarray, dx: float) -> np.ndarray:
     """Every row i at once: np.gradient(values[i, i:], dx, edge_order=2).
 
-    Row i of the result holds the slice derivative in columns i onward,
-    from numpy's own interior and edge expressions, so bitwise the same;
-    cells below the diagonal, and rows with fewer than 3 cells on or
-    above it, hold no meaningful value.
+    Row i of the result holds the slice derivative in columns i onward:
+    numpy's gradient along the rows, whose first edge is moved from
+    column 0 to the diagonal cell.  Cells below the diagonal, and rows
+    with fewer than 3 cells on or above it, hold no meaningful value.
     """
-    out = np.zeros_like(values)
     if values.shape[1] < 3:
-        return out
-    out[:, 1:-1] = (values[:, 2:] - values[:, :-2]) / (2. * dx)
-    out[:, -1] = ((0.5 / dx) * values[:, -3] + (-2. / dx) * values[:, -2]
-                  + (1.5 / dx) * values[:, -1])
+        return np.zeros_like(values)
+    out = np.gradient(values, dx, axis=1, edge_order=2)
     i = np.arange(min(values.shape[0], values.shape[1] - 2))
     out[i, i] = ((-1.5 / dx) * values[i, i] + (2. / dx) * values[i, i + 1]
                  + (-0.5 / dx) * values[i, i + 2])
@@ -458,7 +465,11 @@ def apriori_bound(spec: LevyModelSpec, vol: VolatilitySpec, grid: GridSpec,
 
 @dataclass
 class ContractionReport:
-    """Iterated Gronwall bound versus the observed distance field."""
+    """Iterated Gronwall bound versus the observed distance field.
+
+    ``passed`` reads whether the two fields lie closer than
+    :data:`UNIQUENESS_TOL` in sup distance (``initial_sup``).
+    """
 
     k_constant: float
     initial_sup: float
@@ -470,18 +481,20 @@ class ContractionReport:
 def uniqueness_contraction_check(field1: RateField, field2: RateField,
                                  spec: LevyModelSpec, vol: VolatilitySpec,
                                  grid: GridSpec, *, b_sup: float,
-                                 n_iter: int = 5,
-                                 tolerance: float = 1e-6) -> ContractionReport:
+                                 n_iter: int = 5) -> ContractionReport:
     """Drive the distance of two candidate solutions through the Gronwall loop.
 
     The pointwise distance d = |f1 - f2| satisfies
     d <= K * int_0^t int_s^T d(s, u) du ds with
     K = sup(f0) * b_sup * exp(lam_up * t_star * max|J'|) * J''(0) * lam_up^2;
     iterating the double integral n times multiplies the bound by
-    K^n (t_star * t_max)^n / (n!)^2.  Requires a finite second moment of the
-    jump measure (J''(0) < inf), else SecondMomentInfinite is raised.
-    ``b_sup``, the sup of the path's jump factor field, is required and
-    must be positive and finite (DomainError otherwise, NaN included).
+    K^n (t_star * t_max)^n / (n!)^2.  J''(0) = q + int y^2 nu(dy) over the
+    whole of nu, negative jumps included, so it requires a finite second
+    moment of the jump measure (``second_moment()``), else
+    SecondMomentInfinite is raised.  ``b_sup``, the sup of the path's jump
+    factor field, is required and must be positive and finite
+    (DomainError otherwise, NaN included).  The report passes when the
+    two fields are closer than :data:`UNIQUENESS_TOL`, strictly.
     """
     _require_on_grid(field1, grid, "field1")
     _require_on_grid(field2, grid, "field2")
@@ -517,7 +530,7 @@ def uniqueness_contraction_check(field1: RateField, field2: RateField,
                       / math.factorial(m) ** 2)
     return ContractionReport(k_constant=k_const, initial_sup=initial_sup,
                              observed_sups=observed, analytic_bounds=bounds,
-                             passed=initial_sup <= tolerance)
+                             passed=initial_sup < UNIQUENESS_TOL)
 
 
 @dataclass

@@ -149,8 +149,8 @@ class TestSolve:
         path = simulate_path(config.levy, grid.t_star, [3, 0],
                              eps=config.mc["eps"])
         b = field_b(config.volatility, path, grid)
-        r0_norm = weighted_norms(config.curve(grid.T_nodes())[None, :],
-                                 grid, 0.0).l2_gamma
+        curve = np.tile(config.curve(grid.T_nodes()), (grid.n_t + 1, 1))
+        r0_norm = weighted_norms(RateField(curve, grid), grid, 0.0).l2_gamma
         expected = apriori_bound(config.levy, config.volatility, grid,
                                  r0_norm, float(np.max(b)))
         assert math.isfinite(report["c1_bound"])

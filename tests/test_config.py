@@ -1,6 +1,7 @@
 """Run-configuration parsing and assumption gating."""
 
 import copy
+import inspect
 import json
 import math
 import re
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hjmm import config
+from hjmm import config, paths, solver
 from hjmm.config import (
     SCHEMA_VERSION,
     load_config,
@@ -50,6 +51,18 @@ def test_minimal_document_parses() -> None:
     assert cfg.solver["tol"] == 1e-9
     assert cfg.mc["n_paths"] == 100
     assert cfg.mc["master_seed"] == 0
+
+
+def test_defaults_are_the_owning_modules_constants() -> None:
+    # the solver section takes the solver's defaults and mc.eps the path
+    # simulator's, the very objects that their signatures default to
+    cfg = parse_config(_base_doc())
+    assert cfg.solver == {"tol": solver.TOL, "max_iter": solver.MAX_ITER,
+                          "explosion_threshold": solver.EXPLOSION_THRESHOLD}
+    stack = inspect.signature(solver._solve_stack).parameters
+    for key, value in cfg.solver.items():
+        assert stack[key].default is value
+    assert cfg.mc["eps"] is paths.TRUNCATION_EPS
 
 
 def test_subordinator_drift_matches_small_jump_mean() -> None:

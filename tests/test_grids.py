@@ -49,7 +49,18 @@ def test_lookup_of_a_non_finite_node_is_a_domain_error(value) -> None:
         with pytest.raises(DomainError, match=f"^{what} .* is not a grid node"):
             lookup(value)
     with pytest.raises(DomainError, match="^time .* is not a grid node"):
-        weighted_norms(np.zeros(g.shape), g, value)
+        weighted_norms(RateField(np.zeros(g.shape), g), g, value)
+
+
+@pytest.mark.parametrize("shape", [(33, 65), (5, 9), (3, 3), (9, 9), (2, 4),
+                                   (129, 257)])
+def test_row_gradient_is_numpys_gradient_of_each_slice(shape) -> None:
+    values = np.random.default_rng(sum(shape)).normal(size=shape)
+    dx = 1.0 / 32.0
+    got = _row_gradient(values, dx)
+    for i in range(min(shape[0], shape[1] - 2)):
+        assert np.array_equal(got[i, i:],
+                              np.gradient(values[i, i:], dx, edge_order=2))
 
 
 def test_step_must_divide_horizons() -> None:

@@ -1,7 +1,7 @@
 """Laplace exponent, derivative routes, and the growth classifier."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ import pytest
 from hjmm import measures
 from hjmm.errors import DomainError, NonIntegrable, UnsupportedSpec
 from hjmm.levy import (
+    AssumptionReport,
     GrowthClassification,
     LevyModelSpec,
     Rule,
@@ -322,9 +323,26 @@ class TestAssumptions:
         report = check_assumptions(gamma_subordinator(0.5, 2.0),
                                    constant_volatility(0.2))
         assert report.ok
-        assert report.a2_pass and report.a3_pass and report.a4_pass
+        assert report.a2_pass and report.a4_pass
         assert report.second_moment_finite
         assert abs(report.second_moment - 0.5 / 4.0) < 1e-12
+
+    def test_second_moment_is_that_of_the_whole_measure(self) -> None:
+        # J''(0) = q + int y^2 nu(dy) sums the negative atom too
+        nu = PointMasses([(-0.5, 1.0), (1.0, 1.0)])
+        report = check_assumptions(LevyModelSpec(0.0, 0.0, nu),
+                                   constant_volatility(0.2))
+        assert report.second_moment == nu.second_moment() == 1.25
+
+    def test_no_a3_field_and_ok_reads_a2_and_a4(self) -> None:
+        # every VolatilitySpec satisfies (A3): its constructor refuses
+        # bounds that break it
+        assert "a3_pass" not in {f.name for f in fields(AssumptionReport)}
+        spec = LevyModelSpec(0.0, 0.0, PointMasses([(-6.0, 1.0)]))
+        for lam in (0.1, 0.2):
+            report = check_assumptions(spec, constant_volatility(lam))
+            assert report.ok == (report.a2_pass and report.a4_pass)
+            assert report.ok == (lam < 1.0 / 6.0)
 
     def test_support_violation_detected(self) -> None:
         # atom at -6 violates the support condition for lambda_upper = 0.2

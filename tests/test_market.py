@@ -24,7 +24,8 @@ from hjmm.market import (
 )
 from hjmm.measures import StableLike, UserDensity
 from hjmm.paths import field_a, field_b, simulate_path
-from hjmm.solver import solve_fixed_point
+from hjmm.solver import (STATUS_EXPLODED, STATUS_MAX_ITER,
+                         STATUS_NONPOSITIVE, solve_fixed_point)
 from hjmm.volatility import (VolatilitySpec, constant_term,
                              constant_volatility, exp_decay_term,
                              time_affine_volatility)
@@ -252,6 +253,12 @@ def test_default_checkpoints_are_distinct_nodes_of_a_tenth_grid() -> None:
                              affine_curve(1.0, 1.0), grid, n_paths=4,
                              master_seed=5)
     assert [r.t for r in report.results][::3] == list(t_pts)
+
+
+def test_exclusion_causes_are_the_solvers_outcomes() -> None:
+    assert market.EXCLUSION_CAUSES == (STATUS_EXPLODED, STATUS_MAX_ITER,
+                                       STATUS_NONPOSITIVE)
+    assert STATUS_NONPOSITIVE == "NonPositiveFactor"
 
 
 class TestMartingale:

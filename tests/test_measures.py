@@ -1,5 +1,6 @@
 """Jump measure families: closed-form oracles, quadrature agreement, sampling."""
 
+import dataclasses
 import math
 import os
 import pathlib
@@ -695,6 +696,35 @@ def _gamma_tail(s):
     """E1(2 e^s) and its -d/ds, the tail of GammaLike(1, 2) in s = ln y."""
     x = 2.0 * np.exp(s)
     return sc.exp1(x), np.exp(-x)
+
+
+def _exp_over_y(rate):
+    return lambda y: 0.5 * np.exp(-rate * y) / y
+
+
+class TestReplace:
+    """A measure made by dataclasses.replace keeps no table of the old one."""
+
+    @pytest.mark.parametrize("old, change", [
+        (StableLike(1.0, 1.5, 1.0), {"alpha": 0.5}),
+        (UserDensity(density_fn=_exp_over_y(2.0)),
+         {"density_fn": _exp_over_y(1.0)})], ids=["stable", "user"])
+    def test_replaced_measure_is_a_fresh_one(self, old, change) -> None:
+        z = np.array([0.0, 0.5, 10.0, 300.0])
+        before = old.derivative_measure_part(z, 1)
+        replaced = dataclasses.replace(old, **change)
+        fresh = type(old)(**{**{f.name: getattr(old, f.name)
+                                for f in dataclasses.fields(old) if f.init},
+                             **change})
+        got = replaced.derivative_measure_part(z, 1)
+        assert np.array_equal(got, fresh.derivative_measure_part(z, 1))
+        assert not np.array_equal(got, before)
+
+    def test_cache_is_not_a_constructor_argument(self) -> None:
+        with pytest.raises(TypeError, match="_cache"):
+            StableLike(1.0, 1.5, 1.0, _cache={})
+        with pytest.raises(TypeError, match="_cache"):
+            UserDensity(density_fn=_exp_over_y(2.0), _cache={})
 
 
 # every family, the one defined outside the library included, with a

@@ -5,6 +5,7 @@ stochastic exponential of the volatility-weighted driver; its algebraic
 identities here are exact, not approximate.
 """
 
+import inspect
 import math
 import re
 
@@ -18,7 +19,9 @@ from hjmm.errors import DomainError, NonPositiveFactor, UnsupportedSpec
 from hjmm.grids import GridSpec, cumtrapz
 from hjmm.levy import LevyModelSpec, drift_only, gamma_subordinator
 from hjmm.measures import GammaLike, PointMasses, StableLike
+from hjmm.market import martingale_test
 from hjmm.paths import (
+    TRUNCATION_EPS,
     JumpPath,
     factor_fields,
     field_a,
@@ -111,6 +114,16 @@ class TestJumpPath:
 
 
 class TestSimulatePath:
+    def test_default_truncation_level_is_the_paths_constant(self) -> None:
+        for simulate in (simulate_path, simulate_paths, martingale_test):
+            eps = inspect.signature(simulate).parameters["eps"]
+            assert eps.default is TRUNCATION_EPS
+        spec = LevyModelSpec(0.0, 0.0, StableLike(1.0, 0.5))
+        path = simulate_path(spec, 1.0, [4, 0])
+        assert path.truncation_eps == TRUNCATION_EPS
+        same = simulate_path(spec, 1.0, [4, 0], eps=TRUNCATION_EPS)
+        assert np.array_equal(path.sizes, same.sizes)
+
     def test_bitwise_deterministic(self) -> None:
         spec = gamma_subordinator(0.5, 2.0)
         p1 = simulate_path(spec, 1.0, [42, 0], eps=1e-3)

@@ -26,6 +26,7 @@ from hjmm.solver import (
     STATUS_CONVERGED,
     STATUS_EXPLODED,
     STATUS_MAX_ITER,
+    UNIQUENESS_TOL,
     _row_gradient,
     apply_K,
     apriori_bound,
@@ -148,23 +149,11 @@ def test_grid_refinement_second_order() -> None:
 
 
 class TestNorms:
-    @pytest.mark.parametrize("shape, t", [
-        ((3, 3), 0.0), ((1, 17), 0.5), ((1, 17), 0.125), ((17,), 0.0),
-        ((2, 9, 17), 0.0), ((9, 18), 0.0)])
-    def test_array_without_the_slice_rejected(self, shape, t) -> None:
-        # on the (9, 17) grid a (3, 3) array broadcast against the weights
-        # (ValueError) and a (1, 17) one had no row for t = 0.5 (IndexError)
-        with pytest.raises(DomainError, match="holds no slice"):
-            weighted_norms(np.ones(shape), _grid(0.125), t)
-
-    def test_leading_rows_of_a_field_are_accepted(self) -> None:
-        # the one-row curve arrays of ``hjmm solve`` and the demos
-        grid = _grid()
-        values = np.random.default_rng(3).uniform(0.5, 2.0, grid.shape)
-        full = weighted_norms(RateField(values, grid), grid, 0.0625)
-        assert weighted_norms(values[:2], grid, 0.0625) == full
-        assert (weighted_norms(values[:1], grid, 0.0)
-                == weighted_norms(RateField(values, grid), grid, 0.0))
+    def test_array_is_refused(self) -> None:
+        # the norm of a curve is read from a field whose row 0 holds it
+        grid = _grid(0.125)
+        with pytest.raises(DomainError, match="must be a RateField"):
+            weighted_norms(np.ones(grid.shape), grid, 0.0)
 
     def test_constant_slice_oracle(self) -> None:
         grid = GridSpec(1.0 / 32.0, 1.0, 2.0, 1.0)
@@ -320,6 +309,23 @@ class TestUniqueness:
         assert report.passed
         assert report.initial_sup < 1e-6
 
+    @pytest.mark.parametrize("distance", [np.nextafter(UNIQUENESS_TOL, 0.0),
+                                          UNIQUENESS_TOL])
+    def test_passed_is_strict_against_the_uniqueness_tolerance(
+            self, distance) -> None:
+        grid = _grid()
+        spec = gamma_subordinator(0.5, 2.0)
+        vol = constant_volatility(0.2)
+        near = RateField(np.full(grid.shape, distance), grid)
+        zero = RateField(np.zeros(grid.shape), grid)
+        report = uniqueness_contraction_check(near, zero, spec, vol, grid,
+                                              b_sup=1.0)
+        assert report.initial_sup == distance
+        assert report.passed == (distance < UNIQUENESS_TOL)
+        with pytest.raises(TypeError, match="tolerance"):
+            uniqueness_contraction_check(near, zero, spec, vol, grid,
+                                         b_sup=1.0, tolerance=1.0)
+
     def test_b_sup_is_required(self) -> None:
         # K must carry the jump-factor sup of the caller's path
         grid, spec, vol, first, second, _ = self._solve_pair()
@@ -337,8 +343,7 @@ class TestUniqueness:
         f1 = RateField(np.full(shape, 0.10), grid)
         f2 = RateField(np.full(shape, 0.35), grid)
         report = uniqueness_contraction_check(f1, f2, spec, vol, grid,
-                                              b_sup=1.0, n_iter=6,
-                                              tolerance=1.0)
+                                              b_sup=1.0, n_iter=6)
         M = report.initial_sup
         K = report.k_constant
         uw = grid.t_star * grid.t_max

@@ -2,12 +2,16 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
+from hjmm import verification
 from hjmm.config import parse_config
+from hjmm.grids import RateField
 from hjmm.levy import LevyModelSpec
 from hjmm.measures import PointMasses
-from hjmm.solver import solve_path, uniqueness_contraction_check
+from hjmm.solver import (UNIQUENESS_TOL, solve_path,
+                         uniqueness_contraction_check)
 from hjmm.verification import (
     run_all,
     suite_exponent_monotone,
@@ -126,6 +130,29 @@ def test_two_start_gronwall_constant_takes_the_path_b_sup(base_config) -> None:
     result = suite_two_start(base_config, seed=0)
     assert result.details["gronwall_constant"] == pytest.approx(
         check.k_constant, rel=1e-12)
+
+
+@pytest.mark.parametrize("distance", [np.nextafter(UNIQUENESS_TOL, 0.0),
+                                      UNIQUENESS_TOL])
+def test_two_start_verdict_is_the_checks(base_config, monkeypatch,
+                                         distance) -> None:
+    # the check sees two constant fields `distance` apart in place of the
+    # two solutions; the suite passes exactly when the check does
+    checks = []
+
+    def synthetic(field1, field2, spec, vol, grid, **kwargs):
+        near = RateField(np.full(grid.shape, distance), grid)
+        zero = RateField(np.zeros(grid.shape), grid)
+        checks.append(uniqueness_contraction_check(near, zero, spec, vol,
+                                                   grid, **kwargs))
+        return checks[-1]
+
+    monkeypatch.setattr(verification, "uniqueness_contraction_check",
+                        synthetic)
+    result = suite_two_start(base_config, seed=0)
+    check, = checks
+    assert result.details["sup_distance"] == check.initial_sup == distance
+    assert result.passed == check.passed == (distance < UNIQUENESS_TOL)
 
 
 def test_run_all_aggregates(base_config) -> None:

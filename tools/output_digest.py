@@ -15,7 +15,11 @@ once on one thread and once on two (where two CPUs are free), and prints
 one digest of the report (checkpoint means, stds and z-scores, and the
 exclusions by cause) under the name ``<workload>-martingale``; it exits
 with status 1, and prints no digest for that workload, if the two runs
-differ.
+differ.  For the ``mc-gamma`` and ``solve-user-density`` configs it
+prints two more: ``<config>-verify``, of ``hjmm.run_all`` with seed 7
+(each suite's name, verdict, details and note), and
+``<config>-assumptions``, of ``hjmm.check_assumptions`` on the config's
+model and volatility (the fields in ASSUMPTION_FIELDS).
 
     PYTHONPATH=src python tools/output_digest.py
 
@@ -42,6 +46,14 @@ ROOT = Path(__file__).resolve().parent.parent
 N_PATHS = 45
 BLOCK = 15
 SEED = 7
+
+# the configs whose verification suites and assumption report are digested
+CHECKED = ("mc-gamma", "solve-user-density")
+# the fields of the assumption report that go into its digest: (A2),
+# (A4), the second moment, the notes and the verdict
+ASSUMPTION_FIELDS = ("a2_pass", "support_infimum", "a2_threshold",
+                     "a4_pass", "a4_square_integral", "a4_tail_integral",
+                     "second_moment", "second_moment_finite", "notes", "ok")
 
 
 # the volatility terms of the mc-gamma variants, by name suffix
@@ -128,8 +140,28 @@ def martingale_digest(doc: dict, threads: int) -> str:
     return digest.hexdigest()
 
 
+def verify_digest(doc: dict) -> str:
+    """The SHA-256 of the run_all report of one config document."""
+    digest = hashlib.sha256()
+    for suite in hjmm.run_all(hjmm.parse_config(doc), SEED).suites:
+        digest.update(repr((suite.name, suite.passed, suite.details,
+                            suite.note)).encode())
+    return digest.hexdigest()
+
+
+def assumptions_digest(doc: dict) -> str:
+    """The SHA-256 of the check_assumptions report of one config document."""
+    cfg = hjmm.parse_config(doc)
+    report = hjmm.check_assumptions(cfg.levy, cfg.volatility)
+    digest = hashlib.sha256()
+    for name in ASSUMPTION_FIELDS:
+        digest.update(f"{name} {getattr(report, name)!r}".encode())
+    return digest.hexdigest()
+
+
 def main() -> int:
-    for name, doc in _configs().items():
+    configs = _configs()
+    for name, doc in configs.items():
         print(f"{name}: {config_digest(doc)}")
     status = 0
     for name, doc in _martingale_configs().items():
@@ -139,6 +171,9 @@ def main() -> int:
             status = 1
             continue
         print(f"{name}-martingale: {serial}")
+    for name in CHECKED:
+        print(f"{name}-verify: {verify_digest(configs[name])}")
+        print(f"{name}-assumptions: {assumptions_digest(configs[name])}")
     return status
 
 
