@@ -85,8 +85,10 @@ class GridSpec:
         """Shape of a field on the grid: time nodes by maturity nodes."""
         return (self.n_t + 1, self.n_cols + 1)
 
-    def check_field(self, values: np.ndarray) -> np.ndarray:
-        """``values``, if it has the grid's field shape; else DomainError."""
+    def check_field(self, values) -> np.ndarray:
+        """``values`` as a float array, if it has the grid's field shape;
+        else DomainError.  A float array passes through uncopied."""
+        values = np.asarray(values, dtype=float)
         if values.shape != self.shape:
             raise DomainError(
                 f"field shape {values.shape} does not match grid {self.shape}")
@@ -233,7 +235,7 @@ class RateField:
     grid: GridSpec
 
     def __post_init__(self) -> None:
-        self.grid.check_field(self.values)
+        self.values = self.grid.check_field(self.values)
 
     def musiela_slice(self, i: int) -> np.ndarray:
         """r(t_i, x) over the truncated gap range x in [0, t_max - t_i]."""

@@ -317,17 +317,19 @@ def check_assumptions(spec: LevyModelSpec, vol) -> AssumptionReport:
 
 def log_growth_profile(spec: LevyModelSpec, lambda_bar: float, t_star: float,
                        z_grid: np.ndarray) -> np.ndarray:
-    """Diagnostic profile ln(z) - lambda_bar * t_star * J'(z) on a z grid.
+    """The profile ln(z) - lambda_bar * t_star * J'(z) on a z grid.
 
     A profile bounded below signals the log-growth regime; a profile
-    diverging to -inf signals explosion.  Purely informational.
-    ``lambda_bar`` must be positive and finite (DomainError otherwise).
+    diverging to -inf signals explosion.  Its level crossing decides the
+    a-priori bound, :func:`~hjmm.solver.apriori_bound`.  ``lambda_bar``
+    must be positive and finite and every z positive (DomainError
+    otherwise, NaN included).
     """
     if not 0.0 < lambda_bar < math.inf:
         raise DomainError(
             f"lambda_bar must be positive and finite, got {lambda_bar}")
     z = np.asarray(z_grid, dtype=float)
-    if np.any(z <= 0.0):
+    if not np.all(z > 0.0):
         raise DomainError("z grid must be strictly positive")
     dj = fast_derivative(spec, 1)(z)
     return np.log(z) - lambda_bar * t_star * dj

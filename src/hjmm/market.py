@@ -64,8 +64,6 @@ class BondSurface:
 
     prices: np.ndarray
     discounted: np.ndarray
-    short_rates: np.ndarray
-    grid: GridSpec
 
 
 def bond_surface(rate_field: RateField, grid: GridSpec) -> BondSurface:
@@ -87,8 +85,7 @@ def bond_surface(rate_field: RateField, grid: GridSpec) -> BondSurface:
     np.subtract(prices, np.diagonal(prices).copy()[:, None], out=prices)
     np.exp(np.negative(prices, out=prices), out=prices)
     np.copyto(prices, np.nan, where=below_diagonal(values.shape))
-    return BondSurface(prices=prices, discounted=discounted,
-                       short_rates=rate_field.short_rates(), grid=grid)
+    return BondSurface(prices=prices, discounted=discounted)
 
 
 def _near_nodes(fractions, horizon: float, delta: float,
@@ -263,15 +260,15 @@ def martingale_test(spec: LevyModelSpec, vol: VolatilitySpec,
     ``max_iter``, or whose jump factor turns non-positive, is excluded
     and counted by cause; more than 1% exclusions invalidates the test.
     Checkpoints must be grid nodes, at least one time and one maturity.
-    ``n_paths`` and ``threads`` must be integers (Python or numpy).
+    ``n_paths`` and ``threads`` must be positive integers and
+    ``master_seed`` a nonnegative one (Python or numpy).
     """
-    for name, value in (("n_paths", n_paths), ("threads", threads)):
+    for name, value, least in (("n_paths", n_paths, 1), ("threads", threads, 1),
+                               ("master_seed", master_seed, 0)):
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise DomainError(f"{name} must be an integer, got {value!r}")
-    if n_paths < 1:
-        raise DomainError("n_paths must be at least 1")
-    if threads < 1:
-        raise DomainError("threads must be at least 1")
+        if value < least:
+            raise DomainError(f"{name} must be at least {least}")
     t_pts, T_pts = default_checkpoints(grid)
     if t_checkpoints is not None:
         t_pts = tuple(float(v) for v in t_checkpoints)
@@ -386,8 +383,6 @@ def drift_identity_check(spec: LevyModelSpec, vol: VolatilitySpec,
     i_s = grid.index_of_time(s)
     j_t = grid.index_of_maturity(t)
     j_T = grid.index_of_maturity(T)
-    if j_t < i_s:
-        raise DomainError("t must not precede s")
     sigma = vol.on_grid(grid) * rate_field.values
     inner = gap_integral(sigma, grid.delta)[i_s]
 

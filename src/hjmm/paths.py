@@ -291,6 +291,7 @@ def field_a(r0: InitialCurve, b_values: np.ndarray, grid: GridSpec) -> np.ndarra
     """a(t_i, T_j) = f0(T_j) * b(t_i, T_j) for a field b or a stack of
     fields; requires a positive curve, evaluated once."""
     curve = require_positive_on(r0, grid.T_nodes())
+    b_values = np.asarray(b_values, dtype=float)
     if b_values.ndim != 3 or b_values.shape[1:] != grid.shape:
         grid.check_field(b_values)
     return curve * b_values

@@ -51,7 +51,7 @@ from .curves import InitialCurve
 from .errors import DomainError, NonPositiveFactor, SecondMomentInfinite
 from .grids import (GridSpec, RateField, _require_on_grid, below_diagonal,
                     cumtrapz, flat_extend, gap_integral, slice_weights)
-from .levy import LevyModelSpec, fast_derivative
+from .levy import LevyModelSpec, fast_derivative, log_growth_profile
 from .measures import Scratch
 from .paths import (JumpPath, factor_fields, field_a, jump_factor_error,
                     simulate_paths)
@@ -157,7 +157,7 @@ def apply_K(field: RateField, a_field: np.ndarray, vol: VolatilitySpec,
     RateField on ``grid`` (DomainError otherwise).
     """
     field = _require_on_grid(field, grid, "field")
-    a_field = np.asarray(grid.check_field(a_field), dtype=float)[None]
+    a_field = grid.check_field(a_field)[None]
     apply, _ = _operator(vol, spec, grid, 1)
     new = apply(field.values[None], a_field, np.empty_like(a_field),
                 np.empty_like(a_field))
@@ -195,8 +195,8 @@ def solve_fixed_point(a_field: np.ndarray, vol: VolatilitySpec,
     of :func:`solve_paths` on a stack of one field.  The a-priori norm
     bound is a separate computation, :func:`apriori_bound`.
     """
-    a_field = np.asarray(grid.check_field(a_field), dtype=float)
-    return _solve_stack(a_field[None], vol, spec, grid, **solver)[0]
+    return _solve_stack(grid.check_field(a_field)[None], vol, spec, grid,
+                        **solver)[0]
 
 
 def _solve_stack(a_fields: np.ndarray, vol: VolatilitySpec,
@@ -212,8 +212,11 @@ def _solve_stack(a_fields: np.ndarray, vol: VolatilitySpec,
     run on without it, in the leading part of the same buffers.  Each
     report is bitwise the report of that path's field solved alone.
     """
-    if tol <= 0.0 or max_iter < 1 or explosion_threshold <= 0.0:
-        raise DomainError("tol, max_iter and explosion_threshold must be positive")
+    # written so that a NaN fails
+    if (isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer))
+            or not (tol > 0.0 and max_iter >= 1 and explosion_threshold > 0.0)):
+        raise DomainError("tol and explosion_threshold must be positive and "
+                          "max_iter a positive integer")
     apply, apply_zero = _operator(vol, spec, grid, len(a_fields))
     a_fields = np.array(a_fields, dtype=float)
     current = np.zeros_like(a_fields)
@@ -424,39 +427,38 @@ def apriori_bound(spec: LevyModelSpec, vol: VolatilitySpec, grid: GridSpec,
                   r0_norm: float, b_sup: float) -> float | None:
     """Smallest c with ln(b_sup * r0_norm) <= ln c - lam_up*t_star*J'(lam_up*c/sqrt(gamma)).
 
-    Scans a log grid over [b_sup * r0_norm, 1e12] and bisects the first
-    sign change; returns None when no admissible c exists in range (the
+    That is the level crossing
+    log_growth_profile(z) >= ln(lam_up * b_sup * r0_norm / sqrt(gamma)) at
+    z = lam_up * c / sqrt(gamma) (:func:`~hjmm.levy.log_growth_profile`).
+    The profile is evaluated once on a 400-point log grid of c over
+    [b_sup * r0_norm, 1e12]; the first admissible point is returned if it
+    is the first of the grid, and otherwise the first crossing is
+    bisected, c -> sqrt(lo * hi), until the midpoint is an end of the
+    bracket.  Returns None when no admissible c exists in range (the
     growth of J' defeats the bound).  ``r0_norm`` and ``b_sup`` must be
     positive and finite (DomainError otherwise, NaN included).
     """
     if not (0.0 < r0_norm < math.inf and 0.0 < b_sup < math.inf):
         raise DomainError("r0_norm and b_sup must be positive and finite")
     lam_bar = vol.lambda_upper
-    t_star = grid.t_star
     root_gamma = math.sqrt(grid.gamma)
-    dj = fast_derivative(spec, 1)
     base = b_sup * r0_norm
+    level = np.log(lam_bar * base / root_gamma)
 
-    def gap(c: float) -> float:
-        return (math.log(c) - lam_bar * t_star * float(dj(lam_bar * c / root_gamma))
-                - math.log(base))
+    def admissible(c: np.ndarray) -> np.ndarray:
+        return log_growth_profile(spec, lam_bar, grid.t_star,
+                                  lam_bar * c / root_gamma) >= level
 
-    if gap(base) >= 0.0:
-        return base
     cs = np.geomspace(base, 1e12, 400)
-    prev = base
-    hit = None
-    for c in cs[1:]:
-        if gap(float(c)) >= 0.0:
-            hit = float(c)
-            break
-        prev = float(c)
-    if hit is None:
+    hits = np.flatnonzero(admissible(cs))
+    if not hits.size:
         return None
-    lo, hi = prev, hit
-    for _ in range(200):
-        mid = math.sqrt(lo * hi)
-        if gap(mid) >= 0.0:
+    k = int(hits[0])
+    if k == 0:
+        return base
+    lo, hi = float(cs[k - 1]), float(cs[k])
+    while lo < (mid := math.sqrt(lo * hi)) < hi:
+        if admissible(np.array([mid]))[0]:
             hi = mid
         else:
             lo = mid
@@ -489,8 +491,9 @@ def uniqueness_contraction_check(field1: RateField, field2: RateField,
     K = sup(f0) * b_sup * exp(lam_up * t_star * max|J'|) * J''(0) * lam_up^2;
     iterating the double integral n times multiplies the bound by
     K^n (t_star * t_max)^n / (n!)^2.  J''(0) = q + int y^2 nu(dy) over the
-    whole of nu, negative jumps included, so it requires a finite second
-    moment of the jump measure (``second_moment()``), else
+    whole of nu, negative jumps included, read as ``spec.gaussian_q +
+    spec.measure.second_moment()``, the second moment that
+    :func:`~hjmm.levy.check_assumptions` reports; it must be finite, else
     SecondMomentInfinite is raised.  ``b_sup``, the sup of the path's jump
     factor field, is required and must be positive and finite
     (DomainError otherwise, NaN included).  The report passes when the
@@ -507,14 +510,12 @@ def uniqueness_contraction_check(field1: RateField, field2: RateField,
     lam_bar = vol.lambda_upper
     root_gamma = math.sqrt(grid.gamma)
     dj = fast_derivative(spec, 1)
-    ddj = fast_derivative(spec, 2)
-    j2_at_zero = float(ddj(np.zeros(1))[0])
     norms = np.array([timeline_norm(field1.values, grid),
                       timeline_norm(field2.values, grid)])
     max_dj = max(np.abs(dj(lam_bar * norms / root_gamma)).tolist())
     r0_sup = float(np.max(field1.values[0]))
     k_const = (r0_sup * b_sup * math.exp(lam_bar * grid.t_star * max_dj)
-               * j2_at_zero * lam_bar ** 2)
+               * (spec.gaussian_q + second) * lam_bar ** 2)
 
     d = np.abs(field1.values - field2.values)
     initial_sup = float(np.max(d))

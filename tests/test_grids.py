@@ -270,7 +270,7 @@ def test_returned_arrays_own_their_memory(grid) -> None:
     surface = bond_surface(report.final_field, grid)
     returned = [flat_extend(field.values), a, report.final_field.values,
                 apply_K(field, a, vol, spec, grid).values, surface.prices,
-                surface.discounted, surface.short_rates]
+                surface.discounted]
     for arr in returned:
         assert arr.flags.writeable
         for cached in _cached(grid):

@@ -392,3 +392,10 @@ def test_log_growth_profile_shapes_and_sign() -> None:
     assert profile[-1] > profile[0]
     with pytest.raises(DomainError):
         log_growth_profile(spec, 1.0, 1.0, np.array([0.0, 1.0]))
+
+
+def test_log_growth_profile_refuses_nan() -> None:
+    # NaN <= 0 is false, so a NaN used to pass the positivity check
+    with pytest.raises(DomainError, match="strictly positive"):
+        log_growth_profile(gamma_subordinator(1.0, 1.0), 1.0, 1.0,
+                           np.array([1.0, math.nan]))

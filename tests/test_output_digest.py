@@ -19,7 +19,8 @@ def test_one_digest_per_config(capsys) -> None:
         *names, "mc-gamma-exp-decay", "mc-gamma-time-affine",
         "mc-gamma-constant-exp-decay", "mc-explosive-martingale",
         "mc-gamma-martingale", "mc-gamma-verify", "mc-gamma-assumptions",
-        "solve-user-density-verify", "solve-user-density-assumptions"]
+        "solve-user-density-verify", "solve-user-density-assumptions",
+        *(f"{name}-apriori" for name in names)]
     assert all(re.fullmatch(r"[\w-]+: [0-9a-f]{64}", line) for line in lines)
     assert len({line.split()[1] for line in lines}) == len(lines)
 

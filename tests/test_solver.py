@@ -20,7 +20,7 @@ from hjmm.grids import (GridSpec, RateField, cumtrapz, flat_extend,
 from hjmm.levy import (LevyModelSpec, drift_only, fast_derivative,
                        gamma_subordinator)
 from hjmm.market import bond_surface, drift_identity_check
-from hjmm.measures import PointMasses, StableLike, UserDensity
+from hjmm.measures import GammaLike, PointMasses, StableLike, UserDensity
 from hjmm.paths import JumpPath, field_a, field_b, simulate_path
 from hjmm.solver import (
     STATUS_CONVERGED,
@@ -243,7 +243,86 @@ def test_row_gradient_matches_numpy_per_slice(t_max) -> None:
             got[i, i:], np.gradient(values[i, i:], grid.delta, edge_order=2))
 
 
+def _oracle_apriori_bound(spec, vol, grid, r0_norm, b_sup):
+    """The a-priori bound by a scalar route: J' one point at a time over
+    the 400-point log grid of c, then 200 bisection steps of the first
+    sign change of ln c - lam_up t_star J'(lam_up c / sqrt(gamma))
+    - ln(b_sup r0_norm)."""
+    lam_bar, t_star = vol.lambda_upper, grid.t_star
+    root_gamma = math.sqrt(grid.gamma)
+    dj = fast_derivative(spec, 1)
+    base = b_sup * r0_norm
+
+    def gap(c):
+        return (math.log(c) - lam_bar * t_star
+                * float(dj(lam_bar * c / root_gamma)) - math.log(base))
+
+    if gap(base) >= 0.0:
+        return base
+    prev, hit = base, None
+    for c in np.geomspace(base, 1e12, 400)[1:]:
+        if gap(float(c)) >= 0.0:
+            hit = float(c)
+            break
+        prev = float(c)
+    if hit is None:
+        return None
+    lo, hi = prev, hit
+    for _ in range(200):
+        mid = math.sqrt(lo * hi)
+        if gap(mid) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+# (model, volatility level): the subordinator returns the first point of
+# the scan, the next three bisect a crossing and the last two have no
+# bound below 1e12
+APRIORI_PANEL = {
+    "gamma-subordinator": (gamma_subordinator(0.5, 2.0), 0.2),
+    "drift-only": (drift_only(-2.0), 0.2),
+    "stable-0.5": (LevyModelSpec(0.0, 0.0, StableLike(1.0, 0.5, 1.0)), 0.2),
+    "gamma-negative-drift": (LevyModelSpec(-1.0, 0.0, GammaLike(0.5, 2.0)),
+                             0.2),
+    "stable-1.5": (LevyModelSpec(0.0, 0.0, StableLike(1.0, 1.5, 1.0)), 1.0),
+    "gaussian-q100": (LevyModelSpec(0.0, 100.0, PointMasses(())), 1.0),
+}
+
+
 class TestAprioriBound:
+    @pytest.mark.parametrize("r0_norm, b_sup", [(1.0, 1.0), (1.3, 1.1)])
+    @pytest.mark.parametrize("name", APRIORI_PANEL)
+    def test_matches_the_scalar_scan_and_bisection(self, name, r0_norm,
+                                                   b_sup) -> None:
+        spec, level = APRIORI_PANEL[name]
+        args = (spec, constant_volatility(level), _grid(), r0_norm, b_sup)
+        got, want = apriori_bound(*args), _oracle_apriori_bound(*args)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got == pytest.approx(want, rel=1e-15, abs=0.0)
+        if name in ("gamma-subordinator", "stable-1.5", "gaussian-q100"):
+            assert got == want
+
+    @pytest.mark.parametrize("name", ["drift-only", "stable-0.5",
+                                      "gamma-negative-drift"])
+    def test_bisection_stops_within_64_profile_evaluations(
+            self, name, monkeypatch) -> None:
+        calls = []
+        profile = hjmm.solver.log_growth_profile
+
+        def counted(*args):
+            calls.append(args[-1].size)
+            return profile(*args)
+
+        monkeypatch.setattr(hjmm.solver, "log_growth_profile", counted)
+        spec, level = APRIORI_PANEL[name]
+        apriori_bound(spec, constant_volatility(level), _grid(), 1.3, 1.1)
+        # one evaluation of the 400-point scan, then one point per step
+        assert calls[0] == 400 and set(calls[1:]) == {1}
+        assert len(calls) <= 64
+
     def test_subordinator_returns_base(self) -> None:
         # J' < 0 for the normalized subordinator, so the smallest
         # admissible constant is the base itself
@@ -362,6 +441,26 @@ class TestUniqueness:
             b_sup=b_sup) for b_sup in (1.0, 1.25))
         assert scaled.k_constant == pytest.approx(1.25 * unit.k_constant,
                                                   rel=1e-14)
+
+    @pytest.mark.parametrize("spec", [
+        gamma_subordinator(0.5, 2.0),
+        LevyModelSpec(0.0, 0.3, StableLike(1.0, 1.5, 1.0)),
+        LevyModelSpec(0.0, 0.0, PointMasses(((0.5, 1.0), (-0.25, 2.0))))],
+        ids=["gamma", "stable-gaussian", "atoms"])
+    def test_constant_reads_j2_at_zero_off_the_second_moment(
+            self, spec) -> None:
+        # K = sup(f0) b_sup exp(lam t_star max|J'|) (q + int y^2 nu) lam^2
+        grid = _grid()
+        vol = constant_volatility(0.2)
+        f1 = RateField(np.full(grid.shape, 0.10), grid)
+        f2 = RateField(np.full(grid.shape, 0.35), grid)
+        report = uniqueness_contraction_check(f1, f2, spec, vol, grid,
+                                              b_sup=1.5)
+        z = 0.2 * np.array([timeline_norm(f.values, grid) for f in (f1, f2)])
+        max_dj = float(np.max(np.abs(fast_derivative(spec, 1)(z))))
+        j2_at_zero = spec.gaussian_q + spec.measure.second_moment()
+        assert report.k_constant == (0.10 * 1.5 * math.exp(0.2 * max_dj)
+                                     * j2_at_zero * 0.2 ** 2)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 0.0, -1.0])
     def test_non_finite_or_non_positive_b_sup_rejected(self, bad) -> None:
@@ -574,6 +673,63 @@ class TestExplosion:
             solve_fixed_point(a, vol, spec, grid, tol=0.0)
         with pytest.raises(DomainError):
             solve_fixed_point(a, vol, spec, grid, max_iter=0)
+
+    @pytest.mark.parametrize("controls", [
+        dict(tol=math.nan), dict(explosion_threshold=math.nan),
+        dict(max_iter=3.0), dict(max_iter=True)])
+    def test_nan_and_non_integer_controls_rejected(self, controls) -> None:
+        # tol = NaN used to run max_iter iterations and report
+        # MaxIterations, a NaN threshold switched the explosion stop off
+        # and max_iter = 3.0 raised a TypeError
+        grid = _grid()
+        spec = drift_only(1.0)
+        vol = constant_volatility(0.2)
+        a = _solve_setup(spec, vol, affine_curve(1.0, 1.0), grid,
+                         simulate_path(spec, grid.t_star, 0))
+        with pytest.raises(DomainError, match="max_iter a positive integer"):
+            solve_fixed_point(a, vol, spec, grid, **controls)
+
+
+class TestArrayLikeFields:
+    """A field given as nested lists is read as the float array."""
+
+    def _setup(self):
+        grid = _grid()
+        spec = gamma_subordinator(0.5, 2.0)
+        vol = constant_volatility(0.2)
+        b = field_b(vol, simulate_path(spec, grid.t_star, [3, 0]), grid)
+        return grid, spec, vol, b
+
+    def test_nested_lists_give_the_array_results(self) -> None:
+        grid, spec, vol, b = self._setup()
+        curve = exp_decay_curve(0.08, 0.4)
+        a = field_a(curve, b, grid)
+        np.testing.assert_array_equal(field_a(curve, b.tolist(), grid), a)
+        assert timeline_norm(a.tolist(), grid) == timeline_norm(a, grid)
+        listed = solve_fixed_point(a.tolist(), vol, spec, grid)
+        plain = solve_fixed_point(a, vol, spec, grid)
+        assert (listed.status, listed.iterations, listed.sup_diffs) == (
+            plain.status, plain.iterations, plain.sup_diffs)
+        np.testing.assert_array_equal(listed.final_field.values,
+                                      plain.final_field.values)
+        field = RateField(a.tolist(), grid)
+        assert field.values.dtype == float
+        np.testing.assert_array_equal(
+            apply_K(field, a.tolist(), vol, spec, grid).values,
+            apply_K(field, a, vol, spec, grid).values)
+
+    def test_nested_lists_of_the_wrong_shape_rejected(self) -> None:
+        # these used to raise AttributeError: a list has no shape or ndim
+        grid, spec, vol, b = self._setup()
+        short = b[:-1].tolist()
+        with pytest.raises(DomainError, match="does not match grid"):
+            field_a(exp_decay_curve(0.08, 0.4), short, grid)
+        with pytest.raises(DomainError, match="does not match grid"):
+            timeline_norm(short, grid)
+        with pytest.raises(DomainError, match="does not match grid"):
+            solve_fixed_point(short, vol, spec, grid)
+        with pytest.raises(DomainError, match="does not match grid"):
+            RateField(short, grid)
 
 
 def test_converged_status_string() -> None:

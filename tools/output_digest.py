@@ -19,7 +19,10 @@ differ.  For the ``mc-gamma`` and ``solve-user-density`` configs it
 prints two more: ``<config>-verify``, of ``hjmm.run_all`` with seed 7
 (each suite's name, verdict, details and note), and
 ``<config>-assumptions``, of ``hjmm.check_assumptions`` on the config's
-model and volatility (the fields in ASSUMPTION_FIELDS).
+model and volatility (the fields in ASSUMPTION_FIELDS).  For each
+workload config it prints ``<config>-apriori``, of the ``c1_bound`` that
+``hjmm solve --seed 7 --allow-explosive`` computes for path [7, 0] with
+``hjmm.apriori_bound``.
 
     PYTHONPATH=src python tools/output_digest.py
 
@@ -40,7 +43,7 @@ import numpy as np
 
 import hjmm
 from hjmm.errors import NonPositiveFactor
-from hjmm.solver import solve_paths
+from hjmm.solver import solve_path, solve_paths
 
 ROOT = Path(__file__).resolve().parent.parent
 N_PATHS = 45
@@ -159,6 +162,21 @@ def assumptions_digest(doc: dict) -> str:
     return digest.hexdigest()
 
 
+def apriori_digest(doc: dict) -> str:
+    """The SHA-256 of the c1_bound of ``hjmm solve`` on one config document."""
+    cfg = hjmm.parse_config(doc)
+    _, b, a, _ = solve_path(cfg.levy, cfg.volatility, cfg.curve, cfg.grid,
+                            [SEED, 0], cfg.mc["eps"], **cfg.solver)
+    # as in hjmm solve: row 0 of a is f0, and an overflowed b has no bound
+    r0_norm = hjmm.weighted_norms(hjmm.RateField(a, cfg.grid), cfg.grid,
+                                  0.0).l2_gamma
+    b_sup = float(b.max())
+    c1_bound = (hjmm.apriori_bound(cfg.levy, cfg.volatility, cfg.grid,
+                                   r0_norm, b_sup)
+                if np.isfinite(b_sup) else None)
+    return hashlib.sha256(repr(c1_bound).encode()).hexdigest()
+
+
 def main() -> int:
     configs = _configs()
     for name, doc in configs.items():
@@ -174,6 +192,8 @@ def main() -> int:
     for name in CHECKED:
         print(f"{name}-verify: {verify_digest(configs[name])}")
         print(f"{name}-assumptions: {assumptions_digest(configs[name])}")
+    for name in _workloads():
+        print(f"{name}-apriori: {apriori_digest(configs[name])}")
     return status
 
 
