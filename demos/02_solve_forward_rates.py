@@ -8,9 +8,10 @@ of the dynamics.
 """
 
 from hjmm import (GridSpec, RateField, apriori_bound, exp_decay_curve,
-                  field_a, field_b, gamma_subordinator, simulate_path,
-                  solve_fixed_point, strong_residual, time_affine_volatility,
+                  gamma_subordinator, strong_residual, time_affine_volatility,
                   weighted_norms)
+from hjmm.paths import TRUNCATION_EPS
+from hjmm.solver import solve_path
 
 
 def main():
@@ -19,14 +20,11 @@ def main():
     vol = time_affine_volatility(0.2, 0.1, grid.t_star)
     curve = exp_decay_curve(0.08, 0.4)
 
-    path = simulate_path(spec, grid.t_star, seed=[2048, 0])
+    path, b, a, report = solve_path(spec, vol, curve, grid, [2048, 0],
+                                    TRUNCATION_EPS, tol=1e-11)
     print(f"driver path: {path.times.size} jumps, drift rate "
           f"{path.drift_rate:+.6f}, largest jump "
           f"{path.sizes.max() if path.sizes.size else 0.0:.4f}")
-
-    b = field_b(vol, path, grid)
-    a = field_a(curve, b, grid)
-    report = solve_fixed_point(a, vol, spec, grid, tol=1e-11)
     print(f"solver: {report.status} after {report.iterations} iterations")
     # b = 1 at t = 0, so row 0 of a = f0 * b is f0 on the maturity nodes
     r0_norm = weighted_norms(RateField(a, grid), grid, 0.0).l2_gamma

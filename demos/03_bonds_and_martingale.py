@@ -9,10 +9,11 @@ A few hundred paths keep the run short; the acceptance suite runs the
 same check with ten thousand.
 """
 
-from hjmm import (GridSpec, bond_surface, drift_identity_check,
-                  exp_decay_curve, field_a, field_b, gamma_subordinator,
-                  martingale_test, simulate_path, solve_fixed_point,
-                  constant_volatility)
+from hjmm import (GridSpec, bond_surface, constant_volatility,
+                  drift_identity_check, exp_decay_curve, gamma_subordinator,
+                  martingale_test)
+from hjmm.paths import TRUNCATION_EPS
+from hjmm.solver import solve_path
 
 
 def main():
@@ -21,10 +22,8 @@ def main():
     vol = constant_volatility(0.2)
     curve = exp_decay_curve(0.08, 0.4)
 
-    path = simulate_path(spec, grid.t_star, seed=[2048, 0])
-    b = field_b(vol, path, grid)
-    a = field_a(curve, b, grid)
-    report = solve_fixed_point(a, vol, spec, grid, tol=1e-11)
+    *_, report = solve_path(spec, vol, curve, grid, [2048, 0],
+                            TRUNCATION_EPS, tol=1e-11)
     surface = bond_surface(report.final_field, grid)
 
     print("bond prices P(t, T) along one path:")

@@ -9,8 +9,8 @@ is a property of the trajectory, not of the measure alone.
 """
 
 from hjmm import (GridSpec, LevyModelSpec, StableLike, classify_growth,
-                  constant_curve, constant_volatility, field_a, field_b,
-                  simulate_path, solve_fixed_point)
+                  constant_curve, constant_volatility)
+from hjmm.solver import solve_path
 
 
 def run(level, seed):
@@ -18,11 +18,8 @@ def run(level, seed):
     spec = LevyModelSpec(drift_a=0.0, gaussian_q=0.0,
                          measure=StableLike(c=1.0, alpha=1.5, y_max=1.0))
     vol = constant_volatility(0.25)
-    path = simulate_path(spec, grid.t_star, seed=seed, eps=1e-2)
-    b = field_b(vol, path, grid)
-    a = field_a(constant_curve(level), b, grid)
-    return solve_fixed_point(a, vol, spec, grid, tol=1e-9, max_iter=50,
-                             explosion_threshold=1e6)
+    return solve_path(spec, vol, constant_curve(level), grid, seed, 1e-2,
+                      tol=1e-9, max_iter=50, explosion_threshold=1e6)[-1]
 
 
 def main():

@@ -12,7 +12,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NonPositiveInitialCurve
+from .errors import (DomainError, NonPositiveInitialCurve, nonnegative,
+                     positive)
 
 __all__ = [
     "InitialCurve",
@@ -48,8 +49,7 @@ def require_positive_on(curve: InitialCurve, nodes: np.ndarray) -> np.ndarray:
 
 def constant_curve(level: float) -> InitialCurve:
     """The flat curve f0(T) = level > 0."""
-    if level <= 0.0:
-        raise DomainError(f"curve level must be positive, got {level}")
+    positive("level", level)
     return InitialCurve(
         func=lambda u: np.full_like(u, level),
         label=f"constant({level})",
@@ -66,10 +66,8 @@ def affine_curve(intercept: float, slope: float) -> InitialCurve:
 
 def exp_decay_curve(level: float, rate: float) -> InitialCurve:
     """f0(T) = level * exp(-rate * T) with level > 0 and rate >= 0."""
-    if level <= 0.0:
-        raise DomainError(f"curve level must be positive, got {level}")
-    if rate < 0.0:
-        raise DomainError(f"decay rate must be >= 0, got {rate}")
+    positive("level", level)
+    nonnegative("rate", rate)
     return InitialCurve(
         func=lambda u: level * np.exp(-rate * u),
         label=f"exp_decay({level}, {rate})",

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, integer, positive
 
 __all__ = ["GridSpec", "RateField"]
 
@@ -41,6 +41,15 @@ def _divisible(total: float, step: float) -> int:
         raise DomainError(
             f"step {step} must divide horizon {total} into whole panels")
     return n
+
+
+def _float_array(values) -> np.ndarray:
+    """``values`` as a float array, uncopied if it is one; DomainError for
+    what numpy cannot read as one, a ragged nested list say."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"field must be a numeric array: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -62,10 +71,7 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         for name in ("delta", "t_star", "t_max", "gamma"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise DomainError(
-                    f"{name} must be positive and finite, got {value}")
+            positive(name, getattr(self, name))
         if self.t_max < self.t_star:
             raise DomainError(
                 f"t_max ({self.t_max}) must be >= t_star ({self.t_star})")
@@ -88,7 +94,7 @@ class GridSpec:
     def check_field(self, values) -> np.ndarray:
         """``values`` as a float array, if it has the grid's field shape;
         else DomainError.  A float array passes through uncopied."""
-        values = np.asarray(values, dtype=float)
+        values = _float_array(values)
         if values.shape != self.shape:
             raise DomainError(
                 f"field shape {values.shape} does not match grid {self.shape}")
@@ -115,7 +121,8 @@ class GridSpec:
         return self._node_index(T, self.n_cols, "maturity")
 
     def refine(self, factor: int = 2) -> "GridSpec":
-        return GridSpec(self.delta / factor, self.t_star, self.t_max, self.gamma)
+        return GridSpec(self.delta / integer("factor", factor, 1), self.t_star,
+                        self.t_max, self.gamma)
 
 
 def cumtrapz(values: np.ndarray, dx: float, axis: int,

@@ -27,7 +27,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, UnsupportedSpec
+from .errors import DomainError, UnsupportedSpec, nonnegative, positive
 from .measures import (GammaLike, MeasureFamily, PointMasses, Scratch,
                        integral_or_inf)
 
@@ -70,8 +70,7 @@ class LevyModelSpec:
     def __post_init__(self) -> None:
         if not math.isfinite(self.drift_a):
             raise DomainError(f"drift must be finite, got {self.drift_a}")
-        if not math.isfinite(self.gaussian_q) or self.gaussian_q < 0.0:
-            raise DomainError(f"Gaussian variance must be >= 0, got {self.gaussian_q}")
+        nonnegative("gaussian_q", self.gaussian_q)
         if self.subordinator:
             if self.gaussian_q != 0.0:
                 raise UnsupportedSpec(
@@ -122,9 +121,7 @@ def exponent(spec: LevyModelSpec, z: float) -> float:
     integrand switches to its power series for |z*y| below 1e-4 to avoid
     cancellation.
     """
-    z = float(z)
-    if z < 0.0 or not math.isfinite(z):
-        raise DomainError(f"exponent requires z >= 0, got {z}")
+    z = nonnegative("z", float(z))
     return (-spec.drift_a * z + 0.5 * spec.gaussian_q * z * z
             + spec.measure.exponent_part(z, 0))
 
@@ -135,9 +132,7 @@ def exponent_derivative(spec: LevyModelSpec, z: float, order: int = 1) -> float:
     J'(0) = -a - int_{[1,inf)} y nu(dy) requires the tail integral of (A4);
     a divergent tail raises NonIntegrable.
     """
-    z = float(z)
-    if z < 0.0 or not math.isfinite(z):
-        raise DomainError(f"exponent_derivative requires z >= 0, got {z}")
+    z = nonnegative("z", float(z))
     if order not in (1, 2):
         raise DomainError(f"order must be 1 or 2, got {order}")
     measure_part = spec.measure.exponent_part(z, order)
@@ -201,9 +196,7 @@ def classify_growth(spec: LevyModelSpec, lambda_bar: float,
     ``lambda_bar`` enters only through the threshold -1/lambda_bar and
     ``t_star`` is accepted for interface symmetry with the solver.
     """
-    if not 0.0 < lambda_bar < math.inf:
-        raise DomainError(
-            f"lambda_bar must be positive and finite, got {lambda_bar}")
+    positive("lambda_bar", lambda_bar)
     threshold = -1.0 / lambda_bar
 
     if spec.gaussian_q > 0.0:
@@ -325,9 +318,7 @@ def log_growth_profile(spec: LevyModelSpec, lambda_bar: float, t_star: float,
     must be positive and finite and every z positive (DomainError
     otherwise, NaN included).
     """
-    if not 0.0 < lambda_bar < math.inf:
-        raise DomainError(
-            f"lambda_bar must be positive and finite, got {lambda_bar}")
+    positive("lambda_bar", lambda_bar)
     z = np.asarray(z_grid, dtype=float)
     if not np.all(z > 0.0):
         raise DomainError("z grid must be strictly positive")

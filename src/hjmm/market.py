@@ -34,7 +34,7 @@ import numpy as np
 from scipy import integrate
 
 from .curves import InitialCurve
-from .errors import DomainError, NonPositiveFactor
+from .errors import DomainError, NonPositiveFactor, integer
 from .grids import (GridSpec, RateField, _require_on_grid, below_diagonal,
                     cumtrapz, gap_integral)
 from .levy import LevyModelSpec, exponent, fast_derivative
@@ -265,10 +265,7 @@ def martingale_test(spec: LevyModelSpec, vol: VolatilitySpec,
     """
     for name, value, least in (("n_paths", n_paths, 1), ("threads", threads, 1),
                                ("master_seed", master_seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise DomainError(f"{name} must be an integer, got {value!r}")
-        if value < least:
-            raise DomainError(f"{name} must be at least {least}")
+        integer(name, value, least)
     t_pts, T_pts = default_checkpoints(grid)
     if t_checkpoints is not None:
         t_pts = tuple(float(v) for v in t_checkpoints)

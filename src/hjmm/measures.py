@@ -64,7 +64,7 @@ import numpy as np
 from scipy import integrate
 from scipy import special as sc
 
-from .errors import DomainError, NonIntegrable
+from .errors import DomainError, NonIntegrable, positive
 
 __all__ = [
     "MeasureFamily",
@@ -429,8 +429,7 @@ class PointMasses(MeasureFamily):
         for y, c in cleaned:
             if y == 0.0 or not math.isfinite(y):
                 raise DomainError(f"atom location must be nonzero and finite, got {y}")
-            if c <= 0.0 or not math.isfinite(c):
-                raise DomainError(f"atom mass must be positive and finite, got {c}")
+            positive("atom mass", c)
         object.__setattr__(self, "atoms", cleaned)
 
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -596,12 +595,10 @@ class StableLike(_RuleDensity):
                          repr=False)
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.c < math.inf:
-            raise DomainError(f"c must be positive and finite, got {self.c}")
-        if not 0.0 < self.alpha < 2.0:
+        positive("c", self.c)
+        if positive("alpha", self.alpha) >= 2.0:
             raise DomainError(f"alpha must lie in (0, 2), got {self.alpha}")
-        if not 0.0 < self.y_max < math.inf:
-            raise DomainError(f"y_max must be positive and finite, got {self.y_max}")
+        positive("y_max", self.y_max)
 
     def density(self, y: float) -> float:
         if 0.0 < y <= self.y_max:
@@ -655,7 +652,7 @@ class StableLike(_RuleDensity):
 
     def jump_sizes(self, u: np.ndarray, eps: float) -> np.ndarray:
         """The exact inverse of the tail mass."""
-        if eps <= 0.0 or eps >= self.y_max:
+        if not 0.0 < eps < self.y_max:
             raise DomainError(f"truncation level must lie in (0, y_max), got {eps}")
         lo_pow = eps ** (-self.alpha)
         hi_pow = self.y_max ** (-self.alpha)
@@ -670,10 +667,8 @@ class GammaLike(MeasureFamily):
     beta: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.c < math.inf:
-            raise DomainError(f"c must be positive and finite, got {self.c}")
-        if not 0.0 < self.beta < math.inf:
-            raise DomainError(f"beta must be positive and finite, got {self.beta}")
+        positive("c", self.c)
+        positive("beta", self.beta)
 
     def density(self, y: float) -> float:
         return self.c * math.exp(-self.beta * y) / y if y > 0.0 else 0.0
@@ -726,8 +721,7 @@ class GammaLike(MeasureFamily):
 
     def jump_sizes(self, u: np.ndarray, eps: float) -> np.ndarray:
         """The Newton inverse of c E1(beta y)."""
-        if eps <= 0.0:
-            raise DomainError(f"truncation level must be positive, got {eps}")
+        positive("truncation level eps", eps)
 
         def tail(s):
             x = self.beta * np.exp(s)

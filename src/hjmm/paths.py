@@ -40,8 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import InitialCurve, require_positive_on
-from .errors import (DomainError, NonPositiveFactor, UnsupportedSpec)
-from .grids import GridSpec, cumtrapz
+from .errors import DomainError, NonPositiveFactor, UnsupportedSpec, positive
+from .grids import GridSpec, _float_array, cumtrapz
 from .levy import LevyModelSpec
 from .volatility import VolatilitySpec
 
@@ -86,8 +86,7 @@ class JumpPath:
         sizes = np.asarray(self.sizes, dtype=float)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "sizes", sizes)
-        if self.horizon <= 0.0 or not math.isfinite(self.horizon):
-            raise DomainError(f"horizon must be positive, got {self.horizon}")
+        positive("horizon", self.horizon)
         if not math.isfinite(self.drift_rate):
             raise DomainError("drift rate must be finite")
         if times.shape != sizes.shape or times.ndim != 1:
@@ -129,8 +128,7 @@ def simulate_paths(spec: LevyModelSpec, t_star: float, seeds,
     bitwise-reproducible path in any block.  Seeds may be integers or
     sequences, e.g. (master_seed, path_index) for Monte Carlo ensembles.
     """
-    if t_star <= 0.0 or not math.isfinite(t_star):
-        raise DomainError(f"t_star must be positive, got {t_star}")
+    positive("t_star", t_star)
     if spec.gaussian_q != 0.0:
         raise UnsupportedSpec(
             "simulation is restricted to drivers without a Gaussian part")
@@ -143,10 +141,7 @@ def simulate_paths(spec: LevyModelSpec, t_star: float, seeds,
         intensity = measure.total_mass()
         eps_used = 0.0
     else:
-        if not 0.0 < eps < math.inf:
-            raise DomainError("infinite-activity measures need a finite "
-                              f"truncation level eps > 0, got {eps}")
-        intensity = measure.tail_mass(eps)
+        intensity = measure.tail_mass(positive("truncation level eps", eps))
         eps_used = eps
     if intensity * t_star > MAX_MEAN_JUMPS:
         raise DomainError(
@@ -291,7 +286,7 @@ def field_a(r0: InitialCurve, b_values: np.ndarray, grid: GridSpec) -> np.ndarra
     """a(t_i, T_j) = f0(T_j) * b(t_i, T_j) for a field b or a stack of
     fields; requires a positive curve, evaluated once."""
     curve = require_positive_on(r0, grid.T_nodes())
-    b_values = np.asarray(b_values, dtype=float)
+    b_values = _float_array(b_values)
     if b_values.ndim != 3 or b_values.shape[1:] != grid.shape:
         grid.check_field(b_values)
     return curve * b_values

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import InitialCurve
-from .errors import DomainError, NonPositiveFactor, SecondMomentInfinite
+from .errors import NonPositiveFactor, SecondMomentInfinite, integer, positive
 from .grids import (GridSpec, RateField, _require_on_grid, below_diagonal,
                     cumtrapz, flat_extend, gap_integral, slice_weights)
 from .levy import LevyModelSpec, fast_derivative, log_growth_profile
@@ -212,11 +212,9 @@ def _solve_stack(a_fields: np.ndarray, vol: VolatilitySpec,
     run on without it, in the leading part of the same buffers.  Each
     report is bitwise the report of that path's field solved alone.
     """
-    # written so that a NaN fails
-    if (isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer))
-            or not (tol > 0.0 and max_iter >= 1 and explosion_threshold > 0.0)):
-        raise DomainError("tol and explosion_threshold must be positive and "
-                          "max_iter a positive integer")
+    positive("tol", tol)
+    positive("explosion_threshold", explosion_threshold)
+    integer("max_iter", max_iter, 1)
     apply, apply_zero = _operator(vol, spec, grid, len(a_fields))
     a_fields = np.array(a_fields, dtype=float)
     current = np.zeros_like(a_fields)
@@ -438,11 +436,9 @@ def apriori_bound(spec: LevyModelSpec, vol: VolatilitySpec, grid: GridSpec,
     growth of J' defeats the bound).  ``r0_norm`` and ``b_sup`` must be
     positive and finite (DomainError otherwise, NaN included).
     """
-    if not (0.0 < r0_norm < math.inf and 0.0 < b_sup < math.inf):
-        raise DomainError("r0_norm and b_sup must be positive and finite")
+    base = positive("b_sup", b_sup) * positive("r0_norm", r0_norm)
     lam_bar = vol.lambda_upper
     root_gamma = math.sqrt(grid.gamma)
-    base = b_sup * r0_norm
     level = np.log(lam_bar * base / root_gamma)
 
     def admissible(c: np.ndarray) -> np.ndarray:
@@ -501,8 +497,7 @@ def uniqueness_contraction_check(field1: RateField, field2: RateField,
     """
     _require_on_grid(field1, grid, "field1")
     _require_on_grid(field2, grid, "field2")
-    if not 0.0 < b_sup < math.inf:
-        raise DomainError(f"b_sup must be positive and finite, got {b_sup}")
+    positive("b_sup", b_sup)
     second = spec.measure.second_moment()
     if not math.isfinite(second) or not math.isfinite(spec.gaussian_q):
         raise SecondMomentInfinite(

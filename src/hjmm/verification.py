@@ -24,9 +24,8 @@ from .config import RunConfig
 from .errors import NonPositiveFactor, UnsupportedSpec
 from .grids import RateField
 from .levy import exponent_derivative, fast_derivative
-from .paths import factor_fields, simulate_paths
-from .solver import (solve_fixed_point, solve_path, strong_residual,
-                     uniqueness_contraction_check)
+from .solver import (solve_fixed_point, solve_path, solve_paths,
+                     strong_residual, uniqueness_contraction_check)
 
 __all__ = ["SuiteResult", "VerificationReport", "run_all"]
 
@@ -134,16 +133,19 @@ def suite_exponent_monotone(config: RunConfig) -> SuiteResult:
 def suite_jump_factor_positive(config: RunConfig, seed: int) -> SuiteResult:
     """The realized jump factor must stay finite and strictly positive.
 
-    Five paths, seeds (seed, 1000 + k), are drawn as one block; a jump
-    factor 1 + lambda*dL at or below zero fails the suite.
+    Five paths, seeds (seed, 1000 + k), run through
+    :func:`~hjmm.solver.solve_paths` as one block, and the suite reads
+    their factor fields; a jump factor 1 + lambda*dL at or below zero
+    fails the suite.
     """
-    paths = simulate_paths(config.levy, config.grid.t_star,
-                           [[seed, 1000 + k] for k in range(5)],
-                           eps=config.mc["eps"])
-    b_vals, faults = factor_fields(config.volatility, paths, config.grid)
-    fault = next((f for f in faults if f is not None), None)
+    entries = solve_paths(config.levy, config.volatility, config.curve,
+                          config.grid, [[seed, 1000 + k] for k in range(5)],
+                          config.mc["eps"], **config.solver)
+    fault = next((e for e in entries if isinstance(e, NonPositiveFactor)),
+                 None)
     if fault is not None:
         return SuiteResult("jump_factor_positive", False, note=str(fault))
+    b_vals = np.array([b for _, b, _, _ in entries])
     if not np.all(np.isfinite(b_vals)):
         return SuiteResult("jump_factor_positive", False,
                            details={"reason": "non-finite b values"})

@@ -36,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, nonnegative, positive
 from .grids import _CACHE_SIZE, GridSpec
 
 __all__ = ["VolatilitySpec", "constant_volatility", "time_affine_volatility",
@@ -132,10 +132,7 @@ class VolatilitySpec:
                 f"({self.lambda_lower}, {self.lambda_upper})")
         if not math.isfinite(self.lambda_upper):
             raise DomainError("lambda_upper must be finite")
-        if self.x_derivative_bound < 0.0 or not math.isfinite(self.x_derivative_bound):
-            raise DomainError(
-                f"x_derivative_bound must be finite and >= 0, got "
-                f"{self.x_derivative_bound}")
+        nonnegative("x_derivative_bound", self.x_derivative_bound)
 
     @property
     def time_only(self) -> bool:
@@ -196,8 +193,7 @@ def grid_violations(vol: VolatilitySpec, grid: GridSpec) -> list[str]:
 
 def constant_volatility(level: float) -> VolatilitySpec:
     """lambda identically equal to ``level``."""
-    if level <= 0.0:
-        raise DomainError(f"volatility level must be positive, got {level}")
+    positive("level", level)
     return VolatilitySpec(terms=(constant_term(level),), lambda_lower=level,
                           lambda_upper=level, x_derivative_bound=0.0)
 

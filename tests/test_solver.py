@@ -686,7 +686,9 @@ class TestExplosion:
         vol = constant_volatility(0.2)
         a = _solve_setup(spec, vol, affine_curve(1.0, 1.0), grid,
                          simulate_path(spec, grid.t_star, 0))
-        with pytest.raises(DomainError, match="max_iter a positive integer"):
+        (name,) = controls
+        kind = "an integer" if name == "max_iter" else "positive and finite"
+        with pytest.raises(DomainError, match=f"^{name} must be {kind}, got "):
             solve_fixed_point(a, vol, spec, grid, **controls)
 
 
