@@ -2,7 +2,9 @@
 
 An initial curve maps the maturity u >= 0 to the starting forward rate
 f(0, u); it must be strictly positive.  The tabulated family interpolates
-linearly and extends flat.
+linearly and extends flat.  Every family built here also carries its
+exact integral from 0, which prices the time-zero bonds; a curve built
+from a bare callable has none.
 """
 
 from __future__ import annotations
@@ -27,10 +29,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class InitialCurve:
-    """Initial forward curve: a vectorized function of the maturity."""
+    """Initial forward curve: a vectorized function of the maturity.
+
+    ``integral``, when set, is the vectorized exact integral
+    T -> int_0^T func(u) du; None leaves the integral to quadrature.
+    """
 
     func: Callable
     label: str = ""
+    integral: Callable | None = None
 
     def __call__(self, u):
         return self.func(np.asarray(u, dtype=float))
@@ -53,6 +60,7 @@ def constant_curve(level: float) -> InitialCurve:
     return InitialCurve(
         func=lambda u: np.full_like(u, level),
         label=f"constant({level})",
+        integral=lambda T: level * T,
     )
 
 
@@ -61,6 +69,7 @@ def affine_curve(intercept: float, slope: float) -> InitialCurve:
     return InitialCurve(
         func=lambda u: intercept + slope * u,
         label=f"affine({intercept}, {slope})",
+        integral=lambda T: intercept * T + slope * T ** 2 / 2.0,
     )
 
 
@@ -68,9 +77,16 @@ def exp_decay_curve(level: float, rate: float) -> InitialCurve:
     """f0(T) = level * exp(-rate * T) with level > 0 and rate >= 0."""
     positive("level", level)
     nonnegative("rate", rate)
+
+    def integral(T):
+        if rate == 0.0:
+            return level * T
+        return level * -np.expm1(-rate * T) / rate
+
     return InitialCurve(
         func=lambda u: level * np.exp(-rate * u),
         label=f"exp_decay({level}, {rate})",
+        integral=integral,
     )
 
 
@@ -83,7 +99,17 @@ def table_curve(points) -> InitialCurve:
     vs = np.array([p[1] for p in pts])
     if np.any(np.diff(us) <= 0.0):
         raise DomainError("tabulated maturities must be strictly increasing")
+    # the trapezoid is exact on each linear piece: the antiderivative from
+    # the first knot at every knot, then a partial piece or a flat tail
+    at_knots = np.concatenate(([0.0], np.cumsum(np.diff(us) * (vs[1:] + vs[:-1])
+                                                / 2.0)))
+
+    def antiderivative(x):
+        k = np.clip(np.searchsorted(us, x, side="right") - 1, 0, us.size - 1)
+        return at_knots[k] + (x - us[k]) * (vs[k] + np.interp(x, us, vs)) / 2.0
+
     return InitialCurve(
         func=lambda u: np.interp(u, us, vs),
         label=f"table({len(pts)} points)",
+        integral=lambda T: antiderivative(T) - antiderivative(0.0),
     )

@@ -315,10 +315,11 @@ def log_growth_profile(spec: LevyModelSpec, lambda_bar: float, t_star: float,
     A profile bounded below signals the log-growth regime; a profile
     diverging to -inf signals explosion.  Its level crossing decides the
     a-priori bound, :func:`~hjmm.solver.apriori_bound`.  ``lambda_bar``
-    must be positive and finite and every z positive (DomainError
-    otherwise, NaN included).
+    and ``t_star`` must be positive and finite and every z positive
+    (DomainError otherwise, NaN included).
     """
     positive("lambda_bar", lambda_bar)
+    positive("t_star", t_star)
     z = np.asarray(z_grid, dtype=float)
     if not np.all(z > 0.0):
         raise DomainError("z grid must be strictly positive")

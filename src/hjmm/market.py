@@ -31,7 +31,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 from .curves import InitialCurve
 from .errors import DomainError, NonPositiveFactor, integer
@@ -254,9 +253,10 @@ def martingale_test(spec: LevyModelSpec, vol: VolatilitySpec,
     (while a block keeps at least one path), of sizes that differ by at
     most one.  A path's outcome is bitwise the same in any block, so
     results are identical for any worker count.  The reference price P(0,T)
-    integrates the initial curve by adaptive quadrature, so the
-    deviations carry the grid's own discretization bias and must shrink
-    under refinement.  A path whose solve explodes or reaches
+    integrates the initial curve exactly for the built-in curve families
+    and by adaptive quadrature for a curve built from a bare callable, so
+    the deviations carry the grid's own discretization bias and must
+    shrink under refinement.  A path whose solve explodes or reaches
     ``max_iter``, or whose jump factor turns non-positive, is excluded
     and counted by cause; more than 1% exclusions invalidates the test.
     Checkpoints must be grid nodes, at least one time and one maturity.
@@ -343,14 +343,16 @@ def martingale_test(spec: LevyModelSpec, vol: VolatilitySpec,
 
 def _reference_prices(curve: InitialCurve, grid: GridSpec,
                       T_idx: np.ndarray) -> np.ndarray:
-    # adaptive quadrature so the reference carries no grid bias of its own
-    out = np.empty(T_idx.size)
-    for k, j in enumerate(T_idx):
-        T_val = grid.T_nodes()[j]
-        integral, _ = integrate.quad(lambda u: float(curve(u)), 0.0, T_val,
-                                     epsabs=1e-13, epsrel=1e-12, limit=200)
-        out[k] = math.exp(-integral)
-    return out
+    # exact, or adaptive quadrature: the reference carries no grid bias
+    T_vals = grid.T_nodes()[T_idx]
+    if curve.integral is not None:
+        integrals = [float(v) for v in curve.integral(T_vals)]
+    else:
+        from scipy import integrate
+        integrals = [integrate.quad(lambda u: float(curve(u)), 0.0, T_val,
+                                    epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+                     for T_val in T_vals]
+    return np.array([math.exp(-v) for v in integrals])
 
 
 def drift_identity_check(spec: LevyModelSpec, vol: VolatilitySpec,

@@ -61,7 +61,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import integrate
 from scipy import special as sc
 
 from .errors import DomainError, NonIntegrable, positive
@@ -142,6 +141,8 @@ def _memoized(method: Callable) -> Callable:
 def _quad(f: Callable[[float], float], a: float, b: float, what: str,
           epsabs: float = 1e-14) -> float:
     """Adaptive quadrature that raises NonIntegrable on failure."""
+    # imported here: the built-in families never reach quad when sampling
+    from scipy import integrate
     out = integrate.quad(f, a, b, epsabs=epsabs, epsrel=QUAD_RTOL,
                          limit=300, full_output=1)
     value, abserr = out[0], out[1]

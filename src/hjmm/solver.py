@@ -492,12 +492,14 @@ def uniqueness_contraction_check(field1: RateField, field2: RateField,
     :func:`~hjmm.levy.check_assumptions` reports; it must be finite, else
     SecondMomentInfinite is raised.  ``b_sup``, the sup of the path's jump
     factor field, is required and must be positive and finite
-    (DomainError otherwise, NaN included).  The report passes when the
-    two fields are closer than :data:`UNIQUENESS_TOL`, strictly.
+    (DomainError otherwise, NaN included), and ``n_iter`` must be a
+    positive integer.  The report passes when the two fields are closer
+    than :data:`UNIQUENESS_TOL`, strictly.
     """
     _require_on_grid(field1, grid, "field1")
     _require_on_grid(field2, grid, "field2")
     positive("b_sup", b_sup)
+    integer("n_iter", n_iter, 1)
     second = spec.measure.second_moment()
     if not math.isfinite(second) or not math.isfinite(spec.gaussian_q):
         raise SecondMomentInfinite(

@@ -201,6 +201,7 @@ def constant_volatility(level: float) -> VolatilitySpec:
 def time_affine_volatility(intercept: float, slope: float,
                            t_star: float) -> VolatilitySpec:
     """lambda(t) = intercept + slope * t on [0, t_star], maturity-independent."""
+    positive("t_star", t_star)
     ends = (intercept, intercept + slope * t_star)
     lo, hi = min(ends), max(ends)
     if lo <= 0.0:

@@ -13,7 +13,8 @@ from hjmm import (GammaLike, GridSpec, JumpPath, LevyModelSpec, PointMasses,
                   drift_only, exp_decay_curve, exponent, exponent_derivative,
                   field_a, gamma_subordinator, log_growth_profile,
                   martingale_test, simulate_path, solve_fixed_point,
-                  timeline_norm, uniqueness_contraction_check)
+                  time_affine_volatility, timeline_norm,
+                  uniqueness_contraction_check)
 from hjmm.errors import DomainError, integer, nonnegative, positive
 from hjmm.volatility import constant_term
 
@@ -37,10 +38,10 @@ def _martingale(**counts):
                            **{"n_paths": 4, "master_seed": 0} | counts)
 
 
-def _uniqueness(b_sup):
+def _uniqueness(b_sup=1.0, **n_iter):
     field = RateField(_ONES, _GRID)
     return uniqueness_contraction_check(field, field, _SPEC, _VOL, _GRID,
-                                        b_sup=b_sup)
+                                        b_sup=b_sup, **n_iter)
 
 
 # id: (call, the argument its message must name)
@@ -61,6 +62,19 @@ CASES = {
     "refine-factor-0": (lambda: _GRID.refine(0), "factor"),
     "refine-factor-2.5": (lambda: _GRID.refine(2.5), "factor"),
     "check_field-ragged": (lambda: _GRID.check_field(_RAGGED), "field"),
+    # these five misbehaved too: n_iter = 0 passed vacuously and 2.5
+    # failed inside range, the NaN end of an affine volatility was
+    # dropped, and the log-growth profile took any t_star
+    "uniqueness_contraction_check-n_iter-0": (lambda: _uniqueness(n_iter=0),
+                                              "n_iter"),
+    "uniqueness_contraction_check-n_iter-2.5": (
+        lambda: _uniqueness(n_iter=2.5), "n_iter"),
+    "time_affine_volatility-t_star-nan": (
+        lambda: time_affine_volatility(0.2, 0.1, NAN), "t_star"),
+    "log_growth_profile-t_star-nan": (
+        lambda: log_growth_profile(_SPEC, 1.0, NAN, _U), "t_star"),
+    "log_growth_profile-t_star-negative": (
+        lambda: log_growth_profile(_SPEC, 1.0, -1.0, _U), "t_star"),
     # the other entries
     "field_a-ragged": (lambda: field_a(_CURVE, _RAGGED, _GRID), "field"),
     "RateField-ragged": (lambda: RateField(_RAGGED, _GRID), "field"),

@@ -3,6 +3,9 @@
 import functools
 import math
 import multiprocessing
+import os
+import pathlib
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -10,8 +13,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import hjmm
 from hjmm import market, measures
-from hjmm.curves import affine_curve, constant_curve, exp_decay_curve
+from hjmm.curves import (InitialCurve, affine_curve, constant_curve,
+                         exp_decay_curve)
 from hjmm.errors import DomainError
 from hjmm.grids import GridSpec, RateField, cumtrapz, flat_extend
 from hjmm.levy import (LevyModelSpec, drift_only, exponent, fast_derivative,
@@ -650,3 +655,54 @@ class TestDriftIdentity:
         err = drift_identity_check(spec, vol, report.final_field, grid,
                                    s=0.0, t=0.5, T=1.0)
         assert err < 1e-10
+
+
+class TestReferencePrices:
+    def test_builtin_curve_prices_by_its_exact_integral(self) -> None:
+        grid = _grid(1.0 / 32.0)
+        T_idx = np.arange(grid.n_cols + 1)
+        T = grid.T_nodes()
+        prices = market._reference_prices(constant_curve(30.0), grid, T_idx)
+        np.testing.assert_array_equal(prices, [math.exp(-30.0 * v) for v in T])
+
+    def test_bare_callable_curve_prices_by_quadrature(self) -> None:
+        # the same curve without its integral: quad agrees to its tolerance
+        grid = _grid(1.0 / 32.0)
+        T_idx = np.arange(grid.n_cols + 1)
+        builtin = exp_decay_curve(0.08, 0.4)
+        bare = InitialCurve(func=builtin.func)
+        np.testing.assert_allclose(
+            market._reference_prices(bare, grid, T_idx),
+            market._reference_prices(builtin, grid, T_idx), rtol=1e-12,
+            atol=0.0)
+
+    def test_pipeline_runs_without_scipy_integrate(self) -> None:
+        # in a fresh process: the solve-fine path and the mc-gamma martingale
+        # test, on the benchmark's config documents, never load quad
+        code = (
+            "import json, pathlib, sys\n"
+            "import hjmm\n"
+            "from hjmm.solver import solve_path\n"
+            "def cfg(name):\n"
+            "    path = pathlib.Path(sys.argv[1]) / f'{name}.json'\n"
+            "    doc = json.loads(path.read_text(encoding='utf-8'))\n"
+            "    return hjmm.parse_config(doc['config'])\n"
+            "fine = cfg('solve-fine')\n"
+            "solve_path(fine.levy, fine.volatility, fine.curve, fine.grid,\n"
+            "           [7, 0], fine.mc['eps'], **fine.solver)\n"
+            "mc = cfg('mc-gamma')\n"
+            "report = hjmm.martingale_test(\n"
+            "    mc.levy, mc.volatility, mc.curve, mc.grid,\n"
+            "    n_paths=mc.mc['n_paths'], master_seed=7, eps=mc.mc['eps'],\n"
+            "    **mc.solver)\n"
+            "assert report.valid\n"
+            "assert 'scipy.integrate' not in sys.modules\n")
+        workloads = pathlib.Path(__file__).resolve().parents[1] / "bench" / \
+            "workloads"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(pathlib.Path(hjmm.__file__).parents[1])] + ([os.environ["PYTHONPATH"]]
+                          if os.environ.get("PYTHONPATH") else [])))
+        done = subprocess.run([sys.executable, "-c", code, str(workloads)],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr[-2000:]
