@@ -1,14 +1,14 @@
 """Exception types shared across the package, and its one policy for
 numeric arguments.
 
-:func:`positive`, :func:`nonnegative` and :func:`integer` decide what a
-valid positive number, nonnegative number and count is; every check
-in the package that an argument is one of these goes through them.  Each
-returns the value it is given.  NaN fails every check (each comparison
-is written so that NaN fails it), and so does inf; a bool is not a
-count.  A bad value raises :class:`DomainError` with the message
-``<name> must be ..., got <value>``, which names the argument and its
-value.
+:func:`number`, :func:`positive`, :func:`nonnegative` and :func:`integer`
+decide what a valid number, positive number, nonnegative number and count
+is; every check in the package that an argument is one of these goes
+through them.  Each returns the value it is given.  NaN fails every check
+(each comparison is written so that NaN fails it), and so does inf,
+except that a number may be infinite; a bool is not a count.  A bad value
+raises :class:`DomainError` with the message ``<name> must be ...,
+got <value>``, which names the argument and its value.
 """
 
 import math
@@ -45,6 +45,14 @@ class SecondMomentInfinite(HjmmError, ArithmeticError):
 
 class ConfigError(HjmmError, ValueError):
     """A run configuration document is invalid."""
+
+
+def number(name: str, value):
+    """``value``, if it is not NaN (either infinity passes); else
+    DomainError."""
+    if not -math.inf <= value <= math.inf:
+        raise DomainError(f"{name} must be a number, got {value}")
+    return value
 
 
 def positive(name: str, value):

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from hjmm import (GammaLike, GridSpec, JumpPath, LevyModelSpec, PointMasses,
-                  RateField, StableLike, VolatilitySpec, apriori_bound,
-                  classify_growth, constant_curve, constant_volatility,
-                  drift_only, exp_decay_curve, exponent, exponent_derivative,
-                  field_a, gamma_subordinator, log_growth_profile,
-                  martingale_test, simulate_path, solve_fixed_point,
-                  time_affine_volatility, timeline_norm,
+                  RateField, StableLike, UserDensity, VolatilitySpec,
+                  apriori_bound, classify_growth, constant_curve,
+                  constant_volatility, drift_only, exp_decay_curve, exponent,
+                  exponent_derivative, field_a, gamma_subordinator,
+                  log_growth_profile, martingale_test, simulate_path,
+                  solve_fixed_point, time_affine_volatility, timeline_norm,
                   uniqueness_contraction_check)
 from hjmm.errors import DomainError, integer, nonnegative, positive
 from hjmm.volatility import constant_term
@@ -75,6 +75,17 @@ CASES = {
         lambda: log_growth_profile(_SPEC, 1.0, NAN, _U), "t_star"),
     "log_growth_profile-t_star-negative": (
         lambda: log_growth_profile(_SPEC, 1.0, -1.0, _U), "t_star"),
+    # a NaN y gave NaN from these two families and 0 from point masses;
+    # a user density raised already
+    "GammaLike.tail_mass-y-nan": (
+        lambda: GammaLike(0.5, 2.0).tail_mass(NAN), "y"),
+    "StableLike.tail_mass-y-nan": (
+        lambda: StableLike(1.0, 1.5, 1.0).tail_mass(NAN), "y"),
+    "PointMasses.tail_mass-y-nan": (
+        lambda: PointMasses([(0.5, 1.0)]).tail_mass(NAN), "y"),
+    "UserDensity.tail_mass-y-nan": (
+        lambda: UserDensity(density_fn=lambda y: np.exp(-2.0 * y) / y)
+        .tail_mass(NAN), "truncation level"),
     # the other entries
     "field_a-ragged": (lambda: field_a(_CURVE, _RAGGED, _GRID), "field"),
     "RateField-ragged": (lambda: RateField(_RAGGED, _GRID), "field"),

@@ -677,9 +677,10 @@ class TestReferencePrices:
             atol=0.0)
 
     def test_pipeline_runs_without_scipy_integrate(self) -> None:
-        # in a fresh process: the solve-fine path and the mc-gamma martingale
-        # test, on the benchmark's config documents, never load quad
-        code = (
+        # in a fresh process: the solve-fine path and the mc-gamma and
+        # mc-explosive martingale tests, on the benchmark's config
+        # documents, load no scipy module at all
+        _assert_runs_without_scipy(
             "import json, pathlib, sys\n"
             "import hjmm\n"
             "from hjmm.solver import solve_path\n"
@@ -690,19 +691,31 @@ class TestReferencePrices:
             "fine = cfg('solve-fine')\n"
             "solve_path(fine.levy, fine.volatility, fine.curve, fine.grid,\n"
             "           [7, 0], fine.mc['eps'], **fine.solver)\n"
-            "mc = cfg('mc-gamma')\n"
-            "report = hjmm.martingale_test(\n"
+            "reports = [hjmm.martingale_test(\n"
             "    mc.levy, mc.volatility, mc.curve, mc.grid,\n"
             "    n_paths=mc.mc['n_paths'], master_seed=7, eps=mc.mc['eps'],\n"
-            "    **mc.solver)\n"
-            "assert report.valid\n"
-            "assert 'scipy.integrate' not in sys.modules\n")
-        workloads = pathlib.Path(__file__).resolve().parents[1] / "bench" / \
-            "workloads"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [str(pathlib.Path(hjmm.__file__).parents[1])] + ([os.environ["PYTHONPATH"]]
-                          if os.environ.get("PYTHONPATH") else [])))
-        done = subprocess.run([sys.executable, "-c", code, str(workloads)],
-                              env=env, capture_output=True, text=True,
-                              timeout=120)
-        assert done.returncode == 0, done.stderr[-2000:]
+            "    **mc.solver) for mc in map(cfg, ('mc-gamma', 'mc-explosive'))]\n"
+            "assert reports[0].valid\n"
+            "assert 0 < reports[1].n_excluded < reports[1].n_paths\n")
+
+    def test_import_loads_no_scipy(self) -> None:
+        _assert_runs_without_scipy("import hjmm\n")
+
+
+def _assert_runs_without_scipy(code: str) -> None:
+    """Run ``code`` in a fresh process, with the benchmark's workload
+    directory as its first argument, and check that it loaded no module
+    ``scipy`` or ``scipy.*``."""
+    code += ("loaded = sorted(m for m in sys.modules\n"
+             "                if m == 'scipy' or m.startswith('scipy.'))\n"
+             "assert not loaded, loaded\n")
+    workloads = pathlib.Path(__file__).resolve().parents[1] / "bench" / \
+        "workloads"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(pathlib.Path(hjmm.__file__).parents[1])] + ([os.environ["PYTHONPATH"]]
+                      if os.environ.get("PYTHONPATH") else [])))
+    done = subprocess.run([sys.executable, "-c", "import sys\n" + code,
+                           str(workloads)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]

@@ -277,6 +277,24 @@ class TestStableLike:
         expected = 2.0 * (y ** -0.5 - 1.0) / 0.5
         assert abs(nu.tail_mass(y) - expected) < 1e-9
 
+    @pytest.mark.parametrize("y", [0.0, 1e-250, -1.0])
+    def test_tail_mass_is_infinite_where_it_overflows(self, y) -> None:
+        # y^-alpha overflowed (OverflowError) on y = 1e-250 and on the
+        # 1e-300 that y = 0 was clamped to
+        assert StableLike(c=1.0, alpha=1.5, y_max=1.0).tail_mass(y) == math.inf
+
+    @pytest.mark.parametrize("run", ["simulate_paths", "martingale_test"])
+    def test_overflowing_jump_count_is_refused(self, run) -> None:
+        spec = LevyModelSpec(0.0, 0.0, StableLike(c=1.0, alpha=1.5, y_max=1.0))
+        with pytest.raises(DomainError, match="jumps per path expected"):
+            if run == "simulate_paths":
+                simulate_paths(spec, 1.0, [[1, 0]], 1e-250)
+            else:
+                hjmm.martingale_test(
+                    spec, constant_volatility(0.25), hjmm.constant_curve(0.05),
+                    hjmm.GridSpec(0.25, 1.0, 2.0, 1.0), n_paths=2,
+                    master_seed=7, eps=1e-250)
+
     def test_fast_derivative_part_matches_quadrature(self) -> None:
         nu = StableLike(c=0.8, alpha=1.3, y_max=2.0)
         for z in (0.0, 1e-6, 0.03, 1.0, 7.5, 40.0):
@@ -419,6 +437,24 @@ class TestGammaLike:
 
         p_half = sc.exp1(0.5) / sc.exp1(eps)
         assert abs(np.mean(draws > 0.5) - p_half) < 0.02
+
+    def test_one_newton_step_settles_every_draw(self) -> None:
+        # the start read off E1's inverse table is close enough that one
+        # evaluation of the tail settles a block of draws
+        nu = GammaLike(c=0.5, beta=2.0)
+        calls = []
+        tail = nu._tail
+
+        def counted(s):
+            calls.append(s.size)
+            return tail(s)
+
+        object.__setattr__(nu, "_tail", counted)
+        for eps in (1e-12, 1e-3, 0.5, 20.0):
+            u = np.random.default_rng(4).uniform(size=85)
+            sizes = nu.jump_sizes(u, eps)
+            assert sizes.min() >= eps
+        assert calls == [85] * 4
 
 
 @pytest.mark.parametrize("family, kwargs", [
