@@ -267,11 +267,12 @@ def check_assumptions(spec: LevyModelSpec, vol) -> AssumptionReport:
     Checks the support condition (A2) (the measure must not charge
     (-inf, -1/lambda_upper]) and the two integrability conditions (A4)
     (square integrability near zero over (-1/lambda_upper, 1) and a finite
-    first moment of the tail [1, inf); an integral whose quadrature
-    diverges counts as infinite, see
-    :func:`~hjmm.measures.integral_or_inf`), and reports the second moment
-    of the measure, ``second_moment()``, that J''(0) in the uniqueness
-    bound of :func:`~hjmm.solver.uniqueness_contraction_check` needs.
+    first moment of the tail [1, inf); a divergent integral reads +inf,
+    as the families return it, and a family's NonIntegrable counts as
+    +inf too, see :func:`~hjmm.measures.integral_or_inf`), and reports the
+    second moment of the measure, ``second_moment()``, that J''(0) in the
+    uniqueness bound of :func:`~hjmm.solver.uniqueness_contraction_check`
+    needs.
     The volatility's assumption (A3) is decided when the
     :class:`~hjmm.volatility.VolatilitySpec` is built; only its upper
     bound is read here.

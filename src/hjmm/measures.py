@@ -38,9 +38,12 @@ each panel of width 2 from y = e^-40 on, gives ``StableLike`` and
 a stable-like density and ends where the first moment of the tail
 vanishes for a user density.  Their J' on z in [0, 3e4) is read from a
 cubic Hermite table of the rule's own J' and J'', built once per measure
-and kept with the rule.  The same rule gives ``UserDensity`` its tail
-mass nu([y, inf)) (the rule's mass beyond y's panel plus 16 nodes from y
-to its end).  Jump sizes above eps solve
+and kept with the rule.  The same rule, evaluated up to y = e^30, gives
+``UserDensity`` every other integral it has: its moments, U, its total
+mass and its tail mass nu([y, inf)) (the rule's mass beyond y's panel
+plus 16 nodes from y to its end), with a geometric continuation of the
+outermost panels outside the rule; adaptive quadrature serves the
+quadrature route alone.  Jump sizes above eps solve
 nu([y, inf)) = (1 - u) nu([eps, inf)) by one safeguarded Newton iteration
 in ln y: on the rule for ``UserDensity``, from the lower end of the
 bracket; and on E1 for ``GammaLike``, from a start read off a table of
@@ -93,6 +96,27 @@ _RULE_BLOCK = 128
 # A sub-panel's 16 nodes, then its start, in half-widths from the start.
 _TAIL_NODES = np.append(_RULE_NODES + 1.0, 0.0)
 
+# A user density is evaluated on the rule up to e^30.  Its rule of J' ends
+# at the first panel edge from e^2 on where the first moment of the tail is
+# at most _RULE_TAIL_SHARE of the first moment over [1, inf), at e^22 at
+# the latest.  The panels beyond carry its integrals out to where a tail
+# like (1+y)^-3 is a power law to within 1e-11, so that the geometric
+# continuation misses the mass beyond e^30 by 8e-12 of itself (by 2e-8
+# beyond e^22).  The continuation out to zero or infinity reads +inf where the
+# outermost panel ratio is at least _DIVERGENT_RATIO (rounding alone can
+# move a ratio of exactly 1 below 1), or where the decay rate per unit s of
+# the outermost pair of panels is more than _RATE_DRIFT below that of the
+# next pair: a rate still falling toward 0, as a power of s falls (1/s for
+# a logarithmic divergence), is no power law to continue.  Mixed power laws
+# drift far less (1e-4 for y^-2.5 + y^-2.3 at zero); a divergence whose
+# ln y scale starts far out, 1/(c + |ln y|) at zero with c >= 170, drifts
+# less too and reads finite.
+_RULE_S_END_MAX = 22.0
+_SPAN_S_MAX = 30.0
+_RULE_TAIL_SHARE = 1e-12
+_DIVERGENT_RATIO = 1.0 - 1e-9
+_RATE_DRIFT = 1e-2
+
 # The J' table of a rule density: cubic Hermite in u = log1p(z) on
 # _TABLE_INTERVALS uniform intervals of [0, log1p(_TABLE_Z_MAX)]; a table
 # that misses the rule's J' by more than _TABLE_RTOL * max(1, |J'|) at the
@@ -144,7 +168,7 @@ def _memoized(method: Callable) -> Callable:
 def _quad(f: Callable[[float], float], a: float, b: float, what: str,
           epsabs: float = 1e-14) -> float:
     """Adaptive quadrature that raises NonIntegrable on failure."""
-    # imported here: the built-in families never reach quad when sampling
+    # imported here: only the quadrature route (exponent_part) reaches quad
     from scipy import integrate
     out = integrate.quad(f, a, b, epsabs=epsabs, epsrel=QUAD_RTOL,
                          limit=300, full_output=1)
@@ -192,6 +216,38 @@ def _log_rule(s_lo: float, s_hi: float) -> tuple[np.ndarray, np.ndarray]:
     half = 0.5 * np.diff(ends)[:, None]
     y = np.exp((ends[:-1, None] + half * (_RULE_NODES + 1.0)).ravel())
     return y, (half * _RULE_WEIGHTS).ravel() * y
+
+
+def _edge(p: int) -> float:
+    """s = ln y at the start of panel p of the fixed rule."""
+    return _RULE_S_MIN + _RULE_PANEL * p
+
+
+def _continuation(ends, d1: float, d2: float) -> float:
+    """The integral from distance d1 to d2 in s (0 <= d1; d1 < d2 <= inf
+    for a nonzero result) beyond an end of the span, continued by panels
+    each ends[0]/ends[1] times the one before it, where ``ends`` are the
+    span's three panels at that end, outermost first.  Zero where ends[0]
+    is, 0/0 included; +inf to d2 = inf where the ratio is at least
+    _DIVERGENT_RATIO or the decay rate falls by more than _RATE_DRIFT from
+    ends[2]/ends[1] to ends[1]/ends[0]."""
+    outer, inner, third = (float(p) for p in ends[:3])
+    if outer == 0.0 or d1 >= d2:
+        return 0.0
+    if not inner > 0.0:
+        return math.inf
+    rate = 0.5 * math.log(inner / outer)  # the integrand's decay per unit s
+    if d2 == math.inf and (outer >= _DIVERGENT_RATIO * inner or (
+            third > 0.0
+            and 0.5 * math.log(third / inner) > (1.0 + _RATE_DRIFT) * rate)):
+        return math.inf
+    if rate == 0.0:
+        return 0.5 * outer * (d2 - d1)
+    try:
+        return (outer * math.exp(-rate * d1) * -math.expm1(-rate * (d2 - d1))
+                / math.expm1(2.0 * rate))
+    except OverflowError:
+        return math.inf
 
 
 def _rule_sums(z: np.ndarray, y: np.ndarray, weight: np.ndarray,
@@ -761,18 +817,32 @@ class UserDensity(_RuleDensity):
     """Arbitrary density on (0, inf) supplied as a callable.
 
     The callable is evaluated on floats by the quadrature route and on numpy
-    arrays by the fixed rule and the sampler, so it must accept both.  The
-    rule starts at y = e^-40, below which J' and J'' are linear in U(e^-40)
-    and no jump is drawn, and ends where the first moment of the tail falls
-    to 1e-12 of its value over [1, inf) (at ~1e9 at the latest); its tail
-    masses add the mass beyond the end, integrated once.  Where that first
-    moment diverges (J'(0) = -inf, (A4) fails), building the rule raises
-    NonIntegrable.  A negative or non-finite density at a node raises
-    DomainError.  The rule and the
-    measure-only integrals a path simulation asks for are kept in
-    ``_cache``.  ``a4_certified`` declares that y^2 is integrable near zero
-    and y near infinity; only certified measures participate in the
-    tail-exponent regression of the growth classifier.
+    arrays everywhere else, so it must accept both.  It is evaluated once
+    on the fixed rule over [e^-40, e^30], and every integral of y^k f that
+    the pipeline reads (the moments, U, the total and the tail masses) comes
+    from that rule: the sums of its panels, 16 nodes on the part of a panel
+    at either end of the range, and, below e^-40 and beyond e^30, the
+    geometric continuation of the two outermost panels, which is exact for
+    a power law.  The continuation to zero or infinity reads +inf, a
+    divergent integral, where its panel ratio is 1 or more (to within 1e-9)
+    or where the decay rate of the integrand in ln y still falls by more
+    than 1% from one pair of panels to the next, outward: an integrand
+    that decays like a power of ln y (a logarithmic divergence, or a
+    convergence too slow to read off the rule) is no power law of y.
+
+    The rule of J' and J'' starts at y = e^-40, below which J' and J'' are
+    linear in U(e^-40) and no jump is drawn; no jump is drawn above e^30
+    either, and a truncation level outside [e^-40, e^30) raises
+    DomainError.  The rule ends at the first panel
+    edge from e^2 on where the first moment of the tail is at most 1e-12 of
+    its value over [1, inf) (at e^22 at the latest).  Where that first
+    moment diverges (J'(0) = -inf, (A4) fails), or U(e^-40) does, building
+    the rule raises NonIntegrable.  A negative or non-finite density at a
+    node raises DomainError.  The rule and the measure-only integrals a
+    path simulation asks for are kept in ``_cache``.  ``a4_certified``
+    declares that y^2 is integrable near zero and y near infinity; only
+    certified measures participate in the tail-exponent regression of the
+    growth classifier.
     """
 
     density_fn: Callable
@@ -789,19 +859,11 @@ class UserDensity(_RuleDensity):
         return (0.0, math.inf)
 
     @_memoized
-    def _rule(self) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
-        """Nodes y_k and weights g_k = w_k y_k f(y_k) of the fixed rule,
-        U(e^-40), and its mass from each panel's start on (then beyond its
-        end)."""
-        hi, total = 2.0, self.first_moment(1.0, math.inf)
-        if not math.isfinite(total):
-            raise NonIntegrable(
-                "UserDensity: the first moment over [1, inf) diverges, so "
-                "J'(0) = -inf and (A4) fails")
-        while self.first_moment(hi, math.inf) > 1e-12 * total and hi < 1e9:
-            hi *= 2.0
-        s_end = _RULE_PANEL * math.ceil(math.log(hi) / _RULE_PANEL)
-        y, w = _log_rule(_RULE_S_MIN, s_end)
+    def _span(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Nodes y_k, weights w_k and density values f_k of the fixed rule
+        on [e^-40, e^30], and each panel's integral of y^j f for j = 0, 1
+        and 2 (shape (3, panels))."""
+        y, w = _log_rule(_RULE_S_MIN, _SPAN_S_MAX)
         f = np.broadcast_to(np.asarray(self.density_fn(y), dtype=float),
                             y.shape)
         bad = ~(np.isfinite(f) & (f >= 0.0))
@@ -809,22 +871,83 @@ class UserDensity(_RuleDensity):
             k = int(np.argmax(bad))
             raise DomainError(f"density must be finite and nonnegative, got "
                               f"{f[k]} at y = {y[k]:.6g}")
-        # the mass beyond the end in t = end / y over (0, 1]: it is far
-        # below the 1e-14 absolute tolerance that _quad has by default
-        end = math.exp(s_end)
-        beyond = _quad(lambda t: float(self.density_fn(end / t)) * end / t**2,
-                       0.0, 1.0, "UserDensity tail mass", epsabs=0.0)
-        mass = (w * f).reshape(-1, _RULE_NODES.size).sum(axis=1)
-        return (y, w * y * f, self.squared_integral(math.exp(_RULE_S_MIN)),
-                np.cumsum(np.append(mass, beyond)[::-1])[::-1])
+        wf = (w * f).reshape(-1, _RULE_NODES.size)
+        yp = y.reshape(wf.shape)
+        return y, w, f, np.array([wf.sum(axis=1), (wf * yp).sum(axis=1),
+                                  (wf * yp * yp).sum(axis=1)])
+
+    @_memoized
+    def _rule(self) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+        """Nodes y_k and weights g_k = w_k y_k f(y_k) of the fixed rule,
+        U(e^-40), and the mass from the start of each panel up to e^30 on
+        (then beyond e^30), which the sampler reads."""
+        y, w, f, panels = self._span()
+        # each panel's integral of f and of y f from its start on, then
+        # beyond the span
+        mass, moment = (
+            np.cumsum(np.append(p, _continuation(p[::-1], 0.0, math.inf))
+                      [::-1])[::-1] for p in panels[:2])
+        n_low = _RULE_N_LOW // _RULE_NODES.size
+        total = moment[n_low]
+        if not math.isfinite(total):
+            raise NonIntegrable(
+                "UserDensity: the first moment over [1, inf) diverges, so "
+                "J'(0) = -inf and (A4) fails")
+        u_min = _continuation(panels[2], 0.0, math.inf)
+        if not math.isfinite(u_min):
+            raise NonIntegrable("UserDensity: U(e^-40) diverges, so (A4) fails")
+        # the first edge from e^2 on where the tail's first moment is small
+        # enough, e^22 if none is
+        first = n_low + 1
+        last = n_low + round(_RULE_S_END_MAX / _RULE_PANEL)
+        small = moment[first:last] <= _RULE_TAIL_SHARE * total
+        end = first + int(np.argmax(np.append(small, True)))
+        n = end * _RULE_NODES.size
+        return y[:n], w[:n] * y[:n] * f[:n], u_min, mass
+
+    def _integral(self, k: int, lo: float, hi: float) -> float:
+        """The integral of y^k f(y) over [lo, hi), 0 <= lo < hi <= inf: the
+        rule's panels within, 16 nodes on the part of a panel at either end,
+        and the continuation of the outermost panels outside [e^-40, e^30]."""
+        panels = self._span()[3][k]
+        s_lo = math.log(lo) if lo > 0.0 else -math.inf
+        s_hi = math.log(hi)
+        total = 0.0
+        if s_lo < _RULE_S_MIN:
+            total += _continuation(panels, max(_RULE_S_MIN - s_hi, 0.0),
+                                   _RULE_S_MIN - s_lo)
+        if s_hi > _SPAN_S_MAX:
+            total += _continuation(panels[::-1], max(s_lo - _SPAN_S_MAX, 0.0),
+                                   s_hi - _SPAN_S_MAX)
+        a, b = max(s_lo, _RULE_S_MIN), min(s_hi, _SPAN_S_MAX)
+        if a >= b:
+            return total
+        # a lies in panel p, b in panel q - 1
+        p = math.floor((a - _RULE_S_MIN) / _RULE_PANEL)
+        q = math.ceil((b - _RULE_S_MIN) / _RULE_PANEL)
+        if q - p == 1:
+            return total + self._piece(k, p, a, b)
+        return (total + self._piece(k, p, a, _edge(p + 1))
+                + float(panels[p + 1:q - 1].sum())
+                + self._piece(k, q - 1, _edge(q - 1), b))
+
+    def _piece(self, k: int, p: int, a: float, b: float) -> float:
+        """The integral of y^k f(y) over [e^a, e^b] inside panel p: the
+        panel's own sum where that is the whole panel, else 16 nodes."""
+        if a == _edge(p) and b == _edge(p + 1):
+            return float(self._span()[3][k][p])
+        half = 0.5 * (b - a)
+        y = np.exp(a + half * (_RULE_NODES + 1.0))
+        return half * float(np.sum(_RULE_WEIGHTS * y ** (k + 1)
+                                   * self.density_fn(y)))
 
     def _tail(self, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """nu([e^s, inf)) and y f(y) at y = e^s <= the rule's end: its mass
-        beyond the panel holding s plus 16 nodes from s to the panel's end."""
+        """nu([e^s, inf)) and y f(y) at y = e^s <= e^30: the mass beyond the
+        panel holding s plus 16 nodes from s to the panel's end."""
         tails = self._rule()[3]
-        s = np.minimum(s, _RULE_S_MIN + _RULE_PANEL * (tails.size - 1))
+        s = np.minimum(s, _SPAN_S_MAX)
         p = np.minimum((s - _RULE_S_MIN) // _RULE_PANEL, tails.size - 2).astype(int)
-        half = 0.5 * (_RULE_S_MIN + _RULE_PANEL * (p + 1) - s)
+        half = 0.5 * (_edge(p + 1) - s)
         y = np.exp(s[:, None] + half[:, None] * _TAIL_NODES)
         yf = y * np.asarray(self.density_fn(y), dtype=float)
         # each row summed on its own, so a draw's mass does not depend on
@@ -837,33 +960,27 @@ class UserDensity(_RuleDensity):
         return super().tail_index() if self.a4_certified else None
 
     def squared_integral(self, x: float) -> float:
-        if x <= 0.0:
-            return 0.0
-        return _quad(lambda y: y * y * float(self.density_fn(y)), 0.0, x,
-                     "UserDensity U")
+        return self._integral(2, 0.0, x) if x > 0.0 else 0.0
 
     @_memoized
     def first_moment(self, lo: float, hi: float) -> float:
         lo = max(lo, 0.0)
-        if hi <= lo:
-            return 0.0
-        return integral_or_inf(_quad, lambda y: y * float(self.density_fn(y)),
-                               lo, hi, "UserDensity first moment")
+        return self._integral(1, lo, hi) if hi > lo else 0.0
 
     def second_moment(self) -> float:
-        return integral_or_inf(
-            _quad, lambda y: y * y * float(self.density_fn(y)), 0.0, math.inf,
-            "UserDensity second moment")
+        return self._integral(2, 0.0, math.inf)
 
     @_memoized
     def total_mass(self) -> float:
-        return integral_or_inf(_quad, lambda y: float(self.density_fn(y)),
-                               0.0, math.inf, "UserDensity total mass")
+        return self._integral(0, 0.0, math.inf)
 
     @_memoized
     def tail_mass(self, y: float) -> float:
+        """The sampler's own tail, for y in [e^-40, e^30)."""
         if not y >= math.exp(_RULE_S_MIN):
             raise DomainError(f"truncation level must be at least e^-40, got {y}")
+        if y >= math.exp(_SPAN_S_MAX):
+            raise DomainError(f"truncation level must lie below e^30, got {y}")
         return float(self._tail(np.array([math.log(y)]))[0][0])
 
     def jump_sizes(self, u: np.ndarray, eps: float) -> np.ndarray:
@@ -875,7 +992,7 @@ class UserDensity(_RuleDensity):
             raise DomainError(f"no mass above the truncation level {eps}")
         target = (1.0 - u) * total
         # the last panel whose start carries the target, from eps on
-        start = _RULE_S_MIN + _RULE_PANEL * (
+        start = _edge(
             np.searchsorted(-self._rule()[3], -target, side="right") - 1)
         lo = np.maximum(start, math.log(eps))
         return np.exp(_invert_log_tail(

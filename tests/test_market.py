@@ -677,9 +677,10 @@ class TestReferencePrices:
             atol=0.0)
 
     def test_pipeline_runs_without_scipy_integrate(self) -> None:
-        # in a fresh process: the solve-fine path and the mc-gamma and
-        # mc-explosive martingale tests, on the benchmark's config
-        # documents, load no scipy module at all
+        # in a fresh process: the solve-fine path, the mc-gamma and
+        # mc-explosive martingale tests and the solve-user-density
+        # pipeline, on the benchmark's config documents, load no scipy
+        # module at all
         _assert_runs_without_scipy(
             "import json, pathlib, sys\n"
             "import hjmm\n"
@@ -696,7 +697,16 @@ class TestReferencePrices:
             "    n_paths=mc.mc['n_paths'], master_seed=7, eps=mc.mc['eps'],\n"
             "    **mc.solver) for mc in map(cfg, ('mc-gamma', 'mc-explosive'))]\n"
             "assert reports[0].valid\n"
-            "assert 0 < reports[1].n_excluded < reports[1].n_paths\n")
+            "assert 0 < reports[1].n_excluded < reports[1].n_paths\n"
+            "user = cfg('solve-user-density')\n"
+            "hjmm.classify_growth(user.levy, user.volatility.lambda_upper,\n"
+            "                     user.grid.t_star)\n"
+            "hjmm.fast_derivative(user.levy, 1)\n"
+            "for seed in ([7, 0], [7, 1]):\n"
+            "    report = solve_path(user.levy, user.volatility, user.curve,\n"
+            "                        user.grid, seed, user.mc['eps'],\n"
+            "                        **user.solver)[3]\n"
+            "    hjmm.bond_surface(report.final_field, user.grid)\n")
 
     def test_import_loads_no_scipy(self) -> None:
         _assert_runs_without_scipy("import hjmm\n")

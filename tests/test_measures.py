@@ -1,6 +1,7 @@
 """Jump measure families: closed-form oracles, quadrature agreement, sampling."""
 
 import dataclasses
+import itertools
 import math
 import os
 import pathlib
@@ -12,6 +13,7 @@ import pytest
 from scipy import special as sc
 
 import hjmm
+from hjmm import measures
 from hjmm.errors import DomainError, NonIntegrable
 from hjmm.levy import (LevyModelSpec, Rule, Verdict, check_assumptions,
                        classify_growth, exponent, exponent_derivative,
@@ -26,6 +28,7 @@ from hjmm.measures import (
     _log_rule,
     _rule_sums,
     compensated_exp,
+    integral_or_inf,
 )
 from hjmm.paths import simulate_path, simulate_paths
 from hjmm.volatility import constant_volatility
@@ -726,6 +729,197 @@ class TestUserDensity:
             assert np.array_equal(first.times, second.times)
             assert np.array_equal(first.sizes, second.sizes)
             assert first.drift_rate == second.drift_rate
+
+
+# the ends of the moment checks, from the rule's start to past its end
+_MOMENT_Y = [math.exp(-40.0), 1e-12, 3e-7, 1e-3, 0.5, 1.0, 2.5, 40.0, 1e4,
+             1e9]
+# the rule's integrals against adaptive quadrature, relative; QUAD_RTOL
+MOMENT_RTOL = 1e-10
+
+
+def _quadrature_moment(fn, k, lo, hi):
+    """The integral of y^k f(y) over [lo, hi) by adaptive quadrature with no
+    absolute tolerance: one call per decade below 1e9 and, for hi = inf, one
+    in v = y / max(lo, 1e9) beyond; +inf where a call diverges.  The oracle
+    of a user density's integrals."""
+    def part(g, a, b):
+        return integral_or_inf(measures._quad, g, a, b, "moment oracle", 0.0)
+
+    def moment(y):
+        return float(y ** k * fn(y))
+
+    top = min(hi, 1e9)
+    ends = [lo, *(10.0 ** j for j in range(-18, 9) if lo < 10.0 ** j < top),
+            top]
+    # where quadrature chases a divergence out to huge y, y^k f may overflow
+    # to inf * 0: a NaN, which reads divergent
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = sum(part(lambda y: moment(np.float64(y)), a, b)
+                    for a, b in zip(ends, ends[1:]) if a < b)
+        if hi == math.inf:
+            base = max(lo, 1e9)
+            total += part(lambda v: base * moment(base * np.float64(v)),
+                          1.0, math.inf)
+    return total
+
+
+def _gamma_square_integral(c, beta, x):
+    """U(x) = c (1 - e^(-beta x) (1 + beta x)) / beta^2 of the density
+    c e^(-beta y) / y, by its series where beta x < 0.01."""
+    t = beta * x
+    if t < 0.01:
+        head = sum((-1) ** n * (n - 1) * t ** n / math.factorial(n)
+                   for n in range(2, 13))
+    else:
+        head = -math.expm1(-t) - t * math.exp(-t)
+    return c * head / beta ** 2
+
+
+def _log_tail(y):
+    """1/(y^2 ln(e+y)): finite U, a first moment of the tail that diverges
+    like ln ln y."""
+    return 1.0 / (y * y * np.log(np.e + y))
+
+
+def _log_zero(y):
+    """1/(y ln(1/y)) below 1/2: a total mass that diverges like
+    ln ln(1/y) at zero."""
+    return np.where(y < 0.5, 1.0 / (y * np.log(1.0 / np.minimum(y, 0.5))),
+                    0.0)
+
+
+class TestUserDensityMoments:
+    """Every integral of a user density is read off its fixed rule."""
+
+    @pytest.mark.parametrize("name", sorted(_RULE_CASES))
+    def test_integrals_match_quadrature(self, name) -> None:
+        fn = _RULE_CASES[name][0]
+        nu = UserDensity(density_fn=fn)
+        ends = [0.0, *_MOMENT_Y, math.inf]
+        got, want = [], []
+        for lo, hi in itertools.combinations(ends, 2):
+            got.append(nu.first_moment(lo, hi))
+            want.append(_quadrature_moment(fn, 1, lo, hi))
+        for x in ends[1:]:
+            got.append(nu.squared_integral(x))
+            want.append(_quadrature_moment(fn, 2, 0.0, x))
+        for y in _MOMENT_Y:
+            got.append(nu.tail_mass(y))
+            want.append(_quadrature_moment(fn, 0, y, math.inf))
+        got += [nu.second_moment(), nu.total_mass()]
+        want += [_quadrature_moment(fn, 2, 0.0, math.inf),
+                 _quadrature_moment(fn, 0, 0.0, math.inf)]
+        np.testing.assert_allclose(got, want, rtol=MOMENT_RTOL, atol=0.0)
+
+    def test_gamma_density_matches_closed_forms(self) -> None:
+        c, beta = 0.5, 2.0
+        nu = UserDensity(density_fn=lambda y: c * np.exp(-beta * y) / y)
+        # 1e-30 lies below the rule, on the continuation of its first panels
+        xs = [1e-30, *_MOMENT_Y]
+        got = [nu.squared_integral(x) for x in xs]
+        want = [_gamma_square_integral(c, beta, x) for x in xs]
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+        assert nu.second_moment() == pytest.approx(c / beta ** 2,
+                                                   rel=1e-13, abs=0.0)
+        assert nu.total_mass() == math.inf
+
+    def test_density_zero_beyond_a_cut_has_finite_integrals(self) -> None:
+        # e^-y on (0, 1]: beyond e^0 every panel is zero, so the ratio of
+        # the continuation reads 0/0, and the mass beyond is zero
+        nu = UserDensity(density_fn=lambda y: np.where(y <= 1.0, np.exp(-y),
+                                                        0.0))
+        e = math.exp(-1.0)
+        for got, want in [(nu.total_mass(), 1.0 - e),
+                          (nu.first_moment(0.0, math.inf), 1.0 - 2.0 * e),
+                          (nu.second_moment(), 2.0 - 5.0 * e)]:
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0)
+        assert nu.first_moment(1.0, math.inf) == 0.0
+        assert nu.tail_mass(2.0) == 0.0
+
+    def test_draws_beyond_the_rule_end_follow_exact_quantiles(self) -> None:
+        # (1+y)^-3 above eps = 1e8: a dozen of the draws lie beyond e^22,
+        # the end of the rule of J', where the sampler reads the panels
+        # that carry the tail masses up to e^30
+        nu = UserDensity(density_fn=lambda y: 1.0 / (1.0 + y) ** 3)
+        eps = 1e8
+        u = np.random.default_rng(4).uniform(size=20000)
+        want = (1.0 + eps) / np.sqrt(1.0 - u) - 1.0
+        assert np.sum(want > math.exp(22.0)) >= 10
+        got = nu.sample_sizes(np.random.default_rng(4), 20000, eps)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("fn, integral, want", [
+        # y f ~ y^-0.5 at infinity: the first moment diverges
+        (lambda y: (1.0 + y) ** -1.5, lambda nu: nu.first_moment(1.0, math.inf),
+         math.inf),
+        (lambda y: (1.0 + y) ** -1.5, lambda nu: nu.total_mass(), 2.0),
+        # y f ~ 1/y: a ratio just above 1
+        (lambda y: (1.0 + y) ** -2.0, lambda nu: nu.first_moment(1.0, math.inf),
+         math.inf),
+        (lambda y: (1.0 + y) ** -3.0, lambda nu: nu.first_moment(1.0, math.inf),
+         0.375),
+        (lambda y: (1.0 + y) ** -3.0, lambda nu: nu.second_moment(), math.inf),
+        # y^2 f ~ y^-1.5 at zero: U diverges
+        (lambda y: np.where(y <= 1.0, y ** -3.5, 0.0),
+         lambda nu: nu.squared_integral(1.0), math.inf),
+        # y (1 + 1/y) f = 1/y + 1/y^2 at infinity: a ratio just below 1
+        (lambda y: (1.0 + 1.0 / y) / y ** 2,
+         lambda nu: nu.first_moment(1.0, math.inf), math.inf),
+        # y f = 1/y at zero: a ratio of 1, divergent from 0 and finite from
+        # 1e-30, below the rule's start
+        (lambda y: np.where(y <= 1.0, y ** -2.0, 0.0),
+         lambda nu: nu.first_moment(0.0, 1.0), math.inf),
+        (lambda y: np.where(y <= 1.0, y ** -2.0, 0.0),
+         lambda nu: nu.first_moment(1e-30, 1.0), 30.0 * math.log(10.0)),
+        (lambda y: np.where(y <= 1.0, y ** -2.0, 0.0),
+         lambda nu: nu.squared_integral(1.0), 1.0),
+        # infinite activity: y f -> 1/2 at zero
+        (lambda y: 0.5 * np.exp(-2.0 * y) / y, lambda nu: nu.total_mass(),
+         math.inf),
+        # y f = 1/(y ln(e+y)): the panels in ln y fall like 1/ln y, a ratio
+        # of 0.93 at e^30 whose decay rate still falls
+        (_log_tail, lambda nu: nu.first_moment(1.0, math.inf), math.inf),
+        # y f = 1/ln(1/y) near zero: the same at e^-40, a ratio of 0.95
+        (_log_zero, lambda nu: nu.total_mass(), math.inf),
+        # mixed power laws, whose decay rate falls toward that of the
+        # slower one: finite
+        (lambda y: (1.0 + y) ** -3.0 + (1.0 + y) ** -2.5,
+         lambda nu: nu.first_moment(1.0, math.inf),
+         0.375 + 5.0 / (3.0 * math.sqrt(2.0))),
+        (lambda y: np.where(y <= 1.0, y ** -2.5 + y ** -2.3, 0.0),
+         lambda nu: nu.squared_integral(1.0), 2.0 + 1.0 / 0.7),
+    ], ids=["tail-1.5-first", "tail-1.5-mass", "tail-2-first", "tail-3-first",
+            "tail-3-second", "zero-3.5-U", "tail-2-slow-first",
+            "zero-2-first", "zero-2-first-from-1e-30", "zero-2-U",
+            "gamma-mass", "tail-log-first", "zero-log-mass",
+            "tail-mixed-first", "zero-mixed-U"])
+    def test_continuation_decides_divergence(self, fn, integral, want) -> None:
+        got = integral(UserDensity(density_fn=fn))
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_logarithmic_divergence_is_refused(self) -> None:
+        # J'(0) = -inf: (A4) fails and the rule is not built
+        spec = LevyModelSpec(0.0, 0.0, UserDensity(density_fn=_log_tail))
+        report = check_assumptions(spec, constant_volatility(0.2))
+        assert report.a4_tail_integral == math.inf
+        assert not report.a4_pass
+        with pytest.raises(NonIntegrable, match="first moment"):
+            fast_derivative(spec, 1)
+        # infinite activity, so a path needs a positive truncation level
+        assert not UserDensity(density_fn=_log_zero).is_finite_activity
+
+    def test_truncation_level_beyond_the_span_raises(self) -> None:
+        # the sampler's tail masses stop at e^30; below, three quarters of
+        # this one lie on the continuation beyond e^30, good to 8e-12
+        nu = UserDensity(density_fn=lambda y: 1.0 / (1.0 + y) ** 3)
+        eps = math.exp(30.0)
+        assert nu.tail_mass(0.5 * eps) == pytest.approx(
+            0.5 / (1.0 + 0.5 * eps) ** 2, rel=1e-11, abs=0.0)
+        with pytest.raises(DomainError, match="below e\\^30"):
+            nu.tail_mass(eps)
+        with pytest.raises(DomainError, match="below e\\^30"):
+            nu.sample_sizes(np.random.default_rng(0), 3, 2.0 * eps)
 
 
 def _gamma_tail(s):
