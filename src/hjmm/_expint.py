@@ -1,7 +1,8 @@
 """The exponential integral E1(x) = integral of e^-t / t over [x, inf),
 in numpy, and a start for inverting it.
 
-:func:`e1` takes one of two fixed forms for each element:
+:func:`e1` splits its elements at x = 1 and evaluates each side in one
+fixed form:
 
 * x <= 1: the series -gamma - ln x + sum_{k=1}^{17} (-1)^(k+1) x^k / (k k!),
   whose coefficients are exact rationals rounded once; the first omitted
@@ -112,15 +113,9 @@ def e1(x) -> np.ndarray:
     """E1 of each element of x (a float array, or a float)."""
     x = np.asarray(x, dtype=float)
     small = x <= 1.0
-    n_small = np.count_nonzero(small)
-    if n_small == x.size:
-        return _series(x)
-    if n_small == 0:
-        return _panels(x)
     out = np.empty_like(x)
     out[small] = _series(x[small])
-    large = ~small
-    out[large] = _panels(x[large])
+    out[~small] = _panels(x[~small])
     return out
 
 

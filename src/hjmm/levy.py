@@ -28,8 +28,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, UnsupportedSpec, nonnegative, positive
-from .measures import (GammaLike, MeasureFamily, PointMasses, Scratch,
-                       integral_or_inf)
+from .measures import GammaLike, MeasureFamily, PointMasses, Scratch
 
 __all__ = [
     "LevyModelSpec",
@@ -268,8 +267,7 @@ def check_assumptions(spec: LevyModelSpec, vol) -> AssumptionReport:
     (-inf, -1/lambda_upper]) and the two integrability conditions (A4)
     (square integrability near zero over (-1/lambda_upper, 1) and a finite
     first moment of the tail [1, inf); a divergent integral reads +inf,
-    as the families return it, and a family's NonIntegrable counts as
-    +inf too, see :func:`~hjmm.measures.integral_or_inf`), and reports the
+    as every family returns it), and reports the
     second moment of the measure, ``second_moment()``, that J''(0) in the
     uniqueness bound of :func:`~hjmm.solver.uniqueness_contraction_check`
     needs.
@@ -285,8 +283,8 @@ def check_assumptions(spec: LevyModelSpec, vol) -> AssumptionReport:
     a2_pass = support_inf > threshold
 
     notes = []
-    a4_square = integral_or_inf(measure.small_jump_square, threshold)
-    a4_tail = integral_or_inf(measure.first_moment, 1.0, math.inf)
+    a4_square = measure.small_jump_square(threshold)
+    a4_tail = measure.first_moment(1.0, math.inf)
     a4_pass = math.isfinite(a4_square) and math.isfinite(a4_tail)
     if not a4_pass:
         notes.append("(A4) integrability fails")

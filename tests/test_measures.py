@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import math
 import os
 import pathlib
@@ -14,7 +15,8 @@ from scipy import special as sc
 
 import hjmm
 from hjmm import measures
-from hjmm.errors import DomainError, NonIntegrable
+from hjmm.cli import EXIT_CONFIG, main
+from hjmm.errors import ConfigError, DomainError, NonIntegrable, UnsupportedSpec
 from hjmm.levy import (LevyModelSpec, Rule, Verdict, check_assumptions,
                        classify_growth, exponent, exponent_derivative,
                        fast_derivative)
@@ -28,7 +30,6 @@ from hjmm.measures import (
     _log_rule,
     _rule_sums,
     compensated_exp,
-    integral_or_inf,
 )
 from hjmm.paths import simulate_path, simulate_paths
 from hjmm.volatility import constant_volatility
@@ -273,6 +274,30 @@ class TestStableLike:
         nu = StableLike(c=1.0, alpha=1.5, y_max=1.0)
         assert nu.first_moment(0.0, 1.0) == math.inf
         assert math.isfinite(nu.first_moment(0.1, 1.0))
+
+    def test_small_jump_mean_diverges_within_the_log_band(self, tmp_path
+                                                          ) -> None:
+        # alpha within 1e-12 of 1 takes the logarithmic form, log(hi / lo),
+        # whose small-jump mean diverges at lo = 0 as at alpha = 1
+        alpha = 1.0 - 5e-13
+        assert StableLike(1.0, alpha, 1.0).first_moment(0.0, 1.0) == math.inf
+        with pytest.raises(UnsupportedSpec, match="finite variation"):
+            LevyModelSpec(0.0, 0.0, StableLike(1.0, alpha, 1.0),
+                          subordinator=True)
+        doc = {"version": 1,
+               "levy": {"drift_a": "subordinator",
+                        "measure": {"family": "stable_like", "c": 1.0,
+                                    "alpha": alpha, "y_max": 1.0}},
+               "volatility": {"terms": [{"kind": "constant", "level": 0.2}]},
+               "initial_curve": {"family": "constant", "level": 0.05},
+               "grid": {"delta": 0.25, "t_star": 1.0, "t_max": 2.0,
+                        "gamma": 1.0}}
+        with pytest.raises(ConfigError, match="subordinator"):
+            hjmm.parse_config(doc)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(doc))
+        assert main(["classify", "--config", str(path), "--out",
+                     str(tmp_path)]) == EXIT_CONFIG
 
     def test_tail_mass_oracle(self) -> None:
         nu = StableLike(c=2.0, alpha=0.5, y_max=1.0)
@@ -744,7 +769,10 @@ def _quadrature_moment(fn, k, lo, hi):
     in v = y / max(lo, 1e9) beyond; +inf where a call diverges.  The oracle
     of a user density's integrals."""
     def part(g, a, b):
-        return integral_or_inf(measures._quad, g, a, b, "moment oracle", 0.0)
+        try:
+            return measures._quad(g, a, b, "moment oracle", 0.0)
+        except NonIntegrable:
+            return math.inf
 
     def moment(y):
         return float(y ** k * fn(y))
@@ -949,6 +977,21 @@ class TestReplace:
         got = replaced.derivative_measure_part(z, 1)
         assert np.array_equal(got, fresh.derivative_measure_part(z, 1))
         assert not np.array_equal(got, before)
+
+    @pytest.mark.parametrize("measure", [
+        StableLike(1.0, 1.5, 1.0), GammaLike(0.5, 2.0),
+        UserDensity(density_fn=_exp_over_y(2.0))],
+        ids=["stable", "gamma", "user"])
+    def test_filled_cache_leaves_equality_hash_and_repr(self, measure) -> None:
+        twin = dataclasses.replace(measure)
+        before = (hash(measure), repr(measure))
+        fast_derivative(LevyModelSpec(0.0, 0.0, measure), 1)(np.array([0.5]))
+        measure.tail_mass(0.1)
+        measure.jump_sizes(np.array([0.3, 0.7]), 0.1)
+        assert vars(measure)["_cache"] and not vars(twin).get("_cache")
+        assert measure == twin
+        assert (hash(measure), repr(measure)) == before == (hash(twin),
+                                                            repr(twin))
 
     def test_cache_is_not_a_constructor_argument(self) -> None:
         with pytest.raises(TypeError, match="_cache"):

@@ -18,7 +18,7 @@ from hjmm.curves import InitialCurve, exp_decay_curve
 from hjmm.errors import DomainError, NonPositiveFactor, UnsupportedSpec
 from hjmm.grids import GridSpec, cumtrapz
 from hjmm.levy import LevyModelSpec, drift_only, gamma_subordinator
-from hjmm.measures import GammaLike, PointMasses, StableLike
+from hjmm.measures import PointMasses, StableLike
 from hjmm.market import martingale_test
 from hjmm.paths import (
     TRUNCATION_EPS,

@@ -1,10 +1,11 @@
-"""Every module of the package uses each name it imports.
+"""Every module of the package, the tools, the demos and the tests uses
+each name it imports.
 
 No linter is required to run the tests, so this walks each module's
 syntax tree with the standard library: a name bound by an import must
 be read somewhere in the module, in code or in an annotation (quoted
-annotations included).  ``__init__.py`` re-exports its imports and is
-left out.
+annotations included).  The package's ``__init__.py`` re-exports its
+imports and is left out.
 """
 
 import ast
@@ -14,8 +15,11 @@ import pytest
 
 import hjmm
 
-MODULES = sorted(p for p in Path(hjmm.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+PACKAGE = Path(hjmm.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted(
+    [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    + [p for d in ("tools", "demos", "tests") for p in (ROOT / d).glob("*.py")])
 
 
 def _imported_names(tree: ast.Module) -> set:
@@ -42,7 +46,8 @@ def _used_names(tree: ast.Module) -> set:
     return used
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(
+    p.relative_to(PACKAGE if p.parent == PACKAGE else ROOT)))
 def test_module_uses_every_import(path) -> None:
     tree = ast.parse(path.read_text(encoding="utf-8"))
     unused = _imported_names(tree) - _used_names(tree)
