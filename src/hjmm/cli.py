@@ -153,6 +153,7 @@ def cmd_solve(args, config: RunConfig) -> int:
         "sup_diffs": report.sup_diffs,
         "norm_trace": report.norm_trace,
         "increment_mins": report.increment_mins,
+        "error_estimate": report.error_estimate,
         "c1_bound": c1_bound,
         "seed": seed,
         "n_jumps": path.n_jumps,

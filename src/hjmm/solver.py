@@ -9,7 +9,13 @@ solves, in standard coordinates on the triangle 0 <= s <= t <= T,
 where a = f0 * b is the initial curve times the realized jump factor.
 The right-hand side is monotone in f, so iterating from the zero field
 produces a pointwise nondecreasing sequence that either converges to the
-minimal solution or blows up; both outcomes are reported.
+minimal solution or blows up; both outcomes are reported.  A path stops
+Converged in one of two ways: its last sup increment falls below tol,
+or the a-posteriori estimate of its remaining error, read off the
+falling ratios of its last increments (:func:`_error_estimate`), falls
+below tol / 10.  The iterates of this Volterra-type operator converge
+superlinearly, so the estimate usually saves the last iteration, whose
+increment is far below tol.
 
 All quadratures are composite trapezoid on the uniform grid; J' is
 evaluated through the vectorized route of the measure family, which for
@@ -85,6 +91,12 @@ STATUS_NONPOSITIVE = "NonPositiveFactor"
 TOL = 1e-9
 MAX_ITER = 200
 EXPLOSION_THRESHOLD = 1e8
+
+# the a-posteriori error estimate is read only while the ratio of the
+# last two sup increments is below RATIO_CAP, and it stops a path only
+# below tol / ESTIMATE_MARGIN: the ratio is observed, not proven
+RATIO_CAP = 0.5
+ESTIMATE_MARGIN = 10.0
 
 # the sup distance below which two solutions count as one
 UNIQUENESS_TOL = 1e-6
@@ -166,7 +178,13 @@ def apply_K(field: RateField, a_field: np.ndarray, vol: VolatilitySpec,
 
 @dataclass
 class SolverReport:
-    """Outcome of a fixed-point solve."""
+    """Outcome of a fixed-point solve.
+
+    ``error_estimate`` is :func:`_error_estimate` of ``sup_diffs`` at the
+    stop: the a-posteriori bound on the sup distance of ``final_field``
+    to the limit, or inf where the ratio guard does not hold and on
+    every Exploded and MaxIterations path.
+    """
 
     status: str
     iterations: int
@@ -174,6 +192,7 @@ class SolverReport:
     norm_trace: list
     increment_mins: list
     final_field: RateField
+    error_estimate: float
 
     @property
     def converged(self) -> bool:
@@ -186,7 +205,9 @@ def solve_fixed_point(a_field: np.ndarray, vol: VolatilitySpec,
     """Iterate the operator to a fixed point, starting from zero.
 
     Stops Converged when the sup difference of consecutive iterates falls
-    below ``tol`` (default :data:`TOL`); stops Exploded as soon as the
+    below ``tol`` (default :data:`TOL`), or when the a-posteriori estimate
+    of the remaining error (:func:`_error_estimate`) falls below
+    ``tol / ESTIMATE_MARGIN``; stops Exploded as soon as the
     timeline weighted norm exceeds ``explosion_threshold`` (default
     :data:`EXPLOSION_THRESHOLD`) or turns non-finite; reports
     MaxIterations after ``max_iter`` (default :data:`MAX_ITER`)
@@ -226,13 +247,14 @@ def _solve_stack(a_fields: np.ndarray, vol: VolatilitySpec,
     reports: list = [None] * len(a_fields)
     active = np.arange(len(a_fields))
 
-    def report(p: int, status: str, iterations: int,
-               values: np.ndarray) -> SolverReport:
+    def report(p: int, status: str, iterations: int, values: np.ndarray,
+               estimate: float = math.inf) -> SolverReport:
         sup_diffs, norm_trace, increment_mins = traces[p]
         return SolverReport(status=status, iterations=iterations,
                             sup_diffs=sup_diffs, norm_trace=norm_trace,
                             increment_mins=increment_mins,
-                            final_field=RateField(values.copy(), grid))
+                            final_field=RateField(values.copy(), grid),
+                            error_estimate=estimate)
 
     for iterations in range(1, max_iter + 1):
         m = active.size
@@ -257,8 +279,11 @@ def _solve_stack(a_fields: np.ndarray, vol: VolatilitySpec,
             increment_mins.append(mins[k])
             if not math.isfinite(norms[k]) or norms[k] > explosion_threshold:
                 reports[p] = report(p, STATUS_EXPLODED, iterations, current[k])
-            elif sups[k] < tol:
-                reports[p] = report(p, STATUS_CONVERGED, iterations, current[k])
+                continue
+            estimate = _error_estimate(sup_diffs)
+            if sups[k] < tol or estimate < tol / ESTIMATE_MARGIN:
+                reports[p] = report(p, STATUS_CONVERGED, iterations,
+                                    current[k], estimate)
             else:
                 keep.append(k)
         if len(keep) < m:
@@ -270,6 +295,31 @@ def _solve_stack(a_fields: np.ndarray, vol: VolatilitySpec,
     for k, p in enumerate(active):
         reports[p] = report(p, STATUS_MAX_ITER, max_iter, current[k])
     return reports
+
+
+def _error_estimate(sup_diffs: list) -> float:
+    """The a-posteriori error estimate of a path from its sup increments.
+
+    With r_k = sup_k / sup_{k-1} the ratio of the last two increments,
+    a contraction of rate r_k leaves the iterate within
+    sup_k * r_k / (1 - r_k) of its limit.  The ratio is read as a rate
+    only under a guard: at least 3 increments, r_k < :data:`RATIO_CAP`
+    and r_k <= r_{k-1}, so that the ratios are falling; otherwise the
+    estimate is inf.  A zero last increment is an estimate of zero: that
+    iterate is its own image.
+    """
+    if len(sup_diffs) < 3:
+        return math.inf
+    before, last, sup = sup_diffs[-3:]
+    if sup == 0.0:
+        return 0.0
+    # a NaN increment fails every comparison, so it reads as inf
+    if not (before > 0.0 and last > 0.0):
+        return math.inf
+    r = sup / last
+    if r < RATIO_CAP and r <= last / before:
+        return sup * r / (1.0 - r)
+    return math.inf
 
 
 def solve_paths(spec: LevyModelSpec, vol: VolatilitySpec, curve: InitialCurve,
@@ -292,7 +342,7 @@ def solve_paths(spec: LevyModelSpec, vol: VolatilitySpec, curve: InitialCurve,
 
     At DEBUG level it logs, per path, one record per iteration (sup_diff,
     norm, min increment, read from the report's traces) and then one
-    record for the path.
+    record for the path, which carries its ``error_estimate``.
     """
     seeds = list(seeds)
     paths = simulate_paths(spec, grid.t_star, seeds, eps)
@@ -313,7 +363,11 @@ def solve_paths(spec: LevyModelSpec, vol: VolatilitySpec, curve: InitialCurve,
 
 
 def _log_path(seed, path: JumpPath, entry) -> None:
-    """The DEBUG records of one path of :func:`solve_paths`."""
+    """The DEBUG records of one path of :func:`solve_paths`.
+
+    The path's own record carries the report's ``error_estimate`` as a
+    record attribute; its message is the status line alone.
+    """
     if isinstance(entry, NonPositiveFactor):
         log.debug("path %s: %d jumps, %s", seed, path.n_jumps,
                   STATUS_NONPOSITIVE)
@@ -324,7 +378,8 @@ def _log_path(seed, path: JumpPath, entry) -> None:
         log.debug("path %s iteration %d: sup_diff %r, norm %r, "
                   "min increment %r", seed, k, sup, norm, low)
     log.debug("path %s: %d jumps, %s after %d iterations", seed,
-              path.n_jumps, report.status, report.iterations)
+              path.n_jumps, report.status, report.iterations,
+              extra={"error_estimate": report.error_estimate})
 
 
 def solve_path(spec: LevyModelSpec, vol: VolatilitySpec, curve: InitialCurve,

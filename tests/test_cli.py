@@ -125,6 +125,24 @@ class TestSolve:
         report = json.loads((tmp_path / "solve_report.json").read_text())
         assert report["status"] == "Exploded"
 
+    def test_report_records_the_error_estimate(self, tmp_path) -> None:
+        # the estimate at the stop of a converged path, inf on an exploded
+        cfg = _write(tmp_path, _existence_doc())
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == EXIT_OK
+        report = json.loads((tmp_path / "solve_report.json").read_text())
+        estimate = hjmm.solver._error_estimate(report["sup_diffs"])
+        assert report["error_estimate"] == estimate < 1e-10
+        doc = _explosive_doc()
+        doc["initial_curve"] = {"family": "constant", "level": 100.0}
+        doc["volatility"] = {"terms": [{"kind": "constant", "level": 0.25}]}
+        doc["mc"] = {"eps": 1e-2, "n_paths": 4, "master_seed": 900}
+        cfg = _write(tmp_path, doc)
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path),
+                     "--allow-explosive"]) == EXIT_DIVERGED
+        report = json.loads((tmp_path / "solve_report.json").read_text())
+        assert (report["status"], report["error_estimate"]) == ("Exploded",
+                                                                "inf")
+
     def test_huge_expected_jump_count_exits_one_without_traceback(
             self, tmp_path, capsys) -> None:
         # classified existence, but 1e13 jumps per path expected

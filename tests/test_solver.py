@@ -766,6 +766,14 @@ def _reference_solve(a, vol, spec, grid, *, tol=1e-9, max_iter=200,
         if sups[-1] < tol:
             status = STATUS_CONVERGED
             break
+        # the a-posteriori stop: three increments whose ratios fall, the
+        # last below 1/2, and an estimated remaining error below tol / 10
+        if len(sups) >= 3 and sups[-2] > 0 and sups[-3] > 0:
+            ratio, before = sups[-1] / sups[-2], sups[-2] / sups[-3]
+            if (ratio < 0.5 and ratio <= before
+                    and sups[-1] * ratio / (1 - ratio) < tol / 10):
+                status = STATUS_CONVERGED
+                break
     return status, iterations, sups, mins, norms, current
 
 
@@ -924,6 +932,105 @@ def test_zero_start_iterate_is_the_full_application(family, vol_name) -> None:
         assert _bits(report.final_field.values) == _bits(expected)
         alone = solve_fixed_point(a, vol, spec, grid, max_iter=1)
         assert _report_bits(alone) == _report_bits(report)
+
+
+# (spec, vol, f0, grid, eps, solver settings) per J' route: the gamma
+# closed form on the README model, the stable-like table on the
+# mc-explosive model and on the mixed model of the Monte Carlo tests, the
+# user-density table and the exact sums of atoms
+_ROUTES = {
+    "gamma": (gamma_subordinator(0.5, 2.0), constant_volatility(0.2),
+              exp_decay_curve(0.08, 0.4), _grid(1.0 / 32.0), 1e-3, {}),
+    "stable_like_explosive": (
+        _STABLE, constant_volatility(0.25), constant_curve(30.0),
+        _grid(1.0 / 32.0), 1e-2, dict(max_iter=50, explosion_threshold=1e6)),
+    "stable_like_mixed": (
+        _STABLE, _DIPPING_VOL, constant_curve(26.0), _grid(1.0 / 8.0), 1e-2,
+        dict(max_iter=20, explosion_threshold=1e300)),
+    "user_density": (_ZERO_START_SPECS["user_density"],
+                     constant_volatility(0.2), exp_decay_curve(0.08, 0.4),
+                     _grid(), 1e-2, {}),
+    "point_masses": (_ZERO_START_SPECS["point_masses"],
+                     constant_volatility(0.2), exp_decay_curve(0.08, 0.4),
+                     _grid(), 1e-2, {}),
+}
+
+
+class TestStoppingRule:
+    """A path stops Converged on its last increment or on its estimated
+    remaining error, sup_k r_k / (1 - r_k) with r_k the last ratio of
+    increments, read under the ratio guard against tol / 10."""
+
+    estimate = staticmethod(hjmm.solver._error_estimate)
+
+    def test_gamma_trace_gives_a_finite_estimate(self) -> None:
+        # the increments of every gamma path: r = 1.5e-4 after 2.2e-4
+        estimate = self.estimate([1.1e-1, 2.4e-5, 3.6e-9])
+        assert 4e-13 < estimate < 6e-13
+
+    def test_explosive_hump_gives_inf(self) -> None:
+        # a path of the mc-explosive model on its way up
+        for k in range(1, 5):
+            assert self.estimate([30.0, 160.0, 480.0, 660.0][:k]) == math.inf
+
+    def test_rising_ratio_gives_inf(self) -> None:
+        # r = 0.4 below the cap, but above the ratio 0.01 before it
+        assert self.estimate([1.0, 1e-2, 4e-3]) == math.inf
+        assert self.estimate([1.0, 1e-2, 1e-4]) < math.inf
+
+    def test_ratio_at_the_cap_gives_inf(self) -> None:
+        assert self.estimate([4.0, 2.0, 1.0]) == math.inf
+
+    def test_zero_increments_do_not_divide_by_zero(self) -> None:
+        assert self.estimate([1.0, 0.0, 0.0]) == 0.0
+        assert self.estimate([0.0, 0.0, 0.0]) == 0.0
+        assert self.estimate([1.0, 1e-3, 0.0]) == 0.0
+        assert self.estimate([0.0, 0.0, 1e-3]) == math.inf
+        assert self.estimate([1.0, math.nan, 1e-3]) == math.inf
+
+    def test_readme_path_stops_in_three_iterations(self) -> None:
+        spec, vol, curve, grid, eps, _ = _ROUTES["gamma"]
+        *_, a, report = solve_path(spec, vol, curve, grid, [42, 0], eps,
+                                   tol=1e-10)
+        assert (report.status, report.iterations) == (STATUS_CONVERGED, 3)
+        assert report.sup_diffs[-1] >= 1e-10
+        assert report.error_estimate < 1e-11
+        applied = apply_K(report.final_field, a, vol, spec, grid)
+        assert np.max(np.abs(applied.values
+                             - report.final_field.values)) <= 1e-10
+
+    @pytest.mark.parametrize("route", list(_ROUTES))
+    def test_converged_paths_lie_within_tol_of_a_tight_solve(
+            self, route) -> None:
+        spec, vol, curve, grid, eps, solver = _ROUTES[route]
+        seeds = [[7, k] for k in range(24)]
+        loose = solve_paths(spec, vol, curve, grid, seeds, eps, **solver)
+        tight = solve_paths(spec, vol, curve, grid, seeds, eps,
+                            **dict(solver, tol=1e-13, max_iter=200))
+        converged = 0
+        for entry, reference in zip(loose, tight):
+            if isinstance(entry, NonPositiveFactor) or not entry[3].converged:
+                continue
+            converged += 1
+            report, limit = entry[3], reference[3]
+            assert limit.converged
+            gap = np.max(np.abs(report.final_field.values
+                                - limit.final_field.values))
+            assert gap <= 1e-9
+        assert converged >= 5
+
+    @pytest.mark.parametrize("route", list(_ROUTES))
+    def test_error_estimate_is_inf_unless_the_path_converged(
+            self, route) -> None:
+        spec, vol, curve, grid, eps, solver = _ROUTES[route]
+        for entry in solve_paths(spec, vol, curve, grid,
+                                 [[7, k] for k in range(24)], eps, **solver):
+            if isinstance(entry, NonPositiveFactor):
+                continue
+            report = entry[3]
+            expected = (self.estimate(report.sup_diffs) if report.converged
+                        else math.inf)
+            assert report.error_estimate == expected
 
 
 class TestFieldOnAnotherGrid:

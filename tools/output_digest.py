@@ -87,7 +87,7 @@ def _configs() -> dict:
 def _add_report(digest, report) -> None:
     digest.update(f"{report.status} {report.iterations}".encode())
     for trace in (report.sup_diffs, report.norm_trace, report.increment_mins,
-                  report.final_field.values):
+                  report.final_field.values, report.error_estimate):
         digest.update(np.asarray(trace, dtype=float).tobytes())
 
 
