@@ -21,8 +21,8 @@ Exit codes: 0 success (existence / converged / suites pass / test pass),
 5 a verification suite failed, 6 the martingale test failed.  The
 HJMM_LOG environment variable sets the log level; at ``debug`` every
 solved path logs each iteration's sup_diff, norm and smallest increment,
-then its seed, jump count, status and iterations.  Reruns
-with the same config and seed write byte-identical files for any
+then its seed, jump count, status, iterations and error estimate.
+Reruns with the same config and seed write byte-identical files for any
 --threads value.
 """
 
@@ -42,8 +42,7 @@ from .config import RunConfig, load_config
 from .errors import ConfigError, HjmmError
 from .grids import RateField, below_diagonal
 from .levy import Verdict, classify_growth
-from .market import martingale_test
-from .solver import STATUS_CONVERGED, apriori_bound, solve_path, weighted_norms
+from .solver import STATUS_CONVERGED, apriori_bound, weighted_norms
 from .verification import run_all
 
 __all__ = ["main"]
@@ -137,9 +136,7 @@ def cmd_solve(args, config: RunConfig) -> int:
         return _VERDICT_EXIT[result.verdict]
     seed = _seed(args, config)
     grid = config.grid
-    path, b_vals, a_vals, report = solve_path(
-        config.levy, config.volatility, config.curve, grid, [seed, 0],
-        config.mc["eps"], **config.solver)
+    path, b_vals, a_vals, report = config.solve_path([seed, 0])
     # b = 1 at t = 0, so row 0 of a = f0 * b is f0 on the maturity nodes
     r0_norm = weighted_norms(RateField(a_vals, grid), grid, 0.0).l2_gamma
     b_sup = float(b_vals.max())
@@ -194,13 +191,7 @@ def cmd_verify(args, config: RunConfig) -> int:
 
 
 def cmd_mc(args, config: RunConfig) -> int:
-    report = martingale_test(
-        config.levy, config.volatility, config.curve, config.grid,
-        n_paths=config.mc["n_paths"], master_seed=_seed(args, config),
-        eps=config.mc["eps"],
-        t_checkpoints=config.mc["t_checkpoints"],
-        T_checkpoints=config.mc["T_checkpoints"],
-        threads=args.threads, **config.solver)
+    report = config.martingale_test(_seed(args, config), args.threads)
     out = _out_dir(args, config)
     rows = [(r.t, r.T, r.mean_discounted, r.reference, r.deviation,
              r.std, r.z_score, r.degenerate) for r in report.results]

@@ -20,6 +20,13 @@ The volatility's term builders and its (A3) constants come from
 ``volatility``; the defaults of the ``solver`` section come from
 ``solver`` and that of ``mc.eps`` from ``paths``, the modules that act
 on them.
+
+:class:`RunConfig`'s methods ``solve_paths``, ``solve_path`` and
+``martingale_test`` are the one map from the document to pipeline calls:
+they pass the run's model, its grid, ``mc.eps`` and the ``solver``
+section (and, to the Monte Carlo, ``mc.n_paths`` and both checkpoint
+lists), so ``hjmm solve``, ``hjmm verify`` and ``hjmm mc`` run the same
+pipeline on the same paths.
 """
 
 from __future__ import annotations
@@ -37,9 +44,10 @@ from .curves import (InitialCurve, affine_curve, constant_curve,
 from .errors import ConfigError, DomainError, NonPositiveInitialCurve
 from .grids import GridSpec
 from .levy import LevyModelSpec, check_assumptions
+from .market import MartingaleReport, martingale_test
 from .measures import GammaLike, PointMasses, StableLike, UserDensity
 from .paths import TRUNCATION_EPS
-from .solver import EXPLOSION_THRESHOLD, MAX_ITER, TOL
+from .solver import EXPLOSION_THRESHOLD, MAX_ITER, TOL, solve_path, solve_paths
 from .volatility import (VolatilitySpec, constant_term, exp_decay_term,
                          sample_bounds, time_affine_term)
 
@@ -128,13 +136,6 @@ def _user_density(expression: str, a4_certified: bool) -> UserDensity:
         scope["y"] = y
         return eval(code, {"__builtins__": {}}, scope)
 
-    try:
-        probe = float(density(0.5))
-    except Exception as exc:
-        raise ConfigError(f"user_density: expression failed at y=0.5: {exc}")
-    if not math.isfinite(probe) or probe < 0.0:
-        raise ConfigError("user_density: expression must be a finite "
-                          "nonnegative density")
     return UserDensity(density_fn=density, a4_certified=a4_certified)
 
 
@@ -188,6 +189,31 @@ class RunConfig:
     outputs: dict
     raw: dict
 
+    def solve_paths(self, seeds) -> list:
+        """:func:`~hjmm.solver.solve_paths` on the run's model and grid,
+        ``mc.eps`` and the ``solver`` section."""
+        return solve_paths(self.levy, self.volatility, self.curve, self.grid,
+                           seeds, self.mc["eps"], **self.solver)
+
+    def solve_path(self, seed, grid: GridSpec | None = None):
+        """:func:`~hjmm.solver.solve_path` on the run's model, its grid (or
+        ``grid``), ``mc.eps`` and the ``solver`` section."""
+        return solve_path(self.levy, self.volatility, self.curve,
+                          self.grid if grid is None else grid, seed,
+                          self.mc["eps"], **self.solver)
+
+    def martingale_test(self, master_seed: int,
+                        threads: int = 1) -> MartingaleReport:
+        """:func:`~hjmm.market.martingale_test` on the run's model and grid,
+        with ``mc.n_paths``, ``mc.eps``, both checkpoint lists and the
+        ``solver`` section."""
+        return martingale_test(
+            self.levy, self.volatility, self.curve, self.grid,
+            n_paths=self.mc["n_paths"], master_seed=master_seed,
+            eps=self.mc["eps"], t_checkpoints=self.mc["t_checkpoints"],
+            T_checkpoints=self.mc["T_checkpoints"], threads=threads,
+            **self.solver)
+
 
 def load_config(path: str) -> RunConfig:
     """Read a JSON run configuration file and validate it like parse_config."""
@@ -206,16 +232,20 @@ def parse_config(doc: dict) -> RunConfig:
     sections = _read(doc, _DOCUMENT, "config")
     grid = _build(_bounded_grid, _GRID, sections["grid"], "grid")
     vol = _parse_volatility(sections["volatility"], grid)
-    levy = _parse_levy(sections["levy"])
     curve = _build_tagged(sections["initial_curve"], "family", _CURVES,
                           "initial_curve")
-
     try:
         require_positive_on(curve, grid.T_nodes())
     except NonPositiveInitialCurve as exc:
         raise ConfigError(f"(A1) initial curve must be positive: {exc}") from exc
 
-    report = check_assumptions(levy, vol)
+    # a user density is first evaluated, and checked, on its rule's nodes
+    # by the subordinator drift or the assumption check
+    try:
+        levy = _parse_levy(sections["levy"])
+        report = check_assumptions(levy, vol)
+    except DomainError as exc:
+        raise ConfigError(f"levy.measure: {exc}") from exc
     if not report.a2_pass:
         raise ConfigError(
             "(A2) jump support reaches "

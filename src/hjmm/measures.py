@@ -809,17 +809,19 @@ class UserDensity(_RuleDensity):
 
     The callable is evaluated on floats by the quadrature route and on numpy
     arrays everywhere else, so it must accept both.  It is evaluated once
-    on the fixed rule over [e^-40, e^30], and every integral of y^k f that
-    the pipeline reads (the moments, U, the total and the tail masses) comes
-    from that rule: the sums of its panels, 16 nodes on the part of a panel
-    at either end of the range, and, below e^-40 and beyond e^30, the
-    geometric continuation of the two outermost panels, which is exact for
-    a power law.  The continuation to zero or infinity reads +inf, a
-    divergent integral, where its panel ratio is 1 or more (to within 1e-9)
-    or where the decay rate of the integrand in ln y still falls by more
-    than 1% from one pair of panels to the next, outward: an integrand
-    that decays like a power of ln y (a logarithmic divergence, or a
-    convergence too slow to read off the rule) is no power law of y.
+    on the fixed rule over [e^-40, e^30], and as a float at the rule's
+    first node; an exception it raises there becomes DomainError.  Every
+    integral of y^k f that the pipeline reads (the moments, U, the total
+    and the tail masses) comes from that rule: the sums of its panels, 16
+    nodes on the part of a panel at either end of the range, and, below
+    e^-40 and beyond e^30, the geometric continuation of the two outermost
+    panels, which is exact for a power law.  The continuation to zero or
+    infinity reads +inf, a divergent integral, where its panel ratio is 1
+    or more (to within 1e-9) or where the decay rate of the integrand in
+    ln y still falls by more than 1% from one pair of panels to the next,
+    outward: an integrand that decays like a power of ln y (a logarithmic
+    divergence, or a convergence too slow to read off the rule) is no
+    power law of y.
 
     The rule of J' and J'' starts at y = e^-40, below which J' and J'' are
     linear in U(e^-40) and no jump is drawn; no jump is drawn above e^30
@@ -859,8 +861,13 @@ class UserDensity(_RuleDensity):
         on [e^-40, e^30], and each panel's integral of y^j f for j = 0, 1
         and 2 (shape (3, panels))."""
         y, w = _log_rule(_RULE_S_MIN, _SPAN_S_MAX)
-        f = np.broadcast_to(np.asarray(self.density_fn(y), dtype=float),
-                            y.shape)
+        try:
+            f = np.broadcast_to(np.asarray(self.density_fn(y), dtype=float),
+                                y.shape)
+            float(self.density_fn(float(y[0])))  # the quadrature's floats
+        except Exception as exc:
+            raise DomainError(
+                f"density failed on the rule's nodes: {exc}") from exc
         bad = ~(np.isfinite(f) & (f >= 0.0))
         if bad.any():
             k = int(np.argmax(bad))

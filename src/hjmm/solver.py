@@ -342,7 +342,7 @@ def solve_paths(spec: LevyModelSpec, vol: VolatilitySpec, curve: InitialCurve,
 
     At DEBUG level it logs, per path, one record per iteration (sup_diff,
     norm, min increment, read from the report's traces) and then one
-    record for the path, which carries its ``error_estimate``.
+    record for the path, which ends with its ``error_estimate``.
     """
     seeds = list(seeds)
     paths = simulate_paths(spec, grid.t_star, seeds, eps)
@@ -363,11 +363,9 @@ def solve_paths(spec: LevyModelSpec, vol: VolatilitySpec, curve: InitialCurve,
 
 
 def _log_path(seed, path: JumpPath, entry) -> None:
-    """The DEBUG records of one path of :func:`solve_paths`.
-
-    The path's own record carries the report's ``error_estimate`` as a
-    record attribute; its message is the status line alone.
-    """
+    """The DEBUG records of one path of :func:`solve_paths`: one per
+    iteration, then the path's own, which ends with the report's
+    ``error_estimate``."""
     if isinstance(entry, NonPositiveFactor):
         log.debug("path %s: %d jumps, %s", seed, path.n_jumps,
                   STATUS_NONPOSITIVE)
@@ -377,9 +375,9 @@ def _log_path(seed, path: JumpPath, entry) -> None:
             report.sup_diffs, report.norm_trace, report.increment_mins), 1):
         log.debug("path %s iteration %d: sup_diff %r, norm %r, "
                   "min increment %r", seed, k, sup, norm, low)
-    log.debug("path %s: %d jumps, %s after %d iterations", seed,
-              path.n_jumps, report.status, report.iterations,
-              extra={"error_estimate": report.error_estimate})
+    log.debug("path %s: %d jumps, %s after %d iterations, error estimate %r",
+              seed, path.n_jumps, report.status, report.iterations,
+              report.error_estimate)
 
 
 def solve_path(spec: LevyModelSpec, vol: VolatilitySpec, curve: InitialCurve,

@@ -5,9 +5,10 @@ iteration, norm embeddings, exponent monotonicity, positivity of the
 jump factor, the strong differential form, two-start uniqueness) on the
 model a run configuration describes, for every linear volatility,
 time-only or maturity-dependent.  The suites that solve a path run
-:func:`~hjmm.solver.solve_path`, the pipeline ``hjmm solve`` and the
-Monte Carlo run.  A suite that needs a simulated jump path raises
-UnsupportedSpec for a model the path simulator does not cover, and
+the pipeline of ``hjmm solve`` and the Monte Carlo run through
+:class:`~hjmm.config.RunConfig`'s ``solve_path`` and ``solve_paths``.
+A suite that needs a simulated jump path raises UnsupportedSpec for a
+model the path simulator does not cover, and
 :func:`run_all` turns that into a passed result with a "skipped" note; a
 jump factor at or below zero (NonPositiveFactor) becomes a failed result
 that names the jump.
@@ -24,8 +25,8 @@ from .config import RunConfig
 from .errors import NonPositiveFactor, UnsupportedSpec
 from .grids import RateField
 from .levy import exponent_derivative, fast_derivative
-from .solver import (solve_fixed_point, solve_path, solve_paths,
-                     strong_residual, uniqueness_contraction_check)
+from .solver import (solve_fixed_point, strong_residual,
+                     uniqueness_contraction_check)
 
 __all__ = ["SuiteResult", "VerificationReport", "run_all"]
 
@@ -54,9 +55,7 @@ class VerificationReport:
 
 def suite_monotone_iterates(config: RunConfig, seed: int) -> SuiteResult:
     """Iterates from zero must grow pointwise and converge."""
-    *_, report = solve_path(config.levy, config.volatility, config.curve,
-                            config.grid, [seed, 0], config.mc["eps"],
-                            **config.solver)
+    *_, report = config.solve_path([seed, 0])
     worst = min(report.increment_mins) if report.increment_mins else 0.0
     ok = report.converged and worst >= -MONOTONE_TOL
     return SuiteResult("monotone_iterates", ok,
@@ -136,15 +135,13 @@ def suite_jump_factor_positive(config: RunConfig, seed: int) -> SuiteResult:
     Five paths, seeds (seed, 1000 + k), run through
     :func:`~hjmm.solver.solve_paths` as one block, and the suite reads
     their factor fields; a jump factor 1 + lambda*dL at or below zero
-    fails the suite.
+    raises the first path's NonPositiveFactor, which :func:`run_all`
+    turns into a failed result.
     """
-    entries = solve_paths(config.levy, config.volatility, config.curve,
-                          config.grid, [[seed, 1000 + k] for k in range(5)],
-                          config.mc["eps"], **config.solver)
-    fault = next((e for e in entries if isinstance(e, NonPositiveFactor)),
-                 None)
-    if fault is not None:
-        return SuiteResult("jump_factor_positive", False, note=str(fault))
+    entries = config.solve_paths([[seed, 1000 + k] for k in range(5)])
+    for entry in entries:
+        if isinstance(entry, NonPositiveFactor):
+            raise entry
     b_vals = np.array([b for _, b, _, _ in entries])
     if not np.all(np.isfinite(b_vals)):
         return SuiteResult("jump_factor_positive", False,
@@ -165,9 +162,7 @@ def suite_strong_residual(config: RunConfig, seed: int) -> SuiteResult:
     maxima = []
     jump_err = 0.0
     for g in (config.grid, config.grid.refine(2)):
-        path, _, _, report = solve_path(config.levy, config.volatility,
-                                        config.curve, g, [seed, 2000],
-                                        config.mc["eps"], **config.solver)
+        path, _, _, report = config.solve_path([seed, 2000], g)
         if not report.converged:
             return SuiteResult("strong_residual", False,
                                details={"status": report.status})
@@ -198,10 +193,7 @@ def suite_two_start(config: RunConfig, seed: int) -> SuiteResult:
     :func:`~hjmm.solver.uniqueness_contraction_check`; the Gronwall
     constant it reports takes the sup of the path's jump factor field.
     """
-    _, b_vals, a_vals, first = solve_path(config.levy, config.volatility,
-                                          config.curve, config.grid,
-                                          [seed, 3000], config.mc["eps"],
-                                          **config.solver)
+    _, b_vals, a_vals, first = config.solve_path([seed, 3000])
     if not first.converged:
         return SuiteResult("two_start", False,
                            details={"status": first.status})

@@ -234,7 +234,8 @@ class TestSolve:
                 "min increment ")
         assert records[-1].getMessage() == (
             f"path [3, 0]: {report['n_jumps']} jumps, Converged after "
-            f"{report['iterations']} iterations")
+            f"{report['iterations']} iterations, error estimate "
+            f"{report['error_estimate']!r}")
 
 
 class TestVerify:
@@ -383,6 +384,19 @@ class TestConfigErrors:
         assert err.startswith(f"config error: {section}.{next(iter(setting))}")
         assert "Traceback" not in err
         assert sorted(os.listdir(tmp_path)) == ["run.json"]
+
+    def test_density_failing_on_arrays_exit_one_without_traceback(
+            self, tmp_path, capsys) -> None:
+        # the expression takes a float but not the array of the rule's nodes
+        doc = _user_density_doc()
+        doc["levy"]["measure"]["expression"] = "exp(-2*y)/y if y < 5 else 0.0"
+        code = main(["classify", "--config", _write(tmp_path, doc),
+                     "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert err.startswith(
+            "config error: levy.measure: density failed on the rule's nodes: ")
+        assert "Traceback" not in err
 
 
 class TestUsage:

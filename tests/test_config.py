@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hjmm import config, paths, solver
+from hjmm import config, market, paths, solver
 from hjmm.config import (
     SCHEMA_VERSION,
     load_config,
@@ -226,6 +226,20 @@ class TestUserDensityExpression:
         with pytest.raises(ConfigError, match="bad expression"):
             parse_config(self._doc("exp(-y"))
 
+    @pytest.mark.parametrize("drift", [0.0, "subordinator"])
+    @pytest.mark.parametrize("expression", [
+        # a float passes `if`/`else`; the array of the rule's nodes does not
+        "exp(-2*y)/y if y < 5 else 0.0",
+        # an array takes a subscript; the quadrature's floats do not
+        "exp(-2*y)/y + 0*y[0]"])
+    def test_expression_failing_on_arrays_rejected(self, drift,
+                                                   expression) -> None:
+        doc = self._doc(expression)
+        doc["levy"]["drift_a"] = drift
+        with pytest.raises(ConfigError, match="^levy.measure: density "
+                                              "failed on the rule's nodes: "):
+            parse_config(doc)
+
 
 def test_volatility_term_sum() -> None:
     doc = _base_doc()
@@ -331,6 +345,16 @@ def test_volatility_bounds_must_enclose_sampled_factor() -> None:
         parse_config(doc)
     doc["volatility"]["lambda_lower"] = 0.2
     assert parse_config(doc).volatility.lambda_upper == 0.6
+
+
+def test_nonpositive_declared_lower_bound_rejected() -> None:
+    doc = _base_doc()
+    doc["volatility"]["lambda_lower"] = -0.1
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    assert str(info.value) == (
+        "(A3) volatility bounds invalid: need 0 < lambda_lower <= "
+        "lambda_upper, got (-0.1, 0.2)")
 
 
 @pytest.mark.parametrize("section, key, value", [
@@ -543,6 +567,42 @@ def test_curve_families() -> None:
     doc["initial_curve"] = {"family": "constant", "level": 0.05}
     cfg = parse_config(doc)
     assert cfg.curve(1.7) == pytest.approx(0.05)
+
+
+def _entry_bytes(entry) -> list:
+    """Every array and number of a pipeline entry, as bytes."""
+    path, b, a, report = entry
+    return [np.asarray(x, dtype=float).tobytes() for x in (
+        path.times, path.sizes, b, a, report.sup_diffs, report.norm_trace,
+        report.increment_mins, report.final_field.values,
+        report.error_estimate)] + [report.status, report.iterations]
+
+
+def test_run_config_methods_are_their_library_calls() -> None:
+    # settings away from their defaults, so a section the methods drop
+    # changes the outputs
+    doc = _base_doc()
+    doc["solver"] = {"tol": 1e-3, "max_iter": 40, "explosion_threshold": 1e6}
+    doc["mc"] = {"n_paths": 3, "eps": 1e-2, "t_checkpoints": [0.5],
+                 "T_checkpoints": [1.5, 2.0]}
+    cfg = parse_config(doc)
+    seeds = [[5, k] for k in range(3)]
+    written = solver.solve_paths(cfg.levy, cfg.volatility, cfg.curve,
+                                 cfg.grid, seeds, 1e-2, tol=1e-3, max_iter=40,
+                                 explosion_threshold=1e6)
+    assert ([_entry_bytes(e) for e in cfg.solve_paths(seeds)]
+            == [_entry_bytes(e) for e in written])
+    for grid, given in ((cfg.grid, None), (cfg.grid.refine(2),) * 2):
+        written = solver.solve_path(cfg.levy, cfg.volatility, cfg.curve,
+                                    grid, [5, 1], 1e-2, tol=1e-3, max_iter=40,
+                                    explosion_threshold=1e6)
+        assert (_entry_bytes(cfg.solve_path([5, 1], given))
+                == _entry_bytes(written))
+    written = market.martingale_test(
+        cfg.levy, cfg.volatility, cfg.curve, cfg.grid, n_paths=3,
+        master_seed=5, eps=1e-2, t_checkpoints=[0.5], T_checkpoints=[1.5, 2.0],
+        threads=2, tol=1e-3, max_iter=40, explosion_threshold=1e6)
+    assert repr(cfg.martingale_test(5, threads=2)) == repr(written)
 
 
 def test_load_config_roundtrip(tmp_path) -> None:

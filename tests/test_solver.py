@@ -556,6 +556,17 @@ class TestStrongResidual:
         assert rep.dx_identity_mean == pytest.approx(np.mean(dx_res),
                                                      rel=1e-14)
 
+    def test_slices_below_three_nodes_give_nan_fields(self) -> None:
+        # on a 2 x 2 grid no slice has 3 nodes: no cell is checked, and
+        # the residual fields read NaN instead of raising
+        grid = GridSpec(1.0, 1.0, 1.0, 1.0)
+        path = _drift_path(grid, 1.0)
+        spec, vol, field = self._solve_with_path(grid, path)
+        rep = strong_residual(field, vol, spec, path, grid)
+        assert all(map(math.isnan, (
+            rep.time_residual_max, rep.time_residual_mean,
+            rep.dx_identity_max, rep.dx_identity_mean)))
+
     def test_jump_relation_holds_at_jumps(self) -> None:
         grid = _grid()
         path = JumpPath(horizon=grid.t_star, drift_rate=0.5,
@@ -1128,7 +1139,8 @@ class TestDebugLog:
                     report.increment_mins), 1)]
             expected.append(f"path {seed}: {entry[0].n_jumps} jumps, "
                             f"{report.status} after {report.iterations} "
-                            "iterations")
+                            f"iterations, error estimate "
+                            f"{report.error_estimate!r}")
         records = [r for r in caplog.records if r.name == "hjmm.solver"]
         assert all(r.levelno == logging.DEBUG for r in records)
         assert [r.getMessage() for r in records] == expected

@@ -7,6 +7,7 @@ import pytest
 
 from hjmm import verification
 from hjmm.config import parse_config
+from hjmm.errors import NonPositiveFactor
 from hjmm.grids import RateField
 from hjmm.levy import LevyModelSpec
 from hjmm.measures import PointMasses
@@ -71,6 +72,16 @@ def test_jump_factor_suite(base_config) -> None:
     result = suite_jump_factor_positive(base_config, seed=0)
     assert result.passed
     assert result.details["min_b"] > 0.0
+
+
+def test_jump_factor_suite_fails_an_overflowed_factor_field() -> None:
+    # drift 2e4 times Lambda = 0.2 t overflows b on the README model
+    config = _config(levy={"drift_a": 2e4,
+                           "measure": {"family": "gamma_like", "c": 0.5,
+                                       "beta": 2.0}})
+    result = suite_jump_factor_positive(config, seed=0)
+    assert not result.passed
+    assert result.details == {"reason": "non-finite b values"}
 
 
 def test_strong_residual_suite(base_config) -> None:
@@ -187,9 +198,8 @@ def test_run_all_fails_a_non_positive_jump_factor() -> None:
         volatility=VolatilitySpec(
             terms=(constant_term(0.25), exp_decay_term(-1.35, 40.0)),
             lambda_lower=0.01, lambda_upper=0.25))
-    result = suite_jump_factor_positive(config, seed=0)
-    assert not result.passed
-    assert result.note.startswith("jump at t=")
+    with pytest.raises(NonPositiveFactor, match="jump at t="):
+        suite_jump_factor_positive(config, seed=0)
     report = run_all(config, seed=0)
     assert not report.all_passed
     results = {s.name: s for s in report.suites}

@@ -5,13 +5,14 @@ written), and for three variants of the ``mc-gamma`` config that change
 only its volatility (a maturity-dependent ``exp_decay`` term, a
 ``time_affine`` term that is time-only but not constant, and the sum of
 a ``constant`` and an ``exp_decay`` term), it solves the paths with
-seeds [7, i], i < 45, through ``hjmm.solver.solve_paths``: once in one
-block and once in blocks of 15.  It adds one solve of the first
-converged path restarted from twice its solution.  Every jump path, b
-and a field, solver report and NonPositiveFactor message goes into the
-digest of that config.  For each ``martingale_test`` workload it also
-runs ``hjmm.martingale_test`` with master seed 7 on the workload's paths,
-once on one thread and once on two (where two CPUs are free), and prints
+seeds [7, i], i < 45, through ``RunConfig.solve_paths``, the pipeline
+call of ``hjmm solve``: once in one block and once in blocks of 15.  It
+adds one solve of the first converged path restarted from twice its
+solution.  Every jump path, b and a field, solver report and
+NonPositiveFactor message goes into the digest of that config.  For each
+``martingale_test`` workload it also runs ``RunConfig.martingale_test``,
+as ``hjmm mc`` does, with master seed 7 on the workload's paths, once on
+one thread and once on two (where two CPUs are free), and prints
 one digest of the report (checkpoint means, stds and z-scores, and the
 exclusions by cause) under the name ``<workload>-martingale``; it exits
 with status 1, and prints no digest for that workload, if the two runs
@@ -42,8 +43,6 @@ from pathlib import Path
 import numpy as np
 
 import hjmm
-from hjmm.errors import NonPositiveFactor
-from hjmm.solver import solve_path, solve_paths
 
 ROOT = Path(__file__).resolve().parent.parent
 N_PATHS = 45
@@ -94,17 +93,13 @@ def _add_report(digest, report) -> None:
 def config_digest(doc: dict) -> str:
     """The SHA-256 of the outputs of one config document."""
     cfg = hjmm.parse_config(doc)
-    solver = {k: cfg.solver[k] for k in ("tol", "max_iter",
-                                         "explosion_threshold")}
     seeds = [[SEED, i] for i in range(N_PATHS)]
     digest = hashlib.sha256()
     restart = None
     for size in (N_PATHS, BLOCK):
         for lo in range(0, N_PATHS, size):
-            for entry in solve_paths(cfg.levy, cfg.volatility, cfg.curve,
-                                     cfg.grid, seeds[lo:lo + size],
-                                     cfg.mc["eps"], **solver):
-                if isinstance(entry, NonPositiveFactor):
+            for entry in cfg.solve_paths(seeds[lo:lo + size]):
+                if isinstance(entry, hjmm.NonPositiveFactor):
                     digest.update(str(entry).encode())
                     continue
                 path, b, a, report = entry
@@ -117,7 +112,8 @@ def config_digest(doc: dict) -> str:
         a, field = restart
         initial = hjmm.RateField(2.0 * field.values, cfg.grid)
         _add_report(digest, hjmm.solve_fixed_point(
-            a, cfg.volatility, cfg.levy, cfg.grid, initial=initial, **solver))
+            a, cfg.volatility, cfg.levy, cfg.grid, initial=initial,
+            **cfg.solver))
     return digest.hexdigest()
 
 
@@ -129,12 +125,7 @@ def _martingale_configs() -> dict:
 
 def martingale_digest(doc: dict, threads: int) -> str:
     """The SHA-256 of the martingale_test report of one config document."""
-    cfg = hjmm.parse_config(doc)
-    report = hjmm.martingale_test(
-        cfg.levy, cfg.volatility, cfg.curve, cfg.grid,
-        n_paths=cfg.mc["n_paths"], master_seed=SEED, eps=cfg.mc["eps"],
-        t_checkpoints=cfg.mc["t_checkpoints"],
-        T_checkpoints=cfg.mc["T_checkpoints"], threads=threads, **cfg.solver)
+    report = hjmm.parse_config(doc).martingale_test(SEED, threads)
     digest = hashlib.sha256()
     digest.update(np.array([(r.mean_discounted, r.std, r.z_score)
                             for r in report.results], dtype=float).tobytes())
@@ -165,8 +156,7 @@ def assumptions_digest(doc: dict) -> str:
 def apriori_digest(doc: dict) -> str:
     """The SHA-256 of the c1_bound of ``hjmm solve`` on one config document."""
     cfg = hjmm.parse_config(doc)
-    _, b, a, _ = solve_path(cfg.levy, cfg.volatility, cfg.curve, cfg.grid,
-                            [SEED, 0], cfg.mc["eps"], **cfg.solver)
+    _, b, a, _ = cfg.solve_path([SEED, 0])
     # as in hjmm solve: row 0 of a is f0, and an overflowed b has no bound
     r0_norm = hjmm.weighted_norms(hjmm.RateField(a, cfg.grid), cfg.grid,
                                   0.0).l2_gamma
